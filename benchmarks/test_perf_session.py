@@ -2,7 +2,7 @@
 
 Times a complete RSb transfer session end to end — surrogate fit,
 10k-pool scoring, ranking, and 40 target evaluations — against the
-PR-2-era implementation reconstructed in-file: serial engine loop,
+PR-2-era implementation reconstructed in-file: engine blocks of one,
 legacy forest (per-node argsort growth, per-tree prediction loops),
 and the eager pool path that materialized every Configuration and
 encoded it row by row.  The legacy and fast sessions are verified to
@@ -88,7 +88,7 @@ class _LegacyPool(PoolRankProposer):
 
 
 def _legacy_session(kernel, training):
-    """Serial engine + legacy forest + eager pool: the honest before."""
+    """Blocks of one + legacy forest + eager pool: the honest before."""
     surrogate = Surrogate(
         kernel.space,
         learner=_LegacyForest(n_estimators=64, min_samples_leaf=2, seed=0),
@@ -101,7 +101,7 @@ def _legacy_session(kernel, training):
         nmax=NMAX,
         name="RSb",
         space=kernel.space,
-        batch_size=None,
+        batch_size=1,
     )
     return engine.run()
 

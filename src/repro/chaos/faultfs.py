@@ -1,9 +1,8 @@
 """First-class filesystem fault injection for the journal layer.
 
-Promoted from the original ``tests/faultfs.py`` shim into a library
-component: the chaos orchestrator composes filesystem pressure with
-evaluator faults, worker kills, and deadline pressure, so the failing
-filesystem has to be schedulable (per-path rules, fault budgets,
+The chaos orchestrator composes filesystem pressure with evaluator
+faults, worker kills, and deadline pressure, so the failing filesystem
+has to be schedulable (per-path rules, fault budgets,
 arm/disarm windows) rather than a pytest-only monkeypatch.
 
 :class:`FaultFS` shadows ``open`` and ``os`` inside
@@ -477,8 +476,7 @@ class FaultFS:
 class FailingFS:
     """One-path, one-rule convenience wrapper over :class:`FaultFS`.
 
-    The original pytest shim surface (``tests/faultfs.py`` re-exports
-    it): inject OSError into write-mode opens of a single journal path,
+    Injects OSError into write-mode opens of a single journal path,
     toggled with :meth:`arm`/:meth:`disarm`.  ``patcher`` is pytest's
     ``monkeypatch`` (anything with a compatible ``setattr``): patching
     instead of :meth:`FaultFS.install` lets the fixture auto-restore

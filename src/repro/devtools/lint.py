@@ -12,11 +12,11 @@ Two checks, both AST-based (the checked code is never imported):
    :mod:`repro.search.protocols`; new coupling must be broken the same
    way, not hidden from the runtime.
 
-2. **Dead code.**  Top-level functions and classes in ``repro.search``,
-   ``repro.transfer``, and ``repro.reliability`` that no other source
-   file, test, benchmark, or example references and that their module
-   does not export via ``__all__``; plus private (``_``-prefixed)
-   top-level definitions never referenced inside their own module.
+2. **Dead code.**  Top-level functions and classes anywhere in
+   ``repro`` that no other source file, test, benchmark, or example
+   references and that their module does not export via ``__all__``;
+   plus private (``_``-prefixed) top-level definitions never referenced
+   inside their own module.
 
 Run as ``python -m repro.devtools.lint`` (or ``make lint``).  Exit
 status 0 means clean; 1 means findings (one per line on stdout).
@@ -35,7 +35,6 @@ __all__ = [
     "find_cycles",
     "check_imports",
     "check_dead_code",
-    "DEAD_CODE_SUBPACKAGES",
     "run_lint",
     "main",
 ]
@@ -238,28 +237,8 @@ def _word_count(pattern: re.Pattern, text: str) -> int:
     return len(pattern.findall(text))
 
 
-#: packages swept for dead code by default.
-DEAD_CODE_SUBPACKAGES = (
-    f"{PACKAGE}.search",
-    f"{PACKAGE}.transfer",
-    f"{PACKAGE}.reliability",
-    f"{PACKAGE}.service",
-    f"{PACKAGE}.ml",
-    f"{PACKAGE}.perf",
-    f"{PACKAGE}.chaos",
-    f"{PACKAGE}.meta",
-    f"{PACKAGE}.spec",
-    f"{PACKAGE}.exec.scrub",
-)
-
-
-def check_dead_code(
-    modules: dict[str, str],
-    repo_root: str,
-    subpackage: str | tuple[str, ...] = DEAD_CODE_SUBPACKAGES,
-) -> list[str]:
-    """Top-level defs in ``subpackage`` (one name or a tuple of names)
-    that nothing references.
+def check_dead_code(modules: dict[str, str], repo_root: str) -> list[str]:
+    """Top-level defs anywhere in the package that nothing references.
 
     Public names survive if any *other* source/test/benchmark/example
     file mentions them or their module exports them via ``__all__``;
@@ -282,12 +261,7 @@ def check_dead_code(
                     with open(path, encoding="utf-8") as fh:
                         corpus[path] = fh.read()
 
-    subpackages = (subpackage,) if isinstance(subpackage, str) else tuple(subpackage)
-    for name, path in sorted(modules.items()):
-        if not any(
-            name == pkg or name.startswith(pkg + ".") for pkg in subpackages
-        ):
-            continue
+    for path in sorted(modules.values()):
         source = corpus[path]
         tree = ast.parse(source, filename=path)
         exported = _module_all(tree)
@@ -350,8 +324,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"lint: {len(errors)} finding(s)")
         return 1
     print("lint: clean (import graph acyclic, no hidden internal imports, "
-          "no dead search/transfer/reliability/service/ml/perf/chaos/meta/"
-          "spec/scrub code)")
+          f"no dead code in {PACKAGE})")
     return 0
 
 

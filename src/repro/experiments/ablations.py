@@ -69,6 +69,7 @@ __all__ = [
     "run_surrogate_ablation",
     "run_pool_sweep",
     "run_dissimilarity",
+    "DissimilarityResult",
     "run_multisource",
     "run_warm_start",
     "run_online",

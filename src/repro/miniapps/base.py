@@ -11,7 +11,6 @@ much of the tuning landscape transfers between machines.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 
 from repro.errors import EvaluationError
 from repro.machines.spec import MachineSpec
@@ -47,12 +46,6 @@ def shared_effect(tag: str, param: str, value: object) -> float:
 def machine_effect(machine: MachineSpec, tag: str, param: str, value: object) -> float:
     """Machine-specific log-runtime contribution of one setting."""
     return hash_normal("miniapp-machine", machine.name, tag, param, repr(value))
-
-
-@dataclass(frozen=True)
-class MiniappCost:
-    runtime_seconds: float
-    compile_seconds: float
 
 
 class MiniappModel(ABC):

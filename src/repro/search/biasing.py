@@ -56,7 +56,7 @@ def biased_search(
     checkpoint=None,
     guard=UNSET,
     stream=None,
-    batch_size=UNSET,
+    batch_size: int | None = None,
     spec: TunerSpec | None = None,
 ) -> SearchTrace:
     """Run RSb for at most ``nmax`` evaluations.
@@ -86,7 +86,7 @@ def biased_search(
         pool_size = spec.pool.size
     if guard is UNSET:
         guard = spec.guard
-    if batch_size is UNSET:
+    if batch_size is None:
         batch_size = spec.engine.batch_size
     if nmax < 1:
         raise SearchError(f"nmax must be >= 1, got {nmax}")
@@ -119,7 +119,7 @@ def hybrid_search(
     checkpoint=None,
     guard=UNSET,
     stream=None,
-    batch_size=UNSET,
+    batch_size: int | None = None,
     spec: TunerSpec | None = None,
 ) -> SearchTrace:
     """Run the prune-then-bias hybrid (RSpb) for at most ``nmax``
@@ -152,7 +152,7 @@ def hybrid_search(
         delta_percent = spec.gate.delta_percent
     if guard is UNSET:
         guard = spec.guard
-    if batch_size is UNSET:
+    if batch_size is None:
         batch_size = spec.engine.batch_size
     if nmax < 1:
         raise SearchError(f"nmax must be >= 1, got {nmax}")

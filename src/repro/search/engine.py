@@ -44,11 +44,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import BudgetExhaustedError, EvaluationFailure, SearchError
-from repro.ml import _native
 from repro.search.protocols import EngineContext, Gate, Proposal, Proposer
 from repro.search.result import EvaluationRecord, SearchTrace
 from repro.searchspace.space import SearchSpace
-from repro.spec import UNSET, TunerSpec, resolve_spec
 
 __all__ = [
     "SearchEngine",
@@ -152,17 +150,14 @@ class SearchEngine:
         when its file exists the search resumes from it.
     batch_size:
         Propose/gate/score candidates in blocks of up to this many
-        instead of one Python-level iteration each (``None`` keeps the
-        serial loop).  Purely an execution strategy: the batched loop
-        replays the serial loop's per-candidate accounting — every
-        clock charge in the same order, the same positions, the same
-        records — so traces and checkpoint bytes are identical for
-        every batch size (the golden-trace suite enforces this).  Block
-        execution engages only for proposers that implement
-        ``propose_block``/``rewind`` and degrades candidate-by-candidate
-        otherwise; proposers carrying checkpoint ``state()`` (the guard
-        wrapper) also stay serial under a checkpoint manager, because a
-        mid-block snapshot would capture over-consumed positions.
+        (``1``, the default, is one candidate per iteration).  Purely an
+        execution strategy: every clock charge is still applied per
+        candidate in stream order, and proposals a block did not consume
+        are handed back via ``rewind``, so traces and checkpoint bytes
+        are identical for every batch size (the golden-trace suite
+        enforces this).  Proposers that decide one candidate at a time
+        (techniques, SMBO's model phase, an armed guard) hand out blocks
+        of one whatever the batch size.
     """
 
     def __init__(
@@ -182,25 +177,15 @@ class SearchEngine:
         rewind_position_on_budget_break: bool = True,
         stream_positions_metadata: bool = False,
         checkpoint=None,
-        batch_size=UNSET,
-        spec: TunerSpec | None = None,
+        batch_size: int = 1,
     ) -> None:
-        # ``batch_size`` beats ``spec.engine.batch_size`` beats the
-        # historical default (None — the serial loop).  The sentinel
-        # keeps explicit ``batch_size=None`` meaning "serial", exactly
-        # as before the spec layer existed.
-        if batch_size is UNSET:
-            batch_size = (
-                resolve_spec(spec).engine.batch_size
-                if spec is not None else None
-            )
         if nmax < 1:
             raise SearchError(f"nmax must be >= 1, got {nmax}")
         if failure_mode not in ("record", "raise"):
             raise SearchError(
                 f"failure_mode must be 'record' or 'raise', got {failure_mode!r}"
             )
-        if batch_size is not None and batch_size < 1:
+        if batch_size < 1:
             raise SearchError(f"batch_size must be >= 1, got {batch_size}")
         self.evaluator = evaluator
         self.proposer = proposer
@@ -217,25 +202,6 @@ class SearchEngine:
         self.stream_positions_metadata = stream_positions_metadata
         self.checkpoint = checkpoint
         self.batch_size = batch_size
-
-    # ------------------------------------------------------------------
-    def diagnostics(self) -> dict:
-        """Execution-mode report: the configured batch size, whether the
-        composed proposer supports block proposing, and the native-
-        kernel probe outcome (see :func:`repro.ml._native.diagnostics`).
-        None of it affects results — only throughput."""
-        block_capable = (
-            hasattr(self.proposer, "propose_block")
-            and hasattr(self.proposer, "rewind")
-        )
-        return {
-            "batch_size": self.batch_size,
-            "engine_mode": "batched" if (
-                self.batch_size is not None and block_capable
-            ) else "serial",
-            "block_capable_proposer": block_capable,
-            "native": _native.diagnostics(),
-        }
 
     def _extra(self, skipped: int) -> dict:
         """The checkpoint ``extra`` payload: proposer state, plus the
@@ -279,18 +245,9 @@ class SearchEngine:
                 trace.total_elapsed = max(trace.total_elapsed, clock.now)
             return trace
 
-        use_batched = (
-            self.batch_size is not None
-            and hasattr(self.proposer, "propose_block")
-            and hasattr(self.proposer, "rewind")
-            # A mid-block periodic snapshot embeds proposer.state();
-            # proposers that carry real state there (the guard wrapper)
-            # would checkpoint over-consumed positions, so they keep the
-            # serial loop whenever a checkpoint manager is attached.
-            and not (self.checkpoint is not None and self.proposer.state())
+        position, skipped, sync_elapsed = self._loop(
+            ctx, trace, clock, position, skipped
         )
-        loop = self._batched_loop if use_batched else self._serial_loop
-        position, skipped, sync_elapsed = loop(ctx, trace, clock, position, skipped)
 
         if self.stream_positions_metadata:
             trace.metadata["stream_positions"] = position
@@ -303,73 +260,17 @@ class SearchEngine:
             )
         return trace
 
-    def _serial_loop(self, ctx, trace, clock, position, skipped):
-        """The reference loop: one proposal per Python-level iteration."""
-        sync_elapsed = True
-        while trace.n_evaluations < self.nmax and (
-            self.position_cap is None or position < self.position_cap
-        ):
-            proposal = self.proposer.propose(ctx)
-            if proposal is None:
-                break
-            position += 1
-            try:
-                if self.gate is not None and not self.gate.admit(ctx, proposal):
-                    skipped += 1
-                    continue
-                measurement = self.evaluator.evaluate(proposal.config)
-            except BudgetExhaustedError:
-                if self.rewind_position_on_budget_break:
-                    position -= 1
-                if self.charge_remainder_on_exhaust and clock.remaining > 0:
-                    # The budget died mid-evaluation: the partial work
-                    # until the wall was real, so charge the remainder
-                    # instead of silently dropping it.
-                    clock.advance(clock.remaining)
-                trace.exhausted_budget = True
-                sync_elapsed = not self.proposer.budget_break_skips_sync()
-                break
-            except EvaluationFailure as exc:
-                if self.failure_mode == "raise":
-                    raise
-                censored_at = getattr(exc, "censored_at", None)
-                self.proposer.observe(
-                    ctx,
-                    proposal,
-                    float("inf") if censored_at is None else float(censored_at),
-                    True,
-                    censored_at is not None,
-                )
-                record_failure(trace, proposal.config, exc, clock.now,
-                               skipped_before=skipped)
-            else:
-                self.proposer.observe(
-                    ctx,
-                    proposal,
-                    measurement.runtime_seconds,
-                    bool(getattr(measurement, "failed", False)),
-                    bool(getattr(measurement, "censored", False)),
-                )
-                record_measurement(trace, proposal.config, measurement,
-                                   clock.now, skipped_before=skipped)
-            skipped = 0
-            if self.checkpoint is not None:
-                self.checkpoint.maybe_save(
-                    trace, position=position, evaluator=self.evaluator,
-                    extra=self._extra(skipped),
-                )
-        return position, skipped, sync_elapsed
+    def _loop(self, ctx, trace, clock, position, skipped):
+        """The search loop: propose a block, then account per candidate.
 
-    def _batched_loop(self, ctx, trace, clock, position, skipped):
-        """Block execution replaying the serial loop's exact accounting.
-
-        Proposals come ``batch_size`` at a time from ``propose_block``;
-        gate verdicts are computed as one vector when the gate exposes
-        ``admit_charge``/``admit_vector``, with each candidate's model-
-        query charge still applied per element in stream order.  Every
-        early exit (budget wall, nmax, failure re-raise) hands strictly
-        unconsumed proposals back via ``rewind`` so position accounting
-        and checkpoint bytes match the serial loop exactly.
+        Proposals come up to ``batch_size`` at a time from
+        ``propose_block``; gate verdicts are computed as one vector when
+        the gate exposes ``admit_charge``/``admit_vector``, with each
+        candidate's model-query charge still applied per element in
+        stream order.  Every early exit (budget wall, nmax, failure
+        re-raise) hands strictly unconsumed proposals back via
+        ``rewind``, so position accounting and checkpoint bytes do not
+        depend on the block size.
         """
         proposer = self.proposer
         gate = self.gate
@@ -391,20 +292,11 @@ class SearchEngine:
                 # never needs to overshoot the evaluation budget.
                 want = min(want, self.nmax - trace.n_evaluations)
             block = proposer.propose_block(ctx, want)
-            from_block = block is not None
-            if block is None:
-                # No block support right now (model phase, guard not
-                # trusted, ...): fall back to one serial proposal.
-                proposal = proposer.propose(ctx)
-                if proposal is None:
-                    break
-                block = [proposal]
-            elif not block:
-                break  # source exhausted, same as serial propose -> None
+            if not block:
+                break  # source exhausted
             verdicts = None
             if (
-                from_block
-                and admit_vector is not None
+                admit_vector is not None
                 and gate_charge is not None
                 and all(p.predicted is not None for p in block)
             ):
@@ -441,7 +333,7 @@ class SearchEngine:
                     break
                 except EvaluationFailure as exc:
                     if self.failure_mode == "raise":
-                        if from_block and consumed < len(block):
+                        if consumed < len(block):
                             proposer.rewind(len(block) - consumed)
                         raise
                     censored_at = getattr(exc, "censored_at", None)
@@ -470,7 +362,7 @@ class SearchEngine:
                         trace, position=position, evaluator=self.evaluator,
                         extra=self._extra(skipped),
                     )
-            if from_block and consumed < len(block):
+            if consumed < len(block):
                 proposer.rewind(len(block) - consumed)
         return position, skipped, sync_elapsed
 

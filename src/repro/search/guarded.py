@@ -36,6 +36,7 @@ including in-flight audits and the SUSPECT interleave phase.
 from __future__ import annotations
 
 from repro.errors import SearchError
+from repro.search.proposers import BaseProposer
 from repro.search.protocols import EngineContext, Proposal
 from repro.search.stream import SharedStream
 
@@ -70,7 +71,7 @@ def build_guard(guard, surrogate):
     return guard
 
 
-class GuardedProposer:
+class GuardedProposer(BaseProposer):
     """Wrap a proposer with guard-directed fallback to the shared stream.
 
     ``stream`` is the plain-RS candidate source used while the guard
@@ -153,31 +154,17 @@ class GuardedProposer:
         self.guard.note_fallback_proposal()
         return Proposal(config)
 
-    def propose_block(self, ctx: EngineContext, count: int):
-        """Block proposals only while the guard cannot intervene.
-
-        With the guard armed and a fallback stream present, any block
-        could straddle a TRUSTED -> SUSPECT/REVOKED transition — and a
-        rewind could not un-count ``note_fallback_proposal`` calls
-        already serialized into the guard's checkpoint state — so those
-        runs return ``None`` and stay candidate-by-candidate.  With no
-        guard (or no stream, where every state delegates to the inner
-        proposer anyway), delegation is byte-identical.
-        """
-        if self.guard.enabled and self.stream is not None:
-            return None
-        inner_block = getattr(self.inner, "propose_block", None)
-        if inner_block is None:
-            return None
-        block = inner_block(ctx, count)
-        if block:
-            self._inner_consumed += len(block)
-            self._last_origin = "inner"
-        return block
+    def propose_block(self, ctx: EngineContext, count: int) -> list[Proposal]:
+        """Blocks of one while the guard is armed, so every proposal is
+        routed (and counted in ``state()``) with the guard's current
+        verdict, and a checkpoint saved after any of them is exact.
+        Without a guard, delegation is byte-identical."""
+        if self.guard.enabled:
+            return super().propose_block(ctx, count)
+        return self.inner.propose_block(ctx, count)
 
     def rewind(self, count: int) -> None:
         self.inner.rewind(count)
-        self._inner_consumed -= count
 
     # -- feedback / checkpointing --------------------------------------
     def observe(self, ctx: EngineContext, proposal: Proposal, runtime: float,

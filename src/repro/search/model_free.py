@@ -28,7 +28,7 @@ from repro.search.gates import ReplayThresholdGate
 from repro.search.proposers import ReplayProposer
 from repro.search.result import SearchTrace
 from repro.searchspace.space import Configuration
-from repro.spec import UNSET, TunerSpec, resolve_spec
+from repro.spec import TunerSpec, resolve_spec
 
 __all__ = ["model_free_pruned_search", "model_free_biased_search"]
 
@@ -45,7 +45,7 @@ def model_free_pruned_search(
     delta_percent: float | None = None,
     name: str = "RSpf",
     checkpoint=None,
-    batch_size=UNSET,
+    batch_size: int | None = None,
     spec: TunerSpec | None = None,
 ) -> SearchTrace:
     """RSpf: threshold replay of the source machine's evaluations.
@@ -57,7 +57,7 @@ def model_free_pruned_search(
     spec = resolve_spec(spec)
     if delta_percent is None:
         delta_percent = spec.gate.delta_percent
-    if batch_size is UNSET:
+    if batch_size is None:
         batch_size = spec.engine.batch_size
     if not 0.0 < delta_percent < 100.0:
         raise SearchError(f"delta_percent must be in (0, 100), got {delta_percent}")
@@ -82,7 +82,7 @@ def model_free_biased_search(
     nmax: int = 100,
     name: str = "RSbf",
     checkpoint=None,
-    batch_size=UNSET,
+    batch_size: int | None = None,
     spec: TunerSpec | None = None,
 ) -> SearchTrace:
     """RSbf: sorted replay of the source machine's evaluations.
@@ -91,7 +91,7 @@ def model_free_biased_search(
     """
     _check_training(training)
     spec = resolve_spec(spec)
-    if batch_size is UNSET:
+    if batch_size is None:
         batch_size = spec.engine.batch_size
     engine = SearchEngine(
         evaluator,

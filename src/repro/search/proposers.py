@@ -5,7 +5,7 @@ Each proposer walks one kind of candidate source and yields
 
 * :class:`StreamProposer` — the shared random stream, in order (RS;
   with a surrogate attached it also carries per-position predictions
-  for RSp's quantile gate, prefetched in vectorized chunks);
+  for RSp's quantile gate, scored one block per model call);
 * :class:`PoolRankProposer` — a surrogate-scored pool in ascending
   order of predicted runtime (RSb, and the gated hybrid RSpb);
 * :class:`ReplayProposer` — the source machine's evaluated
@@ -75,6 +75,14 @@ class BaseProposer:
     def restore(self, position: int, ctx: EngineContext) -> None:
         pass
 
+    def propose_block(self, ctx: EngineContext, count: int) -> list[Proposal]:
+        """A block of one: ``[propose()]``, or ``[]`` once the source is
+        exhausted.  Proposers whose next candidate depends on the last
+        observation keep this default; the engine never rewinds a block
+        of one, so they need no ``rewind``."""
+        proposal = self.propose(ctx)
+        return [] if proposal is None else [proposal]
+
     def setup(self, ctx: EngineContext) -> None:
         pass
 
@@ -94,73 +102,42 @@ class StreamProposer(BaseProposer):
 
     Without a surrogate this is RS's candidate source.  With one, each
     proposal carries the surrogate's runtime prediction for its stream
-    position (RSp): predictions for the next ``prefetch`` positions are
-    computed in one vectorized call, while the *clock* is still charged
-    one query at a time by the gate — per-row predictions are
-    independent, so traces are bit-identical for every ``prefetch``.
+    position (RSp): a block is scored in one vectorized call, while the
+    *clock* is still charged one query at a time by the gate — per-row
+    predictions are independent, so traces are bit-identical for every
+    block size.
     """
 
     def __init__(
         self,
         stream: SharedStream,
         surrogate: SurrogateModel | None = None,
-        prefetch: int = 256,
-        position_cap: int | None = None,
     ) -> None:
         self.stream = stream
         self.surrogate = surrogate
-        self.prefetch = prefetch
-        self.position_cap = position_cap
         self._position = 0
-        self._buffered = np.empty(0)
-        self._buf_start = 0
 
     def restore(self, position: int, ctx: EngineContext) -> None:
         self._position = position
-        self._buffered = np.empty(0)
-        self._buf_start = position
 
     def propose(self, ctx: EngineContext) -> Proposal | None:
-        position = self._position
-        if self.surrogate is None:
-            config = self.stream[position]
-            self._position += 1
-            return Proposal(config)
-        if position - self._buf_start >= len(self._buffered):
-            chunk = self.prefetch
-            if self.position_cap is not None:
-                chunk = min(chunk, self.position_cap - position)
-            self._buffered = self.surrogate.predict(
-                [self.stream[position + i] for i in range(chunk)]
-            )
-            self._buf_start = position
-        predicted = float(self._buffered[position - self._buf_start])
-        config = self.stream[position]
-        self._position += 1
-        return Proposal(config, predicted)
+        return self.propose_block(ctx, 1)[0]
 
     def propose_block(self, ctx: EngineContext, count: int) -> list[Proposal]:
-        """Up to ``count`` consecutive stream proposals at once.
-
-        The stream is unbounded, so the block is always full.  The
-        surrogate path reuses :meth:`propose` — the prediction buffer
-        refills in exactly the serial chunk boundaries, keeping the
-        memoized pool keys (and therefore traces) bit-identical.
-        """
-        if self.surrogate is not None:
-            return [self.propose(ctx) for _ in range(count)]
+        """The next ``count`` stream positions (the stream is unbounded,
+        so the block is always full)."""
         start = self._position
-        block = [Proposal(self.stream[start + i]) for i in range(count)]
+        configs = [self.stream[start + i] for i in range(count)]
         self._position += count
-        return block
+        if self.surrogate is None:
+            return [Proposal(config) for config in configs]
+        predicted = self.surrogate.predict(configs)
+        return [
+            Proposal(config, float(p)) for config, p in zip(configs, predicted)
+        ]
 
     def rewind(self, count: int) -> None:
-        """Hand back the last ``count`` unconsumed proposals.
-
-        The prediction buffer stays valid: it covers positions from
-        ``_buf_start`` forward, and a rewind never moves before the
-        block's start, which the buffer already covered.
-        """
+        """Hand back the last ``count`` unconsumed proposals."""
         self._position -= count
 
 
@@ -262,12 +239,8 @@ class PoolRankProposer(BaseProposer):
         self._order_upto = n
 
     def propose(self, ctx: EngineContext) -> Proposal | None:
-        if self._rank >= len(self.predictions):
-            return None
-        self._ensure_order(self._rank + 1)
-        idx = int(self._order[self._rank])
-        self._rank += 1
-        return Proposal(self._config_for(idx), float(self.predictions[idx]))
+        block = self.propose_block(ctx, 1)
+        return block[0] if block else None
 
     def propose_block(self, ctx: EngineContext, count: int) -> list[Proposal]:
         """The next ``count`` pool entries in predicted order (may be
@@ -313,11 +286,8 @@ class ReplayProposer(BaseProposer):
         self._index = position
 
     def propose(self, ctx: EngineContext) -> Proposal | None:
-        if self._index >= len(self.pairs):
-            return None
-        config, source_runtime = self.pairs[self._index]
-        self._index += 1
-        return Proposal(config, source_runtime)
+        block = self.propose_block(ctx, 1)
+        return block[0] if block else None
 
     def propose_block(self, ctx: EngineContext, count: int) -> list[Proposal]:
         """The next ``count`` replayed pairs (empty when exhausted)."""
@@ -472,12 +442,12 @@ class SMBOProposer(BaseProposer):
                 scores = _expected_improvement(mu, sigma, best)
         return winner(scores)
 
-    def propose_block(self, ctx: EngineContext, count: int) -> list[Proposal] | None:
-        """Design-phase proposals in one block; ``None`` in the model
-        phase, where each proposal depends on the previous observation
-        and the engine must stay candidate-by-candidate."""
+    def propose_block(self, ctx: EngineContext, count: int) -> list[Proposal]:
+        """Design-phase proposals in one block; blocks of one in the
+        model phase, where each proposal depends on the previous
+        observation."""
         if not self._design:
-            return None
+            return super().propose_block(ctx, count)
         take = self._design[:count]
         del self._design[:count]
         self._last_was_design = True

@@ -131,8 +131,10 @@ class Proposer(Protocol):
     Lifecycle: ``restore`` (checkpoint state, even when empty) →
     ``setup`` (one-time work; simulated costs charged to ``ctx.clock``
     only when ``ctx.resumed`` is false, since a restored clock already
-    paid) → ``propose``/``observe`` per engine iteration → ``state``
-    whenever a checkpoint is written.
+    paid) → ``propose_block`` per engine iteration, ``observe`` per
+    evaluated proposal → ``state`` whenever a checkpoint is written.
+    :class:`~repro.search.proposers.BaseProposer` derives blocks of one
+    from ``propose``.
     """
 
     def restore(self, position: int, ctx: EngineContext) -> None: ...
@@ -141,6 +143,15 @@ class Proposer(Protocol):
 
     def propose(self, ctx: EngineContext) -> Proposal | None:
         """The next candidate, or ``None`` when the source is exhausted."""
+        ...
+
+    def propose_block(self, ctx: EngineContext, count: int) -> list[Proposal]:
+        """Up to ``count`` next candidates; ``[]`` when exhausted."""
+        ...
+
+    def rewind(self, count: int) -> None:
+        """Hand back the last ``count`` proposals of the latest block
+        (never called for a block of one)."""
         ...
 
     def observe(

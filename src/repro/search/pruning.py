@@ -36,11 +36,10 @@ def pruned_search(
     pool_size: int | None = None,
     delta_percent: float | None = None,
     max_stream_positions: int | None = None,
-    prefetch: int | None = None,
     name: str = "RSp",
     checkpoint=None,
     guard=UNSET,
-    batch_size=UNSET,
+    batch_size: int | None = None,
     spec: TunerSpec | None = None,
 ) -> SearchTrace:
     """Run RSp for at most ``nmax`` evaluations.
@@ -50,12 +49,6 @@ def pruned_search(
     target-machine tuning session).  ``max_stream_positions`` bounds
     how far past the budget the stream may be walked when almost
     everything is pruned (default: ``50 * nmax``).
-
-    ``prefetch`` batches the per-position model queries: predictions
-    for the next chunk of stream configurations are computed in one
-    vectorized call, while the simulated clock is still charged
-    per-position exactly as before — per-row predictions are
-    independent, so traces are bit-identical for every ``prefetch``.
 
     Failed evaluations (recoverable
     :class:`~repro.errors.EvaluationFailure`, or degraded measurements
@@ -74,25 +67,23 @@ def pruned_search(
     and ``GuardPolicy.disabled()`` are byte-identical to an unguarded
     run.
 
-    ``batch_size`` selects the engine's block execution (``None`` for
-    the serial loop); traces are bit-identical either way — see
-    :class:`~repro.search.engine.SearchEngine`.
+    ``batch_size`` is the engine's block size; each block is scored by
+    one surrogate call, and traces are bit-identical for every size —
+    see :class:`~repro.search.engine.SearchEngine`.
 
     ``spec`` (a :class:`repro.spec.TunerSpec`) supplies defaults for
     every knob not passed explicitly — ``pool_size``,
-    ``delta_percent``, ``prefetch``, ``guard``, ``batch_size`` — and
-    the default spec reproduces historical behavior exactly.
+    ``delta_percent``, ``guard``, ``batch_size`` — and the default spec
+    reproduces historical behavior exactly.
     """
     spec = resolve_spec(spec)
     if pool_size is None:
         pool_size = spec.pool.size
     if delta_percent is None:
         delta_percent = spec.gate.delta_percent
-    if prefetch is None:
-        prefetch = spec.pool.prefetch
     if guard is UNSET:
         guard = spec.guard
-    if batch_size is UNSET:
+    if batch_size is None:
         batch_size = spec.engine.batch_size
     if nmax < 1:
         raise SearchError(f"nmax must be >= 1, got {nmax}")
@@ -100,18 +91,11 @@ def pruned_search(
         raise SearchError(f"delta_percent must be in (0, 100), got {delta_percent}")
     if pool_size < 10:
         raise SearchError(f"pool_size must be >= 10, got {pool_size}")
-    if prefetch < 1:
-        raise SearchError(f"prefetch must be >= 1, got {prefetch}")
     if max_stream_positions is None:
         max_stream_positions = 50 * nmax
 
     space = stream.space
-    proposer = StreamProposer(
-        stream,
-        surrogate=surrogate,
-        prefetch=prefetch,
-        position_cap=max_stream_positions,
-    )
+    proposer = StreamProposer(stream, surrogate=surrogate)
     gate = QuantileGate(
         space, surrogate, delta_percent=delta_percent, pool_size=pool_size
     )

@@ -12,7 +12,7 @@ from repro.search.engine import SearchEngine, record_failure, record_measurement
 from repro.search.proposers import StreamProposer
 from repro.search.result import SearchTrace
 from repro.search.stream import SharedStream
-from repro.spec import UNSET, TunerSpec, resolve_spec
+from repro.spec import TunerSpec, resolve_spec
 
 # record_measurement / record_failure live in the engine (their only
 # caller); re-exported here for backward compatibility.
@@ -25,7 +25,7 @@ def random_search(
     nmax: int = 100,
     name: str = "RS",
     checkpoint=None,
-    batch_size=UNSET,
+    batch_size: int | None = None,
     spec: TunerSpec | None = None,
 ) -> SearchTrace:
     """Run RS for at most ``nmax`` evaluations.
@@ -48,14 +48,14 @@ def random_search(
     :class:`~repro.reliability.checkpoint.CheckpointManager`; when its
     file exists the search resumes from it instead of starting over.
 
-    ``batch_size`` selects the engine's block execution (``None`` for
-    the serial loop); traces are bit-identical either way — see
-    :class:`~repro.search.engine.SearchEngine`.  When not passed it
+    ``batch_size`` is the engine's block size; traces are bit-identical
+    for every size — see :class:`~repro.search.engine.SearchEngine`.
+    When not passed it
     comes from ``spec`` (a :class:`repro.spec.TunerSpec`; the default
     spec reproduces historical behavior exactly).
     """
     spec = resolve_spec(spec)
-    if batch_size is UNSET:
+    if batch_size is None:
         batch_size = spec.engine.batch_size
     engine = SearchEngine(
         evaluator,

@@ -20,9 +20,10 @@ Design rules:
   (a ``ValueError``), so an invalid spec cannot be constructed, only
   reported.
 * **Versioned wire format.**  :meth:`TunerSpec.to_dict` emits a
-  ``{"version": 1, ...}`` payload; :meth:`TunerSpec.from_dict` rejects
-  unknown fields and version mismatches instead of guessing — service
-  job payloads and journaled meta-grid cells both ride on it.
+  ``{"version": 2, ...}`` payload; :meth:`TunerSpec.from_dict` rejects
+  unknown fields and unknown versions instead of guessing — service
+  job payloads and journaled meta-grid cells both ride on it.  Version
+  1 payloads still decode (see :func:`_upgrade_v1`).
 
 This module sits below every consumer (search, transfer, tuner,
 service), so at import time it depends only on :mod:`repro.errors`;
@@ -58,9 +59,9 @@ __all__ = [
     "resolve_spec",
 ]
 
-#: wire-format version written by :meth:`TunerSpec.to_dict` and the
-#: only version :meth:`TunerSpec.from_dict` accepts.
-SPEC_VERSION = 1
+#: wire-format version written by :meth:`TunerSpec.to_dict`;
+#: :meth:`TunerSpec.from_dict` reads it and version 1.
+SPEC_VERSION = 2
 
 #: acquisition functions :class:`repro.search.proposers.SMBOProposer`
 #: implements.
@@ -69,8 +70,8 @@ ACQUISITIONS = ("ei", "lcb", "mean")
 
 class _Unset:
     """Sentinel distinguishing "argument not passed" from explicit
-    ``None`` (``guard=None`` and ``batch_size=None`` are meaningful
-    values, so ``None`` cannot mean "take it from the spec")."""
+    ``None`` (``guard=None`` is a meaningful value, so ``None`` cannot
+    mean "take it from the spec")."""
 
     __slots__ = ()
 
@@ -136,16 +137,12 @@ class GateSpec:
 
 @dataclass(frozen=True)
 class PoolSpec:
-    """Candidate-pool sizing: the paper's N=10k sample and the stream
-    proposer's prefetch block."""
+    """Candidate-pool sizing: the paper's N=10k sample."""
 
     size: int = 10_000
-    prefetch: int = 256
 
     def __post_init__(self) -> None:
         _require(self.size >= 10, f"pool.size must be >= 10, got {self.size}")
-        _require(self.prefetch >= 1,
-                 f"pool.prefetch must be >= 1, got {self.prefetch}")
 
 
 @dataclass(frozen=True)
@@ -176,18 +173,17 @@ class SMBOSpec:
 
 @dataclass(frozen=True)
 class EngineSpec:
-    """Engine execution shape: the batched loop's block size.
+    """Engine execution shape: the search loop's block size.
 
-    ``batch_size=None`` forces the serial loop; any value >= 1 runs the
-    batched loop (traces are byte-identical either way — this knob
-    trades throughput, not results).
+    Traces are byte-identical at every ``batch_size`` — this knob
+    trades throughput, not results.
     """
 
-    batch_size: int | None = 64
+    batch_size: int = 64
 
     def __post_init__(self) -> None:
-        _require(self.batch_size is None or self.batch_size >= 1,
-                 f"engine.batch_size must be None or >= 1, got {self.batch_size}")
+        _require(isinstance(self.batch_size, int) and self.batch_size >= 1,
+                 f"engine.batch_size must be an int >= 1, got {self.batch_size!r}")
 
 
 _SUB_SPECS: dict[str, type] = {}  # populated after TunerSpec is defined
@@ -206,6 +202,23 @@ def _guard_from_dict(data: Any) -> "GuardPolicy":
     unknown = sorted(set(data) - known)
     _require(not unknown, f"unknown guard field(s): {unknown}")
     return GuardPolicy(**dict(data))
+
+
+def _upgrade_v1(payload: dict) -> dict:
+    """A version-1 payload in version-2 shape.
+
+    Version 1 had ``pool.prefetch`` (RSp's prediction chunk, now the
+    engine block) and allowed ``engine.batch_size: null`` (the removed
+    serial loop).  Neither could change a trace, so the prefetch is
+    dropped and a null batch size becomes blocks of one.
+    """
+    pool = payload.get("pool")
+    if isinstance(pool, Mapping):
+        payload["pool"] = {k: v for k, v in pool.items() if k != "prefetch"}
+    engine = payload.get("engine")
+    if isinstance(engine, Mapping) and engine.get("batch_size", 1) is None:
+        payload["engine"] = dict(engine, batch_size=1)
+    return payload
 
 
 def _sub_to_dict(spec: Any) -> dict:
@@ -266,7 +279,7 @@ class TunerSpec:
 
     @classmethod
     def from_dict(cls, data: Any) -> "TunerSpec":
-        """Decode a wire payload, rejecting unknown fields and foreign
+        """Decode a wire payload, rejecting unknown fields and unknown
         versions (fail loudly rather than silently drop a knob a newer
         writer meant to change)."""
         _require(isinstance(data, Mapping),
@@ -274,9 +287,11 @@ class TunerSpec:
         payload = dict(data)
         _require("version" in payload, "spec payload has no 'version' field")
         version = payload.pop("version")
-        _require(version == SPEC_VERSION,
+        _require(version in (1, SPEC_VERSION),
                  f"unsupported spec version {version!r} "
-                 f"(this build reads version {SPEC_VERSION})")
+                 f"(this build reads versions 1 and {SPEC_VERSION})")
+        if version == 1:
+            payload = _upgrade_v1(payload)
         unknown = sorted(set(payload) - set(_SUB_SPECS) - {"guard"})
         _require(not unknown, f"unknown spec field(s): {unknown}")
         kwargs: dict[str, Any] = {}

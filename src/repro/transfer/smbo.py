@@ -33,7 +33,7 @@ from repro.search.proposers import SMBOProposer
 from repro.search.protocols import SurrogateModel
 from repro.search.result import SearchTrace
 from repro.searchspace.space import Configuration, SearchSpace
-from repro.spec import UNSET, TunerSpec, resolve_spec
+from repro.spec import TunerSpec, resolve_spec
 from repro.utils.rng import spawn_rng
 
 __all__ = ["smbo_search"]
@@ -52,7 +52,7 @@ def smbo_search(
     refit_every: int | None = None,
     seed: object = 0,
     name: str | None = None,
-    batch_size=UNSET,
+    batch_size: int | None = None,
     spec: TunerSpec | None = None,
 ) -> SearchTrace:
     """Run SMBO on the target machine.
@@ -80,7 +80,7 @@ def smbo_search(
         kappa = spec.smbo.kappa
     if refit_every is None:
         refit_every = spec.smbo.refit_every
-    if batch_size is UNSET:
+    if batch_size is None:
         batch_size = spec.engine.batch_size
     if nmax < 1:
         raise SearchError(f"nmax must be >= 1, got {nmax}")

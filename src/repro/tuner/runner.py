@@ -87,9 +87,6 @@ class TuningRun:
             # the partial work until the wall was real.
             charge_remainder_on_exhaust=True,
             checkpoint=checkpoint,
-            # Techniques propose one candidate at a time (no block
-            # protocol), so the engine stays serial regardless of the
-            # spec's batch size — traces are identical either way.
             batch_size=self.spec.engine.batch_size,
         )
         return engine.run()

@@ -4,9 +4,9 @@ import errno
 
 import pytest
 
+from repro.chaos.faultfs import FailingFS
 from repro.errors import CheckpointError, JournalWriteError
 from repro.exec import RunRegistry
-from tests.faultfs import FailingFS
 
 
 @pytest.fixture

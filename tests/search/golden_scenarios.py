@@ -7,7 +7,11 @@ scenario is a pure function of the code under test.  The fixtures in
 scenarios against the pre-engine implementations (the five hand-rolled
 loops plus ``smbo_search``/``TuningRun``/``warm_started_search``);
 ``test_golden_equivalence.py`` replays them against the engine-backed
-implementations and requires byte-identical traces.
+implementations and requires byte-identical traces.  The hybrid
+(``rspb_clean``) and guarded (``guarded_*_inverted``) scenarios, and
+the killed-checkpoint digests in ``golden/checkpoints.json``, came later:
+they were recorded by the engine's serial loop before the block loop
+became its only loop.
 
 Regenerate with ``PYTHONPATH=src python tests/search/golden/generate.py``
 — but only from a commit whose implementations are already known-good,
@@ -16,17 +20,21 @@ otherwise the equivalence guarantee is meaningless.
 
 from __future__ import annotations
 
+import hashlib
+import os
+
 from repro.kernels import get_kernel
 from repro.machines import SANDYBRIDGE, WESTMERE
 from repro.orio.evaluator import OrioEvaluator
 from repro.perf.simclock import SimClock
 from repro.reliability import (
+    CheckpointManager,
     FaultSpec,
     FaultyEvaluator,
     ResilientEvaluator,
     RetryPolicy,
 )
-from repro.search.biasing import biased_search
+from repro.search.biasing import biased_search, hybrid_search
 from repro.search.model_free import (
     model_free_biased_search,
     model_free_pruned_search,
@@ -35,6 +43,7 @@ from repro.search.pruning import pruned_search
 from repro.search.random_search import random_search
 from repro.search.stream import SharedStream
 from repro.search.warm_start import warm_started_search
+from repro.transfer.guard import GuardPolicy
 from repro.transfer.smbo import smbo_search
 from repro.transfer.surrogate import Surrogate
 from repro.tuner import GeneticAlgorithm, RandomTechnique, TuningRun
@@ -80,6 +89,14 @@ def _source_training(kernel):
 
 def _surrogate(kernel, training):
     return Surrogate(kernel.space).fit(training)
+
+
+def _inverted_surrogate(kernel, training):
+    """A surrogate fitted on mirrored source runtimes: it ranks the best
+    configurations worst, so an armed guard must intervene."""
+    runtimes = [y for _, y in training]
+    lo, hi = min(runtimes), max(runtimes)
+    return _surrogate(kernel, [(c, lo + hi - y) for c, y in training])
 
 
 # ----------------------------------------------------------------------
@@ -145,6 +162,15 @@ def rsb_budget(**kw):
     training = _source_training(k)
     return biased_search(
         _target(k, budget=RSB_BUDGET_SECONDS), k.space, _surrogate(k, training),
+        nmax=16, pool_size=POOL, **kw
+    )
+
+
+def rspb_clean(**kw):
+    k = _kernel()
+    training = _source_training(k)
+    return hybrid_search(
+        _target(k), k.space, _surrogate(k, training),
         nmax=16, pool_size=POOL, **kw
     )
 
@@ -242,6 +268,33 @@ def warm_ga_warm(**kw):
     )
 
 
+# Guarded runs against the inverted surrogate: the guard turns SUSPECT
+# and then REVOKED mid-run, so these pin the interventions themselves
+# (widening, audits, fallback to the shared stream).
+def guarded_rsp_inverted(**kw):
+    k = _kernel()
+    return pruned_search(
+        _target(k), _stream(k), _inverted_surrogate(k, _source_training(k)),
+        nmax=12, pool_size=POOL, guard=GuardPolicy(), **kw
+    )
+
+
+def guarded_rsb_inverted(**kw):
+    k = _kernel()
+    return biased_search(
+        _target(k), k.space, _inverted_surrogate(k, _source_training(k)),
+        nmax=16, pool_size=POOL, guard=GuardPolicy(), stream=_stream(k), **kw
+    )
+
+
+def guarded_rspb_inverted(**kw):
+    k = _kernel()
+    return hybrid_search(
+        _target(k), k.space, _inverted_surrogate(k, _source_training(k)),
+        nmax=16, pool_size=POOL, guard=GuardPolicy(), stream=_stream(k), **kw
+    )
+
+
 SCENARIOS = {
     "rs_clean": rs_clean,
     "rs_faulted": rs_faulted,
@@ -251,6 +304,7 @@ SCENARIOS = {
     "rsb_clean": rsb_clean,
     "rsb_faulted": rsb_faulted,
     "rsb_budget": rsb_budget,
+    "rspb_clean": rspb_clean,
     "rspf_clean": rspf_clean,
     "rspf_faulted": rspf_faulted,
     "rsbf_clean": rsbf_clean,
@@ -263,6 +317,9 @@ SCENARIOS = {
     "tuner_ga_faulted": tuner_ga_faulted,
     "warm_ga_cold": warm_ga_cold,
     "warm_ga_warm": warm_ga_warm,
+    "guarded_rsp_inverted": guarded_rsp_inverted,
+    "guarded_rsb_inverted": guarded_rsb_inverted,
+    "guarded_rspb_inverted": guarded_rspb_inverted,
 }
 
 # Scenarios that accept a ``checkpoint=CheckpointManager`` keyword; the
@@ -275,3 +332,48 @@ CHECKPOINTABLE = (
     "rsb_clean",
     "rsb_faulted",
 )
+
+# Scenarios whose checkpoint file, as it stands when the run is killed
+# at its third periodic save, is pinned by SHA-256 digest in
+# ``golden/checkpoints.json``.
+CHECKPOINT_DIGESTED = CHECKPOINTABLE + ("guarded_rsp_inverted",)
+
+
+class _Killed(Exception):
+    """Simulated crash raised from inside a checkpoint save."""
+
+
+class _KillingManager(CheckpointManager):
+    """A manager that crashes the run right after its Nth save."""
+
+    def __init__(self, path, *, every, kill_after):
+        super().__init__(path, every=every)
+        self._saves = 0
+        self._kill_after = kill_after
+
+    def maybe_save(self, trace, position, evaluator=None, extra=None):
+        saved = super().maybe_save(
+            trace, position, evaluator=evaluator, extra=extra
+        )
+        if saved:
+            self._saves += 1
+            if self._saves >= self._kill_after:
+                raise _Killed(f"simulated crash after save #{self._saves}")
+        return saved
+
+
+def killed_checkpoint_digest(name, directory, **kw):
+    """Run scenario ``name`` under a manager saving every 2 evaluations,
+    kill it at the third save, and return the SHA-256 hex digest of the
+    checkpoint file it leaves behind."""
+    path = os.path.join(directory, f"{name}.json")
+    try:
+        SCENARIOS[name](
+            checkpoint=_KillingManager(path, every=2, kill_after=3), **kw
+        )
+    except _Killed:
+        pass
+    else:
+        raise AssertionError(f"scenario {name} finished before its third save")
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()

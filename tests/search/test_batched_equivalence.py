@@ -1,39 +1,56 @@
-"""Batched-engine equivalence: block execution is invisible in results.
+"""Block execution is invisible in results.
 
-The batched loop (``SearchEngine(batch_size=...)``) is an execution
-strategy, not an algorithm change: for every variant and every batch
-size — including the degenerate ``batch_size=1`` — traces must be
-byte-identical to the serial loop, checkpoints written mid-run must be
-byte-identical files, and a run killed in the middle of a block must
-resume to the same golden trace.  Guarded runs whose guard actually
-intervenes (SUSPECT widening, REVOKED fallback) must also be unchanged:
-the wrappers decline block execution whenever the guard could act.
+The engine's block size (``SearchEngine(batch_size=...)``) is an
+execution strategy, not an algorithm change: for every variant and
+every batch size — including the degenerate ``batch_size=1`` — traces
+must be byte-identical to the golden fixtures, checkpoints written
+mid-run must be byte-identical files, and a run killed in the middle of
+a block must resume to the same golden trace.  Guarded runs whose guard
+actually intervenes (SUSPECT widening, REVOKED fallback) must also be
+unchanged: an armed guard hands out blocks of one.
+
+The fixtures for the hybrid and the intervening guarded runs
+(``rspb_clean``, ``guarded_*_inverted``) and the killed-checkpoint
+digests in ``golden/checkpoints.json`` were recorded by the engine's
+former serial loop, one proposal per iteration, before it was removed.
 """
+
+import json
+import os
 
 import pytest
 
 from repro.reliability import CheckpointManager, trace_to_dict
-from repro.search.biasing import biased_search, hybrid_search
-from repro.search.engine import SearchEngine
-from repro.search.proposers import StreamProposer
 from repro.search.pruning import pruned_search
+from repro.spec import TunerSpec
 from repro.transfer.guard import GuardPolicy
 
 from tests.search.golden_scenarios import (
+    CHECKPOINT_DIGESTED,
     CHECKPOINTABLE,
     POOL,
     SCENARIOS,
     _kernel,
+    _Killed,
+    _KillingManager,
     _source_training,
     _stream,
     _surrogate,
     _target,
+    killed_checkpoint_digest,
 )
-from tests.search.test_golden_equivalence import FIXTURES, _Killed, _KillingManager
+from tests.search.test_golden_equivalence import FIXTURES
 
-# Factory-backed scenarios covering all seven variants (RSpb has no
-# golden fixture, so the hybrid is exercised against its serial run
-# below).  ``batch_size`` threads through the scenario's **kw.
+CHECKPOINT_DIGESTS_PATH = os.path.join(
+    os.path.dirname(__file__), "golden", "checkpoints.json"
+)
+
+with open(CHECKPOINT_DIGESTS_PATH) as _fh:
+    CHECKPOINT_DIGESTS = json.load(_fh)
+
+# Factory-backed scenarios covering the paper's five variants and SMBO
+# (the hybrid and the guarded runs have their own tests below).
+# ``batch_size`` threads through the scenario's **kw.
 BATCHABLE = (
     "rs_clean",
     "rs_faulted",
@@ -61,20 +78,8 @@ def kernel():
 
 
 @pytest.fixture(scope="module")
-def training(kernel):
-    return _source_training(kernel)
-
-
-@pytest.fixture(scope="module")
-def surrogate(kernel, training):
-    return _surrogate(kernel, training)
-
-
-@pytest.fixture(scope="module")
-def inverted(kernel, training):
-    runtimes = [y for _, y in training]
-    lo, hi = min(runtimes), max(runtimes)
-    return _surrogate(kernel, [(c, lo + hi - y) for c, y in training])
+def surrogate(kernel):
+    return _surrogate(kernel, _source_training(kernel))
 
 
 # ----------------------------------------------------------------------
@@ -89,40 +94,34 @@ def test_batched_trace_matches_golden(name, batch):
 
 @pytest.mark.parametrize("name", BATCHABLE)
 def test_serial_trace_matches_golden(name):
-    """``batch_size=None`` is the exact pre-batching loop."""
-    trace = SCENARIOS[name](batch_size=None)
+    """A version-1 spec asking for the former serial loop
+    (``engine.batch_size: null``) decodes to blocks of one and still
+    reproduces every golden trace through the factories' ``spec=``."""
+    spec = TunerSpec.from_dict({"version": 1, "engine": {"batch_size": None}})
+    assert spec.engine.batch_size == 1
+    trace = SCENARIOS[name](spec=spec)
     assert trace_to_dict(trace) == FIXTURES[name]
 
 
 @pytest.mark.parametrize("batch", BATCH_SIZES)
-def test_hybrid_rspb_batched_matches_serial(kernel, surrogate, batch):
-    def run(batch_size):
-        return hybrid_search(
-            _target(kernel), kernel.space, surrogate,
-            nmax=16, pool_size=POOL, batch_size=batch_size,
-        )
-
-    assert trace_to_dict(run(batch)) == trace_to_dict(run(None))
+def test_hybrid_rspb_batched_matches_serial(batch):
+    trace = SCENARIOS["rspb_clean"](batch_size=batch)
+    assert trace_to_dict(trace) == FIXTURES["rspb_clean"]
 
 
 # ----------------------------------------------------------------------
 # Checkpoints: same bytes mid-run, same resume
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("name", CHECKPOINTABLE)
+@pytest.mark.parametrize("name", CHECKPOINT_DIGESTED)
 def test_mid_batch_checkpoint_bytes_match_serial(name, tmp_path):
-    """Kill both loops at the same periodic save; the checkpoint files
-    — position, clock, trace records, proposer extra — must be
-    byte-identical even though the batched kill lands mid-block."""
-    paths = {}
-    for mode, batch in (("serial", None), ("batched", 5)):
-        path = tmp_path / f"{name}-{mode}.json"
-        with pytest.raises(_Killed):
-            SCENARIOS[name](
-                checkpoint=_KillingManager(path, every=2, kill_after=3),
-                batch_size=batch,
-            )
-        paths[mode] = path
-    assert paths["serial"].read_bytes() == paths["batched"].read_bytes()
+    """Kill the run at its third periodic save; the checkpoint file —
+    position, clock, trace records, proposer extra — must be the bytes
+    the serial loop wrote, even though the kill lands mid-block."""
+    for batch in (1, 5):
+        directory = tmp_path / str(batch)
+        directory.mkdir()
+        digest = killed_checkpoint_digest(name, directory, batch_size=batch)
+        assert digest == CHECKPOINT_DIGESTS[name], batch
 
 
 @pytest.mark.parametrize("name", CHECKPOINTABLE)
@@ -145,44 +144,28 @@ def test_killed_mid_batch_resumes_to_golden(name, batch, tmp_path):
 # ----------------------------------------------------------------------
 # Guarded runs: interventions unchanged by batching
 # ----------------------------------------------------------------------
-def test_guarded_rsp_intervening_matches_serial(kernel, inverted):
-    def run(batch_size):
-        return pruned_search(
-            _target(kernel), _stream(kernel), inverted,
-            nmax=12, pool_size=POOL, guard=GuardPolicy(),
-            batch_size=batch_size,
-        )
-
-    serial = run(None)
-    assert serial.metadata["guard"]["state"] == "revoked"
-    assert trace_to_dict(run(64)) == trace_to_dict(serial)
+def _assert_guarded_golden(name):
+    for batch in BATCH_SIZES:
+        trace = SCENARIOS[name](batch_size=batch)
+        assert trace_to_dict(trace) == FIXTURES[name], batch
 
 
-def test_guarded_rsb_intervening_matches_serial(kernel, inverted):
-    def run(batch_size):
-        return biased_search(
-            _target(kernel), kernel.space, inverted,
-            nmax=16, pool_size=POOL, guard=GuardPolicy(),
-            stream=_stream(kernel), batch_size=batch_size,
-        )
-
-    serial = run(None)
-    assert serial.metadata["guard"]["state"] == "revoked"
-    assert serial.metadata["guard"]["fallback_proposals"] > 0
-    assert trace_to_dict(run(64)) == trace_to_dict(serial)
+def test_guarded_rsp_intervening_matches_serial():
+    assert FIXTURES["guarded_rsp_inverted"]["metadata"]["guard"]["state"] == "revoked"
+    _assert_guarded_golden("guarded_rsp_inverted")
 
 
-def test_guarded_rspb_intervening_matches_serial(kernel, inverted):
-    def run(batch_size):
-        return hybrid_search(
-            _target(kernel), kernel.space, inverted,
-            nmax=16, pool_size=POOL, guard=GuardPolicy(),
-            stream=_stream(kernel), batch_size=batch_size,
-        )
+def test_guarded_rsb_intervening_matches_serial():
+    guard = FIXTURES["guarded_rsb_inverted"]["metadata"]["guard"]
+    assert guard["state"] == "revoked"
+    assert guard["fallback_proposals"] > 0
+    _assert_guarded_golden("guarded_rsb_inverted")
 
-    serial = run(None)
-    assert serial.metadata["guard"]["state"] in ("suspect", "revoked")
-    assert trace_to_dict(run(64)) == trace_to_dict(serial)
+
+def test_guarded_rspb_intervening_matches_serial():
+    guard = FIXTURES["guarded_rspb_inverted"]["metadata"]["guard"]
+    assert guard["state"] in ("suspect", "revoked")
+    _assert_guarded_golden("guarded_rspb_inverted")
 
 
 def test_trusted_guard_batched_matches_golden(kernel, surrogate):
@@ -193,27 +176,3 @@ def test_trusted_guard_batched_matches_golden(kernel, surrogate):
         nmax=12, pool_size=POOL, guard=GuardPolicy(), batch_size=64,
     )
     assert trace_to_dict(trace) == FIXTURES["rsp_clean"]
-
-
-# ----------------------------------------------------------------------
-# Engine diagnostics
-# ----------------------------------------------------------------------
-def test_engine_diagnostics_report_mode(kernel):
-    stream = _stream(kernel)
-    batched = SearchEngine(
-        _target(kernel), StreamProposer(stream),
-        nmax=4, name="RS", space=kernel.space, batch_size=16,
-    )
-    diag = batched.diagnostics()
-    assert diag["engine_mode"] == "batched"
-    assert diag["batch_size"] == 16
-    assert diag["block_capable_proposer"] is True
-    assert diag["native"]["status"] in (
-        "ok", "disabled", "no-compiler", "compile-failed", "load-failed"
-    )
-
-    serial = SearchEngine(
-        _target(kernel), StreamProposer(stream),
-        nmax=4, name="RS", space=kernel.space,
-    )
-    assert serial.diagnostics()["engine_mode"] == "serial"

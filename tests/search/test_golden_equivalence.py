@@ -25,6 +25,8 @@ from tests.search.golden_scenarios import (
     CHECKPOINTABLE,
     NMAX,
     SCENARIOS,
+    _Killed,
+    _KillingManager,
 )
 
 FIXTURE_PATH = os.path.join(os.path.dirname(__file__), "golden", "traces.json")
@@ -50,29 +52,6 @@ def test_budget_scenarios_exhaust_midrun(name):
     fixture = FIXTURES[name]
     assert fixture["exhausted_budget"]
     assert 1 <= len(fixture["records"]) < NMAX
-
-
-class _Killed(Exception):
-    """Simulated crash raised from inside a checkpoint save."""
-
-
-class _KillingManager(CheckpointManager):
-    """A manager that crashes the run right after its Nth save."""
-
-    def __init__(self, path, *, every, kill_after):
-        super().__init__(path, every=every)
-        self._saves = 0
-        self._kill_after = kill_after
-
-    def maybe_save(self, trace, position, evaluator=None, extra=None):
-        saved = super().maybe_save(
-            trace, position, evaluator=evaluator, extra=extra
-        )
-        if saved:
-            self._saves += 1
-            if self._saves >= self._kill_after:
-                raise _Killed(f"simulated crash after save #{self._saves}")
-        return saved
 
 
 @pytest.mark.parametrize("name", CHECKPOINTABLE)

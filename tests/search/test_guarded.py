@@ -30,13 +30,16 @@ from repro.transfer.guard import GuardPolicy
 from tests.search.golden_scenarios import (
     POOL,
     SCENARIOS,
+    _inverted_surrogate,
     _kernel,
+    _Killed,
+    _KillingManager,
     _source_training,
     _stream,
     _surrogate,
     _target,
 )
-from tests.search.test_golden_equivalence import FIXTURES, _Killed, _KillingManager
+from tests.search.test_golden_equivalence import FIXTURES
 
 GUARDABLE = ("rsp_clean", "rsp_faulted", "rsb_clean", "rsb_faulted")
 
@@ -53,10 +56,7 @@ def faithful(kernel):
 
 @pytest.fixture(scope="module")
 def inverted(kernel):
-    training = _source_training(kernel)
-    runtimes = [y for _, y in training]
-    lo, hi = min(runtimes), max(runtimes)
-    return _surrogate(kernel, [(c, lo + hi - y) for c, y in training])
+    return _inverted_surrogate(kernel, _source_training(kernel))
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Fault injection: the service under disk-full and permission-denied.
 
-Write failures are injected into the session-store journal via the
-failing-fs shim; the contract under test is the degraded-mode one:
+Write failures are injected into the session-store journal via
+:class:`~repro.chaos.faultfs.FailingFS`; the contract under test is the degraded-mode one:
 structured ``overloaded`` rejections (never silent drops or torn
 state), in-memory state untouched by unacknowledged transitions, and
 full recovery once writes succeed again.
@@ -12,10 +12,10 @@ import time
 
 import pytest
 
+from repro.chaos.faultfs import FailingFS
 from repro.service import ServiceOverloadedError, TuningService
 from repro.service.model import JOB_COMPLETED, JOB_QUEUED
 from repro.service.store import SessionStore
-from tests.faultfs import FailingFS
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import os
 
 import pytest
 
@@ -37,7 +38,6 @@ class TestErrorsAndDefaults:
         )
         assert DEFAULT_SPEC.gate.delta_percent == 20.0
         assert DEFAULT_SPEC.pool.size == 10_000
-        assert DEFAULT_SPEC.pool.prefetch == 256
         assert DEFAULT_SPEC.smbo == SMBOSpec(
             n_initial=10, pool_size=2_000, acquisition="ei", kappa=1.5,
             refit_every=1, forest=ForestSpec(n_estimators=48, seed=7),
@@ -75,13 +75,14 @@ class TestValidation:
             (GateSpec, {"delta_percent": 0.0}),
             (GateSpec, {"delta_percent": 100.0}),
             (PoolSpec, {"size": 9}),
-            (PoolSpec, {"prefetch": 0}),
+            (PoolSpec, {"size": 0}),
             (SMBOSpec, {"n_initial": 0}),
             (SMBOSpec, {"pool_size": 9}),
             (SMBOSpec, {"acquisition": "ucb"}),
             (SMBOSpec, {"kappa": -0.1}),
             (SMBOSpec, {"refit_every": 0}),
             (EngineSpec, {"batch_size": 0}),
+            (EngineSpec, {"batch_size": None}),
         ],
     )
     def test_out_of_range_knob_rejected(self, cls, kwargs):
@@ -92,9 +93,8 @@ class TestValidation:
         ForestSpec(n_estimators=1, min_samples_leaf=1, min_samples_split=2,
                    max_features=1.0, max_depth=1)
         GateSpec(delta_percent=0.001)
-        PoolSpec(size=10, prefetch=1)
+        PoolSpec(size=10)
         SMBOSpec(n_initial=1, pool_size=10, kappa=0.0)
-        EngineSpec(batch_size=None)
         EngineSpec(batch_size=1)
 
 
@@ -107,12 +107,11 @@ def _random_spec(rng):
         "forest.max_depth": [None, 3, 12],
         "gate.delta_percent": [0.5, 20.0, 99.5],
         "pool.size": [10, 512, 20_000],
-        "pool.prefetch": [1, 64],
         "smbo.acquisition": ["ei", "lcb", "mean"],
         "smbo.kappa": [0.0, 2.5],
         "smbo.forest.seed": [0, 11],
         "smbo.forest.n_estimators": [5, 48],
-        "engine.batch_size": [None, 1, 256],
+        "engine.batch_size": [1, 64, 256],
     }
     for path, choices in knobs.items():
         spec = spec.with_value(path, choices[rng.integers(len(choices))])
@@ -144,8 +143,49 @@ class TestWireFormat:
         assert set(payload) == {"version", "forest", "gate", "pool",
                                 "smbo", "engine", "guard"}
 
+    def test_to_dict_writes_version_2(self):
+        assert SPEC_VERSION == 2
+        assert DEFAULT_SPEC.to_dict()["version"] == 2
+        assert "prefetch" not in DEFAULT_SPEC.to_dict()["pool"]
+
+    def test_v1_payload_decodes(self):
+        # Version 1 carried pool.prefetch and allowed a null batch size
+        # (the former serial loop); neither can change a trace.
+        spec = TunerSpec.from_dict({
+            "version": 1,
+            "pool": {"size": 500, "prefetch": 64},
+            "engine": {"batch_size": None},
+        })
+        assert spec.pool == PoolSpec(size=500)
+        assert spec.engine == EngineSpec(batch_size=1)
+        v1_batched = TunerSpec.from_dict(
+            {"version": 1, "engine": {"batch_size": 16}}
+        )
+        assert v1_batched.engine.batch_size == 16
+
+    def test_meta_recommendations_decode(self):
+        # The committed meta-campaign results are version-1 payloads.
+        path = os.path.join(
+            os.path.dirname(__file__), os.pardir, os.pardir,
+            "benchmarks", "results", "meta_recommendations.json",
+        )
+        with open(path) as fh:
+            data = json.load(fh)
+        payloads = [
+            entry["spec"]
+            for section in ("candidates", "recommendations", "results")
+            for entry in data[section]
+        ]
+        assert payloads and all(p["version"] == 1 for p in payloads)
+        for payload in payloads:
+            spec = TunerSpec.from_dict(payload)
+            assert spec.pool.size == payload["pool"]["size"]
+            assert spec.engine.batch_size == payload["engine"]["batch_size"]
+
     def test_partial_payload_fills_defaults(self):
-        spec = TunerSpec.from_dict({"version": 1, "gate": {"delta_percent": 5.0}})
+        spec = TunerSpec.from_dict(
+            {"version": SPEC_VERSION, "gate": {"delta_percent": 5.0}}
+        )
         assert spec.gate.delta_percent == 5.0
         assert spec.pool == DEFAULT_SPEC.pool
 
@@ -154,32 +194,32 @@ class TestWireFormat:
             TunerSpec.from_dict({"gate": {"delta_percent": 5.0}})
 
     def test_foreign_version_rejected(self):
-        with pytest.raises(SpecError, match="unsupported spec version 2"):
-            TunerSpec.from_dict({"version": 2})
+        with pytest.raises(SpecError, match="unsupported spec version 3"):
+            TunerSpec.from_dict({"version": 3})
 
     def test_unknown_top_level_field_rejected(self):
         with pytest.raises(SpecError, match="unknown spec field"):
-            TunerSpec.from_dict({"version": 1, "gatekeeper": {}})
+            TunerSpec.from_dict({"version": SPEC_VERSION, "gatekeeper": {}})
 
     def test_unknown_sub_spec_field_rejected(self):
         with pytest.raises(SpecError, match="'gate'"):
-            TunerSpec.from_dict({"version": 1, "gate": {"delta": 5.0}})
+            TunerSpec.from_dict({"version": SPEC_VERSION, "gate": {"delta": 5.0}})
 
     def test_unknown_nested_forest_field_rejected(self):
         with pytest.raises(SpecError, match="smbo.forest"):
             TunerSpec.from_dict(
-                {"version": 1, "smbo": {"forest": {"depth": 3}}}
+                {"version": SPEC_VERSION, "smbo": {"forest": {"depth": 3}}}
             )
 
     def test_unknown_guard_field_rejected(self):
         with pytest.raises(SpecError, match="unknown guard field"):
-            TunerSpec.from_dict({"version": 1, "guard": {"patience": 3}})
+            TunerSpec.from_dict({"version": SPEC_VERSION, "guard": {"patience": 3}})
 
     def test_non_mapping_rejected(self):
         with pytest.raises(SpecError, match="must be a mapping"):
-            TunerSpec.from_dict([("version", 1)])
+            TunerSpec.from_dict([("version", SPEC_VERSION)])
         with pytest.raises(SpecError, match="'gate' must be a mapping"):
-            TunerSpec.from_dict({"version": 1, "gate": 5.0})
+            TunerSpec.from_dict({"version": SPEC_VERSION, "gate": 5.0})
 
     def test_malformed_json_rejected(self):
         with pytest.raises(SpecError, match="not valid JSON"):
@@ -189,7 +229,7 @@ class TestWireFormat:
         # Decoding re-runs __post_init__, so a journaled payload cannot
         # smuggle in a knob the constructor would refuse.
         with pytest.raises(SpecError, match="delta_percent"):
-            TunerSpec.from_dict({"version": 1, "gate": {"delta_percent": 0.0}})
+            TunerSpec.from_dict({"version": SPEC_VERSION, "gate": {"delta_percent": 0.0}})
 
     def test_guard_round_trips_exactly(self):
         guard = GuardPolicy(min_evidence=4, suspect_rho=0.3,
@@ -210,10 +250,10 @@ class TestWithValue:
         spec = (DEFAULT_SPEC
                 .with_value("forest.n_estimators", 16)
                 .with_value("smbo.forest.seed", 3)
-                .with_value("engine.batch_size", None))
+                .with_value("engine.batch_size", 1))
         assert spec.forest.n_estimators == 16
         assert spec.smbo.forest.seed == 3
-        assert spec.engine.batch_size is None
+        assert spec.engine.batch_size == 1
         assert DEFAULT_SPEC.forest.n_estimators == 64  # original untouched
 
     def test_guard_path(self):
@@ -310,6 +350,14 @@ class TestThreading:
         # The spec rode along without changing the search results
         # (pool.size does not affect plain RS).
         assert result["trace_digest"] == baseline["trace_digest"]
+        # A journaled version-1 payload still runs, to the same trace.
+        v1 = execute_job({
+            "kind": "search", "kernel": "mm", "machine": "sandybridge",
+            "nmax": 4, "seed": 1,
+            "spec": {"version": 1, "pool": {"size": 500, "prefetch": 256},
+                     "engine": {"batch_size": None}},
+        })
+        assert v1["trace_digest"] == baseline["trace_digest"]
 
     def test_service_rejects_malformed_spec(self):
         from repro.service.worker import execute_job
