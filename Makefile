@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint bench bench-session faults guard chaos chaos-smoke corruption-smoke scrub meta meta-smoke service report examples clean
+.PHONY: install test test-fast lint bench bench-session perfbench perfbench-trace faults guard chaos chaos-smoke corruption-smoke scrub meta meta-smoke service report examples clean
 
 # Meta-campaign knobs for `make meta` (override on the command line).
 META_SEEDS ?= 2
@@ -26,7 +26,7 @@ test-fast:
 	$(PYTHON) -m pytest tests/ -x -q -m "not slow"
 
 # Import-graph discipline (no runtime cycles, no TYPE_CHECKING-hidden
-# internal imports) and a dead-code sweep over the search package.
+# internal imports) and a dead-code sweep over the whole repro package.
 lint:
 	$(PYTHON) -m repro.devtools.lint
 
@@ -47,6 +47,14 @@ bench:
 # regression gate vs the committed BENCH_session.json.
 bench-session:
 	$(PYTHON) -m pytest benchmarks/test_perf_session.py -q -s
+
+# The repository benchmark (perfbench/README.md): every workload end to
+# end, then the same run with per-layer spans.
+perfbench:
+	python3 perfbench/run.py --workload all --seed 1 --seconds 15
+
+perfbench-trace:
+	python3 perfbench/run.py --workload all --seed 1 --seconds 15 --trace 1
 
 faults:
 	$(PYTHON) -m pytest -x -q benchmarks/test_ablations.py::test_fault_ablation --benchmark-only

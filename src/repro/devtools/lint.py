@@ -218,7 +218,7 @@ def check_imports(modules: dict[str, str]) -> list[str]:
 
 
 # ----------------------------------------------------------------------
-# Check 2: dead code in the search package
+# Check 2: dead code anywhere in the package
 # ----------------------------------------------------------------------
 def _module_all(tree: ast.Module) -> set[str]:
     exported: set[str] = set()

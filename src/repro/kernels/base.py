@@ -5,11 +5,13 @@ phases), the problem input size, and the tuning search space, and
 produces transformed variants and their static metrics for any
 configuration.  Metric computation is cached per configuration index —
 the same variant is measured on several machines during a transfer
-experiment, and the metrics are machine-independent.
+experiment, and the metrics are machine-independent.  The cache is a
+bounded LRU: once full, each miss evicts the least recently used entry.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.errors import SearchSpaceError
@@ -78,7 +80,7 @@ class SpaptKernel:
                 raise SearchSpaceError(
                     f"kernel {name!r}: option bound to unknown parameter {pname!r}"
                 )
-        self._metrics_cache: dict[int, tuple[VariantMetrics, ...]] = {}
+        self._metrics_cache: OrderedDict[int, tuple[VariantMetrics, ...]] = OrderedDict()
 
     # ------------------------------------------------------------------
     def info(self) -> KernelInfo:
@@ -100,15 +102,17 @@ class SpaptKernel:
         return out
 
     def metrics_for(self, config: Configuration) -> tuple[VariantMetrics, ...]:
-        """Static metrics per nest, cached by configuration index."""
+        """Static metrics per nest, LRU-cached by configuration index."""
         self._check_config(config)
-        cached = self._metrics_cache.get(config.index)
+        cache = self._metrics_cache
+        cached = cache.get(config.index)
         if cached is not None:
+            cache.move_to_end(config.index)
             return cached
         metrics = tuple(analyze_variant(v) for v in self.variants_for(config))
-        if len(self._metrics_cache) >= _METRICS_CACHE_LIMIT:
-            self._metrics_cache.clear()
-        self._metrics_cache[config.index] = metrics
+        if len(cache) >= _METRICS_CACHE_LIMIT:
+            cache.popitem(last=False)
+        cache[config.index] = metrics
         return metrics
 
     def scalar_options(self, config: Configuration) -> dict[str, object]:

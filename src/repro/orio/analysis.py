@@ -23,8 +23,11 @@ estimated by unbiased deterministic path sampling (:func:`_level_stats`).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from repro.errors import TransformError
 from repro.orio.ast import (
@@ -226,15 +229,69 @@ def _collect_refs(stmts: Sequence[Stmt]) -> list[tuple[ArrayRef, bool]]:
 _TRIP_SAMPLES = 64
 
 
+@functools.lru_cache(maxsize=None)
+def _trip_uniforms(idx: int, var: str) -> np.ndarray:
+    """The uniforms that pick level ``idx``'s sampled iteration, one per
+    sample path.  The keys never depend on the configuration, so each
+    ``(level, loop variable)`` row of the table is drawn once."""
+    table = np.array(
+        [hash_uniform("trip-sample", idx, var, s) for s in range(_TRIP_SAMPLES)]
+    )
+    table.flags.writeable = False
+    return table
+
+
+_BOUND_OPS = {
+    "+": np.add,
+    "-": np.subtract,
+    "*": np.multiply,
+    "/": np.floor_divide,  # Python floor semantics, as in fold()
+    "%": np.remainder,
+}
+
+
+def _eval_bound(expr: Expr, env: Mapping[str, np.ndarray]):
+    """A pre-folded bound over the alive sample paths: an int64 array
+    (an int for a constant), or ``None`` when it reads a variable no
+    outer loop binds."""
+    if isinstance(expr, IntLit):
+        return expr.value
+    if isinstance(expr, Var):
+        return env.get(expr.name)
+    if not isinstance(expr, (BinOp, MinExpr, MaxExpr)):
+        return None  # an array element: never a resolvable bound
+    a = _eval_bound(expr.left, env)
+    b = _eval_bound(expr.right, env)
+    if a is None or b is None:
+        return None
+    if isinstance(expr, MinExpr):
+        return np.minimum(a, b)
+    if isinstance(expr, MaxExpr):
+        return np.maximum(a, b)
+    if expr.op in "/%" and np.any(b == 0):
+        kind = "division" if expr.op == "/" else "modulo"
+        raise TransformError(f"{kind} by zero in constant fold")
+    return _BOUND_OPS[expr.op](a, b)
+
+
+def _path_sum(values: np.ndarray) -> float:
+    """Sum in path order, one addition at a time (``np.sum`` sums
+    pairwise, which changes the float bits)."""
+    return float(np.cumsum(values)[-1]) if len(values) else 0.0
+
+
 def _level_stats(chain: list[ForLoop]) -> tuple[list[float], list[float]]:
     """(conditional trips per level, entry counts per boundary).
 
     Bounds may reference outer loop variables (triangular nests, tiled
     point loops), so statistics are estimated by descending the nest
     along ``_TRIP_SAMPLES`` deterministic sample paths: at each level
-    the bounds are folded with the sampled outer bindings, the trip
+    the bounds are evaluated with the sampled outer bindings, the trip
     count recorded, and one iteration sampled uniformly to bind the
-    level's variable.
+    level's variable.  All paths descend together, one level at a time:
+    each bound is pre-folded once (applying :func:`fold`'s identities)
+    and then evaluated over the int64 bindings of the paths still
+    alive; a path dies at a level whose trip count is zero.
 
     ``trips[l]`` is the mean trip count of level ``l`` *given that the
     level is reached* (used for footprint extents).  ``entries[l]`` is
@@ -249,32 +306,33 @@ def _level_stats(chain: list[ForLoop]) -> tuple[list[float], list[float]]:
     trip_sum = [0.0] * n
     reach_count = [0] * n
     entry_sum = [0.0] * (n + 1)
-    for s in range(_TRIP_SAMPLES):
-        bindings: dict[str, int] = {}
-        prod = 1.0
-        alive = True
-        for idx, loop in enumerate(chain):
-            if not alive:
-                break
-            entry_sum[idx] += prod
-            lo = fold(loop.lower, bindings)
-            hi = fold(loop.upper, bindings)
-            if not isinstance(lo, IntLit) or not isinstance(hi, IntLit):
-                raise TransformError(
-                    f"loop {loop.var}: cannot resolve bounds {loop.lower}..{loop.upper}"
-                )
-            span = hi.value - lo.value
-            trip = -(-span // loop.step) if span > 0 else 0
-            trip_sum[idx] += trip
-            reach_count[idx] += 1
-            if trip == 0:
-                alive = False
-                break
-            prod *= trip
-            u = hash_uniform("trip-sample", idx, loop.var, s)
-            bindings[loop.var] = lo.value + int(u * trip) * loop.step
-        if alive:
-            entry_sum[n] += prod
+    paths = np.arange(_TRIP_SAMPLES)
+    prod = np.ones(_TRIP_SAMPLES)
+    bindings: dict[str, np.ndarray] = {}
+    for idx, loop in enumerate(chain):
+        if not len(paths):
+            break
+        entry_sum[idx] = _path_sum(prod)
+        lo = _eval_bound(fold(loop.lower), bindings)
+        hi = _eval_bound(fold(loop.upper), bindings)
+        if lo is None or hi is None:
+            raise TransformError(
+                f"loop {loop.var}: cannot resolve bounds {loop.lower}..{loop.upper}"
+            )
+        if np.ndim(lo) == 0:  # a constant bound
+            lo = np.full(len(paths), lo, dtype=np.int64)
+        span = hi - lo
+        trip = np.where(span > 0, -(-span // loop.step), 0)
+        trip_sum[idx] = float(trip.sum())  # integers: exact in any order
+        reach_count[idx] = len(paths)
+        alive = trip > 0
+        if not alive.all():
+            paths, prod, lo, trip = paths[alive], prod[alive], lo[alive], trip[alive]
+            bindings = {v: b[alive] for v, b in bindings.items()}
+        prod = prod * trip
+        u = _trip_uniforms(idx, loop.var)[paths]
+        bindings[loop.var] = lo + (u * trip).astype(np.int64) * loop.step
+    entry_sum[n] = _path_sum(prod)  # empty once every path has died
     trips = [
         max(trip_sum[i] / reach_count[i], 1e-3) if reach_count[i] else 1e-3
         for i in range(n)

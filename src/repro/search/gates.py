@@ -110,8 +110,12 @@ class QuantileGate:
         if not ctx.resumed:
             clock.advance(self.surrogate.fit_seconds)
         pool_rng = spawn_rng(self.rng_label, self.space.name, ctx.name)
-        pool = self.space.sample(pool_rng, min(self.pool_size, self.space.cardinality))
-        predictions = self.surrogate.predict(pool)
+        # The pool stays as linear indices: the same RNG draws and the
+        # same prediction memo key as sampling Configurations, none built.
+        pool = self.space.sample_indices(
+            pool_rng, min(self.pool_size, self.space.cardinality)
+        )
+        predictions = self.surrogate.predict_indices(pool)
         if not ctx.resumed:
             clock.advance(self.surrogate.predict_seconds(len(pool)))
         self._scored = predictions

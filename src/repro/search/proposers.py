@@ -164,7 +164,7 @@ class PoolRankProposer(BaseProposer):
         self.pool_size = pool_size
         self.rng_label = rng_label
         self.predictions: np.ndarray = np.empty(0)
-        self._pool_indices: list[int] | None = None
+        self._pool_indices: list[int] = []
         self._pool_configs: list[Configuration | None] = []
         self._order: np.ndarray = np.empty(0, dtype=np.int64)
         self._order_upto = 0
@@ -179,22 +179,14 @@ class PoolRankProposer(BaseProposer):
             clock.advance(self.surrogate.fit_seconds)
         pool_rng = spawn_rng(self.rng_label, self.space.name, ctx.name)
         n = min(self.pool_size, self.space.cardinality)
-        predict_indices = getattr(self.surrogate, "predict_indices", None)
-        sample_indices = getattr(self.space, "sample_indices", None)
-        if predict_indices is not None and sample_indices is not None:
-            # Bulk path: the pool stays as linear indices — the same
-            # RNG draws, the same prediction memo key, the same bytes —
-            # and Configuration objects materialize lazily, only for
-            # the pool slots the ranking actually reaches.
-            indices = sample_indices(pool_rng, n)
-            predictions = predict_indices(indices)
-            self._pool_indices = [int(i) for i in indices]
-            self._pool_configs = [None] * n
-        else:
-            pool = self.space.sample(pool_rng, n)
-            predictions = self.surrogate.predict(pool)
-            self._pool_indices = None
-            self._pool_configs = list(pool)
+        # The pool stays as linear indices — the same RNG draws, the
+        # same prediction memo key, the same bytes as sampling
+        # Configurations — and Configuration objects materialize lazily,
+        # only for the pool slots the ranking actually reaches.
+        indices = self.space.sample_indices(pool_rng, n)
+        predictions = self.surrogate.predict_indices(indices)
+        self._pool_indices = [int(i) for i in indices]
+        self._pool_configs = [None] * n
         if not ctx.resumed:
             clock.advance(self.surrogate.predict_seconds(n))
         self.predictions = predictions
@@ -355,29 +347,19 @@ class SMBOProposer(BaseProposer):
         if self.source_surrogate is not None:
             clock.advance(self.source_surrogate.fit_seconds)
             n = min(self.pool_size, self.space.cardinality)
-            predict_indices = getattr(
-                self.source_surrogate, "predict_indices", None
-            )
-            sample_indices = getattr(self.space, "sample_indices", None)
-            if predict_indices is not None and sample_indices is not None:
-                # Bulk path: identical RNG draws and predictions (the
-                # memo key is the same index tuple), but only the
-                # n_initial design picks are materialized.  The design
-                # selection keeps the historical *unstable* argsort —
-                # its result is reproducible because the prediction
-                # array is bit-identical.
-                indices = sample_indices(self.rng, n)
-                preds = predict_indices(indices)
-                clock.advance(self.source_surrogate.predict_seconds(n))
-                design = [
-                    self.space.config_at(indices[int(i)])
-                    for i in np.argsort(preds)[: self.n_initial]
-                ]
-            else:
-                pool = self.space.sample(self.rng, n)
-                preds = self.source_surrogate.predict(pool)
-                clock.advance(self.source_surrogate.predict_seconds(len(pool)))
-                design = [pool[int(i)] for i in np.argsort(preds)[: self.n_initial]]
+            # Identical RNG draws and predictions to scoring sampled
+            # Configurations (the memo key is the same index tuple), but
+            # only the n_initial design picks are materialized.  The
+            # design selection keeps the historical *unstable* argsort —
+            # its result is reproducible because the prediction array is
+            # bit-identical.
+            indices = self.space.sample_indices(self.rng, n)
+            preds = self.source_surrogate.predict_indices(indices)
+            clock.advance(self.source_surrogate.predict_seconds(n))
+            design = [
+                self.space.config_at(indices[int(i)])
+                for i in np.argsort(preds)[: self.n_initial]
+            ]
         else:
             design = self.space.sample(
                 self.rng, min(self.n_initial, self.space.cardinality)
@@ -405,30 +387,16 @@ class SMBOProposer(BaseProposer):
             self._model.fit(X, y)
             clock.advance(0.5 + 2e-3 * len(training))  # simulated fit cost
         n = min(self.pool_size, self.space.cardinality)
-        sample_indices = getattr(self.space, "sample_indices", None)
-        if sample_indices is not None:
-            # Bulk path: same RNG draws, same candidate set, but the
-            # 1k-row pool is encoded straight from indices and only the
-            # acquisition argmax becomes a Configuration.
-            indices = [
-                i for i in sample_indices(self.rng, n)
-                if i not in self._evaluated
-            ]
-            if not indices:
-                return None
-            Xc = encoding_cache(self.space).encode_indices(indices)
-            winner = lambda scores: Proposal(  # noqa: E731
-                self.space.config_at(indices[int(np.argmax(scores))])
-            )
-        else:
-            candidates = self.space.sample(self.rng, n)
-            candidates = [c for c in candidates if c.index not in self._evaluated]
-            if not candidates:
-                return None
-            Xc = encode_cached(self.space, candidates)
-            winner = lambda scores: Proposal(  # noqa: E731
-                candidates[int(np.argmax(scores))]
-            )
+        # Same RNG draws and candidate set as sampling Configurations,
+        # but the pool is encoded straight from indices and only the
+        # acquisition argmax becomes a Configuration.
+        indices = [
+            i for i in self.space.sample_indices(self.rng, n)
+            if i not in self._evaluated
+        ]
+        if not indices:
+            return None
+        Xc = encoding_cache(self.space).encode_indices(indices)
         mu = self._model.predict(Xc)
         clock.advance(2e-4 * len(Xc))
         if self.acquisition == "mean":
@@ -440,7 +408,7 @@ class SMBOProposer(BaseProposer):
             else:
                 best = math.log(min(v for _, v in self._observations))
                 scores = _expected_improvement(mu, sigma, best)
-        return winner(scores)
+        return Proposal(self.space.config_at(indices[int(np.argmax(scores))]))
 
     def propose_block(self, ctx: EngineContext, count: int) -> list[Proposal]:
         """Design-phase proposals in one block; blocks of one in the

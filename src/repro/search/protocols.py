@@ -64,6 +64,11 @@ class SurrogateModel(Protocol):
         """Predicted runtimes for a batch of configurations."""
         ...
 
+    def predict_indices(self, indices: Sequence[int]) -> "np.ndarray":
+        """Predicted runtimes for configurations given by linear index,
+        identical to :meth:`predict` on ``space.config_at`` of each."""
+        ...
+
     def predict_seconds(self, n: int) -> float:
         """Simulated wall time of predicting ``n`` configurations."""
         ...

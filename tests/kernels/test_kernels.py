@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import ReproError, SearchSpaceError
 from repro.kernels import KERNELS, get_kernel, kernel_names
+from repro.kernels import base as kernel_base
 from repro.utils.rng import spawn_rng
 
 
@@ -83,6 +84,21 @@ class TestVariantsAndMetrics:
         first = k.metrics_for(cfg)
         second = k.metrics_for(cfg)
         assert first is second
+
+    def test_metrics_cache_is_bounded_lru(self, monkeypatch):
+        monkeypatch.setattr(kernel_base, "_METRICS_CACHE_LIMIT", 3)
+        k = get_kernel("mm", n=32)
+        configs = [k.space.config_at(i) for i in range(5)]
+        first = k.metrics_for(configs[0])
+        for cfg in configs[1:3]:
+            k.metrics_for(cfg)
+        assert k.metrics_for(configs[0]) is first  # a hit refreshes entry 0
+        for cfg in configs[3:]:
+            k.metrics_for(cfg)
+            assert len(k._metrics_cache) <= 3
+        # Entries 1 and 2 were least recently used, so they went first.
+        assert list(k._metrics_cache) == [0, 3, 4]
+        assert k.metrics_for(configs[0]) is first
 
     def test_metrics_per_nest(self):
         k = get_kernel("atax", n=32)

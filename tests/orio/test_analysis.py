@@ -5,8 +5,10 @@ import pytest
 
 from repro.errors import TransformError
 from repro.orio.analysis import ELEM_BYTES, analyze_nest, analyze_variant
+from repro.orio.ast import loop_chain
 from repro.orio.parser import parse_loop_nest
 from repro.orio.transforms.pipeline import TransformPlan, compose
+from tests.orio.scalar_reference import scalar_level_stats
 
 MM_SRC = """
 for (i = 0; i <= N-1; i++)
@@ -163,9 +165,16 @@ class TestValidation:
             analyze_nest(nest)
 
     def test_unresolvable_bounds_rejected(self):
-        nest = parse_loop_nest("for (i = 0; i < M; i++) A[i] = 0;")  # M unbound
-        with pytest.raises(TransformError):
-            analyze_nest(nest)
+        for src in (
+            "for (i = 0; i < M; i++) A[i] = 0;",  # M unbound
+            "for (i = 0; i < 8; i++) for (j = 0; j < 8 / (i - i); j++) A[j] = 0;",
+            "for (i = 0; i < 8; i++) for (j = 0; j < i % (i - i); j++) A[j] = 0;",
+        ):
+            nest = parse_loop_nest(src)
+            with pytest.raises(TransformError):
+                analyze_nest(nest)
+            with pytest.raises(TransformError):  # the scalar reference agrees
+                scalar_level_stats(loop_chain(nest))
 
     def test_entry_counts_shape(self):
         m = mm_metrics(n=16)
