@@ -2,8 +2,8 @@
 
 Times tree fit, forest fit, 10k-pool prediction, and a full RSb
 session, each against the legacy implementation it replaced (the
-legacy split-search engine and the per-tree prediction loops, which
-ship unchanged as the reference).  Writes the machine-readable report
+legacy split search, kept unchanged as the reference in
+``tests/ml/legacy_tree.py``, and the per-tree prediction loops).  Writes the machine-readable report
 to ``benchmarks/results/BENCH_ml.json`` and fails when a tracked entry
 regresses more than 25% against the committed baseline (set
 ``REPRO_BENCH_ALLOW_REGRESSION=1`` to regenerate a baseline on
@@ -38,6 +38,7 @@ from repro.perf.simclock import SimClock
 from repro.search import SharedStream, biased_search, random_search
 from repro.transfer.surrogate import Surrogate
 from repro.utils.rng import RngFactory
+from tests.ml.legacy_tree import LegacyTree
 
 REPORT_NAME = "BENCH_ml.json"
 #: Entries checked against the committed report by the 25% gate.
@@ -49,9 +50,6 @@ class _LegacyForest(RandomForestRegressor):
     argsort growth, ``np.setdiff1d`` OOB bookkeeping, and per-tree
     Python prediction loops.  Used as the honest "before" timing."""
 
-    def __init__(self, **kwargs) -> None:
-        super().__init__(engine="legacy", **kwargs)
-
     def fit(self, X, y):
         n, p = X.shape
         factory = RngFactory("random-forest", seed=self.seed)
@@ -62,13 +60,12 @@ class _LegacyForest(RandomForestRegressor):
         for t in range(self.n_estimators):
             rng = factory.child("tree", t)
             sample = rng.integers(0, n, size=n)
-            tree = DecisionTreeRegressor(
+            tree = LegacyTree(
                 max_depth=self.max_depth,
                 min_samples_split=self.min_samples_split,
                 min_samples_leaf=self.min_samples_leaf,
                 max_features=self.max_features,
                 rng=factory.child("split", t),
-                engine="legacy",
             )
             tree.fit(X[sample], y[sample])
             self.trees.append(tree)
@@ -126,8 +123,8 @@ def test_perf_ml_suite(results_dir):
 
     # -- single-tree fit (full split search, deeper data) ---------------
     Xt, yt = _training_set(1_000, 8, seed=2)
-    legacy_tree = DecisionTreeRegressor(min_samples_leaf=2, engine="legacy")
-    fast_tree = DecisionTreeRegressor(min_samples_leaf=2, engine="presort")
+    legacy_tree = LegacyTree(min_samples_leaf=2)
+    fast_tree = DecisionTreeRegressor(min_samples_leaf=2)
     entries.append(make_entry(
         "tree_fit",
         time_callable(lambda: fast_tree.fit(Xt, yt)),

@@ -3,7 +3,8 @@
 Times a complete RSb transfer session end to end — surrogate fit,
 10k-pool scoring, ranking, and 40 target evaluations — against the
 PR-2-era implementation reconstructed in-file: engine blocks of one,
-legacy forest (per-node argsort growth, per-tree prediction loops),
+legacy forest (per-node argsort growth by the ``LegacyTree`` reference
+in ``tests/ml/legacy_tree.py``, per-tree prediction loops),
 and the eager pool path that materialized every Configuration and
 encoded it row by row.  The legacy and fast sessions are verified to
 produce *identical* traces before any timing happens, so the speedup

@@ -11,18 +11,17 @@ bit-identical to the NumPy path.
 
 The same argument extends to the other kernels here:
 
-* ``split_scan`` — the tree-fit prefix-sum split scan: one fused pass
-  over a node's presorted candidate rows replaying the NumPy engine's
-  sequential cumulative sums, SSE arithmetic, first-argmin and
-  tie-break arithmetic operation for operation;
-* ``partition_node`` — the fused stable node partition: one call per
-  split routes the node's rows (``x[f] <= thr``), splits every
-  presorted feature row, and computes both children's statistics in
-  the NumPy engine's exact arithmetic order;
-* ``fit_node`` — the per-node driver fusing ``split_scan`` and
-  ``partition_node`` behind a two-pointer param-block calling
-  convention, because ctypes argument conversion at 13-16 arguments
-  costs more than the kernels themselves;
+* ``fit_node`` — one tree-fit split per call, behind a two-pointer
+  param-block calling convention (ctypes argument conversion at 13-16
+  arguments costs more than the kernels themselves).  It runs two
+  helpers internal to the C source: ``split_scan``, the prefix-sum
+  split scan over a node's presorted candidate rows, replaying the
+  NumPy growth path's sequential cumulative sums, SSE arithmetic,
+  first-argmin and tie-break operation for operation; then
+  ``partition_node``, the stable node partition that routes the node's
+  rows (``x[f] <= thr``), splits every presorted feature row, and
+  computes both children's statistics in the NumPy path's exact
+  arithmetic order;
 * ``ensemble_mean`` / ``ensemble_std`` — column mean/std of the
   per-tree value matrix in NumPy's exact sequential axis-0 reduction
   order;
@@ -42,7 +41,7 @@ NumPy paths.  Nothing is installed — the shared object lives in a
 per-process temporary directory.  A failed compile is *not* silent:
 the first :func:`available` probe emits a one-time ``RuntimeWarning``
 with the compiler error, and :func:`diagnostics` exposes the probe
-outcome for the forest/engine diagnostics surfaces.
+outcome (the repository benchmark records it with every run).
 """
 
 from __future__ import annotations
@@ -144,7 +143,7 @@ void ensemble_mean(
 
 /* Fused best-split scan over a node's presorted candidate rows.
  *
- * Replays the NumPy presort engine exactly: per candidate feature a
+ * Replays the NumPy growth path exactly: per candidate feature a
  * sequential prefix sum of y and y*y in sorted order (identical to
  * cumsum), the same SSE expression with the same operation order and
  * grouping, validity = value-change and min_samples_leaf, first-min
@@ -155,7 +154,7 @@ void ensemble_mean(
  * here) and passed in.
  *
  * Returns the winning candidate slot j (feature cand[j]) or -1. */
-int64_t split_scan(
+static int64_t split_scan(
     const double *X, int64_t p, const double *y,
     const int64_t *sorted_T, int64_t m,
     const int64_t *cand, int64_t k,
@@ -245,7 +244,7 @@ static void child_stats(const double *ys, int64_t m, int64_t scalar_max,
  * it, both row-major.  The membership scratch is clean on return.
  * Degenerate partitions (n_left of 0 or m) return immediately with no
  * writes.  Returns the left count. */
-int64_t partition_node(
+static int64_t partition_node(
     const double *X, int64_t p,
     const int64_t *idx, const double *ys, int64_t m,
     int64_t f, double thr,
@@ -470,21 +469,11 @@ def _build() -> ctypes.CDLL | None:
     lib.ensemble_std.restype = None
     lib.ensemble_mean.argtypes = [f64, c_i64, c_i64, f64]
     lib.ensemble_mean.restype = None
-    # The per-node tree-fit kernels are called thousands of times per
+    # The per-node tree-fit kernel is called thousands of times per
     # forest; raw pointers skip ndpointer's per-call flag validation
-    # (callers construct the arrays, so dtype/contiguity hold by
+    # (callers construct the param blocks, so dtype/contiguity hold by
     # construction).
     ptr = ctypes.c_void_p
-    lib.split_scan.argtypes = [
-        ptr, c_i64, ptr, ptr, c_i64, ptr, c_i64,
-        c_f64, c_f64, c_i64, c_f64, ptr, ptr,
-    ]
-    lib.split_scan.restype = c_i64
-    lib.partition_node.argtypes = [
-        ptr, c_i64, ptr, ptr, c_i64, c_i64, c_f64, ptr, ptr, ptr,
-        ptr, c_i64, c_i64, ptr, c_i64, ptr,
-    ]
-    lib.partition_node.restype = c_i64
     lib.fit_node.argtypes = [ptr, ptr]
     lib.fit_node.restype = c_i64
     lib.gate_topk.argtypes = [f64, c_i64, c_i64, c_f64, i64, u8, f64, i64]

@@ -29,7 +29,6 @@ class GradientBoostingRegressor(Regressor):
         subsample: float = 1.0,
         min_samples_leaf: int = 2,
         seed: int = 0,
-        engine: str = "presort",
     ) -> None:
         if n_estimators < 1:
             raise ModelError(f"n_estimators must be >= 1, got {n_estimators}")
@@ -43,7 +42,6 @@ class GradientBoostingRegressor(Regressor):
         self.subsample = subsample
         self.min_samples_leaf = min_samples_leaf
         self.seed = seed
-        self.engine = engine
         self.trees: list[DecisionTreeRegressor] = []
         self._packed: PackedTrees | None = None
         self._base: float = 0.0
@@ -64,7 +62,6 @@ class GradientBoostingRegressor(Regressor):
                 max_depth=self.max_depth,
                 min_samples_leaf=self.min_samples_leaf,
                 rng=factory.child("split", t),
-                engine=self.engine,
             )
             tree._fit_arrays(X[rows] if m < n else X, residual[rows] if m < n else residual)
             self.trees.append(tree)

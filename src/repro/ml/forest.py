@@ -17,15 +17,12 @@ bit-identical.
 
 from __future__ import annotations
 
-from functools import partial
-
 import numpy as np
 
 from repro.errors import ModelError
 from repro.ml import _native
 from repro.ml.base import Regressor, check_X, check_Xy
 from repro.ml.tree import DecisionTreeRegressor
-from repro.utils.parallel import default_workers, parallel_map
 from repro.utils.rng import RngFactory
 
 __all__ = ["PackedTrees", "RandomForestRegressor"]
@@ -141,25 +138,6 @@ class PackedTrees:
         return vals.std(axis=0)
 
 
-def _fit_one_tree(
-    X: np.ndarray,
-    y: np.ndarray,
-    params: dict,
-    seed: int,
-    t: int,
-) -> tuple[DecisionTreeRegressor, np.ndarray]:
-    """Grow bootstrap tree ``t`` (module-level so process pools can
-    pickle it).  Both the bootstrap and split streams are independent
-    children of the forest seed, so results do not depend on which
-    worker grows which tree."""
-    factory = RngFactory("random-forest", seed=seed)
-    rng = factory.child("tree", t)
-    sample = rng.integers(0, len(y), size=len(y))
-    tree = DecisionTreeRegressor(rng=factory.child("split", t), **params)
-    tree._fit_arrays(X[sample], y[sample])
-    return tree, sample
-
-
 class RandomForestRegressor(Regressor):
     """Bagged ensemble of CART trees.
 
@@ -175,13 +153,6 @@ class RandomForestRegressor(Regressor):
     seed:
         Root seed; tree ``i`` draws from an independent child stream,
         so results do not depend on construction order.
-    n_jobs:
-        Worker processes for tree fitting: ``None``/``1`` fits
-        serially, ``-1`` uses :func:`default_workers`.  The child-seed
-        streams make every setting produce identical forests.
-    engine:
-        Split-search engine passed to each tree (``"presort"`` or
-        ``"legacy"``); both grow bit-identical trees.
     """
 
     def __init__(
@@ -192,36 +163,27 @@ class RandomForestRegressor(Regressor):
         min_samples_split: int = 5,
         min_samples_leaf: int = 2,
         seed: int = 0,
-        n_jobs: int | None = None,
-        engine: str = "presort",
     ) -> None:
         if n_estimators < 1:
             raise ModelError(f"n_estimators must be >= 1, got {n_estimators}")
-        if n_jobs is not None and n_jobs == 0:
-            raise ModelError("n_jobs must be a positive count, -1, or None")
         self.n_estimators = n_estimators
         self.max_features = max_features
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
         self.min_samples_leaf = min_samples_leaf
         self.seed = seed
-        self.n_jobs = n_jobs
-        self.engine = engine
         self.trees: list[DecisionTreeRegressor] = []
         self._packed: PackedTrees | None = None
         self._oob_prediction: np.ndarray | None = None
         self._importances: np.ndarray | None = None
 
     @classmethod
-    def from_spec(
-        cls, spec=None, n_jobs: int | None = None, engine: str = "presort"
-    ) -> "RandomForestRegressor":
+    def from_spec(cls, spec=None) -> "RandomForestRegressor":
         """Build a forest from a :class:`repro.spec.ForestSpec`.
 
         The single construction path for every forest the tuner builds
         (surrogate and SMBO refit alike), so hyperparameter defaults
-        live in one place.  ``n_jobs``/``engine`` stay separate: they
-        are execution details, not tuner hyperparameters.
+        live in one place.
         """
         from repro.spec import ForestSpec
 
@@ -234,36 +196,12 @@ class RandomForestRegressor(Regressor):
             min_samples_split=spec.min_samples_split,
             min_samples_leaf=spec.min_samples_leaf,
             seed=spec.seed,
-            n_jobs=n_jobs,
-            engine=engine,
         )
-
-    def _tree_params(self) -> dict:
-        return {
-            "max_depth": self.max_depth,
-            "min_samples_split": self.min_samples_split,
-            "min_samples_leaf": self.min_samples_leaf,
-            "max_features": self.max_features,
-            "engine": self.engine,
-        }
 
     def fit(self, X, y) -> "RandomForestRegressor":
         X, y = check_Xy(X, y)
         n, p = X.shape
-        n_jobs = self.n_jobs
-        if n_jobs == -1:
-            n_jobs = default_workers()
-        if n_jobs is not None and n_jobs > 1:
-            grown = parallel_map(
-                partial(_fit_one_tree, X, y, self._tree_params(), self.seed),
-                range(self.n_estimators),
-                n_workers=n_jobs,
-                chunksize=max(1, self.n_estimators // (4 * n_jobs)),
-            )
-            samples = np.stack([sample for _, sample in grown])
-            self.trees = [tree for tree, _ in grown]
-        else:
-            self.trees, samples = self._fit_serial(X, y, n, p)
+        self.trees, samples = self._fit_serial(X, y, n, p)
         importances = np.zeros(p)
         for tree in self.trees:
             importances += tree.feature_importances_
@@ -294,7 +232,6 @@ class RandomForestRegressor(Regressor):
         single (T, n, p) stable sort — the forest-level half of the
         presorted split search."""
         factory = RngFactory("random-forest", seed=self.seed)
-        params = self._tree_params()
         samples = np.stack(
             [
                 factory.child("tree", t).integers(0, n, size=n)
@@ -302,16 +239,17 @@ class RandomForestRegressor(Regressor):
             ]
         )
         Xb = X[samples]  # (T, n, p) bootstrap designs
-        if self.engine == "presort":
-            root_sorted = np.argsort(Xb, axis=1, kind="stable")
+        root_sorted = np.argsort(Xb, axis=1, kind="stable")
         trees = []
         for t in range(self.n_estimators):
-            tree = DecisionTreeRegressor(rng=factory.child("split", t), **params)
-            tree._fit_arrays(
-                Xb[t],
-                y[samples[t]],
-                root_sorted=root_sorted[t] if self.engine == "presort" else None,
+            tree = DecisionTreeRegressor(
+                max_depth=self.max_depth,
+                min_samples_split=self.min_samples_split,
+                min_samples_leaf=self.min_samples_leaf,
+                max_features=self.max_features,
+                rng=factory.child("split", t),
             )
+            tree._fit_arrays(Xb[t], y[samples[t]], root_sorted=root_sorted[t])
             trees.append(tree)
         return trees, samples
 
@@ -351,16 +289,6 @@ class RandomForestRegressor(Regressor):
         return self._packed.tree_values(
             X, out=self._packed._values_scratch(X.shape[0])
         )
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def diagnostics() -> dict:
-        """Native-kernel probe outcome for this process (see
-        :func:`repro.ml._native.diagnostics`): whether the compiled
-        fit/predict kernels are in use and, if not, why the build
-        failed.  A degraded forest still produces bit-identical results
-        through the NumPy paths — this surfaces the *speed* regression."""
-        return _native.diagnostics()
 
     @property
     def oob_prediction_(self) -> np.ndarray:

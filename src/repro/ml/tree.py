@@ -10,26 +10,25 @@ prediction over a 10,000-configuration pool (the paper's ``N``) is a
 handful of vectorized index operations rather than a Python recursion
 per row.
 
-Two split-search engines are available and produce bit-identical trees:
+The split search presorts once: one global stable argsort per feature
+at ``fit()``; sorted index partitions are maintained down the tree
+(sklearn-style), and all candidate features of a node are scanned in a
+single batched prefix-sum pass.  Growth is O(depth · p · n) after the
+initial O(p · n log n) sort, and the constant factor is kept low by
+computing node statistics with raw ufunc reductions (scalar arithmetic
+for tiny nodes, where NumPy's pairwise summation is defined to be
+plain left-to-right).  When the native kernels compile, each split is
+one fused ``fit_node`` call; otherwise the same growth runs in NumPy.
 
-* ``"presort"`` (default) — one global stable argsort per feature at
-  ``fit()``; sorted index partitions are maintained down the tree
-  (sklearn-style), and all candidate features of a node are scanned in
-  a single batched prefix-sum pass.  Growth is O(depth · p · n) after
-  the initial O(p · n log n) sort, and the constant factor is kept low
-  by computing node statistics with raw ufunc reductions (scalar
-  arithmetic for tiny nodes, where NumPy's pairwise summation is
-  defined to be plain left-to-right).
-* ``"legacy"`` — the original per-node-per-feature ``np.argsort``
-  search, O(depth · p · n log n).  Kept verbatim as the reference
-  implementation for equivalence tests and benchmarking.
-
-The bit-identity argument: node rows are always kept in ascending
-global order, so the legacy engine's per-node stable argsort orders
-ties by global row index — exactly the order obtained by restricting a
-global stable argsort to the node's rows, which is what the presorted
-partitions maintain.  Identical element order means identical prefix
-sums, identical SSE values, and identical chosen thresholds.
+The original per-node-per-feature ``np.argsort`` search,
+O(depth · p · n log n), lives on as the slow reference in
+``tests/ml/legacy_tree.py``; both grow bit-identical trees.  The
+argument: node rows are always kept in ascending global order, so the
+reference's per-node stable argsort orders ties by global row index —
+exactly the order obtained by restricting a global stable argsort to
+the node's rows, which is what the presorted partitions maintain.
+Identical element order means identical prefix sums, identical SSE
+values, and identical chosen thresholds.
 """
 
 from __future__ import annotations
@@ -47,11 +46,9 @@ __all__ = ["DecisionTreeRegressor", "TreeNodes"]
 
 _NO_CHILD = -1
 
-#: Strict-improvement margin shared by both engines so their tie-breaks
-#: (first candidate feature wins within the margin) agree bit-for-bit.
+#: Strict-improvement margin: the first candidate feature within it of
+#: the running best wins, so every scan path breaks ties the same way.
 _SSE_TOL = 1e-12
-
-_ENGINES = ("presort", "legacy")
 
 #: Below this size NumPy's pairwise summation degenerates to a plain
 #: left-to-right loop, so Python scalar arithmetic reproduces it
@@ -59,7 +56,7 @@ _ENGINES = ("presort", "legacy")
 _SCALAR_SUM_MAX = 8
 
 #: Largest node size routed to the scalar split scan in the NumPy
-#: presort engine — below this the batched (k, m) matrix pipeline is
+#: growth path — below this the batched (k, m) matrix pipeline is
 #: dominated by per-op dispatch, and a plain Python loop over the same
 #: IEEE-double arithmetic is faster (and bit-identical; the cutoff
 #: only picks an implementation, never changes a result).
@@ -91,57 +88,6 @@ class TreeNodes:
         return self.feature[i] == -1
 
 
-def _best_split(
-    X: np.ndarray,
-    y: np.ndarray,
-    feature_ids: np.ndarray,
-    min_samples_leaf: int,
-) -> tuple[int, float, float] | None:
-    """Best (feature, threshold, sse_after) over candidate features.
-
-    Uses the classic prefix-sum trick: with rows sorted by the feature,
-    the sum of left+right SSE for every split position comes from the
-    cumulative sums of ``y`` and ``y**2``.  Returns ``None`` if no valid
-    split exists (all candidate features constant, or leaf-size limits).
-    """
-    n = len(y)
-    best: tuple[int, float, float] | None = None
-    best_sse = np.inf
-    y_sum = y.sum()
-    y_sq_sum = float(np.dot(y, y))
-    for f in feature_ids:
-        col = X[:, f]
-        order = np.argsort(col, kind="stable")
-        xs = col[order]
-        ys = y[order]
-        # Candidate split after position i (1-based left size i+1).
-        csum = np.cumsum(ys)
-        csq = np.cumsum(ys * ys)
-        sizes_left = np.arange(1, n, dtype=float)
-        sum_left = csum[:-1]
-        sq_left = csq[:-1]
-        sum_right = y_sum - sum_left
-        sq_right = y_sq_sum - sq_left
-        sizes_right = n - sizes_left
-        sse = (sq_left - sum_left**2 / sizes_left) + (sq_right - sum_right**2 / sizes_right)
-        # Valid positions: value actually changes, and both sides large enough.
-        valid = xs[1:] > xs[:-1]
-        if min_samples_leaf > 1:
-            valid &= (sizes_left >= min_samples_leaf) & (sizes_right >= min_samples_leaf)
-        if not np.any(valid):
-            continue
-        sse = np.where(valid, sse, np.inf)
-        pos = int(np.argmin(sse))
-        if sse[pos] < best_sse - _SSE_TOL:
-            best_sse = float(sse[pos])
-            threshold = 0.5 * (xs[pos] + xs[pos + 1])
-            # Guard against midpoint rounding onto the left value.
-            if threshold <= xs[pos]:
-                threshold = xs[pos + 1]
-            best = (int(f), float(threshold), best_sse)
-    return best
-
-
 class DecisionTreeRegressor(Regressor):
     """CART regression tree with a vectorized split search.
 
@@ -160,9 +106,6 @@ class DecisionTreeRegressor(Regressor):
     rng:
         Generator used for feature subsampling (only consulted when
         ``max_features`` restricts the candidate set).
-    engine:
-        ``"presort"`` (default, fast) or ``"legacy"`` (reference).
-        Both produce bit-identical trees for the same inputs and rng.
     """
 
     def __init__(
@@ -172,7 +115,6 @@ class DecisionTreeRegressor(Regressor):
         min_samples_leaf: int = 1,
         max_features: int | float | str | None = None,
         rng: np.random.Generator | None = None,
-        engine: str = "presort",
     ) -> None:
         if max_depth is not None and max_depth < 0:
             raise ModelError(f"max_depth must be >= 0, got {max_depth}")
@@ -180,14 +122,11 @@ class DecisionTreeRegressor(Regressor):
             raise ModelError(f"min_samples_split must be >= 2, got {min_samples_split}")
         if min_samples_leaf < 1:
             raise ModelError(f"min_samples_leaf must be >= 1, got {min_samples_leaf}")
-        if engine not in _ENGINES:
-            raise ModelError(f"unknown engine {engine!r} (expected one of {_ENGINES})")
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
         self.rng = rng if rng is not None else np.random.default_rng(0)
-        self.engine = engine
         self.nodes: TreeNodes | None = None
         self._importances: np.ndarray | None = None
 
@@ -223,81 +162,6 @@ class DecisionTreeRegressor(Regressor):
         ``root_sorted`` optionally supplies the (n, p) global stable
         argsort of ``X`` (the forest batches these across trees).
         """
-        if self.engine == "presort":
-            return self._fit_presort(X, y, root_sorted)
-        return self._fit_legacy(X, y)
-
-    # -- legacy engine (reference implementation) ----------------------
-    def _fit_legacy(self, X: np.ndarray, y: np.ndarray) -> "DecisionTreeRegressor":
-        n, p = X.shape
-        k = self._n_candidate_features(p)
-
-        feature: list[int] = []
-        threshold: list[float] = []
-        left: list[int] = []
-        right: list[int] = []
-        value: list[float] = []
-        counts: list[int] = []
-        impurity: list[float] = []
-        importances = np.zeros(p)
-
-        def new_node(idx: np.ndarray) -> int:
-            node = len(feature)
-            ys = y[idx]
-            feature.append(-1)
-            threshold.append(np.nan)
-            left.append(_NO_CHILD)
-            right.append(_NO_CHILD)
-            value.append(float(ys.mean()))
-            counts.append(len(idx))
-            impurity.append(float(ys.var()))
-            return node
-
-        # Iterative depth-first growth with an explicit stack: recursion
-        # depth is unbounded for pathological data otherwise.
-        root_idx = np.arange(n)
-        stack = [(new_node(root_idx), root_idx, 0)]
-        while stack:
-            node, idx, depth = stack.pop()
-            ys = y[idx]
-            if (
-                len(idx) < self.min_samples_split
-                or (self.max_depth is not None and depth >= self.max_depth)
-                or np.all(ys == ys[0])
-            ):
-                continue
-            if k < p:
-                cand = self.rng.choice(p, size=k, replace=False)
-            else:
-                cand = np.arange(p)
-            found = _best_split(X[idx], ys, cand, self.min_samples_leaf)
-            if found is None:
-                continue
-            f, thr, sse_after = found
-            sse_before = float(ys.var()) * len(idx)
-            importances[f] += max(0.0, sse_before - sse_after)
-            go_left = X[idx, f] <= thr
-            left_idx = idx[go_left]
-            right_idx = idx[~go_left]
-            if len(left_idx) == 0 or len(right_idx) == 0:  # pragma: no cover - guarded
-                continue
-            feature[node] = f
-            threshold[node] = thr
-            lchild = new_node(left_idx)
-            left[node] = lchild
-            stack.append((lchild, left_idx, depth + 1))
-            rchild = new_node(right_idx)
-            right[node] = rchild
-            stack.append((rchild, right_idx, depth + 1))
-
-        self._store(feature, threshold, left, right, value, counts, impurity,
-                    importances, p)
-        return self
-
-    # -- presort engine (fast path) ------------------------------------
-    def _fit_presort(
-        self, X: np.ndarray, y: np.ndarray, root_sorted: np.ndarray | None
-    ) -> "DecisionTreeRegressor":
         # The native kernels index X/y by raw pointer; contiguity is a
         # no-op copy for the arrays the forest passes in.
         X = np.ascontiguousarray(X)
@@ -437,8 +301,9 @@ class DecisionTreeRegressor(Regressor):
             return best
 
         def best_split(ys, sorted_T, cand, m):
-            """Batched :func:`_best_split` over presorted row-major
-            (feature, position) matrices — one pass for all candidates."""
+            """Best (feature, threshold, sse_after) over the candidates,
+            from presorted row-major (feature, position) matrices in one
+            prefix-sum pass; ``None`` when no valid split exists."""
             if m <= _SCALAR_SCAN_MAX:
                 return best_split_scalar(ys, sorted_T, cand, m)
             y_sum = add(ys)
@@ -463,8 +328,8 @@ class DecisionTreeRegressor(Regressor):
             sse[~valid] = inf
             pos = sse.argmin(axis=1)
             cand_best = sse[arange_k if len(cand) == k else arange_p, pos]
-            # Scalar tie-break replaying the legacy per-feature loop:
-            # the first candidate within _SSE_TOL of the running best wins.
+            # Scalar tie-break in candidate order: the first candidate
+            # within _SSE_TOL of the running best wins.
             best = None
             best_sse = inf
             for j in range(len(cand)):

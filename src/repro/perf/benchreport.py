@@ -1,8 +1,9 @@
 """Machine-readable performance reports for the ML hot paths.
 
-The bench suite times each hot path twice — the legacy engine (the
-original per-node implementation, kept as the reference) and the
-optimized engine — and writes a ``BENCH_ml.json`` report.  The
+The bench suite times each hot path twice — the legacy reference (the
+original per-node split search, kept in ``tests/ml/legacy_tree.py``,
+and per-tree prediction loops) and the optimized path — and writes a
+``BENCH_ml.json`` report.  The
 committed report doubles as a regression baseline: a later run on the
 same machine fails the bench suite when a tracked entry slows down by
 more than :data:`REGRESSION_THRESHOLD` against it.

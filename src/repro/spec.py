@@ -94,9 +94,6 @@ class ForestSpec:
     The default reproduces the surrogate forest the transfer layer has
     always built; the SMBO proposer's smaller refit forest is the same
     spec with ``n_estimators=48, seed=7`` (see :class:`SMBOSpec`).
-    Execution details (``n_jobs``, the fit engine) are deliberately
-    *not* here — they change wall-clock, never results, so they are not
-    tuner hyperparameters.
     """
 
     n_estimators: int = 64

@@ -15,6 +15,7 @@ import pytest
 
 from repro.errors import TaskTimeoutError, WorkerCrashError
 from repro.exec import CellFailure, SupervisedExecutor
+from repro.exec.executor import default_workers
 
 
 def _square(x):
@@ -63,6 +64,19 @@ SERIAL = [x * x for x in ITEMS]
 class TestHappyPath:
     def test_parallel_matches_serial(self):
         assert _fast_executor().map(_square, ITEMS) == SERIAL
+
+    def test_empty(self):
+        executor = _fast_executor()
+        assert executor.map(_square, []) == []
+        assert executor.map(_square, [], chunksize=7) == []
+
+    def test_generator_input(self):
+        executor = _fast_executor()
+        assert executor.map(_square, (x for x in ITEMS)) == SERIAL
+        items = list(range(50))
+        assert executor.map(_square, iter(items), chunksize=7) == [
+            x * x for x in items
+        ]
 
     def test_on_result_sees_every_completion(self):
         seen = {}
@@ -224,3 +238,35 @@ class TestValidation:
         assert [r for i, r in enumerate(results) if i != 3] == [
             v for i, v in enumerate(SERIAL) if i != 3
         ]
+
+
+class TestWorkerOverride:
+    def test_default_workers_bounds(self):
+        w = default_workers()
+        assert 1 <= w <= 8
+        assert w <= (os.cpu_count() or 1)
+
+    def test_env_override(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "3")
+        assert default_workers() == 3
+
+    def test_env_override_floors_at_one(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "0")
+        assert default_workers() == 1
+
+    def test_env_override_rejects_garbage(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "many")
+        with pytest.raises(ValueError):
+            default_workers()
+
+    def test_garbage_message_names_variable_and_value(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "many")
+        with pytest.raises(
+            ValueError, match=r"REPRO_WORKERS must be an integer, got 'many'"
+        ) as excinfo:
+            default_workers()
+        # The int() parse failure is implementation detail, not context:
+        # the re-raise uses `from None` so the traceback shows exactly
+        # one error, not "During handling ... another exception".
+        assert excinfo.value.__cause__ is None
+        assert excinfo.value.__suppress_context__

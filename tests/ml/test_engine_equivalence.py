@@ -1,20 +1,22 @@
-"""Bit-identity of the optimized ML engines against the legacy ones.
+"""Bit-identity of the optimized ML paths against the legacy ones.
 
 The presorted split search, the packed (and optionally compiled) forest
-traversal, parallel tree fitting, and the batched OOB bookkeeping are
-all pure performance work: for any fixed seed they must produce the
-same trees, predictions, and diagnostics as the legacy implementations
-— not merely close, identical to the last bit.
+traversal, and the batched OOB bookkeeping are all pure performance
+work: for any fixed seed they must produce the same trees, predictions,
+and diagnostics as the legacy implementations — not merely close,
+identical to the last bit.  The legacy split search is
+:class:`~tests.ml.legacy_tree.LegacyTree`; ensembles grow it through
+the ``fit_legacy`` fixture.
 """
 
 import numpy as np
 import pytest
 
-from repro.errors import ModelError
-from repro.ml import _native
+from repro.ml import _native, boosting, forest
 from repro.ml.boosting import GradientBoostingRegressor
 from repro.ml.forest import PackedTrees, RandomForestRegressor
 from repro.ml.tree import DecisionTreeRegressor
+from tests.ml.legacy_tree import LegacyTree
 
 TREE_FIELDS = ("feature", "threshold", "left", "right", "value", "n_samples", "impurity")
 
@@ -26,6 +28,23 @@ def regression_data(n=150, p=6, seed=0, discrete=False):
     if discrete:  # repeated target values stress purity/tie handling
         y = np.round(y, 1)
     return X, y
+
+
+@pytest.fixture
+def fit_legacy(monkeypatch):
+    """``fit_legacy(model, X, y)``: fit an ensemble whose trees grow by
+    the :class:`LegacyTree` search, by swapping the tree class the
+    ensemble modules construct for the duration of the fit."""
+
+    def fit(model, X, y):
+        with monkeypatch.context() as patch:
+            patch.setattr(forest, "DecisionTreeRegressor", LegacyTree)
+            patch.setattr(boosting, "DecisionTreeRegressor", LegacyTree)
+            model.fit(X, y)
+        assert all(type(tree) is LegacyTree for tree in model.trees)
+        return model
+
+    return fit
 
 
 def assert_trees_identical(a: DecisionTreeRegressor, b: DecisionTreeRegressor):
@@ -41,13 +60,12 @@ class TestTreeEngines:
     def test_identical_trees(self, max_features, discrete):
         X, y = regression_data(discrete=discrete)
         trees = [
-            DecisionTreeRegressor(
+            cls(
                 min_samples_leaf=2,
                 max_features=max_features,
                 rng=np.random.default_rng(7),
-                engine=engine,
             ).fit(X, y)
-            for engine in ("legacy", "presort")
+            for cls in (LegacyTree, DecisionTreeRegressor)
         ]
         assert_trees_identical(*trees)
         Xq = regression_data(seed=1)[0]
@@ -57,31 +75,24 @@ class TestTreeEngines:
     def test_identical_with_depth_limits(self, max_depth):
         X, y = regression_data(n=60)
         trees = [
-            DecisionTreeRegressor(max_depth=max_depth, engine=engine).fit(X, y)
-            for engine in ("legacy", "presort")
+            cls(max_depth=max_depth).fit(X, y)
+            for cls in (LegacyTree, DecisionTreeRegressor)
         ]
         assert_trees_identical(*trees)
 
     def test_constant_target(self):
         X, _ = regression_data(n=40)
         y = np.full(40, 0.1)
-        for engine in ("legacy", "presort"):
-            tree = DecisionTreeRegressor(engine=engine).fit(X, y)
+        for cls in (LegacyTree, DecisionTreeRegressor):
+            tree = cls().fit(X, y)
             assert tree.n_leaves == 1
 
     def test_tiny_node_sizes(self):
         # Exercises the scalar-statistics path (nodes below the
         # pairwise-summation cutoff) on both sides of every split.
         X, y = regression_data(n=9)
-        trees = [
-            DecisionTreeRegressor(engine=engine).fit(X, y)
-            for engine in ("legacy", "presort")
-        ]
+        trees = [cls().fit(X, y) for cls in (LegacyTree, DecisionTreeRegressor)]
         assert_trees_identical(*trees)
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ModelError):
-            DecisionTreeRegressor(engine="turbo")
 
     def test_depth_matches_node_walk(self):
         X, y = regression_data()
@@ -100,11 +111,12 @@ class TestTreeEngines:
 
 class TestForestEquivalence:
     @pytest.mark.parametrize("max_features", [None, "third"])
-    def test_identical_forests(self, max_features):
+    def test_identical_forests(self, max_features, fit_legacy):
         X, y = regression_data()
-        legacy = RandomForestRegressor(
-            n_estimators=12, max_features=max_features, seed=3, engine="legacy"
-        ).fit(X, y)
+        legacy = fit_legacy(
+            RandomForestRegressor(n_estimators=12, max_features=max_features, seed=3),
+            X, y,
+        )
         fast = RandomForestRegressor(
             n_estimators=12, max_features=max_features, seed=3
         ).fit(X, y)
@@ -165,40 +177,27 @@ class TestForestEquivalence:
         np.testing.assert_array_equal(forest.predict(Xa), pa)
         np.testing.assert_array_equal(forest.predict_std(Xa), sa)
 
-    def test_n_jobs_matches_serial(self):
-        X, y = regression_data(n=60)
-        serial = RandomForestRegressor(n_estimators=6, seed=1).fit(X, y)
-        parallel = RandomForestRegressor(n_estimators=6, seed=1, n_jobs=2).fit(X, y)
-        for a, b in zip(serial.trees, parallel.trees):
-            assert_trees_identical(a, b)
-        np.testing.assert_array_equal(
-            serial.oob_prediction_, parallel.oob_prediction_
-        )
-
-    def test_n_jobs_zero_rejected(self):
-        with pytest.raises(ModelError):
-            RandomForestRegressor(n_jobs=0)
-
     def test_oob_single_tree_leaves_inbag_nan(self):
         X, y = regression_data(n=40)
         forest = RandomForestRegressor(n_estimators=1, seed=0).fit(X, y)
         pred = forest.oob_prediction_
         assert np.isnan(pred).any() and np.isfinite(pred).any()
 
-    def test_oob_score_matches_legacy(self):
+    def test_oob_score_matches_legacy(self, fit_legacy):
         X, y = regression_data()
-        legacy = RandomForestRegressor(n_estimators=16, seed=2, engine="legacy").fit(X, y)
+        legacy = fit_legacy(RandomForestRegressor(n_estimators=16, seed=2), X, y)
         fast = RandomForestRegressor(n_estimators=16, seed=2).fit(X, y)
         assert legacy.oob_score() == fast.oob_score()
 
 
 class TestBoostingEquivalence:
     @pytest.mark.parametrize("subsample", [1.0, 0.7])
-    def test_identical_models(self, subsample):
+    def test_identical_models(self, subsample, fit_legacy):
         X, y = regression_data()
-        legacy = GradientBoostingRegressor(
-            n_estimators=30, subsample=subsample, seed=4, engine="legacy"
-        ).fit(X, y)
+        legacy = fit_legacy(
+            GradientBoostingRegressor(n_estimators=30, subsample=subsample, seed=4),
+            X, y,
+        )
         fast = GradientBoostingRegressor(
             n_estimators=30, subsample=subsample, seed=4
         ).fit(X, y)

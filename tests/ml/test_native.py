@@ -11,7 +11,7 @@ Two families of guarantee:
 2. **Loud degradation** — a host whose compiler exists but fails emits
    a one-time ``RuntimeWarning`` from the first probe (the satellite
    requirement: no silent fallback), and the probe outcome is exposed
-   via ``diagnostics()`` on both the module and the forest.
+   via the module's ``diagnostics()``.
 """
 
 import os
@@ -126,11 +126,6 @@ def test_diagnostics_reports_probe_outcome():
         "ok", "disabled", "no-compiler", "compile-failed", "load-failed"
     )
     assert diag["available"] == (diag["status"] == "ok")
-
-
-def test_forest_surfaces_native_diagnostics():
-    diag = RandomForestRegressor.diagnostics()
-    assert diag == _native.diagnostics()
 
 
 def test_compile_failure_warns_once(tmp_path):
