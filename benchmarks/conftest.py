@@ -44,10 +44,10 @@ def save_artifact(results_dir):
     never a truncated table."""
 
     def _save(name: str, text: str) -> Path:
-        from repro.reliability.checkpoint import atomic_write_text
+        from repro.exec.journal import atomic_write
 
         path = results_dir / f"{name}.txt"
-        atomic_write_text(path, text + "\n")
+        atomic_write(path, (text + "\n").encode("utf-8"))
         return path
 
     return _save

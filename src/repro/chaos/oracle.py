@@ -49,7 +49,7 @@ Invariants
     damaged or quarantined records.
 ``no-orphans``
     No worker processes outlive the workload and no stray temporary
-    files (``*.tmp`` / ``*.rewrite.tmp``) remain under the root.
+    files (``*.tmp``) remain under the root.
 """
 
 from __future__ import annotations

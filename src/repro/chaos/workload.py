@@ -483,7 +483,7 @@ def _scan_orphans(root: str) -> list[str]:
     orphans = []
     for dirpath, _dirnames, filenames in os.walk(root):
         for name in filenames:
-            if name.endswith((".tmp", ".rewrite.tmp")):
+            if name.endswith(".tmp"):
                 orphans.append(os.path.relpath(os.path.join(dirpath, name), root))
     return sorted(orphans)
 

@@ -218,15 +218,15 @@ class JournalWriteError(CheckpointError):
 
 
 class RegistryCorruptionError(CheckpointError, EvaluationFailure):
-    """A run-registry journal contains a record that cannot be decoded.
+    """A run-registry record cannot yield the result asked of it.
 
     Both persistence damage (a :class:`CheckpointError` — the JSONL
     journal is the run's durable state) and an operational failure the
-    execution layer knows how to handle (an :class:`EvaluationFailure`):
-    a torn *final* record — the signature of a crash mid-append — is
-    dropped and the grid resumes; damage anywhere else is quarantined
-    and salvaged by default (see :mod:`repro.exec.scrub`), or raises
-    this error with the offending location under ``salvage="raise"``.
+    execution layer knows how to handle (an :class:`EvaluationFailure`).
+    Loading never raises it: a torn *final* record — the signature of a
+    crash mid-append — is dropped, and damage anywhere else is
+    quarantined and salvaged (see :mod:`repro.exec.scrub`), so the grid
+    resumes and re-runs only the lost cells.
     """
 
     def __init__(self, message: str, path: str | None = None,

@@ -9,11 +9,12 @@ persist as fsync'd JSONL journals with the same durability contract:
   acknowledged record plus at most one torn final line;
 * **torn-tail repair** truncates a trailing partial write back to the
   last newline, so a post-crash append never glues onto a torn line;
-* **rewrite** (the compaction primitive) replaces the journal
-  atomically: the new content is written to a temporary sibling,
-  fsync'd, and ``os.replace``'d over the journal — a crash at any point
-  leaves either the complete old journal or the complete new one, never
-  a mix, and a stale temporary is cleaned up on the next append/rewrite;
+* **rewrite** (the compaction primitive) replaces the journal through
+  :func:`atomic_write`: the new content is written to a temporary
+  sibling, fsync'd, ``os.replace``'d over the journal, and the directory
+  fsync'd — a crash at any point leaves either the complete old journal
+  or the complete new one, never a mix, and a stale temporary is
+  cleaned up on the next append/rewrite;
 * **write failures** (disk full, permission lost, dying disk) surface
   as structured :class:`~repro.errors.JournalWriteError` carrying the
   path and errno — the caller knows the record was *not* acknowledged
@@ -29,9 +30,15 @@ instead of being replayed as quietly wrong data.  Unframed legacy
 lines pass through :func:`unframe_line` unchanged, so journals written
 before framing (and committed golden fixtures) keep loading.
 
-This module owns only bytes-on-disk mechanics and the envelope codec;
-record schemas, replay semantics, and salvage policy belong to the
-callers (see :mod:`repro.exec.scrub`).
+The same two primitives serve single-document files: every checkpoint
+(:mod:`repro.reliability.checkpoint`) and benchmark artefact is written
+by :func:`atomic_write`, and every checkpoint is read back by
+:func:`read_framed`, which parses one framed document and locates a
+parse error by byte offset.
+
+This module owns only bytes-on-disk mechanics and the envelope codec,
+for journals and checkpoints alike; record schemas, replay semantics,
+and salvage-on-load belong to the callers (see :mod:`repro.exec.scrub`).
 """
 
 from __future__ import annotations
@@ -41,20 +48,22 @@ import os
 import zlib
 from typing import Iterable, Iterator
 
-from repro.errors import JournalWriteError
+from repro.errors import CheckpointError, JournalWriteError
 
 __all__ = [
     "FRAME_VERSION",
     "JsonlJournal",
+    "atomic_write",
     "canonical_json",
     "frame_line",
     "frame_obj",
+    "read_framed",
     "unframe_line",
     "unframe_obj",
 ]
 
-#: Suffix of the temporary sibling a rewrite stages into.
-_REWRITE_SUFFIX = ".rewrite.tmp"
+#: Suffix of the temporary sibling every :func:`atomic_write` stages into.
+_TMP_SUFFIX = ".tmp"
 
 #: Envelope schema version: ``{"crc":N,"rec":{...},"v":FRAME_VERSION}``.
 FRAME_VERSION = 1
@@ -134,6 +143,86 @@ def unframe_line(line) -> tuple[dict, bool]:
     return unframe_obj(obj)
 
 
+def read_framed(path) -> tuple[object, bool]:
+    """Read one framed JSON document from ``path`` and verify it.
+
+    Returns ``(record, framed)`` as :func:`unframe_obj` does, so legacy
+    unframed documents pass through.  A read failure propagates as
+    :class:`OSError`; a document that does not parse or verify raises
+    :class:`~repro.errors.CheckpointError` carrying the path and the
+    byte offset of the damage — where the parser stopped, or 0 when the
+    envelope checksum (one over the whole document) fails.
+    """
+    path = os.fspath(path)
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    try:
+        document = json.loads(blob.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(
+            f"corrupt checkpoint {path!r} at byte offset {exc.start}: "
+            f"{exc.reason}",
+            path=path,
+            offset=exc.start,
+        ) from exc
+    except json.JSONDecodeError as exc:
+        # exc.pos is a character offset; report the byte offset so the
+        # message matches what `truncate`, `dd`, and hexdumps show.
+        offset = len(exc.doc[: exc.pos].encode("utf-8"))
+        raise CheckpointError(
+            f"corrupt checkpoint {path!r} at byte offset {offset}: {exc.msg}",
+            path=path,
+            offset=offset,
+        ) from exc
+    try:
+        return unframe_obj(document)
+    except ValueError as exc:
+        raise CheckpointError(
+            f"corrupt checkpoint {path!r}: {exc}", path=path, offset=0
+        ) from exc
+
+
+def _remove_quietly(path: str) -> None:
+    try:
+        os.remove(path)
+    except OSError:
+        pass
+
+
+def atomic_write(path, data: bytes) -> None:
+    """Durably replace the file at ``path`` with ``data``.
+
+    Stages ``data`` in the ``<path>.tmp`` sibling, fsyncs it,
+    ``os.replace``'s it over ``path`` (atomic on POSIX), and fsyncs the
+    directory so the rename itself survives a power cut.  A crash at any
+    point leaves either the complete old file or the complete new one.
+    When the filesystem refuses, the temporary is removed and the
+    :class:`OSError` propagates for the caller to wrap in its own error.
+    """
+    path = os.fspath(path)
+    tmp = path + _TMP_SUFFIX
+    directory = os.path.dirname(path)
+    try:
+        if directory:
+            os.makedirs(directory, exist_ok=True)
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+        try:
+            dir_fd = os.open(directory or os.curdir, os.O_RDONLY)
+        except OSError:
+            return  # no directory handle on this platform
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
+    except OSError:
+        _remove_quietly(tmp)
+        raise
+
+
 class JsonlJournal:
     """One append-only JSONL file with crash-safe append and rewrite."""
 
@@ -152,7 +241,7 @@ class JsonlJournal:
 
     @property
     def rewrite_path(self) -> str:
-        return self.path + _REWRITE_SUFFIX
+        return self.path + _TMP_SUFFIX
 
     # ------------------------------------------------------------------
     # Writing
@@ -181,18 +270,6 @@ class JsonlJournal:
         except FileNotFoundError:
             return
 
-    def _discard_stale_rewrite(self) -> None:
-        """Remove a temporary left by a rewrite that never completed.
-
-        ``os.replace`` is atomic, so a crash mid-rewrite leaves the old
-        journal intact plus (possibly) a partial temporary — which must
-        never be read and must not accumulate.
-        """
-        try:
-            os.remove(self.rewrite_path)
-        except OSError:
-            pass
-
     def append_line(self, line: str) -> None:
         """Durably append one JSON line (single write + flush + fsync).
 
@@ -206,7 +283,10 @@ class JsonlJournal:
         try:
             if directory:
                 os.makedirs(directory, exist_ok=True)
-            self._discard_stale_rewrite()
+            # ``os.replace`` is atomic, so a crash mid-rewrite leaves the
+            # old journal intact plus (possibly) a partial temporary —
+            # which must never be read and must not accumulate.
+            _remove_quietly(self.rewrite_path)
             try:
                 self.repair_tail()
             except OSError:
@@ -224,40 +304,19 @@ class JsonlJournal:
 
     def append(self, obj: dict) -> None:
         """Durably append one record as canonical one-line JSON."""
-        self.append_line(json.dumps(obj, sort_keys=True, separators=(",", ":")))
+        self.append_line(canonical_json(obj))
 
     def rewrite(self, lines: Iterable[str]) -> None:
         """Atomically replace the journal's content with ``lines``.
 
-        The snapshot-then-swap compaction primitive: stage the new
-        content in a temporary sibling, fsync it, then ``os.replace`` it
-        over the journal (atomic on POSIX), and fsync the directory so
-        the rename itself is durable.  A crash before the replace leaves
-        the old journal untouched; after it, the new one is complete.
+        The snapshot-then-swap compaction primitive, via
+        :func:`atomic_write`: a crash before the replace leaves the old
+        journal untouched; after it, the new one is complete.
         """
-        tmp = self.rewrite_path
-        directory = os.path.dirname(self.path)
+        data = "".join(line + "\n" for line in lines).encode("utf-8")
         try:
-            if directory:
-                os.makedirs(directory, exist_ok=True)
-            with open(tmp, "wb") as fh:
-                for line in lines:
-                    fh.write((line + "\n").encode("utf-8"))
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, self.path)
-            if directory:
-                try:
-                    dir_fd = os.open(directory, os.O_RDONLY)
-                except OSError:
-                    dir_fd = None
-                if dir_fd is not None:
-                    try:
-                        os.fsync(dir_fd)
-                    finally:
-                        os.close(dir_fd)
+            atomic_write(self.path, data)
         except OSError as exc:
-            self._discard_stale_rewrite()
             raise JournalWriteError(
                 f"journal {self.path!r}: rewrite failed: {exc}",
                 path=self.path,
@@ -282,6 +341,6 @@ class JsonlJournal:
 
     def clear(self) -> None:
         """Delete the journal and any stale rewrite temporary."""
-        self._discard_stale_rewrite()
+        _remove_quietly(self.rewrite_path)
         if self.exists():
             os.remove(self.path)

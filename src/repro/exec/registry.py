@@ -9,14 +9,11 @@ line.  Loading tolerates exactly that: a final line that does not parse
 truncated from the file — it is the signature of a process killed
 mid-append, and truncating keeps later appends from gluing a fresh
 record onto the torn partial line.  Damage anywhere *else* is not a
-crash artifact, and is handled by salvage policy
-(:mod:`repro.exec.scrub`): under ``quarantine`` (the default) the
-damaged records are preserved in a ``.quarantine`` sidecar with byte
-offsets, the clean journal is atomically rewritten, and the load
-continues — resuming re-executes exactly the cells whose records were
-lost; under ``raise`` (``REPRO_SALVAGE=raise`` or
-``load(salvage="raise")``) the old fail-stop behavior raises
-:class:`~repro.errors.RegistryCorruptionError` with the byte offset.
+crash artifact, and is salvaged on load by
+:func:`~repro.exec.scrub.scrub_journal`: the damaged records are
+preserved in a ``.quarantine`` sidecar with byte offsets, the clean
+journal is atomically rewritten, and the load continues — resuming
+re-executes exactly the cells whose records were lost.
 
 Records are keyed by the deterministic cell fingerprint
 (:mod:`repro.exec.fingerprint`); completed cells carry their result as
@@ -42,24 +39,15 @@ from __future__ import annotations
 
 import base64
 import hashlib
-import json
 import os
 import pickle
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.errors import RegistryCorruptionError
-from repro.exec.journal import JsonlJournal, frame_line, unframe_line
-from repro.exec.scrub import (
-    ScrubReport,
-    quarantine_and_rewrite,
-    raise_corruption,
-    resolve_salvage,
-    scan_journal,
-    scrub_journal,
-)
+from repro.exec.journal import JsonlJournal, frame_obj, unframe_line
+from repro.exec.scrub import ScrubReport, scrub_journal
 
 __all__ = [
     "RECORD_VERSION",
@@ -119,7 +107,7 @@ class RunRecord:
         return pickle.loads(self.payload)
 
 
-def _record_to_json(record: RunRecord) -> str:
+def _record_to_wire(record: RunRecord) -> dict:
     data: dict[str, Any] = {
         "v": record.version,
         "fp": record.fingerprint,
@@ -139,7 +127,7 @@ def _record_to_json(record: RunRecord) -> str:
         data["message"] = record.message
     if record.meta:
         data["meta"] = record.meta
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+    return data
 
 
 def _record_from_dict(data: dict) -> RunRecord:
@@ -174,14 +162,28 @@ class RegistryState:
     completed: dict[str, RunRecord] = field(default_factory=dict)
     failed: dict[str, RunRecord] = field(default_factory=dict)
     n_records: int = 0
-    dropped_partial: bool = False
-    #: the scrub report when the load salvaged damaged records.
+    #: what the load's scrub pass found (``None`` before any load).
     salvage: ScrubReport | None = None
+
+    @property
+    def dropped_partial(self) -> bool:
+        """Whether the load dropped a torn final record."""
+        return self.salvage is not None and self.salvage.dropped_partial
 
     @property
     def salvaged_records(self) -> int:
         """Damaged records quarantined by this load (0 when clean)."""
         return 0 if self.salvage is None else len(self.salvage.quarantined)
+
+    def add(self, record: RunRecord) -> None:
+        """Fold one replayed record in: the last record per fingerprint
+        wins, except that a later failure does not un-complete a cell."""
+        self.n_records += 1
+        if record.completed:
+            self.completed[record.fingerprint] = record
+            self.failed.pop(record.fingerprint, None)
+        elif record.fingerprint not in self.completed:
+            self.failed[record.fingerprint] = record
 
     def record_for(self, fingerprint: str) -> RunRecord | None:
         return self.completed.get(fingerprint) or self.failed.get(fingerprint)
@@ -227,7 +229,7 @@ class RunRegistry:
         append or load cannot repair.  The record is wrapped in a
         CRC32 envelope so bit rot at rest is detected on load.
         """
-        self._journal.append_line(frame_line(_record_to_json(record)))
+        self._journal.append_line(frame_obj(_record_to_wire(record)))
 
     def mark_completed(
         self,
@@ -284,79 +286,23 @@ class RunRegistry:
         rec, framed = unframe_line(line)
         return _record_from_dict(rec), framed
 
-    def load(self, salvage: str | None = None) -> RegistryState:
+    def load(self) -> RegistryState:
         """Replay the journal into its latest per-fingerprint state.
 
         A torn final line is dropped (with a warning).  Mid-journal
         damage — a failed envelope CRC, a payload SHA mismatch, an
-        undecodable record — follows ``salvage`` (``REPRO_SALVAGE``
-        when ``None``): ``"quarantine"`` preserves the damaged lines in
-        the ``.quarantine`` sidecar, atomically rewrites the clean
-        journal, warns, and keeps loading, so resuming re-executes only
-        the lost cells (the count is on ``state.salvaged_records``);
-        ``"raise"`` raises :class:`RegistryCorruptionError` naming the
-        path and byte offset.
+        undecodable record — is quarantined to the ``.quarantine``
+        sidecar, the clean journal is atomically rewritten, and the
+        load warns and keeps going, so resuming re-executes only the
+        lost cells (the count is on ``state.salvaged_records``).
         """
-        mode = resolve_salvage(salvage)
         state = RegistryState()
-        if not self.exists():
-            return state
-        clean, damaged, torn = scan_journal(self._journal, self._decode_line)
-        if damaged and mode == "raise":
-            raise_corruption("run registry", self.path, damaged[0])
-        if torn is not None:
-            state.dropped_partial = True
-            warnings.warn(
-                f"run registry {self.path!r}: dropping torn final record "
-                f"at byte offset {torn.offset} ({torn.reason}); the cell "
-                "will simply re-run",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        if damaged:
-            quarantine_path, rewritten = quarantine_and_rewrite(
-                self._journal, clean, damaged
-            )
-            state.salvage = ScrubReport(
-                path=self.path,
-                n_records=len(clean),
-                n_framed=sum(1 for s in clean if s.framed),
-                quarantined=tuple(damaged),
-                dropped_partial=torn is not None,
-                rewritten=rewritten,
-                quarantine_path=quarantine_path,
-            )
-            offsets = ", ".join(str(d.offset) for d in damaged)
-            warnings.warn(
-                f"run registry {self.path!r}: quarantined {len(damaged)} "
-                f"damaged record(s) at byte offset(s) {offsets} "
-                f"(sidecar: {quarantine_path}); the lost cells will simply "
-                "re-run",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        for scanned in clean:
-            record = scanned.record
-            state.n_records += 1
-            if record.completed:
-                state.completed[record.fingerprint] = record
-                state.failed.pop(record.fingerprint, None)
-            else:
-                # A later failure does not un-complete a cell.
-                if record.fingerprint not in state.completed:
-                    state.failed[record.fingerprint] = record
+        state.salvage = scrub_journal(self.path, self._decode_line,
+                                      apply=state.add, label="run registry")
         return state
 
     def completed_fingerprints(self) -> set[str]:
         return set(self.load().completed)
-
-    def scrub(self, salvage: bool = True) -> ScrubReport:
-        """Verify every record (envelope CRC + schema + payload SHA).
-
-        With ``salvage`` damaged records are quarantined and the clean
-        journal atomically swapped in; without it nothing is modified.
-        """
-        return scrub_journal(self.path, self._decode_line, salvage=salvage)
 
     def clear(self) -> None:
         """Delete the journal (a fresh grid starts from nothing)."""
@@ -386,7 +332,7 @@ class RunRegistry:
         ] + [
             state.failed[fp] for fp in sorted(state.failed)
         ]
-        self._journal.rewrite(frame_line(_record_to_json(r)) for r in records)
+        self._journal.rewrite(frame_obj(_record_to_wire(r)) for r in records)
         return CompactionStats(
             records_before=state.n_records,
             records_after=len(records),

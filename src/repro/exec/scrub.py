@@ -18,12 +18,14 @@ compaction — without turning one bad record into a dead campaign:
   :class:`ScrubReport` for one file, and :func:`main` exposes the pass
   as ``python -m repro.exec.scrub`` (``make scrub``).
 
-Salvage policy is governed by ``REPRO_SALVAGE`` (:func:`salvage_mode`):
-``quarantine`` (the default) lets :class:`~repro.exec.RunRegistry` and
-the service :class:`~repro.service.store.SessionStore` salvage on load
-and re-execute only what was actually lost; ``raise`` preserves the
-old fail-stop behavior (:class:`~repro.errors.RegistryCorruptionError`
-at the first damaged record).
+:func:`scrub_journal` is also the one salvage-on-load path:
+:class:`~repro.exec.RunRegistry` and the service
+:class:`~repro.service.store.SessionStore` replay their journals
+through it (``apply=`` folds each clean record into the caller's
+state, ``label=`` turns on the load warnings), so both always
+quarantine damage and re-execute only what was actually lost.  The
+sidecar keeps every damaged byte with its offset, and ``--check`` is
+the read-only audit that modifies nothing.
 """
 
 from __future__ import annotations
@@ -34,20 +36,18 @@ import hashlib
 import os
 import sys
 import time
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.errors import JournalWriteError, RegistryCorruptionError
-from repro.exec.journal import JsonlJournal, unframe_line
+from repro.errors import CheckpointError, JournalWriteError
+from repro.exec.journal import JsonlJournal, read_framed, unframe_line
 
 __all__ = [
-    "SALVAGE_MODES",
     "QUARANTINE_SUFFIX",
     "DamagedLine",
     "ScannedLine",
     "ScrubReport",
-    "salvage_mode",
-    "resolve_salvage",
     "scan_journal",
     "quarantine_and_rewrite",
     "scrub_journal",
@@ -55,41 +55,8 @@ __all__ = [
     "main",
 ]
 
-#: Salvage policies ``REPRO_SALVAGE`` may select.
-SALVAGE_MODES = ("quarantine", "raise")
-
 #: Sidecar suffix damaged records are preserved under.
 QUARANTINE_SUFFIX = ".quarantine"
-
-
-def salvage_mode(default: str = "quarantine") -> str:
-    """The salvage policy from ``REPRO_SALVAGE`` (default ``quarantine``).
-
-    ``quarantine`` moves damaged records to the sidecar and continues;
-    ``raise`` restores the fail-stop behavior of raising
-    :class:`~repro.errors.RegistryCorruptionError` at the first damaged
-    mid-journal record.
-    """
-    env = os.environ.get("REPRO_SALVAGE")
-    if env is None or env == "":
-        return default
-    value = env.strip().lower()
-    if value not in SALVAGE_MODES:
-        raise ValueError(
-            f"REPRO_SALVAGE={env!r}: expected one of {SALVAGE_MODES}"
-        )
-    return value
-
-
-def resolve_salvage(salvage: str | None) -> str:
-    """Validate an explicit salvage mode, or fall back to the env knob."""
-    if salvage is None:
-        return salvage_mode()
-    if salvage not in SALVAGE_MODES:
-        raise ValueError(
-            f"salvage={salvage!r}: expected one of {SALVAGE_MODES}"
-        )
-    return salvage
 
 
 @dataclass(frozen=True)
@@ -133,9 +100,13 @@ class ScrubReport:
     n_records: int = 0  # records that verified clean
     n_framed: int = 0  # ... of which carried CRC32 envelopes
     quarantined: tuple[DamagedLine, ...] = ()
-    dropped_partial: bool = False  # a torn final line was dropped
+    torn: DamagedLine | None = None  # a torn final line that was dropped
     rewritten: bool = False  # the clean journal was swapped in
     quarantine_path: str | None = None
+
+    @property
+    def dropped_partial(self) -> bool:
+        return self.torn is not None
 
     @property
     def n_legacy(self) -> int:
@@ -266,22 +237,12 @@ def quarantine_and_rewrite(
     return quarantine_path, rewritten
 
 
-def raise_corruption(
-    label: str, path: str, damaged: DamagedLine
-) -> None:
-    """The fail-stop path: surface the first damaged record and stop."""
-    raise RegistryCorruptionError(
-        f"{label} {path!r} is corrupt at byte offset {damaged.offset}: "
-        f"{damaged.reason}",
-        path=path,
-        offset=damaged.offset,
-    )
-
-
 def scrub_journal(
     path,
     decode: Callable[[bytes], tuple[object, bool]] = _decode_generic,
     salvage: bool = True,
+    apply: Callable[[object], object] | None = None,
+    label: str | None = None,
 ) -> ScrubReport:
     """Scrub one JSONL journal; salvage unless ``salvage=False``.
 
@@ -289,25 +250,72 @@ def scrub_journal(
     the sidecar and the clean journal is atomically rewritten; without
     it the pass is a pure verification (``--check``) that modifies
     nothing — not even a torn tail.
+
+    ``apply`` replays each clean record, in journal order, into the
+    caller's state; a record that decodes but raises
+    ``ValueError``/``KeyError``/``TypeError`` from ``apply`` is damage
+    like any other.  ``label`` (``"run registry"``, ``"session store"``)
+    makes the pass warn about a dropped torn tail and about the
+    quarantined offsets, as a load should.
     """
     journal = JsonlJournal(path)
     clean, damaged, torn = scan_journal(journal, decode,
                                         repair_tail=salvage)
+    if apply is not None:
+        applied = []
+        for scanned in clean:
+            try:
+                apply(scanned.record)
+            except (ValueError, KeyError, TypeError) as exc:
+                # Decoded but unappliable: silent corruption that still
+                # parses.
+                damaged.append(DamagedLine(offset=scanned.offset,
+                                           raw=scanned.line.encode("utf-8"),
+                                           reason=str(exc)))
+                continue
+            applied.append(scanned)
+        clean = applied
+        damaged.sort(key=lambda d: d.offset)
     quarantine_path = None
     rewritten = False
     if damaged and salvage:
         quarantine_path, rewritten = quarantine_and_rewrite(
             journal, clean, damaged
         )
-    return ScrubReport(
+    report = ScrubReport(
         path=journal.path,
         n_records=len(clean),
         n_framed=sum(1 for s in clean if s.framed),
         quarantined=tuple(damaged),
-        dropped_partial=torn is not None,
+        torn=torn,
         rewritten=rewritten,
         quarantine_path=quarantine_path,
     )
+    if label is not None:
+        _warn_damage(label, report)
+    return report
+
+
+def _warn_damage(label: str, report: ScrubReport) -> None:
+    """The load warnings: a dropped torn tail, then quarantined records."""
+    if report.torn is not None:
+        warnings.warn(
+            f"{label} {report.path!r}: dropping torn final record at byte "
+            f"offset {report.torn.offset} ({report.torn.reason}); it was "
+            "never acknowledged",
+            RuntimeWarning,
+            stacklevel=4,
+        )
+    if report.quarantined:
+        offsets = ", ".join(str(d.offset) for d in report.quarantined)
+        warnings.warn(
+            f"{label} {report.path!r}: quarantined "
+            f"{len(report.quarantined)} damaged record(s) at byte "
+            f"offset(s) {offsets} (sidecar: {report.quarantine_path}); "
+            "only what they recorded is lost",
+            RuntimeWarning,
+            stacklevel=4,
+        )
 
 
 def scrub_checkpoint(path) -> ScrubReport:
@@ -316,24 +324,25 @@ def scrub_checkpoint(path) -> ScrubReport:
     Checkpoints are not salvaged line-by-line — their recovery story is
     the ``.bak`` sibling kept by
     :class:`~repro.reliability.CheckpointManager` — so a damaged
-    checkpoint is reported, never modified.
+    checkpoint is reported, never modified.  The damage offset is where
+    the parser stopped, or 0 when only the envelope checksum failed.
     """
     path = os.fspath(path)
     try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
+        _record, framed = read_framed(path)
     except FileNotFoundError:
         return ScrubReport(path=path)
-    try:
-        record, framed = unframe_line(blob)
-    except (ValueError, KeyError, TypeError) as exc:
+    except CheckpointError as exc:
         reason = str(exc)
         backup = path + ".bak"  # CheckpointManager's backup sibling
         if os.path.exists(backup):
             reason += f" (backup {backup!r} present)"
+        with open(path, "rb") as fh:
+            raw = fh.read()
         return ScrubReport(
             path=path,
-            quarantined=(DamagedLine(offset=0, raw=blob, reason=reason),),
+            quarantined=(DamagedLine(offset=exc.offset, raw=raw,
+                                     reason=reason),),
         )
     return ScrubReport(path=path, n_records=1, n_framed=1 if framed else 0)
 

@@ -258,13 +258,14 @@ def write_artifacts(summary: dict, out_dir="benchmarks/results") -> list[str]:
     """Write the json + txt recommendation artifacts crash-safely."""
     import os
 
-    from repro.reliability.checkpoint import atomic_write_text
+    from repro.exec.journal import atomic_write
 
     os.makedirs(out_dir, exist_ok=True)
     json_path = os.path.join(out_dir, "meta_recommendations.json")
     txt_path = os.path.join(out_dir, "meta_recommendations.txt")
-    atomic_write_text(json_path, json.dumps(summary, sort_keys=True, indent=2) + "\n")
-    atomic_write_text(txt_path, render_recommendations(summary))
+    document = json.dumps(summary, sort_keys=True, indent=2) + "\n"
+    atomic_write(json_path, document.encode("utf-8"))
+    atomic_write(txt_path, render_recommendations(summary).encode("utf-8"))
     return [json_path, txt_path]
 
 

@@ -17,7 +17,9 @@ class of hazard:
   censored/penalty measurements instead of raising;
 * :mod:`~repro.reliability.checkpoint` — JSON checkpoint/resume for
   searches, tuning runs and transfer sessions, preserving CRN
-  alignment bit-for-bit across the interruption;
+  alignment bit-for-bit across the interruption; every checkpoint is
+  CRC32-framed, written by the journal layer's atomic write, and
+  recovered from its ``.bak`` when damaged or missing;
 * :mod:`~repro.reliability.stats` — counters describing how much the
   reliability machinery actually worked.
 """

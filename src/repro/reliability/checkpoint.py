@@ -21,6 +21,13 @@ bit-identical :class:`Configuration` objects via ``space.config_at``.
 CRN alignment survives a resume because a rebuilt
 :class:`SharedStream` regenerates the same sequence from its seed and
 the manager re-materializes exactly the checkpointed prefix.
+
+Search checkpoints and session checkpoints (:func:`save_traces`) share
+one document path: each save frames the document in the journal
+layer's CRC32 envelope, keeps the previous copy as ``<path>.bak``, and
+lands through :func:`~repro.exec.journal.atomic_write`; each load
+verifies the primary and falls back to the ``.bak`` when the primary
+is damaged or missing.
 """
 
 from __future__ import annotations
@@ -31,13 +38,12 @@ import warnings
 from dataclasses import dataclass, field
 
 from repro.errors import CheckpointError
-from repro.exec.journal import frame_line, unframe_obj
+from repro.exec.journal import atomic_write, frame_line, read_framed
 from repro.search.result import EvaluationRecord, SearchTrace
 from repro.searchspace.space import SearchSpace
 
 __all__ = [
     "FORMAT_VERSION",
-    "atomic_write_text",
     "trace_to_dict",
     "trace_from_dict",
     "SearchCheckpoint",
@@ -195,102 +201,95 @@ def _offset_label(exc: CheckpointError) -> str:
     return "n/a" if getattr(exc, "offset", None) is None else str(exc.offset)
 
 
+def _read(path: str) -> dict:
+    """One verified checkpoint document, with its floats decoded."""
+    try:
+        payload, _framed = read_framed(path)
+    except OSError as exc:
+        raise CheckpointError(
+            f"could not read checkpoint {path!r}: {exc}", path=path
+        ) from exc
+    return _decode_floats(payload)
+
+
 def _verifies(path: str) -> bool:
     """Whether ``path`` currently holds a checkpoint that passes
     verification (parses, and its CRC32 envelope — if framed — holds)."""
     try:
-        _read_json(path)
-    except CheckpointError:
+        read_framed(path)
+    except (OSError, CheckpointError):
         return False
     return True
 
 
-def _atomic_write(path: str, payload: dict, keep_backup: bool = False) -> None:
-    """Write-then-fsync-then-rename; with ``keep_backup`` the previous
-    file survives as ``<path>.bak`` — the recovery target when the live
-    file is later found truncated or corrupt.  Only a previous file
-    that still *verifies* is promoted: a corrupt primary never
-    overwrites the last good backup.
+def _write(path: str, payload: dict) -> None:
+    """Durably save one checkpoint document, keeping the last good copy.
 
     The document is wrapped in the journal layer's CRC32 envelope
     (:func:`~repro.exec.journal.frame_line`), so *any* bit flip at rest
     — even one that still parses as JSON — fails verification on load
-    instead of resuming from quietly wrong state; legacy unframed
-    checkpoints keep loading.
+    instead of resuming from quietly wrong state.  The previous file
+    survives as ``<path>.bak`` — the recovery target when the live file
+    is later found damaged or missing — but only when it still
+    *verifies*: promoting a bit-rotted primary would clobber the last
+    good backup, and the very next corruption hit would leave *both*
+    copies bad.  A primary that fails its CRC is simply replaced.
     """
-    tmp = f"{path}.tmp"
     doc = json.dumps(
         _encode_floats(payload), sort_keys=True, separators=(",", ":"),
         allow_nan=False,
     )
     try:
-        with open(tmp, "w") as fh:
-            fh.write(frame_line(doc))
-            fh.flush()
-            os.fsync(fh.fileno())
-        if keep_backup and os.path.exists(path) and _verifies(path):
-            # Rotation is gated on verification: promoting a bit-rotted
-            # primary would clobber the last good backup, and the very
-            # next corruption hit would leave *both* copies bad.  A
-            # primary that fails its CRC is simply discarded by the
-            # rename below — the existing backup stays the recovery
-            # target.
+        if _verifies(path):
             os.replace(path, _backup_path(path))
-        os.replace(tmp, path)
+        atomic_write(path, frame_line(doc).encode("utf-8"))
     except OSError as exc:
         raise CheckpointError(
             f"could not write checkpoint {path!r}: {exc}", path=path
         ) from exc
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Crash-safe plain-text write: tmp file, fsync, rename.
+def _load(path: str, parse):
+    """``parse`` of the checkpoint at ``path``, or ``None`` when neither
+    it nor its ``.bak`` exists.
 
-    A reader (or a crash) never sees a half-written file — it sees the
-    old content or the new, nothing in between.  Benchmark artefacts
-    under ``benchmarks/results/`` are written through this, so a killed
-    run cannot leave a truncated table behind masquerading as results.
+    A damaged or missing primary (a flipped bit caught by the CRC32
+    envelope, a crash between the ``.bak`` rotation and the new
+    primary landing) falls back to the ``.bak`` with a warning:
+    strictly better than restarting, and exact because every save
+    point is a complete snapshot.  When the backup *also* fails, the
+    error reports both paths and both byte offsets (and carries the
+    backup's on ``backup_path``/``backup_offset``).
     """
-    path = os.fspath(path)
-    tmp = f"{path}.tmp"
+    backup = _backup_path(path)
+    if not (os.path.exists(path) or os.path.exists(backup)):
+        return None
     try:
-        with open(tmp, "w") as fh:
-            fh.write(text)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except OSError as exc:
-        raise CheckpointError(f"could not write {path!r}: {exc}") from exc
-
-
-def _read_json(path: str) -> dict:
-    try:
-        with open(path) as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise CheckpointError(
-            f"could not read checkpoint {path!r}: {exc}", path=path
-        ) from exc
-    try:
-        document = json.loads(blob)
-    except json.JSONDecodeError as exc:
-        # exc.pos is a character offset; report the byte offset so the
-        # message matches what `truncate`, `dd`, and hexdumps show.
-        offset = len(blob[: exc.pos].encode("utf-8"))
-        raise CheckpointError(
-            f"corrupt checkpoint {path!r} at byte offset {offset}: {exc.msg}",
-            path=path,
-            offset=offset,
-        ) from exc
-    try:
-        payload, _framed = unframe_obj(document)
-    except ValueError as exc:
-        # The envelope is one checksum over the whole document, so a
-        # verification failure locates the file, not a byte: offset 0.
-        raise CheckpointError(
-            f"corrupt checkpoint {path!r}: {exc}", path=path, offset=0
-        ) from exc
-    return _decode_floats(payload)
+        return parse(_read(path))
+    except CheckpointError as exc:
+        if not os.path.exists(backup):
+            raise
+        try:
+            recovered = parse(_read(backup))
+        except CheckpointError as bak_exc:
+            combined = CheckpointError(
+                "checkpoint and backup both failed verification — "
+                f"primary {path!r} (byte offset {_offset_label(exc)}): "
+                f"{exc}; backup {backup!r} (byte offset "
+                f"{_offset_label(bak_exc)}): {bak_exc}",
+                path=path,
+                offset=exc.offset,
+            )
+            combined.backup_path = backup
+            combined.backup_offset = bak_exc.offset
+            raise combined from exc
+        warnings.warn(
+            f"checkpoint {path!r} is unreadable ({exc}); "
+            f"resuming from backup {backup!r}",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        return recovered
 
 
 class CheckpointManager:
@@ -319,46 +318,13 @@ class CheckpointManager:
     def load(self) -> SearchCheckpoint | None:
         """The stored snapshot, or ``None`` when no file exists.
 
-        A truncated or corrupt snapshot (a crash mid-save, a flipped
-        bit caught by the CRC32 envelope) raises
-        :class:`CheckpointError` naming the path and byte offset —
-        unless the ``.bak`` of the last good checkpoint (kept by every
-        :meth:`save`) still verifies, in which case the resume falls
-        back to it with a warning: strictly better than restarting, and
-        exact because every save point is a complete snapshot.  When
-        the backup *also* fails verification, the error reports both
-        paths and both byte offsets (and carries the backup's on
-        ``backup_path``/``backup_offset``).
+        A damaged primary (a crash mid-save, a flipped bit caught by
+        the CRC32 envelope) or a missing one falls back to the ``.bak``
+        of the last good checkpoint (kept by every :meth:`save`) with a
+        warning; when that fails too, :class:`CheckpointError` names
+        both paths and byte offsets.
         """
-        if not self.exists():
-            return None
-        try:
-            return SearchCheckpoint.from_dict(_read_json(self.path))
-        except CheckpointError as exc:
-            backup = _backup_path(self.path)
-            if not os.path.exists(backup):
-                raise
-            try:
-                snapshot = SearchCheckpoint.from_dict(_read_json(backup))
-            except CheckpointError as bak_exc:
-                combined = CheckpointError(
-                    "checkpoint and backup both failed verification — "
-                    f"primary {self.path!r} (byte offset "
-                    f"{_offset_label(exc)}): {exc}; backup {backup!r} "
-                    f"(byte offset {_offset_label(bak_exc)}): {bak_exc}",
-                    path=self.path,
-                    offset=exc.offset,
-                )
-                combined.backup_path = backup
-                combined.backup_offset = bak_exc.offset
-                raise combined from exc
-            warnings.warn(
-                f"checkpoint {self.path!r} is unreadable ({exc}); "
-                f"resuming from backup {backup!r}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return snapshot
+        return _load(self.path, SearchCheckpoint.from_dict)
 
     # ------------------------------------------------------------------
     def restore(
@@ -420,7 +386,7 @@ class CheckpointManager:
             reliability=reliability,
             extra=extra or {},
         )
-        _atomic_write(self.path, snapshot.to_dict(), keep_backup=True)
+        _write(self.path, snapshot.to_dict())
         self._last_saved_position = position
 
     def maybe_save(
@@ -456,21 +422,28 @@ def save_traces(path, traces: dict[str, SearchTrace]) -> None:
         "version": FORMAT_VERSION,
         "traces": {name: trace_to_dict(t) for name, t in traces.items()},
     }
-    _atomic_write(os.fspath(path), payload)
+    _write(os.fspath(path), payload)
 
 
-def load_traces(path, space: SearchSpace) -> dict[str, SearchTrace]:
-    """Load the finished traces of an interrupted transfer session."""
-    path = os.fspath(path)
-    if not os.path.exists(path):
-        return {}
-    data = _read_json(path)
+def _session_document(data: dict) -> dict:
     version = int(data.get("version", -1))
     if version != FORMAT_VERSION:
         raise CheckpointError(
             f"session checkpoint version {version} not supported "
             f"(expected {FORMAT_VERSION})"
         )
+    return data
+
+
+def load_traces(path, space: SearchSpace) -> dict[str, SearchTrace]:
+    """Load the finished traces of an interrupted transfer session.
+
+    Recovers like :meth:`CheckpointManager.load`: a damaged or missing
+    file falls back to the ``.bak`` that :func:`save_traces` keeps.
+    """
+    data = _load(os.fspath(path), _session_document)
+    if data is None:
+        return {}
     return {
         name: trace_from_dict(space, tdata)
         for name, tdata in data.get("traces", {}).items()

@@ -17,8 +17,9 @@ event tail — is wrapped in a per-record CRC32 envelope
 (:func:`~repro.exec.journal.frame_line`), so bit rot that still parses
 as JSON is *detected* on replay instead of resurrecting quietly wrong
 state; unframed legacy journals keep loading, and mid-journal damage
-is quarantined and salvaged on :meth:`SessionStore.open` (see
-:mod:`repro.exec.scrub`) rather than killing the service.
+is always quarantined and salvaged on :meth:`SessionStore.open` by
+:func:`~repro.exec.scrub.scrub_journal` rather than killing the
+service.
 
 Long-lived services rotate the journal with :meth:`SessionStore.compact`:
 the current state (all sessions, all jobs, a bounded tail of events per
@@ -31,20 +32,11 @@ on a compaction having finished.
 
 from __future__ import annotations
 
-import json
 import time
-import warnings
 from collections import deque
 
-from repro.exec.journal import JsonlJournal, frame_line, unframe_line
-from repro.exec.scrub import (
-    DamagedLine,
-    ScrubReport,
-    quarantine_and_rewrite,
-    raise_corruption,
-    resolve_salvage,
-    scan_journal,
-)
+from repro.exec.journal import JsonlJournal, frame_obj, unframe_line
+from repro.exec.scrub import ScrubReport, scrub_journal
 from repro.service.model import (
     SESSION_OPEN,
     Event,
@@ -63,10 +55,6 @@ DEFAULT_KEEP_EVENTS = 64
 #: Events kept in memory across all sessions (older ones are served
 #: only until evicted; clients are expected to poll promptly).
 DEFAULT_EVENT_BUFFER = 8192
-
-
-def _encode(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
 class SessionStore:
@@ -113,86 +101,29 @@ class SessionStore:
             raise ValueError("not a store record")
         return record, framed
 
-    def open(self, salvage: str | None = None) -> "SessionStore":
+    def open(self) -> "SessionStore":
         """Replay the journal (if any) into memory; returns ``self``.
 
         A torn final line — the signature of a crash mid-append — is
         dropped with a warning and truncated.  Mid-journal damage (a
-        failed envelope CRC, an undecodable or unappliable record)
-        follows ``salvage`` (``REPRO_SALVAGE`` when ``None``):
-        ``"quarantine"`` preserves the damaged lines in the
-        ``.quarantine`` sidecar, atomically rewrites the clean journal,
-        warns, and keeps replaying — a session whose own record was
-        lost but whose jobs survived is re-synthesized from them so
-        recovery stays consistent; ``"raise"`` raises
-        :class:`~repro.errors.RegistryCorruptionError` with the byte
-        offset.
+        failed envelope CRC, an undecodable or unappliable record) is
+        quarantined to the ``.quarantine`` sidecar, the clean journal is
+        atomically rewritten, and the replay warns and keeps going — a
+        session whose own record was lost but whose jobs survived is
+        re-synthesized from them so recovery stays consistent.
         """
-        mode = resolve_salvage(salvage)
         self.sessions.clear()
         self.jobs.clear()
         self.events.clear()
         self.next_seq = 1
-        self.salvage_report = None
         self.synthesized_sessions = 0
-        if not self._journal.exists():
-            self.recovered = False
-            return self
-        clean, damaged, torn = scan_journal(self._journal, self._decode_line)
-        if damaged and mode == "raise":
-            raise_corruption("session store", self.path, damaged[0])
-        if torn is not None:
-            warnings.warn(
-                f"session store {self.path!r}: dropping torn final record "
-                f"at byte offset {torn.offset} ({torn.reason}); the "
-                "transition was never acknowledged",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        n_applied = 0
-        survivors: list = []
-        for scanned in clean:
-            try:
-                self._apply(scanned.record)
-            except (ValueError, KeyError, TypeError) as exc:
-                # Decoded but unappliable: silent corruption that still
-                # parses.  Same policy as an envelope failure.
-                if mode == "raise":
-                    raise_corruption("session store", self.path,
-                                     DamagedLine(offset=scanned.offset,
-                                                 raw=scanned.line.encode(),
-                                                 reason=str(exc)))
-                damaged.append(DamagedLine(offset=scanned.offset,
-                                           raw=scanned.line.encode("utf-8"),
-                                           reason=str(exc)))
-                continue
-            survivors.append(scanned)
-            n_applied += 1
-        if damaged:
-            damaged.sort(key=lambda d: d.offset)
-            quarantine_path, rewritten = quarantine_and_rewrite(
-                self._journal, survivors, damaged
-            )
-            self.salvage_report = ScrubReport(
-                path=self.path,
-                n_records=len(survivors),
-                n_framed=sum(1 for s in survivors if s.framed),
-                quarantined=tuple(damaged),
-                dropped_partial=torn is not None,
-                rewritten=rewritten,
-                quarantine_path=quarantine_path,
-            )
+        self.salvage_report = scrub_journal(
+            self.path, self._decode_line, apply=self._apply,
+            label="session store",
+        )
+        if self.salvage_report.quarantined:
             self._synthesize_orphan_sessions()
-            offsets = ", ".join(str(d.offset) for d in damaged)
-            warnings.warn(
-                f"session store {self.path!r}: quarantined {len(damaged)} "
-                f"damaged record(s) at byte offset(s) {offsets} "
-                f"(sidecar: {quarantine_path}); lost transitions are "
-                "bounded by the quarantined count",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        self.recovered = n_applied > 0
+        self.recovered = self.salvage_report.n_records > 0
         return self
 
     def _synthesize_orphan_sessions(self) -> None:
@@ -245,7 +176,7 @@ class SessionStore:
             record["session"] = session.to_wire()
         if job is not None:
             record["job"] = job.to_wire()
-        self._journal.append_line(frame_line(_encode(record)))
+        self._journal.append_line(frame_obj(record))
         return self._apply(record)
 
     def _apply(self, record: dict) -> Event:
@@ -326,7 +257,7 @@ class SessionStore:
             },
         }
         retained = self._retained_events()
-        lines: list[str] = [frame_line(_encode(snapshot))]
+        lines: list[str] = [frame_obj(snapshot)]
         for event in retained:
             rec: dict = {
                 "v": STORE_VERSION,
@@ -337,7 +268,7 @@ class SessionStore:
             }
             if event.data:
                 rec["data"] = event.data
-            lines.append(frame_line(_encode(rec)))
+            lines.append(frame_obj(rec))
         self._journal.rewrite(lines)
         self.events = deque(retained, maxlen=self.events.maxlen)
         return self.size_bytes()

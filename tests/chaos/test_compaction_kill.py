@@ -11,7 +11,7 @@ append-only durability claim for both journal-backed stores:
   the kill; a resumed grid re-executes **zero** cells.
 * :class:`SessionStore`: every session and job state survives replay.
 
-In both cases a stale ``*.rewrite.tmp`` left by the kill must be
+In both cases a stale ``*.tmp`` left by the kill must be
 discarded (never read) by the next append or compaction.
 """
 
@@ -126,7 +126,7 @@ class TestRegistryCompactionKill:
         path = tmp_path / "runs.jsonl"
         if phase == "before-replace":
             # Old journal intact, partial snapshot abandoned as a tmp.
-            assert os.path.exists(f"{path}.rewrite.tmp")
+            assert os.path.exists(f"{path}.tmp")
         state = RunRegistry(path).load()
         assert len(state.completed) == _GRID_CELLS
 
@@ -139,7 +139,7 @@ class TestRegistryCompactionKill:
 
         # The stale temporary is discarded, never read.
         RunRegistry(path).compact()
-        assert not os.path.exists(f"{path}.rewrite.tmp")
+        assert not os.path.exists(f"{path}.tmp")
         assert len(RunRegistry(path).load().completed) == _GRID_CELLS
 
 
@@ -153,7 +153,7 @@ class TestStoreCompactionKill:
 
         path = tmp_path / "sessions.jsonl"
         if phase == "before-replace":
-            assert os.path.exists(f"{path}.rewrite.tmp")
+            assert os.path.exists(f"{path}.tmp")
         else:
             # The swap landed: the journal now leads with the snapshot.
             with open(path, "rb") as fh:
@@ -168,7 +168,7 @@ class TestStoreCompactionKill:
         # Appending after the crash discards the stale temporary and the
         # journal replays to the same state plus the new transition.
         store.record("session-closed", "s0")
-        assert not os.path.exists(f"{path}.rewrite.tmp")
+        assert not os.path.exists(f"{path}.tmp")
         replayed = SessionStore(path).open()
         assert sorted(replayed.sessions) == ["s0", "s1", "s2"]
         assert sorted(replayed.jobs) == ["j0", "j1", "j2"]

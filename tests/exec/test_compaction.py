@@ -72,7 +72,7 @@ class TestTornSnapshot:
         authoritative and a stale temporary that must never be read."""
         fill(registry, n=4)
         before = registry.load()
-        tmp = registry.path + ".rewrite.tmp"
+        tmp = registry.path + ".tmp"
         with open(tmp, "wb") as fh:
             fh.write(b'{"v":1,"fp":"torn-snapshot-partial')
         state = registry.load()

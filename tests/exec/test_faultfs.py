@@ -65,7 +65,7 @@ class TestDiskFull:
         for i in range(4):
             registry.mark_completed(f"{i:02d}" + "a" * 30, "exp", i)
         before = open(registry.path, "rb").read()
-        fs = FailingFS(monkeypatch, registry.path + ".rewrite.tmp",
+        fs = FailingFS(monkeypatch, registry.path + ".tmp",
                        err=errno.ENOSPC)
         fs.arm()
         with pytest.raises(JournalWriteError):

@@ -8,10 +8,7 @@ import pytest
 from repro.exec.journal import JsonlJournal, canonical_json, frame_obj
 from repro.exec.scrub import (
     QUARANTINE_SUFFIX,
-    SALVAGE_MODES,
     main,
-    resolve_salvage,
-    salvage_mode,
     scan_journal,
     scrub_checkpoint,
     scrub_journal,
@@ -174,29 +171,16 @@ class TestScrubCheckpoint:
         # Report-only: the damaged checkpoint was left alone.
         assert open(path, "rb").read() == bytes(blob)
 
-
-class TestSalvageMode:
-    def test_default_is_quarantine(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SALVAGE", raising=False)
-        assert salvage_mode() == "quarantine"
-        assert resolve_salvage(None) == "quarantine"
-
-    def test_env_selects_raise(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SALVAGE", "raise")
-        assert salvage_mode() == "raise"
-        assert resolve_salvage(None) == "raise"
-
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SALVAGE", "raise")
-        assert resolve_salvage("quarantine") == "quarantine"
-
-    def test_bad_values_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SALVAGE", "shrug")
-        with pytest.raises(ValueError, match="REPRO_SALVAGE"):
-            salvage_mode()
-        with pytest.raises(ValueError, match="salvage="):
-            resolve_salvage("shrug")
-        assert set(SALVAGE_MODES) == {"quarantine", "raise"}
+        # A mid-document truncation is located where the parser stopped,
+        # not at the start of the file.
+        cut = bytes(blob[: len(blob) // 2])
+        path.write_bytes(cut)
+        with pytest.raises(json.JSONDecodeError) as excinfo:
+            json.loads(cut)
+        report = scrub_checkpoint(path)
+        assert not report.ok
+        assert report.quarantined[0].offset == excinfo.value.pos > 0
+        assert report.quarantined[0].raw == cut
 
 
 class TestCli:

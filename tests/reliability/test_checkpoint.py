@@ -1,6 +1,7 @@
 """Checkpoint/resume: traces, clocks, searches, tuning runs, sessions."""
 
 import json
+import os
 
 import pytest
 
@@ -15,6 +16,8 @@ from repro.reliability import (
     FaultyEvaluator,
     ResilientEvaluator,
     RetryPolicy,
+    load_traces,
+    save_traces,
     trace_from_dict,
     trace_to_dict,
 )
@@ -187,6 +190,30 @@ class TestCheckpointIntegrity:
         with pytest.warns(RuntimeWarning, match="resuming from backup"):
             # .bak still holds the position-1 snapshot, not rot.
             assert manager.load().position == 1
+
+    def test_crash_after_rotation_resumes_from_backup(self, tmp_path):
+        manager = self._manager(tmp_path)
+        # A crash after the primary moved to .bak and before the new
+        # primary landed leaves only the backup: the resume must use
+        # it, not silently restart from zero.
+        os.replace(manager.path, f"{manager.path}.bak")
+        with pytest.warns(RuntimeWarning, match="resuming from backup"):
+            assert manager.load().position == 2
+
+    def test_session_crash_after_rotation_resumes_from_backup(
+        self, tmp_path, kernel
+    ):
+        path = tmp_path / "session.json"
+        trace = SearchTrace(algorithm="RS")
+        trace.add(EvaluationRecord(config=kernel.space.config_at(3),
+                                   runtime=1.5, elapsed=2.0))
+        save_traces(path, {"RS(source)": trace})
+        save_traces(path, {"RS(source)": trace, "RS": trace})
+        os.replace(path, f"{path}.bak")
+        with pytest.warns(RuntimeWarning, match="resuming from backup"):
+            traces = load_traces(path, kernel.space)
+        assert sorted(traces) == ["RS", "RS(source)"]
+        assert _trace_signature(traces["RS"]) == _trace_signature(trace)
 
 
 class TestSearchResume:
@@ -380,3 +407,28 @@ class TestSessionResume:
                 outcome1.traces[name]
             )
             assert name in outcome2.reports or name == "RS"
+
+    def test_damaged_session_checkpoint_resumes_from_backup(self, tmp_path,
+                                                            kernel):
+        def session(variants):
+            return TransferSession(kernel, WESTMERE, SANDYBRIDGE, nmax=12,
+                                   pool_size=200, variants=variants)
+
+        reference = session(("RSb", "RSp")).run()
+        path = tmp_path / "session.json"
+        # Interrupted after the source phase, the RS baseline and one
+        # variant were saved; then one byte of the checkpoint rots.
+        session(("RSb",)).run(checkpoint_path=path)
+        blob = bytearray(path.read_bytes())
+        blob[len(blob) // 2] ^= 0x20
+        path.write_bytes(bytes(blob))
+        with pytest.warns(RuntimeWarning, match="resuming from backup"):
+            resumed = session(("RSb", "RSp")).run(checkpoint_path=path)
+        assert _trace_signature(resumed.source_trace) == _trace_signature(
+            reference.source_trace
+        )
+        assert sorted(resumed.traces) == sorted(reference.traces)
+        for name, trace in reference.traces.items():
+            assert _trace_signature(resumed.traces[name]) == _trace_signature(
+                trace
+            )

@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro.errors import RegistryCorruptionError
 from repro.exec.journal import unframe_obj
 from repro.service.model import (
     JOB_COMPLETED,
@@ -126,20 +125,6 @@ class TestCorruption:
         assert json.load(open(f"{store.path}.quarantine"))["offset"] == offset
         clean = SessionStore(store.path).open()
         assert clean.salvaged_records == 0
-
-    def test_mid_file_garbage_raises_in_strict_mode(self, store):
-        offset = self._damage_mid_file(store)
-        with pytest.raises(RegistryCorruptionError) as excinfo:
-            SessionStore(store.path).open(salvage="raise")
-        assert excinfo.value.offset == offset
-        # Strict mode left the journal untouched for forensics.
-        assert b"not json\n" in open(store.path, "rb").read()
-
-    def test_env_knob_selects_strict_mode(self, store, monkeypatch):
-        self._damage_mid_file(store)
-        monkeypatch.setenv("REPRO_SALVAGE", "raise")
-        with pytest.raises(RegistryCorruptionError):
-            SessionStore(store.path).open()
 
     def test_open_is_idempotent(self, store):
         store.record("session-created", "s1", session=make_session())
