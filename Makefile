@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast lint bench bench-session perfbench perfbench-trace faults guard chaos chaos-smoke corruption-smoke scrub meta meta-smoke service report examples clean
+.PHONY: install test test-fast lint bench perfbench perfbench-trace faults guard chaos chaos-smoke corruption-smoke scrub meta meta-smoke service report examples clean
 
 # Meta-campaign knobs for `make meta` (override on the command line).
 META_SEEDS ?= 2
@@ -30,26 +30,15 @@ test-fast:
 lint:
 	$(PYTHON) -m repro.devtools.lint
 
-# --benchmark-only deselects the plain perf-regression suites, so run
-# them explicitly; they write benchmarks/results/BENCH_ml.json,
-# BENCH_session.json and BENCH_service.json and fail on >25%
-# regressions vs the committed baselines (override with
-# REPRO_BENCH_ALLOW_REGRESSION=1 when rebaselining on new hardware).
+# Regenerate every table, figure and ablation artefact under
+# benchmarks/results/.  Speed is measured by `make perfbench`.
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
-	$(PYTHON) -m pytest benchmarks/test_perf_ml.py -q -s
-	$(PYTHON) -m pytest benchmarks/test_perf_session.py -q -s
-	$(PYTHON) -m pytest benchmarks/test_perf_service.py -q -s
-
-# Full-session macro-benchmark: batched engine + native kernels vs the
-# reconstructed PR-2-era serial session (trace-identical by assertion),
-# with the >=5x native / >=2.5x NumPy-fallback floors and the 25%
-# regression gate vs the committed BENCH_session.json.
-bench-session:
-	$(PYTHON) -m pytest benchmarks/test_perf_session.py -q -s
 
 # The repository benchmark (perfbench/README.md): every workload end to
-# end, then the same run with per-layer spans.
+# end, then the same run with per-layer spans.  It is also the
+# regression gate: compare a change against its parent with runs
+# interleaved on the same host.
 perfbench:
 	python3 perfbench/run.py --workload all --seed 1 --seconds 15
 
@@ -115,12 +104,11 @@ meta:
 meta-smoke:
 	$(PYTHON) -m pytest -x -q tests/meta/test_smoke.py
 
-# The tuning-service robustness suite: multi-tenant load (latency
-# percentiles vs the committed BENCH_service.json baseline) plus the
-# SIGKILL/recovery and fault-injection chaos tests.
+# The tuning-service robustness suite: the bounded multi-tenant load
+# contract plus the SIGKILL/recovery and fault-injection chaos tests.
+# Service latency and throughput are the perfbench service_mix workload.
 service:
 	$(PYTHON) -m pytest -x -q tests/service
-	$(PYTHON) -m pytest benchmarks/test_perf_service.py -q -s
 
 report:
 	$(PYTHON) -m repro report --output EXPERIMENTS.generated.md

@@ -8,7 +8,7 @@ halfway through a figure.  This package supplies that layer:
 * :mod:`~repro.exec.executor` — the :class:`SupervisedExecutor`
   (per-task heartbeats and wall-clock timeouts, worker respawn, retry
   with backoff, quarantine to :class:`CellFailure`, clean signal
-  teardown), deterministic :class:`ChaosConfig` kill injection, and
+  teardown, workers that exit with their supervisor), deterministic :class:`ChaosConfig` kill injection, and
   :func:`run_grid`, which merges journaled and freshly computed cells;
 * :mod:`~repro.exec.registry` — the :class:`RunRegistry`, an
   append-only, fsync'd JSONL journal of completed cells keyed by

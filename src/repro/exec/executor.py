@@ -14,12 +14,14 @@ worker processes and a supervision loop:
   a blown per-task wall-clock budget into a kill verdict;
 * dead or killed workers are **respawned** and their task is **retried**
   with exponential backoff, up to ``max_task_retries`` times;
-* cells that keep failing are **quarantined** as structured
-  :class:`CellFailure` results instead of poisoning the grid (grid
-  mode), or re-raised with full fidelity (``on_failure="raise"``);
+* cells that keep failing, and cells that raise, are **quarantined**
+  as structured :class:`CellFailure` results instead of poisoning the
+  grid;
 * ``SIGINT``/``SIGTERM`` tear the worker fleet down cleanly — workers
   ignore ``SIGINT`` so a Ctrl-C hits only the supervisor, which kills,
-  joins, and reaps every child before re-raising.
+  joins, and reaps every child before re-raising;
+* a worker exits on its own once its supervisor is gone, even mid-task,
+  so a SIGKILLed supervisor leaks no processes.
 
 Determinism: the executor adds none of its own randomness.  Tasks are
 pure functions of their arguments (the library's seeding discipline),
@@ -37,11 +39,9 @@ from __future__ import annotations
 
 import dataclasses
 import os
-import pickle
 import signal
 import threading
 import time
-import traceback
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
@@ -71,6 +71,21 @@ __all__ = [
 
 #: Exit code chaos-killed workers die with (distinguishable in logs).
 CHAOS_EXITCODE = 113
+
+#: Retry backoff: the first retry waits ``retry_backoff_seconds``, each
+#: later one this factor longer, never more than the ceiling (seconds).
+RETRY_BACKOFF_FACTOR = 2.0
+MAX_BACKOFF_SECONDS = 2.0
+#: How long teardown waits for results already in flight (seconds).
+DRAIN_GRACE = 0.25
+#: How often a worker checks that its supervisor is still alive (seconds).
+PARENT_POLL_SECONDS = 0.2
+#: Workers start by ``fork`` where the platform has it (cheap, inherits
+#: the imported library), else by ``spawn``.
+try:
+    _MP = mp.get_context("fork")
+except ValueError:  # pragma: no cover - platforms without fork
+    _MP = mp.get_context("spawn")
 
 _TWO64 = float(1 << 64)
 
@@ -223,33 +238,39 @@ class CellFailure:
         )
 
 
-class _RemoteTraceback(Exception):
-    """Carries a worker's formatted traceback as the ``__cause__``."""
-
-    def __init__(self, tb: str) -> None:
-        self.tb = tb
-        super().__init__(tb)
-
-    def __str__(self) -> str:
-        return f"\n{self.tb}"
-
-
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
-def _worker_main(slot, conn, func, chaos, heartbeat_interval):
+def _exit_with_supervisor(supervisor_pid: int) -> None:
+    """Kill this worker as soon as its supervisor is gone.
+
+    EOF on the task pipe cannot signal that: under ``fork`` every worker
+    inherits supervisor-side pipe ends (its own and those of the workers
+    spawned before it), so a SIGKILLed supervisor leaves them open and
+    ``conn.recv()`` blocks forever.  A dead parent reparents the worker,
+    which this daemon thread notices even while a task is running.
+    """
+    while os.getppid() == supervisor_pid:
+        time.sleep(PARENT_POLL_SECONDS)
+    os._exit(1)
+
+
+def _worker_main(slot, conn, func, chaos, heartbeat_interval, supervisor_pid):
     """Run tasks from ``conn`` until the shutdown sentinel arrives.
 
     Protocol (all messages tuples, first element the kind):
-      supervisor -> worker: ``(task_id, attempt, [(index, item), ...])``
-                            or ``None`` to shut down;
+      supervisor -> worker: ``(task_id, attempt, item)`` or ``None`` to
+                            shut down;
       worker -> supervisor: ``("hb", slot, task_id)``,
-                            ``("ok", slot, task_id, [results])``,
-                            ``("err", slot, task_id, index, name, msg,
-                               pickled_exc_or_None, formatted_tb)``.
+                            ``("ok", slot, task_id, result)``,
+                            ``("err", slot, task_id, name, message)``.
+    A task is one cell and its id is the cell's index in the input.
     """
     # Ctrl-C belongs to the supervisor; it will shut us down cleanly.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    threading.Thread(
+        target=_exit_with_supervisor, args=(supervisor_pid,), daemon=True
+    ).start()
     send_lock = threading.Lock()
     current = {"task": None}
     stop = threading.Event()
@@ -275,7 +296,7 @@ def _worker_main(slot, conn, func, chaos, heartbeat_interval):
             break
         if msg is None:
             break
-        task_id, attempt, chunk = msg
+        task_id, attempt, item = msg
         if chaos is not None and chaos.should_kill(task_id, attempt):
             os._exit(chaos.exitcode)
         if chaos is not None and chaos.should_hang(task_id, attempt):
@@ -284,31 +305,14 @@ def _worker_main(slot, conn, func, chaos, heartbeat_interval):
             # watchdog-killed and a shorter one eats deadline budget.
             time.sleep(chaos.hang_seconds)
         current["task"] = task_id
-        results = []
-        failure = None
-        for index, item in chunk:
-            try:
-                results.append(func(item))
-            except Exception as exc:
-                try:
-                    payload = pickle.dumps(exc)
-                except Exception:
-                    payload = None
-                failure = (
-                    index,
-                    type(exc).__name__,
-                    str(exc),
-                    payload,
-                    traceback.format_exc(),
-                )
-                break
+        try:
+            reply = ("ok", slot, task_id, func(item))
+        except Exception as exc:
+            reply = ("err", slot, task_id, type(exc).__name__, str(exc))
         current["task"] = None
         try:
             with send_lock:
-                if failure is None:
-                    conn.send(("ok", slot, task_id, results))
-                else:
-                    conn.send(("err", slot, task_id) + failure)
+                conn.send(reply)
         except OSError:
             break
     stop.set()
@@ -323,9 +327,9 @@ def _worker_main(slot, conn, func, chaos, heartbeat_interval):
 # ----------------------------------------------------------------------
 @dataclass
 class _Task:
-    task_id: int
-    chunk: list  # [(index, item), ...]
-    keys: list
+    task_id: int  # the cell's index in the input
+    item: Any
+    key: Any
     failures: int = 0
     not_before: float = 0.0
 
@@ -380,6 +384,10 @@ class SupervisedExecutor:
     max_task_retries:
         How many times a task is retried after an operational failure
         (worker death or timeout) before it is given up on.
+    retry_backoff_seconds:
+        Wait before the first retry; each later retry waits
+        ``RETRY_BACKOFF_FACTOR`` times longer, capped at
+        ``MAX_BACKOFF_SECONDS``.
     """
 
     def __init__(
@@ -389,12 +397,8 @@ class SupervisedExecutor:
         heartbeat_interval: float | None = DEFAULT_HEARTBEAT_INTERVAL,
         max_task_retries: int = 2,
         retry_backoff_seconds: float = 0.05,
-        retry_backoff_factor: float = 2.0,
-        max_backoff_seconds: float = 2.0,
         chaos: ChaosConfig | None = None,
         poll_interval: float = 0.05,
-        start_method: str | None = None,
-        drain_grace: float = 0.25,
     ) -> None:
         if max_task_retries < 0:
             raise ValueError(f"max_task_retries must be >= 0, got {max_task_retries}")
@@ -405,16 +409,8 @@ class SupervisedExecutor:
         self.heartbeat_interval = heartbeat_interval
         self.max_task_retries = max_task_retries
         self.retry_backoff_seconds = retry_backoff_seconds
-        self.retry_backoff_factor = retry_backoff_factor
-        self.max_backoff_seconds = max_backoff_seconds
         self.chaos = chaos
         self.poll_interval = poll_interval
-        self.drain_grace = drain_grace
-        if start_method is None:
-            start_method = (
-                "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-            )
-        self._ctx = mp.get_context(start_method)
         # Lifetime counters (cumulative across map calls) plus a handle
         # on the currently running supervision, for stats().
         self._tasks_completed = 0
@@ -457,51 +453,41 @@ class SupervisedExecutor:
         items: Sequence | Iterable,
         *,
         keys: Sequence | None = None,
-        chunksize: int = 1,
-        on_failure: str = "raise",
         on_result: Callable[[int, Any, int], None] | None = None,
     ) -> list:
         """Apply ``func`` to every item under supervision, in order.
 
-        ``on_failure="raise"``: the first application exception (or
-        exhausted-retry operational failure) propagates after the fleet
-        is torn down.
-        ``on_failure="quarantine"`` (requires ``chunksize=1``) never
-        raises for a cell: failing cells come back as
-        :class:`CellFailure` entries in the result list.
+        Never raises for a cell: a cell that raises, or whose worker
+        keeps dying or overrunning its budget past ``max_task_retries``,
+        comes back as a :class:`CellFailure` in its slot of the result
+        list.  Each item is one task on one worker.
 
         ``on_result(index, result, attempts)`` is invoked from the
         supervisor as each item *completes* (completion order, not input
         order) — the journaling hook.
         """
-        if on_failure not in ("raise", "quarantine"):
-            raise ValueError(f"unknown on_failure mode {on_failure!r}")
         items = list(items)
         keys = list(keys) if keys is not None else list(range(len(items)))
         if len(keys) != len(items):
             raise ValueError(
                 f"keys ({len(keys)}) and items ({len(items)}) must align"
             )
-        if on_failure == "quarantine" and chunksize != 1:
-            raise ValueError("quarantine mode requires chunksize=1")
         n_workers = self.n_workers
         if n_workers is None:
             n_workers = default_workers()
         if n_workers <= 1 or len(items) <= 1:
-            return self._map_serial(func, items, keys, on_failure, on_result)
-        return _Supervision(self, func, items, keys, max(1, chunksize),
-                            on_failure, on_result, n_workers).run()
+            return self._map_serial(func, items, keys, on_result)
+        return _Supervision(self, func, items, keys, on_result,
+                            n_workers).run()
 
     # ------------------------------------------------------------------
-    def _map_serial(self, func, items, keys, on_failure, on_result) -> list:
-        """In-process fallback — no supervision, simplest tracebacks."""
+    def _map_serial(self, func, items, keys, on_result) -> list:
+        """In-process fallback — no supervision, no worker processes."""
         results = []
         for index, (key, item) in enumerate(zip(keys, items)):
             try:
                 result = func(item)
             except Exception as exc:
-                if on_failure == "raise":
-                    raise
                 self._quarantined += 1
                 results.append(
                     CellFailure(
@@ -524,18 +510,15 @@ class SupervisedExecutor:
 class _Supervision:
     """One ``map`` call's supervision state machine."""
 
-    def __init__(self, executor, func, items, keys, chunksize,
-                 on_failure, on_result, n_workers) -> None:
+    def __init__(self, executor, func, items, keys, on_result,
+                 n_workers) -> None:
         self.ex = executor
         self.func = func
-        self.on_failure = on_failure
         self.on_result = on_result
         self.results: list = [_UNSET] * len(items)
-        self.tasks: list[_Task] = []
-        for start in range(0, len(items), chunksize):
-            chunk = [(i, items[i]) for i in range(start, min(start + chunksize, len(items)))]
-            chunk_keys = [keys[i] for i, _ in chunk]
-            self.tasks.append(_Task(len(self.tasks), chunk, chunk_keys))
+        self.tasks = [
+            _Task(i, item, key) for i, (item, key) in enumerate(zip(items, keys))
+        ]
         self.ready: deque[int] = deque(t.task_id for t in self.tasks)
         self.delayed: list[int] = []
         self.unfinished = len(self.tasks)
@@ -546,7 +529,6 @@ class _Supervision:
             task_timeout=self.ex.task_timeout,
             heartbeat_interval=self.ex.heartbeat_interval,
         )
-        self.pending_exc: BaseException | None = None
 
     # -- lifecycle ------------------------------------------------------
     def run(self) -> list:
@@ -570,19 +552,17 @@ class _Supervision:
             self._teardown()
             if prev_term is not None:
                 signal.signal(signal.SIGTERM, prev_term)
-        if self.pending_exc is not None:
-            raise self.pending_exc
         assert all(r is not _UNSET for r in self.results)
         return self.results
 
     def _spawn(self) -> _WorkerHandle:
         slot = self.next_slot
         self.next_slot += 1
-        parent_conn, child_conn = self.ex._ctx.Pipe(duplex=True)
-        proc = self.ex._ctx.Process(
+        parent_conn, child_conn = _MP.Pipe(duplex=True)
+        proc = _MP.Process(
             target=_worker_main,
             args=(slot, child_conn, self.func, self.ex.chaos,
-                  self.ex.heartbeat_interval),
+                  self.ex.heartbeat_interval, os.getpid()),
             daemon=True,
             name=f"repro-exec-{slot}",
         )
@@ -615,17 +595,16 @@ class _Supervision:
     def _salvage_in_flight(self) -> None:
         """Drain completed-but-unreported results before killing workers.
 
-        A SIGTERM (or the first error in raise mode) exits the main
-        loop at an arbitrary point: a worker that finished its task in
-        the meantime has its ``"ok"`` sitting unread in the pipe.
-        Dropping it would lose a *completed* cell — the journaling
-        ``on_result`` hook never fired — so teardown first drains every
-        busy worker's connection, waiting up to ``drain_grace`` seconds
-        for messages already in flight.  Best-effort by design: a
-        worker still mid-task after the grace simply re-runs its cell
-        on the next invocation.
+        A SIGTERM exits the main loop at an arbitrary point: a worker
+        that finished its task in the meantime has its ``"ok"`` sitting
+        unread in the pipe.  Dropping it would lose a *completed* cell —
+        the journaling ``on_result`` hook never fired — so teardown
+        first drains every busy worker's connection, waiting up to
+        ``DRAIN_GRACE`` seconds for messages already in flight.
+        Best-effort by design: a worker still mid-task after the grace
+        simply re-runs its cell on the next invocation.
         """
-        deadline = time.monotonic() + self.ex.drain_grace
+        deadline = time.monotonic() + DRAIN_GRACE
         for w in list(self.workers.values()):
             if w.task_id is None:
                 continue
@@ -641,7 +620,7 @@ class _Supervision:
 
     # -- main loop ------------------------------------------------------
     def _loop(self) -> None:
-        while self.unfinished > 0 and self.pending_exc is None:
+        while self.unfinished > 0:
             now = time.monotonic()
             self._promote_delayed(now)
             self._assign(now)
@@ -657,8 +636,6 @@ class _Supervision:
             for obj in ready:
                 if obj in readable:
                     self._drain(readable[obj])
-            if self.pending_exc is not None:
-                return
             for w in list(self.workers.values()):
                 if not w.proc.is_alive():
                     self._drain(w)  # salvage results sent just before dying
@@ -683,7 +660,7 @@ class _Supervision:
                 continue
             task = self.tasks[self.ready.popleft()]
             try:
-                w.conn.send((task.task_id, task.failures, task.chunk))
+                w.conn.send((task.task_id, task.failures, task.item))
             except (OSError, ValueError):
                 # Worker died between checks; requeue and let the death
                 # handler respawn it.
@@ -706,52 +683,36 @@ class _Supervision:
                 _, slot, task_id = msg
                 self.watchdog.beat(slot, task_id, time.monotonic())
             elif kind == "ok":
-                _, _, task_id, results = msg
+                _, _, task_id, result = msg
                 if w.task_id != task_id:
                     continue  # stale (task was re-dispatched elsewhere)
-                self._task_done(w, self.tasks[task_id], results)
+                self._task_done(w, self.tasks[task_id], result)
             elif kind == "err":
-                _, _, task_id, index, name, message, payload, tb = msg
+                _, _, task_id, name, message = msg
                 if w.task_id != task_id:
                     continue
-                self._task_errored(
-                    w, self.tasks[task_id], index, name, message, payload, tb
-                )
+                self._task_errored(w, self.tasks[task_id], name, message)
 
     def _release(self, w: _WorkerHandle) -> None:
         w.task_id = None
         self.watchdog.clear(w.slot)
 
-    def _task_done(self, w: _WorkerHandle, task: _Task, results: list) -> None:
+    def _task_done(self, w: _WorkerHandle, task: _Task, result: Any) -> None:
         self._release(w)
-        for (index, _item), result in zip(task.chunk, results):
-            self.results[index] = result
-            if self.on_result is not None:
-                self.on_result(index, result, task.failures + 1)
-        self.ex._tasks_completed += len(task.chunk)
+        self.results[task.task_id] = result
+        if self.on_result is not None:
+            self.on_result(task.task_id, result, task.failures + 1)
+        self.ex._tasks_completed += 1
         self.unfinished -= 1
 
-    def _task_errored(self, w, task, index, name, message, payload, tb) -> None:
+    def _task_errored(self, w, task: _Task, name: str, message: str) -> None:
         """A deterministic application exception — never retried."""
         self._release(w)
         self.unfinished -= 1
-        if self.on_failure == "raise":
-            exc: BaseException | None = None
-            if payload is not None:
-                try:
-                    exc = pickle.loads(payload)
-                except Exception:
-                    exc = None
-            if exc is None:
-                exc = RuntimeError(f"{name}: {message}")
-            exc.__cause__ = _RemoteTraceback(tb)
-            self.pending_exc = exc
-            return
-        key = task.keys[[i for i, _ in task.chunk].index(index)]
         self.ex._quarantined += 1
-        self.results[index] = CellFailure(
-            index=index,
-            key=key,
+        self.results[task.task_id] = CellFailure(
+            index=task.task_id,
+            key=task.key,
             kind="error",
             error=name,
             message=message,
@@ -822,8 +783,6 @@ class _Supervision:
             pass
 
     def _maybe_respawn(self) -> None:
-        if self.pending_exc is not None:
-            return
         while len(self.workers) < min(self.n_workers, self.unfinished):
             self._spawn()
 
@@ -835,27 +794,23 @@ class _Supervision:
             self.ex._retries += 1
             backoff = min(
                 self.ex.retry_backoff_seconds
-                * self.ex.retry_backoff_factor ** (task.failures - 1),
-                self.ex.max_backoff_seconds,
+                * RETRY_BACKOFF_FACTOR ** (task.failures - 1),
+                MAX_BACKOFF_SECONDS,
             )
             task.not_before = time.monotonic() + backoff
             self.delayed.append(task.task_id)
             return
         self.unfinished -= 1
-        if self.on_failure == "raise":
-            self.pending_exc = exc
-            return
-        self.ex._quarantined += len(task.chunk)
-        for (index, _item), key in zip(task.chunk, task.keys):
-            self.results[index] = CellFailure(
-                index=index,
-                key=key,
-                kind=kind,
-                error=type(exc).__name__,
-                message=str(exc),
-                attempts=task.failures,
-                exitcode=exitcode,
-            )
+        self.ex._quarantined += 1
+        self.results[task.task_id] = CellFailure(
+            index=task.task_id,
+            key=task.key,
+            kind=kind,
+            error=type(exc).__name__,
+            message=str(exc),
+            attempts=task.failures,
+            exitcode=exitcode,
+        )
 
 
 # ----------------------------------------------------------------------
@@ -978,7 +933,6 @@ def run_grid(
             func,
             [specs[i] for i in todo],
             keys=[keys[i] for i in todo],
-            on_failure="quarantine",
             on_result=_journal,
         )
         for sub_index, result in zip(todo, sub_results):

@@ -11,12 +11,8 @@ from repro.perf.simclock import SimClock
 from repro.perf.noise import measurement_noise, machine_quirk
 from repro.perf.roofline import arithmetic_intensity, roofline_time
 from repro.perf.costmodel import CostModel, CostBreakdown
-from repro.perf.cachesim import CacheStats, LruCache, simulate_nest
 
 __all__ = [
-    "CacheStats",
-    "LruCache",
-    "simulate_nest",
     "SimClock",
     "measurement_noise",
     "machine_quirk",

@@ -127,7 +127,7 @@ class TestChaosHang:
                             seed=1)
         results = _chaos_executor(
             chaos, n_workers=2, task_timeout=0.4, max_task_retries=0
-        ).map(_square, [5, 6], on_failure="quarantine")
+        ).map(_square, [5, 6])
         assert all(isinstance(r, CellFailure) for r in results)
         assert {r.kind for r in results} == {"timeout"}
 
@@ -145,7 +145,7 @@ class TestChaosRecovery:
     def test_certain_death_quarantines_with_chaos_exitcode(self):
         chaos = ChaosConfig(kill_rate=1.0, seed=0)
         results = _chaos_executor(chaos, max_task_retries=1, n_workers=2).map(
-            _square, [1, 2, 3], on_failure="quarantine"
+            _square, [1, 2, 3]
         )
         assert all(isinstance(r, CellFailure) for r in results)
         assert {r.kind for r in results} == {"crash"}
@@ -182,13 +182,15 @@ class TestChaosRecovery:
 
 
 class TestChaosKillsAreRetriedNotRaised:
-    def test_kills_are_transparent_in_raise_mode(self):
+    def test_kills_are_retried_not_quarantined(self):
         chaos = ChaosConfig(kill_rate=0.35, seed=5)
         items = list(range(8))
-        results = _chaos_executor(chaos, max_task_retries=10).map(
-            _square, items, on_failure="raise"
-        )
+        ex = _chaos_executor(chaos, max_task_retries=10)
+        results = ex.map(_square, items)
+        assert not any(isinstance(r, CellFailure) for r in results)
         assert results == [x * x for x in items]
+        stats = ex.stats()
+        assert stats.chaos_kills > 0 and stats.quarantined == 0
 
     def test_serial_path_ignores_chaos(self):
         # n_workers=1 runs in-process: chaos would kill the test runner.

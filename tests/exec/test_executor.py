@@ -9,11 +9,14 @@ the spec — the executor itself stays deterministic.
 import functools
 import multiprocessing as mp
 import os
+import signal
+import subprocess
+import sys
 import time
 
 import pytest
 
-from repro.errors import TaskTimeoutError, WorkerCrashError
+import repro
 from repro.exec import CellFailure, SupervisedExecutor
 from repro.exec.executor import default_workers
 
@@ -68,15 +71,12 @@ class TestHappyPath:
     def test_empty(self):
         executor = _fast_executor()
         assert executor.map(_square, []) == []
-        assert executor.map(_square, [], chunksize=7) == []
 
     def test_generator_input(self):
         executor = _fast_executor()
         assert executor.map(_square, (x for x in ITEMS)) == SERIAL
         items = list(range(50))
-        assert executor.map(_square, iter(items), chunksize=7) == [
-            x * x for x in items
-        ]
+        assert executor.map(_square, iter(items)) == [x * x for x in items]
 
     def test_on_result_sees_every_completion(self):
         seen = {}
@@ -85,17 +85,11 @@ class TestHappyPath:
         )
         assert seen == {i: x * x for i, x in enumerate(ITEMS)}
 
-    def test_chunked_dispatch_preserves_order(self):
-        items = list(range(50))
-        assert _fast_executor().map(_square, items, chunksize=7) == [
-            x * x for x in items
-        ]
-
 
 class TestCrashRecovery:
     def test_deterministic_crash_is_quarantined_others_bitwise_equal(self):
         results = _fast_executor(max_task_retries=1).map(
-            _crash_on_three, ITEMS, on_failure="quarantine"
+            _crash_on_three, ITEMS
         )
         failure = results[3]
         assert isinstance(failure, CellFailure)
@@ -113,22 +107,25 @@ class TestCrashRecovery:
         marker = str(tmp_path / "crashed-once")
         func = functools.partial(_crash_once, marker=marker)
         results = _fast_executor(max_task_retries=2).map(
-            func, ITEMS, on_failure="quarantine"
+            func, ITEMS
         )
         assert results == SERIAL  # no holes: the retry succeeded
         assert os.path.exists(marker)
 
-    def test_exhausted_retries_raise_worker_crash_error(self):
-        with pytest.raises(WorkerCrashError) as excinfo:
-            _fast_executor(max_task_retries=0).map(_crash_on_three, ITEMS)
-        assert excinfo.value.exitcode == 1
+    def test_exhausted_retries_quarantine_as_crash(self):
+        results = _fast_executor(max_task_retries=0).map(_crash_on_three, ITEMS)
+        failure = results[3]
+        assert isinstance(failure, CellFailure)
+        assert failure.kind == "crash"
+        assert failure.error == "WorkerCrashError"
+        assert failure.exitcode == 1
+        assert failure.attempts == 1  # no retries allowed
 
     def test_crash_does_not_invoke_on_result(self):
         seen = []
         _fast_executor(max_task_retries=0).map(
             _crash_on_three,
             ITEMS,
-            on_failure="quarantine",
             on_result=lambda i, r, a: seen.append(i),
         )
         assert 3 not in seen
@@ -138,7 +135,7 @@ class TestCrashRecovery:
 class TestHangRecovery:
     def test_hung_cell_is_killed_and_quarantined_as_timeout(self):
         results = _fast_executor(task_timeout=0.4, max_task_retries=1).map(
-            _hang_on_three, ITEMS, on_failure="quarantine"
+            _hang_on_three, ITEMS
         )
         failure = results[3]
         assert isinstance(failure, CellFailure)
@@ -149,26 +146,31 @@ class TestHangRecovery:
             v for i, v in enumerate(SERIAL) if i != 3
         ]
 
-    def test_hung_cell_raises_after_retries_in_raise_mode(self):
-        with pytest.raises(TaskTimeoutError) as excinfo:
-            _fast_executor(task_timeout=0.4, max_task_retries=0).map(
-                _hang_on_three, ITEMS
-            )
-        assert excinfo.value.elapsed is not None
-        assert excinfo.value.elapsed >= 0.4
+    def test_hung_cell_without_retries_is_quarantined_as_timeout(self):
+        results = _fast_executor(task_timeout=0.4, max_task_retries=0).map(
+            _hang_on_three, ITEMS
+        )
+        failure = results[3]
+        assert isinstance(failure, CellFailure)
+        assert (failure.kind, failure.error) == ("timeout", "TaskTimeoutError")
+        assert failure.attempts == 1
+        # The message reports how long the cell ran before the kill.
+        ran = float(failure.message.split("(ran ")[1].split("s)")[0])
+        assert ran >= 0.4
 
     def test_env_task_timeout_is_honoured(self, monkeypatch):
         monkeypatch.setenv("REPRO_TASK_TIMEOUT", "0.4")
         ex = _fast_executor(task_timeout="env", max_task_retries=0)
         assert ex.task_timeout == 0.4
-        with pytest.raises(TaskTimeoutError):
-            ex.map(_hang_on_three, ITEMS)
+        results = ex.map(_hang_on_three, ITEMS)
+        assert isinstance(results[3], CellFailure)
+        assert results[3].kind == "timeout"
 
 
 class TestApplicationErrors:
     def test_app_exception_is_never_retried(self):
         results = _fast_executor(max_task_retries=5).map(
-            _raise_on_three, ITEMS, on_failure="quarantine"
+            _raise_on_three, ITEMS
         )
         failure = results[3]
         assert isinstance(failure, CellFailure)
@@ -176,11 +178,6 @@ class TestApplicationErrors:
         assert failure.error == "ValueError"
         assert failure.message == "boom on 3"
         assert failure.attempts == 1  # deterministic: retrying is pointless
-
-    def test_raise_mode_preserves_exception_type_and_remote_traceback(self):
-        with pytest.raises(ValueError, match="boom on 3") as excinfo:
-            _fast_executor().map(_raise_on_three, ITEMS)
-        assert "_raise_on_three" in str(excinfo.value.__cause__)
 
 
 class TestTeardown:
@@ -200,14 +197,68 @@ class TestTeardown:
         self._assert_no_exec_children()
 
     def test_no_workers_leak_after_raise(self):
-        with pytest.raises(ValueError):
-            _fast_executor().map(_raise_on_three, ITEMS)
+        results = _fast_executor().map(_raise_on_three, ITEMS)
+        assert results[3].kind == "error"
         self._assert_no_exec_children()
 
     def test_no_workers_leak_after_crash(self):
-        with pytest.raises(WorkerCrashError):
-            _fast_executor(max_task_retries=0).map(_crash_on_three, ITEMS)
+        results = _fast_executor(max_task_retries=0).map(_crash_on_three, ITEMS)
+        assert results[3].kind == "crash"
         self._assert_no_exec_children()
+
+
+_ORPHAN_CHILD = """
+import os, time
+from repro.exec import SupervisedExecutor
+
+def _report_and_sleep(x):
+    os.write(1, b"%d\\n" % os.getpid())  # one write: workers never interleave
+    time.sleep(60.0)
+    return x
+
+SupervisedExecutor(n_workers=2, task_timeout=None,
+                   heartbeat_interval=None).map(_report_and_sleep, [0, 1])
+"""
+
+
+def _running(pid):
+    """Whether ``pid`` exists and is not a zombie (reads /proc)."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            stat = f.read()
+    except OSError:  # gone, possibly while being read
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+class TestSupervisorDeath:
+    def test_workers_exit_when_supervisor_is_sigkilled(self):
+        """A SIGKILLed supervisor gets no teardown; its workers must
+        still exit on their own, mid-task and without heartbeats."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (os.path.dirname(os.path.dirname(repro.__file__)),
+                        env.get("PYTHONPATH", "")) if p
+        )
+        proc = subprocess.Popen([sys.executable, "-c", _ORPHAN_CHILD],
+                                stdout=subprocess.PIPE, text=True, env=env)
+        try:
+            pids = [int(proc.stdout.readline()) for _ in range(2)]
+            os.kill(proc.pid, signal.SIGKILL)
+            proc.wait(timeout=10.0)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10.0)
+            proc.stdout.close()
+        deadline = time.monotonic() + 5.0
+        while any(map(_running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        survivors = [pid for pid in pids if _running(pid)]
+        for pid in survivors:  # leave nothing behind for later tests
+            os.kill(pid, signal.SIGKILL)
+        assert not survivors, f"workers outlived their supervisor: {survivors}"
 
 
 class TestValidation:
@@ -215,23 +266,13 @@ class TestValidation:
         with pytest.raises(ValueError, match="must align"):
             _fast_executor().map(_square, ITEMS, keys=[1, 2])
 
-    def test_unknown_failure_mode_rejected(self):
-        with pytest.raises(ValueError, match="on_failure"):
-            _fast_executor().map(_square, ITEMS, on_failure="ignore")
-
-    def test_quarantine_requires_unit_chunks(self):
-        with pytest.raises(ValueError, match="chunksize=1"):
-            _fast_executor().map(
-                _square, ITEMS, chunksize=4, on_failure="quarantine"
-            )
-
     def test_negative_retries_rejected(self):
         with pytest.raises(ValueError, match="max_task_retries"):
             SupervisedExecutor(max_task_retries=-1)
 
     def test_serial_fallback_quarantines_app_errors(self):
         results = SupervisedExecutor(n_workers=1).map(
-            _raise_on_three, ITEMS, on_failure="quarantine"
+            _raise_on_three, ITEMS
         )
         assert isinstance(results[3], CellFailure)
         assert results[3].kind == "error"

@@ -40,7 +40,7 @@ class TestStats:
 
     def test_serial_quarantine_counts(self):
         ex = SupervisedExecutor(n_workers=1)
-        results = ex.map(_fail, [1, 2], on_failure="quarantine")
+        results = ex.map(_fail, [1, 2])
         assert all(isinstance(r, CellFailure) for r in results)
         assert ex.stats().quarantined == 2
 
@@ -91,8 +91,8 @@ class TestTeardownDrain:
             raise KeyboardInterrupt("simulated SIGTERM")
 
         monkeypatch.setattr(executor_mod._Supervision, "_loop", hijacked_loop)
-        ex = SupervisedExecutor(n_workers=2, heartbeat_interval=None,
-                                drain_grace=5.0)
+        monkeypatch.setattr(executor_mod, "DRAIN_GRACE", 5.0)
+        ex = SupervisedExecutor(n_workers=2, heartbeat_interval=None)
         with pytest.raises(KeyboardInterrupt):
             ex.map(_double, [10, 20],
                    on_result=lambda i, r, a: journaled.append((i, r)))
@@ -104,8 +104,8 @@ class TestTeardownDrain:
             raise KeyboardInterrupt("immediate")
 
         monkeypatch.setattr(executor_mod._Supervision, "_loop", dying_loop)
-        ex = SupervisedExecutor(n_workers=2, heartbeat_interval=None,
-                                drain_grace=0.0)
+        monkeypatch.setattr(executor_mod, "DRAIN_GRACE", 0.0)
+        ex = SupervisedExecutor(n_workers=2, heartbeat_interval=None)
         with pytest.raises(KeyboardInterrupt):
             ex.map(_double, [1, 2])
         assert ex.stats().live_workers == 0

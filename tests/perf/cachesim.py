@@ -11,7 +11,8 @@ It is used for *validation at small problem sizes* (the interpreter is
 a tree-walker; full 2000^3 runs are out of reach) — the tests check
 that the analytic model tracks the simulated traffic within a modest
 factor across tiled and untiled variants, and ranks variants the same
-way.
+way.  Nothing in the library runs it, so it lives with the tests as a
+slow, obviously-correct reference.
 """
 
 from __future__ import annotations

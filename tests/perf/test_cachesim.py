@@ -8,7 +8,7 @@ from repro.errors import EvaluationError
 from repro.orio.analysis import analyze_nest, analyze_variant
 from repro.orio.parser import parse_loop_nest
 from repro.orio.transforms.pipeline import TransformPlan, compose
-from repro.perf.cachesim import LruCache, simulate_nest
+from tests.perf.cachesim import LruCache, simulate_nest
 
 MM_SRC = """
 for (i = 0; i <= N-1; i++)

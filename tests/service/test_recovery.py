@@ -63,6 +63,27 @@ def _complete_prefix(blob: bytes) -> bytes:
     return blob[: blob.rfind(b"\n") + 1]
 
 
+def _processes_running_with(arg):
+    """PIDs of live processes whose command line contains ``arg``.
+
+    Forked pool workers keep the command line of the process that
+    started them, and zombies read as empty, so this finds exactly the
+    workers of a service started with ``arg``.
+    """
+    pids = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/cmdline", "rb") as f:
+                cmdline = f.read()
+        except OSError:
+            continue
+        if arg.encode() in cmdline:
+            pids.append(int(entry))
+    return pids
+
+
 def _registry_fingerprints(path):
     if not os.path.exists(path):
         return []
@@ -110,6 +131,17 @@ class TestServiceKill:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait(timeout=10.0)
+
+        # No pool worker outlives the SIGKILLed service.
+        if os.path.isdir("/proc"):
+            deadline = time.monotonic() + 5.0
+            while (_processes_running_with(os.fspath(root))
+                   and time.monotonic() < deadline):
+                time.sleep(0.05)
+            survivors = _processes_running_with(os.fspath(root))
+            for pid in survivors:  # leave nothing behind for later tests
+                os.kill(pid, signal.SIGKILL)
+            assert not survivors, f"pool workers outlived the service: {survivors}"
 
         # A SIGKILL mid-append can leave a torn final line; recovery
         # truncates it, so the append-only claim is over the complete

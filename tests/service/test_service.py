@@ -1,10 +1,14 @@
 """Tests for the TuningService core: lifecycle, dispatch, backpressure."""
 
+from collections import deque
+
+import numpy as np
 import pytest
 
 from repro.service import (
     QueueFullError,
     QuotaExceededError,
+    ServiceHandler,
     SessionClosedError,
     SessionNotFoundError,
     TenantQuota,
@@ -253,3 +257,89 @@ class TestStats:
         done = [j for j in replayed.store.jobs.values()
                 if j.state == JOB_COMPLETED]
         assert len(done) == 24
+
+
+class TestLoadContract:
+    """A bounded mixed load from eight tenants under quota pressure.
+
+    Every request is answered: accepted jobs reach a journaled terminal
+    state and rejections carry a structured reason and ``retry_after``.
+    Memory and disk stay bounded: the event buffer keeps its cap and the
+    store journal is rotated by compaction.
+    """
+
+    N_TENANTS = 8
+    N_REQUESTS = 400
+    STORE_MAX_BYTES = 32 * 1024
+    EVENT_BUFFER = 64
+
+    def test_mixed_load_keeps_the_contract(self, tmp_path):
+        svc = TuningService(
+            tmp_path / "svc",
+            n_workers=1,
+            batch_size=16,
+            max_total_queued=24,
+            default_quota=TenantQuota(max_live_sessions=2, max_queued_jobs=4),
+            store_max_bytes=self.STORE_MAX_BYTES,
+        ).open()
+        # A small event buffer, so this load overflows it.
+        svc.store.events = deque(maxlen=self.EVENT_BUFFER)
+        handler = ServiceHandler(svc)
+        tenants = [f"tenant-{i}" for i in range(self.N_TENANTS)]
+        sessions = {
+            t: handler.handle({"op": "create_session", "tenant": t})
+            ["session"]["session_id"]
+            for t in tenants
+        }
+        cursors = dict.fromkeys(tenants, 0)
+        submitted, rejections, other_errors = [], [], []
+        max_store_bytes = 0
+        ops = np.random.default_rng(0).choice(
+            ["submit", "events", "job", "stats"], size=self.N_REQUESTS,
+            p=[0.5, 0.3, 0.15, 0.05],
+        )
+        for i, op in enumerate(ops):
+            tenant = tenants[i % self.N_TENANTS]
+            sid = sessions[tenant]
+            if op == "submit":
+                request = {"op": "submit", "session": sid, "tenant": tenant,
+                           "payload": probe(i)}
+            elif op == "events":
+                request = {"op": "events", "session": sid,
+                           "after": cursors[tenant]}
+            elif op == "job" and submitted:
+                request = {"op": "job", "job": submitted[-1]}
+            else:
+                request = {"op": "stats"}
+            response = handler.handle(request)
+            if request["op"] == "submit":
+                if response["ok"]:
+                    submitted.append(response["job"]["job_id"])
+                else:
+                    rejections.append(response["error"])
+            elif not response["ok"]:
+                other_errors.append(response["error"])
+            elif request["op"] == "events" and response["events"]:
+                cursors[tenant] = response["events"][-1]["seq"]
+            if i % 40 == 39:  # interleave dispatch, as a pump thread would
+                svc.pump(max_batches=1)
+                max_store_bytes = max(max_store_bytes, svc.store.size_bytes())
+        while svc.pump():
+            max_store_bytes = max(max_store_bytes, svc.store.size_bytes())
+
+        assert not other_errors
+        assert rejections, "expected quota/queue rejections under this load"
+        for error in rejections:
+            assert error["reason"] in ("quota-exceeded", "queue-full",
+                                       "overloaded")
+            assert error["retry_after"] > 0
+        assert all(svc.job(job_id).terminal for job_id in submitted)
+        assert any(svc.job(job_id).state == JOB_COMPLETED
+                   for job_id in submitted)
+        assert svc.store.events.maxlen == self.EVENT_BUFFER
+        assert len(svc.store.events) <= svc.store.events.maxlen
+        assert svc.store.next_seq > self.EVENT_BUFFER  # the buffer overflowed
+        # Uncompacted, this load writes about 250 KiB of journal.
+        assert max_store_bytes < 4 * self.STORE_MAX_BYTES
+        assert svc.stats()["ok"] is True
+        svc.stop()
