@@ -45,8 +45,11 @@ Invariants
     Bit rot costs only what it damaged: the grid's salvage/recovery
     pass re-executed no more cells than the number of damaged registry
     records (zero at zero damage — undamaged cells are never
-    recomputed), and the store lost no more sessions+jobs than it had
-    damaged or quarantined records.
+    recomputed), the store lost no more sessions+jobs than it had
+    damaged or quarantined records, and the search made no more
+    evaluator calls beyond the reference's than its checkpoint lost
+    records to damage (a resume starts from the last clean save, never
+    from zero).
 ``no-orphans``
     No worker processes outlive the workload and no stray temporary
     files (``*.tmp``) remain under the root.
@@ -174,6 +177,10 @@ def verify_outcomes(reference: dict, chaotic: dict) -> OracleReport:
     store_salvaged = int(cha_svc.get("store_salvaged", 0))
     grid_damage = int(cha_grid.get("damage_records", 0))
     salvage_executed = int(cha_grid.get("salvage_executed", 0))
+    ckpt_lost = int(cha_search.get("ckpt_lost_records", 0))
+    extra_calls = int(cha_search.get("evaluator_calls", 0)) - int(
+        ref_search.get("evaluator_calls", 0)
+    )
     n_missing, missing_jobs, subset_violation = _service_loss(
         ref_svc["state"], cha_svc["state"]
     )
@@ -236,11 +243,14 @@ def verify_outcomes(reference: dict, chaotic: dict) -> OracleReport:
         _check(
             "corruption-bounded-loss",
             salvage_executed <= grid_damage
-            and (store_damage == 0 or n_missing <= store_damage + store_salvaged),
+            and (store_damage == 0 or n_missing <= store_damage + store_salvaged)
+            and extra_calls <= ckpt_lost,
             f"salvage re-executed {salvage_executed} cells for "
             f"{grid_damage} damaged registry records; store lost "
             f"{n_missing} entries for {store_damage} damaged + "
-            f"{store_salvaged} quarantined records",
+            f"{store_salvaged} quarantined records; search re-evaluated "
+            f"{extra_calls} configurations for {ckpt_lost} checkpoint "
+            "records lost to damage",
         ),
         _check(
             "no-orphans",

@@ -17,8 +17,9 @@ through one :class:`~repro.chaos.plan.ChaosPlan`:
   recovery).
 
 The silent-corruption layer rides on top of all three: search
-checkpoints are bit-rotted between kill/resume cycles (the ``.bak``
-fallback resumes from the last good snapshot), the grid registry and
+checkpoints are bit-rotted between kill/resume cycles (salvage
+quarantines the damaged line and every later one, and the search
+resumes from the last clean save), the grid registry and
 the session store rot under budgeted
 :data:`~repro.chaos.faultfs.CORRUPT_MODES` rules while the journals
 are in active use (including flip-during-compaction), and a post-chaos
@@ -43,7 +44,10 @@ tests can prove the oracle actually discriminates:
 * ``"skip-salvage-recovery"`` — the grid registry is deliberately
   bit-flipped after the chaos window and the salvage/recovery pass is
   skipped, so the final verification pass is the first reader to
-  discover the damage and must re-execute a cell.
+  discover the damage and must re-execute a cell;
+* ``"resume-from-zero"`` — a search resume that finds checkpoint
+  damage salvages it, then discards the clean prefix and restarts
+  the search from position 0.
 """
 
 from __future__ import annotations
@@ -74,7 +78,7 @@ __all__ = ["run_workload", "BREAK_INVARIANT_MODES"]
 
 #: Recognized sabotage modes for the oracle's negative tests.
 BREAK_INVARIANT_MODES: tuple[str, ...] = (
-    "skip-replay", "no-resume", "skip-salvage-recovery",
+    "skip-replay", "no-resume", "skip-salvage-recovery", "resume-from-zero",
 )
 
 _SEARCH_NMAX = 14
@@ -94,23 +98,57 @@ class _KillingManager(CheckpointManager):
 
     The save *completes* before the kill — exactly a SIGKILL landing
     between the checkpoint fsync and the next instruction — so a resume
-    must pick up from the snapshot that was just written.
+    must pick up from the snapshot that was just written.  Each load
+    adds the records the journal lost since the last save (held by
+    lines salvage quarantined or the damage cut off) to
+    ``lost_records``.
     """
 
     def __init__(self, path, every: int, kill_every_saves: int,
-                 max_kills: int) -> None:
+                 max_kills: int, resume_from_zero: bool = False) -> None:
         super().__init__(path, every=every)
         self.kill_every_saves = kill_every_saves
         self.kills_left = max_kills
+        self.resume_from_zero = resume_from_zero
+        self.lost_records = 0
+        self._saved_records = 0
         self._saves_since_kill = 0
+
+    def load(self):
+        snapshot = super().load()
+        kept = 0 if snapshot is None else len(snapshot.trace["records"])
+        lost = self._saved_records - kept
+        self.lost_records += lost
+        self._saved_records = kept
+        if lost and self.resume_from_zero:
+            self.clear()
+            self._saved_records = 0
+            return None
+        return snapshot
 
     def save(self, trace, position, evaluator=None, extra=None) -> None:
         super().save(trace, position, evaluator=evaluator, extra=extra)
+        self._saved_records = len(trace.records)
         self._saves_since_kill += 1
         if self.kills_left > 0 and self._saves_since_kill >= self.kill_every_saves:
             self.kills_left -= 1
             self._saves_since_kill = 0
             raise _ChaosKill(f"chaos kill after save at position {position}")
+
+
+class _CountingEvaluator:
+    """Counts the evaluations a search asks for; delegates the rest."""
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        self.calls = 0
+
+    def __getattr__(self, name: str):
+        return getattr(self.inner, name)
+
+    def evaluate(self, config):
+        self.calls += 1
+        return self.inner.evaluate(config)
 
 
 def _file_sha256(path: str) -> str:
@@ -134,23 +172,28 @@ def _build_search(plan: ChaosPlan):
         OrioEvaluator(kernel, SANDYBRIDGE, clock=SimClock()),
         plan.fault_spec(),
     )
-    evaluator = ResilientEvaluator(faulty, retry=RetryPolicy(max_retries=1))
+    evaluator = _CountingEvaluator(
+        ResilientEvaluator(faulty, retry=RetryPolicy(max_retries=1))
+    )
     stream = SharedStream(kernel.space, seed=("chaos-search", plan.seed))
     return evaluator, faulty, stream
 
 
-def _run_search_phase(plan: ChaosPlan, root: str, chaos: bool) -> dict:
+def _run_search_phase(plan: ChaosPlan, root: str, chaos: bool,
+                      break_invariant: str | None) -> dict:
     from repro.search.random_search import random_search
 
     ckpt_path = os.path.join(root, "search.ckpt.json")
     resumes = 0
     ckpt_corruptions = 0
+    evaluator_calls = 0
     if chaos:
         manager: CheckpointManager = _KillingManager(
             ckpt_path,
             every=_CHECKPOINT_EVERY,
             kill_every_saves=plan.kill_every_saves,
             max_kills=plan.restarts + 1,
+            resume_from_zero=break_invariant == "resume-from-zero",
         )
     else:
         manager = CheckpointManager(ckpt_path, every=_CHECKPOINT_EVERY)
@@ -164,13 +207,10 @@ def _run_search_phase(plan: ChaosPlan, root: str, chaos: bool) -> dict:
             break
         except _ChaosKill:
             resumes += 1
-            # Bit-rot the live checkpoint while the process is "down" —
-            # only once the ``.bak`` of an older save exists, so the
-            # resume exercises the fallback instead of a cold restart.
-            # Every save point is a complete snapshot, so resuming from
-            # the backup replays deterministically and still converges.
-            if (ckpt_corruptions < plan.corrupt_budget
-                    and os.path.exists(f"{ckpt_path}.bak")):
+            # Bit-rot the live checkpoint while the process is "down".
+            # The resume salvages the clean prefix and replays the lost
+            # saves deterministically, so it still converges.
+            if ckpt_corruptions < plan.corrupt_budget:
                 damaged = corrupt_file(
                     ckpt_path, plan.ckpt_corrupt_mode,
                     seed=f"{plan.seed}-ckpt", index=ckpt_corruptions,
@@ -178,12 +218,16 @@ def _run_search_phase(plan: ChaosPlan, root: str, chaos: bool) -> dict:
                 )
                 if damaged:
                     ckpt_corruptions += 1
+        finally:
+            evaluator_calls += evaluator.calls
     return {
         "trace_digest": trace.state_digest(),
         "n_records": trace.n_evaluations,
         "checkpoint_sha": _file_sha256(ckpt_path),
         "resumes": resumes,
         "ckpt_corruptions": ckpt_corruptions,
+        "ckpt_lost_records": getattr(manager, "lost_records", 0),
+        "evaluator_calls": evaluator_calls,
         "evaluator_faults": dict(faulty.injector.counts),
     }
 
@@ -479,7 +523,7 @@ def _run_service_phase(plan: ChaosPlan, root: str, chaos: bool,
 # Orphan sweep
 # ----------------------------------------------------------------------
 def _scan_orphans(root: str) -> list[str]:
-    """Leftover temporaries under ``root`` (``.bak`` backups are policy)."""
+    """Leftover temporaries under ``root``."""
     orphans = []
     for dirpath, _dirnames, filenames in os.walk(root):
         for name in filenames:
@@ -508,7 +552,7 @@ def run_workload(
         )
     root = os.fspath(root)
     os.makedirs(root, exist_ok=True)
-    search = _run_search_phase(plan, root, chaos)
+    search = _run_search_phase(plan, root, chaos, break_invariant)
     grid = _run_grid_phase(plan, root, chaos, break_invariant)
     service = _run_service_phase(plan, root, chaos, break_invariant)
     return {

@@ -1,6 +1,6 @@
 """Static hygiene checks for the ``repro`` source tree.
 
-Two checks, both AST-based (the checked code is never imported):
+Three checks, all AST-based (the checked code is never imported):
 
 1. **Import cycles.**  Builds the module-level import graph of
    ``repro`` — every ``import``/``from ... import`` executed at module
@@ -17,6 +17,12 @@ Two checks, both AST-based (the checked code is never imported):
    references and that their module does not export via ``__all__``;
    plus private (``_``-prefixed) top-level definitions never referenced
    inside their own module.
+
+3. **One persistence primitive.**  ``os.replace``, ``os.rename`` and
+   ``os.fsync`` are called only in :mod:`repro.exec.journal` (the
+   atomic write and the journal append) and in
+   :mod:`repro.chaos.faultfs` (which wraps them to inject faults);
+   every other durable write goes through the journal layer.
 
 Run as ``python -m repro.devtools.lint`` (or ``make lint``).  Exit
 status 0 means clean; 1 means findings (one per line on stdout).
@@ -35,6 +41,7 @@ __all__ = [
     "find_cycles",
     "check_imports",
     "check_dead_code",
+    "check_persistence",
     "run_lint",
     "main",
 ]
@@ -299,6 +306,43 @@ def check_dead_code(modules: dict[str, str], repo_root: str) -> list[str]:
 
 
 # ----------------------------------------------------------------------
+# Check 3: durable writes only through the journal layer
+# ----------------------------------------------------------------------
+#: The ``os`` calls that make or move durable bytes.
+_DURABLE_CALLS = frozenset({"replace", "rename", "fsync"})
+
+#: The modules allowed to make them.
+_PERSISTENCE_MODULES = frozenset({f"{PACKAGE}.exec.journal",
+                                  f"{PACKAGE}.chaos.faultfs"})
+
+
+def check_persistence(modules: dict[str, str]) -> list[str]:
+    """Calls to ``os.replace``/``os.rename``/``os.fsync`` outside the
+    journal layer."""
+    errors: list[str] = []
+    for name, path in sorted(modules.items()):
+        if name in _PERSISTENCE_MODULES:
+            continue
+        with open(path, "rb") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        for node in ast.walk(tree):
+            func = getattr(node, "func", None)
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(func, ast.Attribute)
+                and func.attr in _DURABLE_CALLS
+                and isinstance(func.value, ast.Name)
+                and func.value.id == "os"
+            ):
+                errors.append(
+                    f"{path}:{node.lineno}: os.{func.attr} outside the "
+                    "journal layer — write durably through "
+                    "repro.exec.journal (atomic_write or JsonlJournal)"
+                )
+    return errors
+
+
+# ----------------------------------------------------------------------
 def _default_roots() -> tuple[str, str]:
     src_root = os.path.dirname(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__)
@@ -313,7 +357,8 @@ def run_lint(src_root: str | None = None, repo_root: str | None = None) -> list[
         src_root = src_root or default_src
         repo_root = repo_root or default_repo
     modules = collect_modules(src_root)
-    return check_imports(modules) + check_dead_code(modules, repo_root)
+    return (check_imports(modules) + check_dead_code(modules, repo_root)
+            + check_persistence(modules))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -324,7 +369,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"lint: {len(errors)} finding(s)")
         return 1
     print("lint: clean (import graph acyclic, no hidden internal imports, "
-          f"no dead code in {PACKAGE})")
+          f"no dead code in {PACKAGE}, durable writes only through the "
+          "journal layer)")
     return 0
 
 

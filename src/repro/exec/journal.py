@@ -30,15 +30,13 @@ instead of being replayed as quietly wrong data.  Unframed legacy
 lines pass through :func:`unframe_line` unchanged, so journals written
 before framing (and committed golden fixtures) keep loading.
 
-The same two primitives serve single-document files: every checkpoint
-(:mod:`repro.reliability.checkpoint`) and benchmark artefact is written
-by :func:`atomic_write`, and every checkpoint is read back by
-:func:`read_framed`, which parses one framed document and locates a
-parse error by byte offset.
+Search and session checkpoints (:mod:`repro.reliability.checkpoint`)
+are journals of framed lines too; benchmark artefacts are single
+documents written by :func:`atomic_write`.
 
-This module owns only bytes-on-disk mechanics and the envelope codec,
-for journals and checkpoints alike; record schemas, replay semantics,
-and salvage-on-load belong to the callers (see :mod:`repro.exec.scrub`).
+This module owns only bytes-on-disk mechanics and the envelope codec;
+record schemas, replay semantics, and salvage-on-load belong to the
+callers (see :mod:`repro.exec.scrub`).
 """
 
 from __future__ import annotations
@@ -48,7 +46,7 @@ import os
 import zlib
 from typing import Iterable, Iterator
 
-from repro.errors import CheckpointError, JournalWriteError
+from repro.errors import JournalWriteError
 
 __all__ = [
     "FRAME_VERSION",
@@ -57,7 +55,6 @@ __all__ = [
     "canonical_json",
     "frame_line",
     "frame_obj",
-    "read_framed",
     "unframe_line",
     "unframe_obj",
 ]
@@ -141,45 +138,6 @@ def unframe_line(line) -> tuple[dict, bool]:
     if not isinstance(obj, dict):
         raise ValueError(f"journal line is not a JSON object: {obj!r}")
     return unframe_obj(obj)
-
-
-def read_framed(path) -> tuple[object, bool]:
-    """Read one framed JSON document from ``path`` and verify it.
-
-    Returns ``(record, framed)`` as :func:`unframe_obj` does, so legacy
-    unframed documents pass through.  A read failure propagates as
-    :class:`OSError`; a document that does not parse or verify raises
-    :class:`~repro.errors.CheckpointError` carrying the path and the
-    byte offset of the damage — where the parser stopped, or 0 when the
-    envelope checksum (one over the whole document) fails.
-    """
-    path = os.fspath(path)
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    try:
-        document = json.loads(blob.decode("utf-8"))
-    except UnicodeDecodeError as exc:
-        raise CheckpointError(
-            f"corrupt checkpoint {path!r} at byte offset {exc.start}: "
-            f"{exc.reason}",
-            path=path,
-            offset=exc.start,
-        ) from exc
-    except json.JSONDecodeError as exc:
-        # exc.pos is a character offset; report the byte offset so the
-        # message matches what `truncate`, `dd`, and hexdumps show.
-        offset = len(exc.doc[: exc.pos].encode("utf-8"))
-        raise CheckpointError(
-            f"corrupt checkpoint {path!r} at byte offset {offset}: {exc.msg}",
-            path=path,
-            offset=offset,
-        ) from exc
-    try:
-        return unframe_obj(document)
-    except ValueError as exc:
-        raise CheckpointError(
-            f"corrupt checkpoint {path!r}: {exc}", path=path, offset=0
-        ) from exc
 
 
 def _remove_quietly(path: str) -> None:

@@ -14,16 +14,17 @@ compaction — without turning one bad record into a dead campaign:
   base64 raw bytes, timestamp — nothing is silently discarded) and
   atomically rewrites the journal with only the surviving lines, each
   byte-for-byte as read, so legacy unframed records stay legacy;
-* :func:`scrub_journal` / :func:`scrub_checkpoint` wrap both into a
-  :class:`ScrubReport` for one file, and :func:`main` exposes the pass
-  as ``python -m repro.exec.scrub`` (``make scrub``).
+* :func:`scrub_journal` wraps both into a :class:`ScrubReport` for one
+  file, and :func:`main` exposes the pass as
+  ``python -m repro.exec.scrub`` (``make scrub``).
 
 :func:`scrub_journal` is also the one salvage-on-load path:
-:class:`~repro.exec.RunRegistry` and the service
-:class:`~repro.service.store.SessionStore` replay their journals
-through it (``apply=`` folds each clean record into the caller's
-state, ``label=`` turns on the load warnings), so both always
-quarantine damage and re-execute only what was actually lost.  The
+:class:`~repro.exec.RunRegistry`, the service
+:class:`~repro.service.store.SessionStore` and the search and session
+checkpoints of :mod:`repro.reliability.checkpoint` replay their
+journals through it (``apply=`` folds each clean record into the
+caller's state, ``label=`` turns on the load warnings), so all of them
+quarantine damage and redo only what was actually lost.  The
 sidecar keeps every damaged byte with its offset, and ``--check`` is
 the read-only audit that modifies nothing.
 """
@@ -40,8 +41,8 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.errors import CheckpointError, JournalWriteError
-from repro.exec.journal import JsonlJournal, read_framed, unframe_line
+from repro.errors import JournalWriteError
+from repro.exec.journal import JsonlJournal, unframe_line
 
 __all__ = [
     "QUARANTINE_SUFFIX",
@@ -51,7 +52,6 @@ __all__ = [
     "scan_journal",
     "quarantine_and_rewrite",
     "scrub_journal",
-    "scrub_checkpoint",
     "main",
 ]
 
@@ -318,35 +318,6 @@ def _warn_damage(label: str, report: ScrubReport) -> None:
         )
 
 
-def scrub_checkpoint(path) -> ScrubReport:
-    """Verify one single-document checkpoint file (report-only).
-
-    Checkpoints are not salvaged line-by-line — their recovery story is
-    the ``.bak`` sibling kept by
-    :class:`~repro.reliability.CheckpointManager` — so a damaged
-    checkpoint is reported, never modified.  The damage offset is where
-    the parser stopped, or 0 when only the envelope checksum failed.
-    """
-    path = os.fspath(path)
-    try:
-        _record, framed = read_framed(path)
-    except FileNotFoundError:
-        return ScrubReport(path=path)
-    except CheckpointError as exc:
-        reason = str(exc)
-        backup = path + ".bak"  # CheckpointManager's backup sibling
-        if os.path.exists(backup):
-            reason += f" (backup {backup!r} present)"
-        with open(path, "rb") as fh:
-            raw = fh.read()
-        return ScrubReport(
-            path=path,
-            quarantined=(DamagedLine(offset=exc.offset, raw=raw,
-                                     reason=reason),),
-        )
-    return ScrubReport(path=path, n_records=1, n_framed=1 if framed else 0)
-
-
 def _collect_targets(paths: list[str]) -> list[str]:
     """Expand CLI arguments: directories walk to their ``*.jsonl`` files."""
     targets: list[str] = []
@@ -367,19 +338,19 @@ def _collect_targets(paths: list[str]) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     """``python -m repro.exec.scrub``: verify/salvage journals on disk.
 
-    Journals (``*.jsonl``, or any directory which is walked for them)
-    are scrubbed and salvaged; other explicit file arguments are
-    treated as single-document checkpoints and verified in place.
-    Exit status 0 means every record verified clean; 1 means damage
-    was found (and, unless ``--check``, quarantined).
+    Every explicit file argument — a registry, a session store, a
+    search or session checkpoint — is scrubbed as a journal;
+    directories are walked for ``*.jsonl`` files.  Exit status 0 means
+    every record verified clean; 1 means damage was found (and, unless
+    ``--check``, quarantined).
     """
     parser = argparse.ArgumentParser(
         prog="python -m repro.exec.scrub",
-        description="Verify journal/checkpoint integrity; quarantine "
-        "damaged records and atomically rewrite the clean journal.",
+        description="Verify journal integrity; quarantine damaged "
+        "records and atomically rewrite the clean journal.",
     )
     parser.add_argument("paths", nargs="+",
-                        help="journal files, checkpoint files, or "
+                        help="journal or checkpoint files, or "
                         "directories to walk for *.jsonl journals")
     parser.add_argument("--check", action="store_true",
                         help="verify only; do not quarantine, rewrite, "
@@ -388,12 +359,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="print only damaged files")
     ns = parser.parse_args(argv)
 
-    reports: list[ScrubReport] = []
-    for target in _collect_targets(ns.paths):
-        if target.endswith(".jsonl"):
-            reports.append(scrub_journal(target, salvage=not ns.check))
-        else:
-            reports.append(scrub_checkpoint(target))
+    reports = [scrub_journal(target, salvage=not ns.check)
+               for target in _collect_targets(ns.paths)]
     damaged = [r for r in reports if not r.ok]
     for report in reports:
         if not ns.quiet or not report.ok:

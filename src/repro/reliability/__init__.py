@@ -15,11 +15,11 @@ class of hazard:
   :class:`ResilientEvaluator` wrapper: retries with clock-charged
   exponential backoff, waits out outages, degrades gracefully to
   censored/penalty measurements instead of raising;
-* :mod:`~repro.reliability.checkpoint` — JSON checkpoint/resume for
+* :mod:`~repro.reliability.checkpoint` — checkpoint/resume for
   searches, tuning runs and transfer sessions, preserving CRN
   alignment bit-for-bit across the interruption; every checkpoint is
-  CRC32-framed, written by the journal layer's atomic write, and
-  recovered from its ``.bak`` when damaged or missing;
+  an append-only journal of CRC32-framed lines, salvaged on load like
+  the run registry, so damage costs only the saves it hit;
 * :mod:`~repro.reliability.stats` — counters describing how much the
   reliability machinery actually worked.
 """

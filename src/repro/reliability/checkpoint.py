@@ -1,8 +1,8 @@
-"""JSON checkpoint/resume for searches, tuning runs, and sessions.
+"""Checkpoint/resume for searches, tuning runs, and sessions.
 
 An outage mid-search (the paper's X-Gene budget blow-up, a killed job,
-a crashed node) should not force re-evaluating everything.  A
-checkpoint captures, in one JSON document:
+a crashed node) should not force re-evaluating everything.  A search
+checkpoint records:
 
 * the :class:`~repro.search.result.SearchTrace` so far (configurations
   by linear index, runtimes, elapsed times, failure/censoring flags);
@@ -22,23 +22,29 @@ CRN alignment survives a resume because a rebuilt
 :class:`SharedStream` regenerates the same sequence from its seed and
 the manager re-materializes exactly the checkpointed prefix.
 
-Search checkpoints and session checkpoints (:func:`save_traces`) share
-one document path: each save frames the document in the journal
-layer's CRC32 envelope, keeps the previous copy as ``<path>.bak``, and
-lands through :func:`~repro.exec.journal.atomic_write`; each load
-verifies the primary and falls back to the ``.bak`` when the primary
-is damaged or missing.
+Every checkpoint is an append-only :class:`~repro.exec.journal.JsonlJournal`
+of CRC32-framed lines (format version :data:`FORMAT_VERSION`).  Each
+search save appends one line holding ``start`` (the records already on
+disk), only the records added since, and the full small state; each
+session save (:func:`save_traces`) appends one finished trace.  Loads
+replay the journal through :func:`~repro.exec.scrub.scrub_journal`, the
+salvage path the run registry and session store use: a torn final
+line is dropped, and a damaged search line quarantines itself and every
+line after it (their ``start`` no longer chains), so the resume starts
+from the last clean save.  A verified line of another format version
+is foreign input, never salvage: it raises :class:`CheckpointError`
+and leaves the file alone.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import warnings
 from dataclasses import dataclass, field
 
 from repro.errors import CheckpointError
-from repro.exec.journal import atomic_write, frame_line, read_framed
+from repro.exec.journal import JsonlJournal, canonical_json, frame_obj
+from repro.exec.scrub import scrub_journal
 from repro.search.result import EvaluationRecord, SearchTrace
 from repro.searchspace.space import SearchSpace
 
@@ -52,7 +58,7 @@ __all__ = [
     "load_traces",
 ]
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 # ----------------------------------------------------------------------
@@ -148,8 +154,46 @@ def _decode_floats(obj):
 
 
 # ----------------------------------------------------------------------
+# The journal both checkpoint kinds share
+# ----------------------------------------------------------------------
+def _replay(path: str, fold) -> None:
+    """Fold every clean line of the checkpoint at ``path``, in order,
+    into ``fold`` (its floats still encoded).
+
+    Damage is salvaged like any journal's (see module docstring); a
+    verified line of another format version raises
+    :class:`CheckpointError` before anything is quarantined or rewritten.
+    """
+
+    def apply(line: dict) -> None:
+        version = line.get("version")
+        if version != FORMAT_VERSION:
+            raise CheckpointError(
+                f"checkpoint {path!r} holds format version {version!r}, "
+                f"not {FORMAT_VERSION}; refusing to resume from or salvage "
+                "a file in another format",
+                path=path,
+            )
+        fold(line)
+
+    try:
+        scrub_journal(path, apply=apply, label="checkpoint")
+    except OSError as exc:
+        raise CheckpointError(
+            f"could not read checkpoint {path!r}: {exc}", path=path
+        ) from exc
+
+
+# ----------------------------------------------------------------------
 # Search checkpoints
 # ----------------------------------------------------------------------
+#: The small state every search checkpoint line carries in full.
+_STATE_KEYS = (
+    "algorithm", "position", "clock", "reliability", "extra",
+    "total_elapsed", "exhausted_budget", "metadata",
+)
+
+
 @dataclass
 class SearchCheckpoint:
     """One resumable snapshot of a running search."""
@@ -160,140 +204,10 @@ class SearchCheckpoint:
     clock: dict
     reliability: dict | None = None
     extra: dict = field(default_factory=dict)
-    version: int = FORMAT_VERSION
-
-    def to_dict(self) -> dict:
-        return {
-            "version": self.version,
-            "algorithm": self.algorithm,
-            "position": self.position,
-            "trace": self.trace,
-            "clock": self.clock,
-            "reliability": self.reliability,
-            "extra": self.extra,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SearchCheckpoint":
-        version = int(data.get("version", -1))
-        if version != FORMAT_VERSION:
-            raise CheckpointError(
-                f"checkpoint format version {version} not supported "
-                f"(expected {FORMAT_VERSION})"
-            )
-        return cls(
-            algorithm=data["algorithm"],
-            position=int(data["position"]),
-            trace=data["trace"],
-            clock=data["clock"],
-            reliability=data.get("reliability"),
-            extra=data.get("extra", {}),
-            version=version,
-        )
-
-
-def _backup_path(path: str) -> str:
-    return f"{path}.bak"
-
-
-def _offset_label(exc: CheckpointError) -> str:
-    """The byte offset an error located, or ``n/a`` (semantic reject)."""
-    return "n/a" if getattr(exc, "offset", None) is None else str(exc.offset)
-
-
-def _read(path: str) -> dict:
-    """One verified checkpoint document, with its floats decoded."""
-    try:
-        payload, _framed = read_framed(path)
-    except OSError as exc:
-        raise CheckpointError(
-            f"could not read checkpoint {path!r}: {exc}", path=path
-        ) from exc
-    return _decode_floats(payload)
-
-
-def _verifies(path: str) -> bool:
-    """Whether ``path`` currently holds a checkpoint that passes
-    verification (parses, and its CRC32 envelope — if framed — holds)."""
-    try:
-        read_framed(path)
-    except (OSError, CheckpointError):
-        return False
-    return True
-
-
-def _write(path: str, payload: dict) -> None:
-    """Durably save one checkpoint document, keeping the last good copy.
-
-    The document is wrapped in the journal layer's CRC32 envelope
-    (:func:`~repro.exec.journal.frame_line`), so *any* bit flip at rest
-    — even one that still parses as JSON — fails verification on load
-    instead of resuming from quietly wrong state.  The previous file
-    survives as ``<path>.bak`` — the recovery target when the live file
-    is later found damaged or missing — but only when it still
-    *verifies*: promoting a bit-rotted primary would clobber the last
-    good backup, and the very next corruption hit would leave *both*
-    copies bad.  A primary that fails its CRC is simply replaced.
-    """
-    doc = json.dumps(
-        _encode_floats(payload), sort_keys=True, separators=(",", ":"),
-        allow_nan=False,
-    )
-    try:
-        if _verifies(path):
-            os.replace(path, _backup_path(path))
-        atomic_write(path, frame_line(doc).encode("utf-8"))
-    except OSError as exc:
-        raise CheckpointError(
-            f"could not write checkpoint {path!r}: {exc}", path=path
-        ) from exc
-
-
-def _load(path: str, parse):
-    """``parse`` of the checkpoint at ``path``, or ``None`` when neither
-    it nor its ``.bak`` exists.
-
-    A damaged or missing primary (a flipped bit caught by the CRC32
-    envelope, a crash between the ``.bak`` rotation and the new
-    primary landing) falls back to the ``.bak`` with a warning:
-    strictly better than restarting, and exact because every save
-    point is a complete snapshot.  When the backup *also* fails, the
-    error reports both paths and both byte offsets (and carries the
-    backup's on ``backup_path``/``backup_offset``).
-    """
-    backup = _backup_path(path)
-    if not (os.path.exists(path) or os.path.exists(backup)):
-        return None
-    try:
-        return parse(_read(path))
-    except CheckpointError as exc:
-        if not os.path.exists(backup):
-            raise
-        try:
-            recovered = parse(_read(backup))
-        except CheckpointError as bak_exc:
-            combined = CheckpointError(
-                "checkpoint and backup both failed verification — "
-                f"primary {path!r} (byte offset {_offset_label(exc)}): "
-                f"{exc}; backup {backup!r} (byte offset "
-                f"{_offset_label(bak_exc)}): {bak_exc}",
-                path=path,
-                offset=exc.offset,
-            )
-            combined.backup_path = backup
-            combined.backup_offset = bak_exc.offset
-            raise combined from exc
-        warnings.warn(
-            f"checkpoint {path!r} is unreadable ({exc}); "
-            f"resuming from backup {backup!r}",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return recovered
 
 
 class CheckpointManager:
-    """Save/restore one search's progress at a JSON path.
+    """Save/restore one search's progress in an append-only journal.
 
     Pass an instance as the ``checkpoint=`` argument of
     :func:`~repro.search.random_search.random_search`,
@@ -311,20 +225,56 @@ class CheckpointManager:
         self.path = os.fspath(path)
         self.every = every
         self._last_saved_position = -1
+        # What the journal holds: (records on disk, canonical JSON of the
+        # last line's state); None until this manager has read or written
+        # a line, and the next save then starts a new journal.
+        self._on_disk: tuple[int, str] | None = None
 
     def exists(self) -> bool:
         return os.path.exists(self.path)
 
     def load(self) -> SearchCheckpoint | None:
-        """The stored snapshot, or ``None`` when no file exists.
+        """The last clean snapshot, or ``None`` when there is none.
 
-        A damaged primary (a crash mid-save, a flipped bit caught by
-        the CRC32 envelope) or a missing one falls back to the ``.bak``
-        of the last good checkpoint (kept by every :meth:`save`) with a
-        warning; when that fails too, :class:`CheckpointError` names
-        both paths and byte offsets.
+        Each line must start where the lines before it left off; one
+        that does not (it follows a damaged line) is quarantined with
+        the damage, so loss is bounded by the damage.
         """
-        return _load(self.path, SearchCheckpoint.from_dict)
+        records: list[dict] = []
+        last: dict = {}
+
+        def fold(line: dict) -> None:
+            if line["start"] != len(records):
+                raise ValueError(
+                    f"line starts at record {line['start']}, but "
+                    f"{len(records)} precede it"
+                )
+            state = {key: line[key] for key in _STATE_KEYS}
+            records.extend(line["records"])
+            last.clear()
+            last.update(state)
+
+        _replay(self.path, fold)
+        if not last:
+            self._on_disk, self._last_saved_position = None, -1
+            return None
+        self._on_disk = (len(records), canonical_json(last))
+        self._last_saved_position = int(last["position"])
+        last = _decode_floats(last)
+        return SearchCheckpoint(
+            algorithm=last["algorithm"],
+            position=int(last["position"]),
+            trace={
+                "algorithm": last["algorithm"],
+                "records": _decode_floats(records),
+                "total_elapsed": last["total_elapsed"],
+                "exhausted_budget": last["exhausted_budget"],
+                "metadata": last["metadata"],
+            },
+            clock=last["clock"],
+            reliability=last["reliability"],
+            extra=last["extra"],
+        )
 
     # ------------------------------------------------------------------
     def restore(
@@ -362,7 +312,6 @@ class CheckpointManager:
                 loader(snapshot.reliability)
         if stream is not None and snapshot.position > 0:
             stream.prefix(snapshot.position)
-        self._last_saved_position = snapshot.position
         return snapshot.position, dict(snapshot.extra)
 
     def save(
@@ -372,21 +321,47 @@ class CheckpointManager:
         evaluator=None,
         extra: dict | None = None,
     ) -> None:
-        """Write a snapshot unconditionally."""
+        """Append a snapshot: the records added since the last save and
+        the full small state.  A save that changes neither writes
+        nothing; a manager that has not read its journal yet starts a
+        new one."""
         reliability = None
         if evaluator is not None:
             getter = getattr(evaluator, "reliability_state", None)
             if callable(getter):
                 reliability = getter()
-        snapshot = SearchCheckpoint(
-            algorithm=trace.algorithm,
-            position=position,
-            trace=trace_to_dict(trace),
-            clock=evaluator.clock.state_dict() if evaluator is not None else {},
-            reliability=reliability,
-            extra=extra or {},
-        )
-        _write(self.path, snapshot.to_dict())
+        state = _encode_floats({
+            "algorithm": trace.algorithm,
+            "position": position,
+            "clock": evaluator.clock.state_dict() if evaluator is not None else {},
+            "reliability": reliability,
+            "extra": extra or {},
+            "total_elapsed": trace.total_elapsed,
+            "exhausted_budget": trace.exhausted_budget,
+            "metadata": _json_safe(trace.metadata),
+        })
+        state_json = canonical_json(state)
+        start, last_state = self._on_disk or (0, None)
+        if len(trace.records) < start:
+            raise CheckpointError(
+                f"checkpoint {self.path!r} holds {start} records but the "
+                f"trace has {len(trace.records)}: traces only grow",
+                path=self.path,
+            )
+        new = trace.records[start:]
+        if new or state_json != last_state:
+            line = frame_obj(dict(
+                state,
+                version=FORMAT_VERSION,
+                start=start,
+                records=_encode_floats([_record_to_dict(r) for r in new]),
+            ))
+            journal = JsonlJournal(self.path)
+            if self._on_disk is None:
+                journal.rewrite([line])
+            else:
+                journal.append_line(line)
+            self._on_disk = (len(trace.records), state_json)
         self._last_saved_position = position
 
     def maybe_save(
@@ -404,12 +379,9 @@ class CheckpointManager:
         return True
 
     def clear(self) -> None:
-        """Delete the snapshot and its backup (a completed, consumed run)."""
-        if self.exists():
-            os.remove(self.path)
-        backup = _backup_path(self.path)
-        if os.path.exists(backup):
-            os.remove(backup)
+        """Delete the journal (a completed, consumed run)."""
+        JsonlJournal(self.path).clear()
+        self._on_disk = None
         self._last_saved_position = -1
 
 
@@ -417,34 +389,25 @@ class CheckpointManager:
 # Session-level checkpoints (transfer/session.py)
 # ----------------------------------------------------------------------
 def save_traces(path, traces: dict[str, SearchTrace]) -> None:
-    """Persist a mapping of finished traces (one transfer session)."""
-    payload = {
-        "version": FORMAT_VERSION,
-        "traces": {name: trace_to_dict(t) for name, t in traces.items()},
-    }
-    _write(os.fspath(path), payload)
-
-
-def _session_document(data: dict) -> dict:
-    version = int(data.get("version", -1))
-    if version != FORMAT_VERSION:
-        raise CheckpointError(
-            f"session checkpoint version {version} not supported "
-            f"(expected {FORMAT_VERSION})"
-        )
-    return data
+    """Append each finished trace of one transfer session, one line each."""
+    journal = JsonlJournal(path)
+    for name, trace in traces.items():
+        journal.append_line(frame_obj(_encode_floats({
+            "version": FORMAT_VERSION, "name": name, "trace": trace_to_dict(trace),
+        })))
 
 
 def load_traces(path, space: SearchSpace) -> dict[str, SearchTrace]:
-    """Load the finished traces of an interrupted transfer session.
+    """The finished traces of an interrupted transfer session, by name.
 
-    Recovers like :meth:`CheckpointManager.load`: a damaged or missing
-    file falls back to the ``.bak`` that :func:`save_traces` keeps.
+    Lines are independent: a damaged one costs only the trace it held.
     """
-    data = _load(os.fspath(path), _session_document)
-    if data is None:
-        return {}
-    return {
-        name: trace_from_dict(space, tdata)
-        for name, tdata in data.get("traces", {}).items()
-    }
+    traces: dict[str, SearchTrace] = {}
+
+    def fold(line: dict) -> None:
+        traces[str(line["name"])] = trace_from_dict(
+            space, _decode_floats(line["trace"])
+        )
+
+    _replay(os.fspath(path), fold)
+    return traces

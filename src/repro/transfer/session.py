@@ -211,8 +211,8 @@ class TransferSession:
     def run(self, checkpoint_path=None) -> TransferOutcome:
         """Steps 1-4; returns the complete outcome.
 
-        ``checkpoint_path`` optionally persists every finished search
-        trace (JSON, see :mod:`repro.reliability.checkpoint`): if the
+        ``checkpoint_path`` optionally appends every finished search
+        trace to a journal (see :mod:`repro.reliability.checkpoint`): if the
         session is interrupted — the paper's X-Gene outage scenario —
         re-running with the same path skips every completed phase
         instead of re-evaluating it.  Each search runs on a fresh clock
@@ -225,18 +225,17 @@ class TransferSession:
 
             done = load_traces(checkpoint_path, self.kernel.space)
 
-        def _save(traces: dict[str, SearchTrace]) -> None:
+        def _save(name: str, trace: SearchTrace) -> None:
             if checkpoint_path is not None:
                 from repro.reliability.checkpoint import save_traces
 
-                save_traces(checkpoint_path, traces)
+                save_traces(checkpoint_path, {name: trace})
 
         if "RS(source)" in done:
             source_trace = done["RS(source)"]
         else:
             source_trace = self.collect_source_data()
-            done["RS(source)"] = source_trace
-            _save(done)
+            _save("RS(source)", source_trace)
         surrogate = self.fit_surrogate(source_trace)
         training = source_trace.training_data()
 
@@ -293,8 +292,7 @@ class TransferSession:
                 traces[name] = done[name]
                 continue
             traces[name] = runners[name]()
-            done[name] = traces[name]
-            _save(done)
+            _save(name, traces[name])
 
         outcome = TransferOutcome(
             kernel=self.kernel.name,

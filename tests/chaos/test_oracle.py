@@ -25,6 +25,8 @@ def _outcome() -> dict:
             "n_records": 14,
             "checkpoint_sha": "c" * 64,
             "resumes": 0,
+            "ckpt_lost_records": 0,
+            "evaluator_calls": 14,
             "evaluator_faults": {"transient": 2},
         },
         "grid": {
@@ -78,6 +80,11 @@ class TestVerifyOutcomes:
             # salvage path ran when nothing was rotted.
             (lambda o: o["grid"].update(salvage_executed=2),
              "corruption-bounded-loss"),
+            # A search resumed from scratch: more evaluator calls than
+            # the checkpoint lost records.
+            (lambda o: o["search"].update(evaluator_calls=20,
+                                          ckpt_lost_records=3),
+             "corruption-bounded-loss"),
         ],
     )
     def test_each_divergence_fails_its_invariant(self, mutate, failing):
@@ -87,6 +94,11 @@ class TestVerifyOutcomes:
         assert not report.passed
         assert [c.name for c in report.failures] == [failing]
         assert report.failures[0].detail  # a failure always explains itself
+
+    def test_checkpoint_loss_allows_that_many_reevaluations(self):
+        chaotic = _outcome()
+        chaotic["search"].update(evaluator_calls=17, ckpt_lost_records=3)
+        assert verify_outcomes(_outcome(), chaotic).passed
 
     def test_report_wire_and_summary(self):
         chaotic = _outcome()
@@ -137,6 +149,15 @@ class TestNegativeOracle:
         # Rot left unsalvaged surfaces as re-executed cells in the
         # final cache-only verification pass.
         assert "zero-reexecuted-cells" in {c.name for c in report.failures}
+
+    def test_resuming_damaged_checkpoint_from_zero_is_caught(self, tmp_path):
+        plan = ChaosPlan.derive("oracle-neg", intensity=0.5)
+        report, chaotic = run_oracle(plan, root=tmp_path,
+                                     break_invariant="resume-from-zero")
+        assert chaotic["search"]["ckpt_corruptions"] > 0
+        # A from-scratch resume converges to the same trace and bytes,
+        # so only the loss bound can tell it from a real resume.
+        assert [c.name for c in report.failures] == ["corruption-bounded-loss"]
 
     def test_unknown_break_mode_rejected(self, tmp_path):
         plan = ChaosPlan.derive("oracle-neg", intensity=0.5)

@@ -10,9 +10,10 @@ from repro.exec.scrub import (
     QUARANTINE_SUFFIX,
     main,
     scan_journal,
-    scrub_checkpoint,
     scrub_journal,
 )
+from repro.reliability import CheckpointManager
+from repro.search.result import SearchTrace
 
 @pytest.fixture
 def journal(tmp_path):
@@ -144,43 +145,21 @@ class TestScrubJournal:
 
 
 class TestScrubCheckpoint:
-    def _save(self, tmp_path, backup=True):
-        path = tmp_path / "search.ckpt.json"
-        blob = (frame_obj({"cursor": 4, "trace": []}) + "\n").encode()
-        path.write_bytes(blob)
-        if backup:
-            (tmp_path / "search.ckpt.json.bak").write_bytes(blob)
-        return path
+    """Checkpoints are journals: the scrub treats them like any other."""
+
+    def _save(self, tmp_path, saves=1):
+        manager = CheckpointManager(tmp_path / "search.ckpt.json", every=1)
+        for position in range(1, saves + 1):
+            manager.save(SearchTrace(algorithm="RS"), position=position)
+        return manager.path
 
     def test_clean_checkpoint(self, tmp_path):
-        report = scrub_checkpoint(self._save(tmp_path))
+        report = scrub_journal(self._save(tmp_path))
         assert report.ok and report.n_records == 1 and report.n_framed == 1
 
     def test_missing_checkpoint_is_empty_report(self, tmp_path):
-        report = scrub_checkpoint(tmp_path / "absent.json")
+        report = scrub_journal(tmp_path / "absent.json")
         assert report.ok and report.n_records == 0
-
-    def test_damaged_checkpoint_reports_backup(self, tmp_path):
-        path = self._save(tmp_path)
-        blob = bytearray(open(path, "rb").read())
-        blob[len(blob) // 2] ^= 0x40
-        open(path, "wb").write(bytes(blob))
-        report = scrub_checkpoint(path)
-        assert not report.ok and not report.rewritten
-        assert ".bak" in report.quarantined[0].reason
-        # Report-only: the damaged checkpoint was left alone.
-        assert open(path, "rb").read() == bytes(blob)
-
-        # A mid-document truncation is located where the parser stopped,
-        # not at the start of the file.
-        cut = bytes(blob[: len(blob) // 2])
-        path.write_bytes(cut)
-        with pytest.raises(json.JSONDecodeError) as excinfo:
-            json.loads(cut)
-        report = scrub_checkpoint(path)
-        assert not report.ok
-        assert report.quarantined[0].offset == excinfo.value.pos > 0
-        assert report.quarantined[0].raw == cut
 
 
 class TestCli:
@@ -218,3 +197,19 @@ class TestCli:
         path.write_text(frame_obj({"cursor": 1}) + "\n")
         assert main([str(path)]) == 0
         capsys.readouterr()
+
+    def test_check_reports_damaged_checkpoint_line_offset(self, tmp_path,
+                                                         capsys):
+        manager = CheckpointManager(tmp_path / "search.ckpt", every=1)
+        for position in range(1, 4):
+            manager.save(SearchTrace(algorithm="RS"), position=position)
+        path = manager.path
+        blob = open(path, "rb").read()
+        second = blob.index(b"\n") + 1  # byte offset of line 2 of 3
+        damaged = bytearray(blob)
+        damaged[blob.index(b'"position"', second) + 2] ^= 0x01
+        open(path, "wb").write(bytes(damaged))
+        assert main(["--check", path]) == 1
+        out = capsys.readouterr().out
+        assert f"1 quarantined at byte offset(s) {second}" in out
+        assert open(path, "rb").read() == bytes(damaged)

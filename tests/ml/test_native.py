@@ -24,7 +24,8 @@ import numpy as np
 import pytest
 
 from repro.ml import _native
-from repro.ml.forest import RandomForestRegressor
+from repro.ml.forest import PackedTrees, RandomForestRegressor
+from repro.ml.tree import DecisionTreeRegressor
 
 NATIVE = _native.available()
 
@@ -103,6 +104,91 @@ def test_forest_predictions_identical_with_and_without_native(monkeypatch):
     without = run()
     np.testing.assert_array_equal(with_default[0], without[0])
     np.testing.assert_array_equal(with_default[1], without[1])
+
+
+# ----------------------------------------------------------------------
+# Randomized oracles: each kernel against its NumPy path, bit for bit
+# ----------------------------------------------------------------------
+_ORACLE_SEEDS = range(12)
+
+
+def _random_packed(rng, n_trees):
+    """Trees fit on small integer-valued data (so many rows tie), one
+    of them a lone leaf when there are several."""
+    p = int(rng.integers(1, 6))
+    trees = []
+    for t in range(n_trees):
+        n = int(rng.integers(1, 60))
+        X = rng.integers(0, 4, size=(n, p)).astype(float)
+        y = rng.normal(size=n)
+        if t == 1:
+            y[:] = 0.5  # constant target: a single-leaf tree
+        tree = DecisionTreeRegressor(
+            max_depth=int(rng.integers(1, 8)),
+            min_samples_leaf=int(rng.integers(1, 4)),
+            rng=np.random.default_rng(int(rng.integers(1 << 30))),
+        )
+        trees.append(tree.fit(X, y))
+    return PackedTrees(trees), p
+
+
+def _numpy_tree_values(packed, X, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setenv("REPRO_NATIVE", "0")
+        return packed.tree_values(X)
+
+
+@pytest.mark.skipif(not NATIVE, reason="native kernels unavailable")
+@pytest.mark.parametrize("seed", _ORACLE_SEEDS)
+def test_tree_values_oracle(seed, monkeypatch):
+    rng = np.random.default_rng([21, seed])
+    n_trees = 1 if seed < 2 else int(rng.integers(2, 16))
+    packed, p = _random_packed(rng, n_trees)
+    Xq = rng.integers(-1, 5, size=(int(rng.integers(1, 300)), p)).astype(float)
+    # Rows sitting exactly on split thresholds take the ``<=`` branch.
+    splits = packed.threshold[packed.feature >= 0]
+    if len(splits):
+        Xq[::3] = rng.choice(splits, size=Xq[::3].shape)
+    native = _native.tree_values(
+        packed.feature, packed.threshold, packed.left, packed.right,
+        packed.value, packed.roots, Xq,
+    )
+    np.testing.assert_array_equal(
+        native, _numpy_tree_values(packed, Xq, monkeypatch)
+    )
+
+
+@pytest.mark.skipif(not NATIVE, reason="native kernels unavailable")
+@pytest.mark.parametrize("seed", _ORACLE_SEEDS)
+def test_ensemble_reductions_oracle(seed):
+    rng = np.random.default_rng([22, seed])
+    n_trees = 1 if seed < 2 else int(rng.integers(2, 80))
+    n = int(rng.integers(1, 400))
+    vals = rng.normal(scale=10.0 ** rng.integers(-3, 4), size=(n_trees, n))
+    vals[:, ::4] = vals[0, ::4]  # columns whose trees all agree
+    vals[rng.random(vals.shape) < 0.2] = 1.25  # ties across trees
+    acc = np.zeros(n)
+    for t in range(n_trees):
+        acc += vals[t]
+    np.testing.assert_array_equal(_native.ensemble_mean(vals), acc / n_trees)
+    np.testing.assert_array_equal(_native.ensemble_std(vals), vals.std(axis=0))
+
+
+@pytest.mark.skipif(not NATIVE, reason="native kernels unavailable")
+@pytest.mark.parametrize("seed", _ORACLE_SEEDS)
+def test_gate_topk_oracle(seed):
+    rng = np.random.default_rng([23, seed])
+    n = int(rng.integers(1, 500))
+    # Few distinct values: long runs of ties, plus NaNs and signed zeros.
+    scores = rng.integers(-3, 4, size=n).astype(float)
+    scores[rng.random(n) < 0.1] = np.nan
+    scores[rng.random(n) < 0.1] = -0.0
+    cutoff = float(rng.choice([np.inf, 0.0, float(rng.integers(-3, 4))]))
+    for k in (0, 1, int(rng.integers(0, n + 1)), n, n + int(rng.integers(1, 50))):
+        order, admit = _native.gate_topk(scores, k, cutoff=cutoff)
+        expected = np.argsort(scores, kind="stable")[:k]
+        np.testing.assert_array_equal(order, expected)
+        np.testing.assert_array_equal(admit, ~(scores[expected] >= cutoff))
 
 
 # ----------------------------------------------------------------------

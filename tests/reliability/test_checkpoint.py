@@ -6,6 +6,8 @@ import os
 import pytest
 
 from repro.errors import CheckpointError
+from repro.exec.journal import canonical_json, frame_line
+from repro.exec.scrub import QUARANTINE_SUFFIX
 from repro.machines import SANDYBRIDGE, WESTMERE
 from repro.miniapps import MiniappEvaluator, make_hpl
 from repro.orio.evaluator import OrioEvaluator
@@ -119,11 +121,14 @@ class TestCheckpointManager:
         with pytest.raises(CheckpointError):
             CheckpointManager(path).load()
 
-    def test_corrupt_file_rejected(self, tmp_path):
+    def test_torn_only_line_restarts_from_zero(self, tmp_path):
+        # A crash mid-way through the first append: nothing was ever
+        # acknowledged, so the torn bytes go and the search starts over.
         path = tmp_path / "ck.json"
         path.write_text("{not json")
-        with pytest.raises(CheckpointError):
-            CheckpointManager(path).load()
+        with pytest.warns(RuntimeWarning, match="torn final record"):
+            assert CheckpointManager(path).load() is None
+        assert path.read_bytes() == b""
 
     def test_algorithm_mismatch_rejected(self, tmp_path, kernel):
         manager = CheckpointManager(tmp_path / "ck.json")
@@ -132,88 +137,140 @@ class TestCheckpointManager:
             manager.restore(SearchTrace(algorithm="RSb"), kernel.space)
 
 
+def _lines(path):
+    with open(path, "rb") as fh:
+        return fh.read().splitlines(keepends=True)
+
+
+def _flip_line(path, k):
+    """Flip one bit inside line ``k`` (0-based); returns its byte offset."""
+    lines = _lines(path)
+    offset = sum(len(line) for line in lines[:k])
+    blob = bytearray(b"".join(lines))
+    blob[offset + len(lines[k]) // 2] ^= 0x01
+    with open(path, "wb") as fh:
+        fh.write(bytes(blob))
+    return offset
+
+
+def _quarantined_offsets(path):
+    with open(f"{path}{QUARANTINE_SUFFIX}") as fh:
+        return [json.loads(line)["offset"] for line in fh]
+
+
 class TestCheckpointIntegrity:
-    """CRC32 framing, the ``.bak`` fallback, and bit-flip resilience."""
+    """CRC32-framed journal lines, salvage on load, foreign formats."""
 
-    def _manager(self, tmp_path):
+    def _manager(self, tmp_path, saves=2):
         manager = CheckpointManager(tmp_path / "ck.json", every=1)
-        manager.save(SearchTrace(algorithm="RS"), position=1)
-        manager.save(SearchTrace(algorithm="RS"), position=2)  # rotates .bak
+        for position in range(1, saves + 1):
+            manager.save(SearchTrace(algorithm="RS"), position=position)
         return manager
-
-    def _flip(self, path):
-        blob = bytearray(open(path, "rb").read())
-        blob[len(blob) // 2] ^= 0x20
-        open(path, "wb").write(bytes(blob))
 
     def test_saves_are_crc_framed(self, tmp_path):
         manager = self._manager(tmp_path)
-        envelope = json.loads(open(manager.path).read())
-        assert set(envelope) == {"crc", "rec", "v"}
-        assert envelope["rec"]["position"] == 2
+        envelopes = [json.loads(line) for line in _lines(manager.path)]
+        assert [set(e) for e in envelopes] == [{"crc", "rec", "v"}] * 2
+        assert [e["rec"]["position"] for e in envelopes] == [1, 2]
+        assert {e["rec"]["version"] for e in envelopes} == {2}
 
-    def test_legacy_unframed_checkpoint_loads(self, tmp_path):
-        manager = self._manager(tmp_path)
-        envelope = json.loads(open(manager.path).read())
-        # Strip the envelope: a pre-framing checkpoint document.
-        (tmp_path / "ck.json").write_text(json.dumps(envelope["rec"]))
-        assert manager.load().position == 2
+    def test_saves_append_only_new_records(self, tmp_path, kernel):
+        manager = CheckpointManager(tmp_path / "ck.json", every=1)
+        trace = SearchTrace(algorithm="RS")
+        for position in range(1, 4):
+            trace.add(EvaluationRecord(config=kernel.space.config_at(position),
+                                       runtime=1.0, elapsed=float(position)))
+            manager.save(trace, position=position)
+        recs = [json.loads(line)["rec"] for line in _lines(manager.path)]
+        assert [(r["start"], len(r["records"])) for r in recs] == [
+            (0, 1), (1, 1), (2, 1)
+        ]
+        assert len(manager.load().trace["records"]) == 3
+        # Nothing new and the same state: the save appends nothing.
+        before = _lines(manager.path)
+        manager.save(trace, position=3)
+        assert _lines(manager.path) == before
+        assert os.listdir(tmp_path) == ["ck.json"]  # no .bak, no .tmp
 
-    def test_bitflip_falls_back_to_backup(self, tmp_path):
+    def test_whole_document_checkpoint_rejected(self, tmp_path):
+        # A framed version-1 document, as whole-document checkpoints
+        # were written: foreign input, neither resumed nor salvaged.
+        doc = {"version": 1, "algorithm": "RS", "position": 4, "trace": {},
+               "clock": {}, "reliability": None, "extra": {}}
+        for blob in (frame_line(canonical_json(doc)), json.dumps(doc)):
+            path = tmp_path / "ck.json"
+            path.write_text(blob)
+            with pytest.raises(CheckpointError, match="format version 1"):
+                CheckpointManager(path).load()
+            with pytest.raises(CheckpointError, match="format version 1"):
+                CheckpointManager(path).restore(SearchTrace(algorithm="RS"),
+                                                space=None)
+            with pytest.raises(CheckpointError, match="format version 1"):
+                load_traces(path, space=None)
+            assert path.read_text() == blob
+            assert not os.path.exists(f"{path}{QUARANTINE_SUFFIX}")
+
+    def test_bitflip_resumes_from_last_clean_save(self, tmp_path):
         manager = self._manager(tmp_path)
-        self._flip(manager.path)
-        with pytest.warns(RuntimeWarning, match="resuming from backup"):
+        offset = _flip_line(manager.path, 1)
+        with pytest.warns(RuntimeWarning, match="quarantined 1 damaged"):
             snapshot = manager.load()
-        # The .bak is the previous complete snapshot: exact, just older.
         assert snapshot.position == 1
+        assert _quarantined_offsets(manager.path) == [offset]
+        assert len(_lines(manager.path)) == 1  # the clean prefix, in place
 
-    def test_both_copies_damaged_is_one_combined_error(self, tmp_path):
-        manager = self._manager(tmp_path)
-        self._flip(manager.path)
-        self._flip(f"{manager.path}.bak")
-        with pytest.raises(CheckpointError, match="both failed") as excinfo:
-            manager.load()
-        err = excinfo.value
-        assert err.path == manager.path and err.offset is not None
-        assert err.backup_path == f"{manager.path}.bak"
-        assert err.backup_offset is not None
-        assert ".bak" in str(err)
+    def test_damaged_line_quarantines_every_later_line(self, tmp_path,
+                                                       kernel, make_target):
+        def run(path, nmax=12):
+            return random_search(
+                make_target(), SharedStream(kernel.space, seed="ck"),
+                nmax=nmax, checkpoint=CheckpointManager(path, every=2),
+            )
 
-    def test_corrupt_primary_never_clobbers_good_backup(self, tmp_path):
+        run(tmp_path / "clean.json")
+        undamaged = _lines(tmp_path / "clean.json")
+        path = tmp_path / "rs.json"
+        run(path)
+        n, k = len(undamaged), 3
+        assert n > k + 1
+        offsets = [sum(len(line) for line in undamaged[:i]) for i in range(n)]
+        before_k = json.loads(undamaged[k - 1])["rec"]
+        _flip_line(path, k)
+        trace = SearchTrace(algorithm="RS")
+        with pytest.warns(RuntimeWarning, match=f"quarantined {n - k} "):
+            position, _extra = CheckpointManager(path).restore(
+                trace, kernel.space
+            )
+        assert position == before_k["position"]
+        assert trace.n_evaluations == before_k["start"] + len(
+            before_k["records"]
+        )
+        assert _quarantined_offsets(path) == offsets[k:]
+        assert _lines(path) == undamaged[:k]
+        # Resuming re-runs only what the damage cost and lands on the
+        # undamaged run's bytes.
+        run(path)
+        assert _lines(path) == undamaged
+
+    def test_save_after_salvage_extends_clean_prefix(self, tmp_path):
         manager = self._manager(tmp_path)
-        self._flip(manager.path)
-        # The next save must not rotate the damaged primary over the
-        # last good .bak — otherwise a second flip strands the run.
+        _flip_line(manager.path, 1)
+        with pytest.warns(RuntimeWarning, match="quarantined"):
+            assert manager.load().position == 1
         manager.save(SearchTrace(algorithm="RS"), position=3)
         assert manager.load().position == 3
-        self._flip(manager.path)
-        with pytest.warns(RuntimeWarning, match="resuming from backup"):
-            # .bak still holds the position-1 snapshot, not rot.
-            assert manager.load().position == 1
+        _flip_line(manager.path, 1)
+        with pytest.warns(RuntimeWarning, match="quarantined"):
+            assert CheckpointManager(manager.path).load().position == 1
 
-    def test_crash_after_rotation_resumes_from_backup(self, tmp_path):
+    def test_torn_final_line_is_dropped(self, tmp_path):
         manager = self._manager(tmp_path)
-        # A crash after the primary moved to .bak and before the new
-        # primary landed leaves only the backup: the resume must use
-        # it, not silently restart from zero.
-        os.replace(manager.path, f"{manager.path}.bak")
-        with pytest.warns(RuntimeWarning, match="resuming from backup"):
-            assert manager.load().position == 2
-
-    def test_session_crash_after_rotation_resumes_from_backup(
-        self, tmp_path, kernel
-    ):
-        path = tmp_path / "session.json"
-        trace = SearchTrace(algorithm="RS")
-        trace.add(EvaluationRecord(config=kernel.space.config_at(3),
-                                   runtime=1.5, elapsed=2.0))
-        save_traces(path, {"RS(source)": trace})
-        save_traces(path, {"RS(source)": trace, "RS": trace})
-        os.replace(path, f"{path}.bak")
-        with pytest.warns(RuntimeWarning, match="resuming from backup"):
-            traces = load_traces(path, kernel.space)
-        assert sorted(traces) == ["RS", "RS(source)"]
-        assert _trace_signature(traces["RS"]) == _trace_signature(trace)
+        lines = _lines(manager.path)
+        with open(manager.path, "wb") as fh:
+            fh.write(lines[0] + lines[1][: len(lines[1]) // 2])
+        with pytest.warns(RuntimeWarning, match="torn final record"):
+            assert manager.load().position == 1
+        assert _lines(manager.path) == lines[:1]
 
 
 class TestSearchResume:
@@ -408,8 +465,7 @@ class TestSessionResume:
             )
             assert name in outcome2.reports or name == "RS"
 
-    def test_damaged_session_checkpoint_resumes_from_backup(self, tmp_path,
-                                                            kernel):
+    def test_damaged_session_line_costs_one_trace(self, tmp_path, kernel):
         def session(variants):
             return TransferSession(kernel, WESTMERE, SANDYBRIDGE, nmax=12,
                                    pool_size=200, variants=variants)
@@ -417,13 +473,16 @@ class TestSessionResume:
         reference = session(("RSb", "RSp")).run()
         path = tmp_path / "session.json"
         # Interrupted after the source phase, the RS baseline and one
-        # variant were saved; then one byte of the checkpoint rots.
+        # variant were saved, one line each; then the RS line rots.
         session(("RSb",)).run(checkpoint_path=path)
-        blob = bytearray(path.read_bytes())
-        blob[len(blob) // 2] ^= 0x20
-        path.write_bytes(bytes(blob))
-        with pytest.warns(RuntimeWarning, match="resuming from backup"):
-            resumed = session(("RSb", "RSp")).run(checkpoint_path=path)
+        names = [json.loads(line)["rec"]["name"] for line in _lines(path)]
+        assert names == ["RS(source)", "RS", "RSb"]
+        _flip_line(path, 1)
+        with pytest.warns(RuntimeWarning, match="quarantined 1 damaged"):
+            assert sorted(load_traces(path, kernel.space)) == [
+                "RS(source)", "RSb"
+            ]
+        resumed = session(("RSb", "RSp")).run(checkpoint_path=path)
         assert _trace_signature(resumed.source_trace) == _trace_signature(
             reference.source_trace
         )

@@ -20,7 +20,7 @@ import json
 import pytest
 
 from repro.errors import SearchError
-from repro.exec.journal import unframe_obj
+from repro.exec.journal import unframe_line
 from repro.reliability import CheckpointManager, trace_to_dict
 from repro.search.biasing import biased_search, hybrid_search
 from repro.search.guarded import build_guard
@@ -203,7 +203,7 @@ def test_guard_state_is_json_round_trippable(kernel, inverted, tmp_path):
         "rsb", kernel, inverted, checkpoint=CheckpointManager(path, every=2)
     )
     with open(path) as fh:
-        payload, _framed = unframe_obj(json.load(fh))
+        payload, _framed = unframe_line(fh.read().splitlines()[-1])
     guard_state = payload["extra"]["guard"]
     assert guard_state["state"] == "revoked"
     assert json.loads(json.dumps(guard_state)) == guard_state

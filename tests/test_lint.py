@@ -7,6 +7,7 @@ import textwrap
 from repro.devtools.lint import (
     check_dead_code,
     check_imports,
+    check_persistence,
     collect_modules,
     find_cycles,
     run_lint,
@@ -166,6 +167,39 @@ class TestDeadCode:
         errors = check_dead_code(modules, root)
         assert len(errors) == 1
         assert "'_stale'" in errors[0]
+
+
+class TestPersistence:
+    def test_durable_os_calls_outside_the_journal_layer_are_flagged(
+        self, tmp_path
+    ):
+        src = _write_tree(tmp_path, {
+            "src/repro/__init__.py": "",
+            "src/repro/exec/__init__.py": "",
+            "src/repro/exec/journal.py": """\
+                import os
+
+                def atomic_write(path, tmp, fd):
+                    os.fsync(fd)
+                    os.replace(tmp, path)
+            """,
+            "src/repro/reliability/__init__.py": "",
+            "src/repro/reliability/checkpoint.py": """\
+                import os
+
+                def rotate(path, fd):
+                    os.fsync(fd)
+                    os.replace(path, path + ".bak")
+                    os.rename(path, path + ".old")
+                    os.remove(path)
+            """,
+        })
+        errors = check_persistence(collect_modules(src))
+        assert len(errors) == 3
+        assert all("reliability/checkpoint.py" in e for e in errors)
+        assert [e.split(": ")[1].split()[0] for e in errors] == [
+            "os.fsync", "os.replace", "os.rename"
+        ]
 
 
 class TestCli:
