@@ -1,6 +1,6 @@
 """Static hygiene checks for the ``repro`` source tree.
 
-Three checks, all AST-based (the checked code is never imported):
+Four checks, all AST-based (the checked code is never imported):
 
 1. **Import cycles.**  Builds the module-level import graph of
    ``repro`` — every ``import``/``from ... import`` executed at module
@@ -24,6 +24,15 @@ Three checks, all AST-based (the checked code is never imported):
    :mod:`repro.chaos.faultfs` (which wraps them to inject faults);
    every other durable write goes through the journal layer.
 
+4. **One place handles search outcomes.**  ``except`` clauses naming
+   :class:`~repro.errors.BudgetExhaustedError`,
+   :class:`~repro.errors.EvaluationFailure` or one of its subclasses
+   (as declared in ``repro/errors.py``) appear only in
+   :mod:`repro.search.engine` (the budget-wall and failure rules every
+   search shares) and :mod:`repro.reliability.resilient` (retry and
+   degradation below the search).  Any other handler would give one
+   search its own accounting.
+
 Run as ``python -m repro.devtools.lint`` (or ``make lint``).  Exit
 status 0 means clean; 1 means findings (one per line on stdout).
 """
@@ -42,6 +51,7 @@ __all__ = [
     "check_imports",
     "check_dead_code",
     "check_persistence",
+    "check_outcome_handlers",
     "run_lint",
     "main",
 ]
@@ -343,6 +353,69 @@ def check_persistence(modules: dict[str, str]) -> list[str]:
 
 
 # ----------------------------------------------------------------------
+# Check 4: search outcomes handled in one place
+# ----------------------------------------------------------------------
+#: The modules allowed to catch budget walls and evaluation failures.
+_OUTCOME_MODULES = frozenset({f"{PACKAGE}.search.engine",
+                              f"{PACKAGE}.reliability.resilient"})
+
+
+def _outcome_exceptions(errors_path: str) -> set[str]:
+    """``BudgetExhaustedError``, ``EvaluationFailure`` and every class
+    ``errors.py`` derives from either."""
+    with open(errors_path, "rb") as fh:
+        tree = ast.parse(fh.read(), filename=errors_path)
+    bases = {
+        node.name: {b.id for b in node.bases if isinstance(b, ast.Name)}
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+    }
+    names = {"BudgetExhaustedError", "EvaluationFailure"}
+    grew = True
+    while grew:
+        grew = False
+        for cls, parents in bases.items():
+            if cls not in names and parents & names:
+                names.add(cls)
+                grew = True
+    return names
+
+
+def _handler_names(node: ast.expr | None) -> list[str]:
+    """The class names an ``except`` clause catches (none when bare)."""
+    if isinstance(node, ast.Tuple):
+        return [n for el in node.elts for n in _handler_names(el)]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.Name):
+        return [node.id]
+    return []
+
+
+def check_outcome_handlers(modules: dict[str, str]) -> list[str]:
+    """``except`` clauses catching budget walls or evaluation failures
+    outside the engine and the resilient evaluator."""
+    outcomes = _outcome_exceptions(modules[f"{PACKAGE}.errors"])
+    errors: list[str] = []
+    for name, path in sorted(modules.items()):
+        if name in _OUTCOME_MODULES:
+            continue
+        with open(path, "rb") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ExceptHandler):
+                continue
+            for caught in _handler_names(node.type):
+                if caught in outcomes:
+                    errors.append(
+                        f"{path}:{node.lineno}: except {caught} outside "
+                        "the search engine and the resilient evaluator — "
+                        "let the engine's one accounting handle it"
+                    )
+    return errors
+
+
+# ----------------------------------------------------------------------
 def _default_roots() -> tuple[str, str]:
     src_root = os.path.dirname(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__)
@@ -358,7 +431,7 @@ def run_lint(src_root: str | None = None, repo_root: str | None = None) -> list[
         repo_root = repo_root or default_repo
     modules = collect_modules(src_root)
     return (check_imports(modules) + check_dead_code(modules, repo_root)
-            + check_persistence(modules))
+            + check_persistence(modules) + check_outcome_handlers(modules))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -370,7 +443,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     print("lint: clean (import graph acyclic, no hidden internal imports, "
           f"no dead code in {PACKAGE}, durable writes only through the "
-          "journal layer)")
+          "journal layer, search outcomes handled only by the engine)")
     return 0
 
 

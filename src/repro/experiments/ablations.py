@@ -22,9 +22,10 @@
   without retry/backoff recovery (the paper's X-Gene failure, §V,
   generalized into an operational-hazard model).
 * :func:`run_hybrid` — the prune-then-bias hybrid RSpb (the biased
-  pool ranking gated by the pruning cutoff ∆, built via the engine's
-  :func:`~repro.search.engine.compose`) against its parents RSp and
-  RSb across ∆ values, journaled through the supervised grid.
+  pool ranking gated by the pruning cutoff ∆, one
+  :class:`~repro.search.engine.SearchEngine` composition) against its
+  parents RSp and RSb across ∆ values, journaled through the supervised
+  grid.
 * :func:`run_negative_transfer` — robustness: feed RSp/RSb adversarial
   source data (runtime-inverted, label-shuffled, wrong-machine,
   stale-partial) with and without the

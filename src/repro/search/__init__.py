@@ -16,8 +16,8 @@
 
 All variants are thin factories over one :class:`SearchEngine`
 evaluation loop, composed from a Proposer (candidate source) crossed
-with a Gate (admission test) — see ``docs/architecture.md`` and
-:func:`compose` for building new combinations.  The model-guided
+with a Gate (admission test) — see ``docs/architecture.md`` for
+building new combinations.  The model-guided
 variants additionally take ``guard=`` (a
 :class:`repro.transfer.guard.GuardPolicy`), arming
 :class:`GuardedProposer`/:class:`GuardedGate` negative-transfer
@@ -27,7 +27,7 @@ monitoring with graceful fallback to plain RS.
 from repro.search.result import EvaluationRecord, SearchTrace
 from repro.search.stream import SharedStream
 from repro.search.protocols import SurrogateModel
-from repro.search.engine import SearchEngine, compose
+from repro.search.engine import SearchEngine
 from repro.search.guarded import GuardedGate, GuardedProposer
 from repro.search.random_search import random_search
 from repro.search.pruning import pruned_search
@@ -40,7 +40,6 @@ __all__ = [
     "SharedStream",
     "SurrogateModel",
     "SearchEngine",
-    "compose",
     "GuardedProposer",
     "GuardedGate",
     "random_search",

@@ -10,15 +10,15 @@ as in Algorithm 2), for at most ``nmax`` evaluations.
 
 RSpb additionally gates the sorted pool by RSp's quantile cutoff ``∆``:
 only the best-predicted ``δ`` fraction is evaluated, in ascending
-predicted order.  It is one :func:`~repro.search.engine.compose` call —
-the same :class:`PoolRankProposer` crossed with a
+predicted order.  It is one :class:`~repro.search.engine.SearchEngine`
+— the same :class:`PoolRankProposer` crossed with a
 :class:`PredictionCutoffGate` — rather than a third hand-rolled loop.
 """
 
 from __future__ import annotations
 
 from repro.errors import SearchError
-from repro.search.engine import SearchEngine, compose
+from repro.search.engine import SearchEngine
 from repro.search.gates import PredictionCutoffGate
 from repro.search.guarded import GuardedGate, GuardedProposer, build_guard
 from repro.search.proposers import PoolRankProposer
@@ -167,7 +167,7 @@ def hybrid_search(
     )
     if guard_obj is not None:
         gate = GuardedGate(gate, guard_obj)
-    engine = compose(
+    engine = SearchEngine(
         evaluator,
         proposer,
         gate,

@@ -185,9 +185,6 @@ class GuardedProposer(BaseProposer):
             }
         return state
 
-    def budget_break_skips_sync(self) -> bool:
-        return self.inner.budget_break_skips_sync()
-
 
 class GuardedGate:
     """Wrap an admission gate with guard-directed leniency.

@@ -27,7 +27,7 @@ bit-identical behavior.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -44,6 +44,8 @@ from repro.searchspace.space import Configuration, SearchSpace
 from repro.utils.rng import spawn_rng
 
 __all__ = [
+    "FAILURE_FEEDBACK_FACTOR",
+    "failure_feedback",
     "BaseProposer",
     "StreamProposer",
     "PoolRankProposer",
@@ -52,6 +54,26 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
+
+#: Multiple of the worst value fed back so far that an unbounded
+#: failure feeds back: learners need a finite number to rank against.
+FAILURE_FEEDBACK_FACTOR = 10.0
+
+
+def failure_feedback(runtime: float, failed: bool, censored: bool,
+                     fed_back: Iterable[float]) -> float:
+    """The objective value a learning proposer feeds back for an outcome.
+
+    Successes feed back their runtime, and so do censored failures —
+    a timeout's cap is already a usable lower bound.  An unbounded
+    failure feeds back :data:`FAILURE_FEEDBACK_FACTOR` times the worst
+    value in ``fed_back`` (everything fed back so far; ``1.0`` when
+    nothing was), so a technique or a refitted model steers away from
+    the failing region instead of training on ``inf``.
+    """
+    if not failed or censored:
+        return runtime
+    return FAILURE_FEEDBACK_FACTOR * max(fed_back, default=1.0)
 
 
 def _normal_cdf(z: np.ndarray) -> np.ndarray:
@@ -92,9 +114,6 @@ class BaseProposer:
 
     def state(self) -> dict:
         return {}
-
-    def budget_break_skips_sync(self) -> bool:
-        return False
 
 
 class StreamProposer(BaseProposer):
@@ -300,9 +319,10 @@ class SMBOProposer(BaseProposer):
     target observations (every ``refit_every`` evaluations, optionally
     blending median-rescaled source observations), scores a fresh
     candidate pool with the acquisition function, and proposes the
-    argmax.  Refit and scoring costs are charged *in propose*, outside
-    the engine's budget guard: a budget wall mid-refit propagates to the
-    caller, exactly as the pre-engine loop behaved.
+    argmax.  Refit and scoring costs are charged in ``propose``; a
+    budget wall there ends the search like any other (the engine's
+    budget-wall rule).  Failed evaluations enter the refit data as their
+    :func:`failure_feedback` value, never as ``inf``.
     """
 
     def __init__(
@@ -429,6 +449,9 @@ class SMBOProposer(BaseProposer):
     def observe(self, ctx: EngineContext, proposal: Proposal, runtime: float,
                 failed: bool, censored: bool) -> None:
         self._evaluated.add(proposal.config.index)
-        self._observations.append((proposal.config, runtime))
+        feedback = failure_feedback(
+            runtime, failed, censored, (y for _, y in self._observations)
+        )
+        self._observations.append((proposal.config, feedback))
         if not self._last_was_design:
             self._since_fit += 1

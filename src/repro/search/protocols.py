@@ -21,7 +21,9 @@ The module also defines the component protocols of the
   source-runtime replay threshold);
 * the engine crosses one of each with an evaluator and owns every
   shared concern: clock charging, budgets, failure recording, stream
-  position accounting, and checkpoint/resume.
+  position accounting, and checkpoint/resume.  A budget wall raised
+  from any component method ends the search the same way (see
+  :mod:`repro.search.engine`), so components never catch it.
 
 See ``docs/architecture.md`` for the full composition table.
 """
@@ -167,16 +169,15 @@ class Proposer(Protocol):
         failed: bool,
         censored: bool,
     ) -> None:
-        """Outcome feedback, delivered before the trace records it."""
+        """Outcome feedback, delivered before the trace records it.
+
+        ``runtime`` is the raw recorded value (``inf`` for an unbounded
+        failure); proposers that learn from it map failures through
+        :func:`~repro.search.proposers.failure_feedback`."""
         ...
 
     def state(self) -> dict:
         """JSON-serializable checkpoint payload (merged into ``extra``)."""
-        ...
-
-    def budget_break_skips_sync(self) -> bool:
-        """Legacy quirk hook: whether a budget break right now ends the
-        search *without* syncing ``total_elapsed`` to the clock."""
         ...
 
 

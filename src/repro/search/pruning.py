@@ -48,7 +48,10 @@ def pruned_search(
     (its fit time is charged here, since the fit happens as part of the
     target-machine tuning session).  ``max_stream_positions`` bounds
     how far past the budget the stream may be walked when almost
-    everything is pruned (default: ``50 * nmax``).
+    everything is pruned (default: ``50 * nmax``); the positions walked
+    are ``trace.metadata["stream_positions"]``.  A budget wall during a
+    model query or an evaluation hands that position back, so it is not
+    counted.
 
     Failed evaluations (recoverable
     :class:`~repro.errors.EvaluationFailure`, or degraded measurements
@@ -115,11 +118,6 @@ def pruned_search(
         space=space,
         stream=stream,
         position_cap=max_stream_positions,
-        # A budget wall during the gate's model query historically
-        # advanced past the in-flight position rather than handing it
-        # back for a resume to retry.
-        rewind_position_on_budget_break=False,
-        stream_positions_metadata=True,
         checkpoint=checkpoint,
         batch_size=batch_size,
     )

@@ -8,15 +8,13 @@ reached or the simulated time budget runs out.
 
 from __future__ import annotations
 
-from repro.search.engine import SearchEngine, record_failure, record_measurement
+from repro.search.engine import SearchEngine
 from repro.search.proposers import StreamProposer
 from repro.search.result import SearchTrace
 from repro.search.stream import SharedStream
 from repro.spec import TunerSpec, resolve_spec
 
-# record_measurement / record_failure live in the engine (their only
-# caller); re-exported here for backward compatibility.
-__all__ = ["random_search", "record_measurement", "record_failure"]
+__all__ = ["random_search"]
 
 
 def random_search(
@@ -64,7 +62,6 @@ def random_search(
         name=name,
         space=stream.space,
         stream=stream,
-        position_cap=nmax,
         checkpoint=checkpoint,
         batch_size=batch_size,
     )

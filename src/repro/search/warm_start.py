@@ -13,9 +13,10 @@ With ``seed_evaluations=0`` the function runs the plain (cold) technique
 under the same accounting, so warm/cold comparisons are exact.
 
 Composition: a :class:`~repro.tuner.adapter.TechniqueProposer` with a
-seed phase, ungated, under the shared engine accounting (evaluation
-failures propagate rather than being recorded — the technique runs
-predate failure-aware traces and keep their historical contract).
+seed phase, ungated, under the shared engine accounting: a budget wall
+anywhere (the seed phase included) returns the partial trace, and
+failed evaluations are recorded as failed entries while the technique
+is fed their :func:`~repro.search.proposers.failure_feedback` value.
 """
 
 from __future__ import annotations
@@ -68,7 +69,6 @@ def warm_started_search(
             database,
             space,
             result_label=label,
-            iteration_mode="trace",
             surrogate=surrogate,
             pool_size=pool_size,
             seed_evaluations=seed_evaluations,
@@ -76,7 +76,5 @@ def warm_started_search(
         nmax=nmax,
         name=label,
         space=space,
-        failure_mode="raise",
-        setup_abort_elapsed=False,
     )
     return engine.run()

@@ -20,7 +20,11 @@ good initial design, after which the target model takes over.
 
 Composition: an :class:`~repro.search.proposers.SMBOProposer` (which
 owns the design, the refits, and the acquisition scoring), ungated,
-under the shared :class:`~repro.search.engine.SearchEngine` accounting.
+under the shared :class:`~repro.search.engine.SearchEngine` accounting:
+a budget wall in setup, in a refit, or in an evaluation returns the
+partial trace, and failed evaluations are recorded as failed entries
+and enter the refits as their
+:func:`~repro.search.proposers.failure_feedback` value.
 """
 
 from __future__ import annotations
@@ -112,8 +116,6 @@ def smbo_search(
         nmax=nmax,
         name=label,
         space=space,
-        failure_mode="raise",
-        setup_abort_elapsed=False,
         batch_size=batch_size,
     )
     return engine.run()

@@ -7,9 +7,9 @@ Bridges the OpenTuner-style stack (a bound
 everything technique-specific — the results cache (re-proposals of
 measured configurations cost nothing, as in OpenTuner), the stall guard
 that ends a run when a technique converges onto already-measured
-configurations, failure-penalty feedback, database bookkeeping for
-checkpoints, and the optional surrogate warm-start seed phase — while
-the engine owns clocks, budgets, and trace recording.
+configurations, database bookkeeping for checkpoints, and the optional
+surrogate warm-start seed phase — while the engine owns clocks,
+budgets, failure recording, and trace recording.
 
 This module lives in ``tuner/`` rather than next to the other proposers
 because the dependency points one way: the tuner layer imports the
@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.search.protocols import EngineContext, Proposal, SurrogateModel
-from repro.search.proposers import BaseProposer
+from repro.search.proposers import BaseProposer, failure_feedback
 from repro.searchspace.space import SearchSpace
 from repro.tuner.database import Result, ResultsDatabase
 from repro.tuner.technique import SearchTechnique
@@ -33,17 +33,11 @@ __all__ = ["TechniqueProposer"]
 class TechniqueProposer(BaseProposer):
     """Drive a bound search technique as the engine's candidate source.
 
-    ``iteration_mode`` selects how the database's ``iteration`` field is
-    stamped — ``"count"`` counts every ``technique.propose()`` call
-    including cache hits (:class:`~repro.tuner.runner.TuningRun`'s
-    historical convention), ``"trace"`` stamps the trace's evaluation
-    count (``warm_started_search``'s convention).
-
-    With ``failure_feedback_factor`` set, failed evaluations feed the
-    technique a finite penalty (the censored bound when available,
-    otherwise ``factor ×`` the worst value measured so far) so it steers
-    away from the failing region; without it, the raw runtime is fed
-    back unchanged.
+    Every outcome is fed to the technique (and stored in the database)
+    as its :func:`~repro.search.proposers.failure_feedback` value: a
+    failed evaluation feeds back its censored bound when it has one,
+    otherwise a finite penalty relative to the worst value fed back so
+    far, so the technique steers away from the failing region.
 
     ``seed_evaluations > 0`` prepends a surrogate warm-start phase: the
     model's best ``seed_evaluations`` pool picks are proposed first
@@ -58,8 +52,6 @@ class TechniqueProposer(BaseProposer):
         space: SearchSpace,
         *,
         result_label: str,
-        failure_feedback_factor: float | None = None,
-        iteration_mode: str = "count",
         surrogate: SurrogateModel | None = None,
         pool_size: int = 10_000,
         seed_evaluations: int = 0,
@@ -69,19 +61,14 @@ class TechniqueProposer(BaseProposer):
         self.database = database
         self.space = space
         self.result_label = result_label
-        self.failure_feedback_factor = failure_feedback_factor
-        self.iteration_mode = iteration_mode
         self.surrogate = surrogate
         self.pool_size = pool_size
         self.seed_evaluations = seed_evaluations
         self.rng_label = rng_label
-        self._iteration = 0
         self._stall = 0
         self._seeds: list = []
-        self._last_from_seed = False
 
     def restore(self, position: int, ctx: EngineContext) -> None:
-        self._iteration = 0
         self._stall = 0
         # Replay the checkpointed database as feedback so the technique
         # regains its knowledge; the cache makes re-proposals free.  A
@@ -95,7 +82,6 @@ class TechniqueProposer(BaseProposer):
                 value=float(row["value"]),
                 technique=row["technique"],
                 elapsed=float(row["elapsed"]),
-                iteration=int(row["iteration"]),
             )
             self.database.add(result)
             self.technique.feedback(config, result.value)
@@ -123,12 +109,9 @@ class TechniqueProposer(BaseProposer):
                 # and consume the seed without re-measuring.
                 self.technique.feedback(config, cached.value)
                 continue
-            self._last_from_seed = True
             return Proposal(config)
-        self._last_from_seed = False
         while True:
             config = self.technique.propose()
-            self._iteration += 1
             cached = self.database.lookup(config)
             if cached is not None:
                 # Feed the remembered value back; costs no search time.
@@ -142,22 +125,8 @@ class TechniqueProposer(BaseProposer):
 
     def observe(self, ctx: EngineContext, proposal: Proposal, runtime: float,
                 failed: bool, censored: bool) -> None:
-        if failed and self.failure_feedback_factor is not None:
-            # A censored runtime (timeout cap) is already a usable lower
-            # bound; an unbounded failure is penalized relative to the
-            # worst measurement seen so far.
-            if censored:
-                feedback = runtime
-            else:
-                worst = max(
-                    (r.value for r in self.database.results()), default=1.0
-                )
-                feedback = self.failure_feedback_factor * worst
-        else:
-            feedback = runtime
-        iteration = (
-            self._iteration if self.iteration_mode == "count"
-            else ctx.trace.n_evaluations
+        feedback = failure_feedback(
+            runtime, failed, censored, (r.value for r in self.database.results())
         )
         self.database.add(
             Result(
@@ -165,7 +134,6 @@ class TechniqueProposer(BaseProposer):
                 value=feedback,
                 technique=self.result_label,
                 elapsed=ctx.clock.now,
-                iteration=iteration,
             )
         )
         self.technique.feedback(proposal.config, feedback)
@@ -178,13 +146,7 @@ class TechniqueProposer(BaseProposer):
                     "value": r.value,
                     "technique": r.technique,
                     "elapsed": r.elapsed,
-                    "iteration": r.iteration,
                 }
                 for r in self.database.results()
             ]
         }
-
-    def budget_break_skips_sync(self) -> bool:
-        # Legacy quirk: a budget wall while consuming warm-start seeds
-        # ends the search without syncing total_elapsed to the clock.
-        return self._last_from_seed

@@ -18,7 +18,6 @@ class Result:
     value: float  # objective (runtime seconds; lower is better)
     technique: str
     elapsed: float  # tuning time when measured
-    iteration: int
 
 
 class ResultsDatabase:

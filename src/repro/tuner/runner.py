@@ -27,14 +27,11 @@ class TuningRun:
     :class:`~repro.errors.EvaluationFailure`, or degraded measurements
     from a :class:`~repro.reliability.resilient.ResilientEvaluator`)
     are recorded as failed trace entries; the technique receives the
-    penalty/censored value as feedback so it steers away from the
-    failing region, and the result is cached so the configuration is
-    never re-measured.
+    :func:`~repro.search.proposers.failure_feedback` value so it steers
+    away from the failing region, and the result is cached so the
+    configuration is never re-measured.  A budget wall ends the run
+    with the partial trace; the evaluation that hit it is not charged.
     """
-
-    # Objective value fed back to techniques for failures without a
-    # censored bound: techniques need a finite number to rank against.
-    FAILURE_FEEDBACK_FACTOR = 10.0
 
     def __init__(
         self,
@@ -77,15 +74,10 @@ class TuningRun:
                 self.database,
                 self.space,
                 result_label=self.technique.name,
-                failure_feedback_factor=self.FAILURE_FEEDBACK_FACTOR,
-                iteration_mode="count",
             ),
             nmax=self.nmax,
             name=self.name,
             space=self.space,
-            # A budget wall mid-evaluation charges the remaining budget:
-            # the partial work until the wall was real.
-            charge_remainder_on_exhaust=True,
             checkpoint=checkpoint,
             batch_size=self.spec.engine.batch_size,
         )

@@ -11,7 +11,8 @@ implementations and requires byte-identical traces.  The hybrid
 (``rspb_clean``) and guarded (``guarded_*_inverted``) scenarios, and
 the killed-checkpoint digests in ``golden/checkpoints.json``, came later:
 they were recorded by the engine's serial loop before the block loop
-became its only loop.
+became its only loop.  The online RSb scenarios (``online_rsb*``) were
+recorded from its hand-rolled loop before it became an engine proposer.
 
 Regenerate with ``PYTHONPATH=src python tests/search/golden/generate.py``
 — but only from a commit whose implementations are already known-good,
@@ -44,6 +45,7 @@ from repro.search.random_search import random_search
 from repro.search.stream import SharedStream
 from repro.search.warm_start import warm_started_search
 from repro.transfer.guard import GuardPolicy
+from repro.transfer.online import online_biased_search
 from repro.transfer.smbo import smbo_search
 from repro.transfer.surrogate import Surrogate
 from repro.tuner import GeneticAlgorithm, RandomTechnique, TuningRun
@@ -268,6 +270,21 @@ def warm_ga_warm(**kw):
     )
 
 
+def online_rsb(**kw):
+    k = _kernel()
+    return online_biased_search(
+        _target(k), k.space, _source_training(k), nmax=16, pool_size=POOL, **kw
+    )
+
+
+def online_rsb_refit(**kw):
+    k = _kernel()
+    return online_biased_search(
+        _target(k), k.space, _source_training(k), nmax=16, pool_size=POOL,
+        refit_every=5, **kw
+    )
+
+
 # Guarded runs against the inverted surrogate: the guard turns SUSPECT
 # and then REVOKED mid-run, so these pin the interventions themselves
 # (widening, audits, fallback to the shared stream).
@@ -320,6 +337,8 @@ SCENARIOS = {
     "guarded_rsp_inverted": guarded_rsp_inverted,
     "guarded_rsb_inverted": guarded_rsb_inverted,
     "guarded_rspb_inverted": guarded_rspb_inverted,
+    "online_rsb": online_rsb,
+    "online_rsb_refit": online_rsb_refit,
 }
 
 # Scenarios that accept a ``checkpoint=CheckpointManager`` keyword; the

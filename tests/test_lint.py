@@ -7,6 +7,7 @@ import textwrap
 from repro.devtools.lint import (
     check_dead_code,
     check_imports,
+    check_outcome_handlers,
     check_persistence,
     collect_modules,
     find_cycles,
@@ -199,6 +200,69 @@ class TestPersistence:
         assert all("reliability/checkpoint.py" in e for e in errors)
         assert [e.split(": ")[1].split()[0] for e in errors] == [
             "os.fsync", "os.replace", "os.rename"
+        ]
+
+
+class TestOutcomeHandlers:
+    def test_catching_search_outcomes_outside_the_engine_is_flagged(
+        self, tmp_path
+    ):
+        src = _write_tree(tmp_path, {
+            "src/repro/__init__.py": "",
+            "src/repro/errors.py": """\
+                class ReproError(Exception):
+                    pass
+
+                class EvaluationError(ReproError):
+                    pass
+
+                class BudgetExhaustedError(EvaluationError):
+                    pass
+
+                class EvaluationFailure(EvaluationError):
+                    pass
+
+                class EvaluationTimeout(EvaluationFailure):
+                    pass
+
+                class DeepTimeout(EvaluationTimeout):
+                    pass
+            """,
+            "src/repro/search/__init__.py": "",
+            "src/repro/search/engine.py": """\
+                from repro.errors import BudgetExhaustedError
+
+                def run(step):
+                    try:
+                        step()
+                    except BudgetExhaustedError:
+                        pass
+            """,
+            "src/repro/transfer/__init__.py": "",
+            "src/repro/transfer/online.py": """\
+                from repro import errors
+                from repro.errors import (
+                    BudgetExhaustedError, DeepTimeout, EvaluationError,
+                )
+
+                def loop(step):
+                    try:
+                        step()
+                    except BudgetExhaustedError:
+                        pass
+                    except (ValueError, errors.DeepTimeout):
+                        pass
+                    except EvaluationError:
+                        pass
+                    except KeyError:
+                        pass
+            """,
+        })
+        errors = check_outcome_handlers(collect_modules(src))
+        assert len(errors) == 2
+        assert all("transfer/online.py" in e for e in errors)
+        assert [e.split(": ")[1].split()[1] for e in errors] == [
+            "BudgetExhaustedError", "DeepTimeout"
         ]
 
 

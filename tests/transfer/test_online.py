@@ -7,6 +7,12 @@ from repro.kernels import get_kernel
 from repro.machines import SANDYBRIDGE, WESTMERE, XGENE
 from repro.orio.evaluator import OrioEvaluator
 from repro.perf.simclock import SimClock
+from repro.reliability import (
+    FaultSpec,
+    FaultyEvaluator,
+    ResilientEvaluator,
+    RetryPolicy,
+)
 from repro.search import SharedStream, random_search
 from repro.transfer.online import online_biased_search
 
@@ -96,3 +102,16 @@ class TestOnlineSearch:
             nmax=50, pool_size=300,
         )
         assert trace.exhausted_budget
+
+    def test_degraded_evaluations_are_recorded_failed(self, kernel, source_data):
+        ev = ResilientEvaluator(
+            FaultyEvaluator(evaluator(kernel), FaultSpec.uniform(0.2, seed="p")),
+            retry=RetryPolicy(max_retries=1),
+        )
+        trace = online_biased_search(
+            ev, kernel.space, source_data, nmax=30, pool_size=300, refit_every=5,
+        )
+        assert trace.n_evaluations == 30
+        failed = sum(r.failed for r in trace.records)
+        assert failed > 0 and failed == ev.stats.degraded
+        assert trace.metadata["refits"] == 5

@@ -1,5 +1,7 @@
 """Tests for sequential model-based optimization with transfer."""
 
+import math
+
 import pytest
 
 from repro.errors import SearchError
@@ -7,6 +9,12 @@ from repro.kernels import get_kernel
 from repro.machines import SANDYBRIDGE, WESTMERE
 from repro.orio.evaluator import OrioEvaluator
 from repro.perf.simclock import SimClock
+from repro.reliability import (
+    FaultSpec,
+    FaultyEvaluator,
+    ResilientEvaluator,
+    RetryPolicy,
+)
 from repro.search import SharedStream, random_search
 from repro.transfer.smbo import smbo_search
 from repro.transfer.surrogate import Surrogate
@@ -93,3 +101,44 @@ class TestSmbo:
         trace = smbo_search(ev, kernel.space, nmax=50, n_initial=5,
                             pool_size=200, seed="t7")
         assert trace.exhausted_budget
+
+
+class TestSmboOutcomes:
+    """Budget walls inside a refit and degraded evaluations end or
+    continue an SMBO run like any other search."""
+
+    @pytest.fixture(scope="class")
+    def small(self):
+        return get_kernel("lu", n=128)
+
+    def _run(self, small, evaluator):
+        return smbo_search(evaluator, small.space, nmax=12, n_initial=3,
+                           pool_size=200, seed=0)
+
+    def test_budget_wall_in_refit_returns_partial_trace(self, small):
+        reference = self._run(small, OrioEvaluator(small, SANDYBRIDGE, clock=SimClock()))
+        # 0.2 s after the fifth record the next refit (0.5 s + 2 ms per
+        # observation) cannot be paid: the wall lands inside the refit.
+        budget = reference.records[4].elapsed + 0.2
+        ev = OrioEvaluator(small, SANDYBRIDGE, clock=SimClock(budget))
+        trace = self._run(small, ev)
+        assert trace.exhausted_budget
+        assert trace.n_evaluations == 5
+        assert trace.total_elapsed == ev.clock.now == reference.records[4].elapsed
+        assert [r.config.index for r in trace.records] == [
+            r.config.index for r in reference.records[:5]
+        ]
+
+    def test_degraded_evaluations_are_recorded_failed(self, small):
+        ev = ResilientEvaluator(
+            FaultyEvaluator(
+                OrioEvaluator(small, SANDYBRIDGE, clock=SimClock()),
+                FaultSpec.uniform(0.2, seed="p"),
+            ),
+            retry=RetryPolicy(max_retries=1),
+        )
+        trace = self._run(small, ev)
+        assert trace.n_evaluations == 12
+        failed = [r for r in trace.records if r.failed]
+        assert failed and len(failed) == ev.stats.degraded
+        assert math.isfinite(trace.best_runtime)

@@ -71,7 +71,7 @@ class TestManipulator:
 
 class TestDatabase:
     def _result(self, space, idx, value, technique="t"):
-        return Result(space.config_at(idx), value, technique, elapsed=1.0, iteration=idx)
+        return Result(space.config_at(idx), value, technique, elapsed=1.0)
 
     def test_best_tracking(self, space):
         db = ResultsDatabase()

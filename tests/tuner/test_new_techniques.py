@@ -29,7 +29,7 @@ def drive(technique, space, budget=150):
         cfg = technique.propose()
         value = objective(cfg)
         if not db.has(cfg):
-            db.add(Result(cfg, value, technique.name, elapsed=float(i), iteration=i))
+            db.add(Result(cfg, value, technique.name, elapsed=float(i)))
         technique.feedback(cfg, value)
         best = min(best, value)
     return best

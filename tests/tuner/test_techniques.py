@@ -39,7 +39,7 @@ def drive(technique, space, budget=120):
         cfg = technique.propose()
         value = quadratic_objective(cfg)
         if not db.has(cfg):
-            db.add(Result(cfg, value, technique.name, elapsed=float(i), iteration=i))
+            db.add(Result(cfg, value, technique.name, elapsed=float(i)))
         technique.feedback(cfg, value)
         best = min(best, value)
     return best
@@ -74,7 +74,7 @@ class TestTechniqueBasics:
         seen = set()
         for i in range(50):
             cfg = t.propose()
-            db.add(Result(cfg, 1.0, "random", elapsed=float(i), iteration=i))
+            db.add(Result(cfg, 1.0, "random", elapsed=float(i)))
             assert cfg.index not in seen
             seen.add(cfg.index)
 
