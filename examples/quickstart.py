@@ -9,7 +9,7 @@ every variant against plain random search.
 Run:  python examples/quickstart.py
 """
 
-from repro import TransferSession, get_machine
+from repro import TransferSession, TunerSpec, get_machine
 from repro.kernels import get_kernel
 from repro.utils.asciiplot import Series, step_plot
 
@@ -20,7 +20,9 @@ def main() -> None:
         source=get_machine("westmere"),
         target=get_machine("sandybridge"),
         nmax=100,  # evaluation budget per search (the paper's setting)
-        pool_size=10_000,  # configurations ranked by the surrogate
+        # Tuner hyperparameters live in one spec: 10,000 configurations
+        # ranked by the surrogate, the paper's setting.
+        spec=TunerSpec().with_value("pool.size", 10_000),
         seed="quickstart",
     )
     outcome = session.run()

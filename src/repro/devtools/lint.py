@@ -1,6 +1,6 @@
 """Static hygiene checks for the ``repro`` source tree.
 
-Four checks, all AST-based (the checked code is never imported):
+Five checks, all AST-based (the checked code is never imported):
 
 1. **Import cycles.**  Builds the module-level import graph of
    ``repro`` — every ``import``/``from ... import`` executed at module
@@ -33,6 +33,14 @@ Four checks, all AST-based (the checked code is never imported):
    degradation below the search).  Any other handler would give one
    search its own accounting.
 
+5. **One way to set a tuner hyperparameter.**  A function or
+   constructor that takes ``spec`` (a :class:`~repro.spec.TunerSpec`)
+   takes no parameter named after a spec knob (``pool_size``,
+   ``delta_percent``, ``batch_size``, ``n_initial``, ``acquisition``,
+   ``kappa``, ``refit_every``, ``guard``): a second path would have to
+   decide which of the two wins.  The allow-list names the exceptions
+   and why.
+
 Run as ``python -m repro.devtools.lint`` (or ``make lint``).  Exit
 status 0 means clean; 1 means findings (one per line on stdout).
 """
@@ -52,6 +60,7 @@ __all__ = [
     "check_dead_code",
     "check_persistence",
     "check_outcome_handlers",
+    "check_spec_knobs",
     "run_lint",
     "main",
 ]
@@ -416,6 +425,60 @@ def check_outcome_handlers(modules: dict[str, str]) -> list[str]:
 
 
 # ----------------------------------------------------------------------
+# Check 5: tuner hyperparameters set only through the spec
+# ----------------------------------------------------------------------
+#: Parameter names of :class:`~repro.spec.TunerSpec` knobs.
+_SPEC_KNOBS = frozenset({
+    "pool_size", "delta_percent", "batch_size", "n_initial",
+    "acquisition", "kappa", "refit_every", "guard",
+})
+
+#: ``(module, qualified name)`` -> the knob-named parameters it may
+#: take beside ``spec``.
+_SPEC_KNOB_ALLOWED = {
+    # The one translation, ``spec.with_value("pool.size", pool_size)``,
+    # for experiments and benchmarks that sweep the pool.
+    (f"{PACKAGE}.experiments.harness", "build_session"): {"pool_size"},
+    # Online RSb's own refit cadence; the spec's ``smbo.refit_every``
+    # is SMBO's and does not reach this search.
+    (f"{PACKAGE}.transfer.online", "online_biased_search"): {"refit_every"},
+}
+
+
+def _functions(body: list, prefix: str = ""):
+    """``(qualified name, node)`` for every function in ``body``,
+    methods and nested functions included."""
+    for node in body:
+        if isinstance(node, ast.ClassDef):
+            yield from _functions(node.body, f"{prefix}{node.name}.")
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield f"{prefix}{node.name}", node
+            yield from _functions(node.body, f"{prefix}{node.name}.")
+
+
+def check_spec_knobs(modules: dict[str, str]) -> list[str]:
+    """Callables taking ``spec`` and also a spec knob by name."""
+    errors: list[str] = []
+    for name, path in sorted(modules.items()):
+        with open(path, "rb") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        for qualname, node in _functions(tree.body):
+            args = node.args
+            params = {
+                a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+            }
+            if "spec" not in params:
+                continue
+            allowed = _SPEC_KNOB_ALLOWED.get((name, qualname), set())
+            for knob in sorted(params & _SPEC_KNOBS - allowed):
+                errors.append(
+                    f"{path}:{node.lineno}: {qualname} takes spec and "
+                    f"{knob!r} — set the knob through the spec only"
+                )
+    return errors
+
+
+# ----------------------------------------------------------------------
 def _default_roots() -> tuple[str, str]:
     src_root = os.path.dirname(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__)
@@ -431,7 +494,8 @@ def run_lint(src_root: str | None = None, repo_root: str | None = None) -> list[
         repo_root = repo_root or default_repo
     modules = collect_modules(src_root)
     return (check_imports(modules) + check_dead_code(modules, repo_root)
-            + check_persistence(modules) + check_outcome_handlers(modules))
+            + check_persistence(modules) + check_outcome_handlers(modules)
+            + check_spec_knobs(modules))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -443,7 +507,8 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     print("lint: clean (import graph acyclic, no hidden internal imports, "
           f"no dead code in {PACKAGE}, durable writes only through the "
-          "journal layer, search outcomes handled only by the engine)")
+          "journal layer, search outcomes handled only by the engine, "
+          "tuner knobs set only through the spec)")
     return 0
 
 

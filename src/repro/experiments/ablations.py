@@ -56,6 +56,7 @@ from repro.search.biasing import biased_search
 from repro.search.pruning import pruned_search
 from repro.search.random_search import random_search
 from repro.search.stream import SharedStream
+from repro.spec import DEFAULT_SPEC, PoolSpec, TunerSpec
 from repro.transfer.guard import GuardPolicy
 from repro.transfer.metrics import speedups
 from repro.transfer.surrogate import Surrogate
@@ -79,6 +80,11 @@ __all__ = [
     "run_hybrid",
     "run_negative_transfer",
 ]
+
+
+def _pool_spec(pool_size: int) -> TunerSpec:
+    """The default spec with a pool of ``pool_size`` configurations."""
+    return TunerSpec(pool=PoolSpec(size=pool_size))
 
 
 @dataclass(frozen=True)
@@ -120,8 +126,8 @@ def run_delta_sweep(
         session = build_session(
             problem, source, target, seed=seed, nmax=nmax,
             variants=("RSp",),
+            spec=DEFAULT_SPEC.with_value("gate.delta_percent", delta),
         )
-        session.delta_percent = delta
         outcome = session.run()
         rep = outcome.report("RSp")
         rows.append(AblationRow(f"delta={delta:g}%", rep.performance, rep.search_time))
@@ -256,7 +262,7 @@ def run_multisource(
         stream = SharedStream(kernel.space, seed=(problem, str(seed)))
         rs = random_search(rs_eval, stream, nmax=nmax)
         rsb = biased_search(target_eval, kernel.space, surrogate, nmax=nmax,
-                            pool_size=pool_size)
+                            spec=_pool_spec(pool_size))
         rep = speedups(rs, rsb)
         rows.append(AblationRow(label, rep.performance, rep.search_time))
 
@@ -334,8 +340,8 @@ def run_warm_start(
                 factory(),
                 surrogate=surrogate if warm else None,
                 nmax=nmax,
-                pool_size=pool_size,
                 seed_evaluations=max(5, nmax // 10) if warm else 0,
+                spec=_pool_spec(pool_size),
             )
             rep = speedups(rs, trace)
             rows.append(
@@ -370,14 +376,14 @@ def run_online(
     rows = []
     frozen = biased_search(
         OrioEvaluator(kernel, get_machine(target), clock=SimClock()),
-        kernel.space, surrogate, nmax=nmax, pool_size=pool_size,
+        kernel.space, surrogate, nmax=nmax, spec=_pool_spec(pool_size),
     )
     rep = speedups(rs, frozen)
     rows.append(AblationRow("RSb (frozen model)", rep.performance, rep.search_time))
     online = online_biased_search(
         OrioEvaluator(kernel, get_machine(target), clock=SimClock()),
-        kernel.space, training, nmax=nmax, pool_size=pool_size,
-        refit_every=refit_every,
+        kernel.space, training, nmax=nmax, refit_every=refit_every,
+        spec=_pool_spec(pool_size),
     )
     rep = speedups(rs, online)
     rows.append(
@@ -435,7 +441,8 @@ def run_fault_ablation(
                 retry=RetryPolicy() if retries else RetryPolicy.none(),
             )
             trace = biased_search(
-                evaluator, kernel.space, surrogate, nmax=nmax, pool_size=pool_size
+                evaluator, kernel.space, surrogate, nmax=nmax,
+                spec=_pool_spec(pool_size),
             )
             rep = speedups(rs, trace)
             label = f"rate={rate:.0%} ({'retries' if retries else 'fail-fast'})"
@@ -463,8 +470,8 @@ def _hybrid_cell(spec: tuple) -> tuple:
     session = build_session(
         problem, source, target, seed=seed, nmax=nmax,
         variants=("RSp", "RSb", "RSpb"),
+        spec=DEFAULT_SPEC.with_value("gate.delta_percent", delta),
     )
-    session.delta_percent = delta
     outcome = session.run()
     rows = []
     for variant in ("RSp", "RSb", "RSpb"):
@@ -556,19 +563,19 @@ def _negative_transfer_cell(spec: tuple) -> tuple:
     surrogate = Surrogate(kernel.space).fit(training)
     rs = random_search(evaluator(target), stream(), nmax=nmax)
 
+    spec = TunerSpec(
+        pool=PoolSpec(size=pool_size), guard=GuardPolicy() if guarded else None
+    )
     out = []
     for variant in ("RSp", "RSb"):
-        guard = GuardPolicy() if guarded else None
         if variant == "RSp":
             trace = pruned_search(
-                evaluator(target), stream(), surrogate,
-                nmax=nmax, pool_size=pool_size, guard=guard,
+                evaluator(target), stream(), surrogate, nmax=nmax, spec=spec,
             )
         else:
             trace = biased_search(
-                evaluator(target), kernel.space, surrogate,
-                nmax=nmax, pool_size=pool_size, guard=guard,
-                stream=stream() if guarded else None,
+                evaluator(target), kernel.space, surrogate, nmax=nmax,
+                stream=stream() if guarded else None, spec=spec,
             )
         rep = speedups(rs, trace)
         meta = trace.metadata.get("guard")
@@ -680,6 +687,11 @@ def run_search_comparison(
         return OrioEvaluator(kernel, get_machine(target), clock=SimClock())
 
     rows = []
+    pool_spec = _pool_spec(pool_size)
+    smbo_spec = (
+        DEFAULT_SPEC.with_value("smbo.n_initial", max(5, nmax // 10))
+        .with_value("smbo.pool_size", min(pool_size, 2000))
+    )
 
     def add(trace, label):
         rep = speedups(rs, trace)
@@ -702,25 +714,24 @@ def run_search_comparison(
         add(
             warm_started_search(fresh_eval(), kernel.space, factory(),
                                 surrogate=surrogate, nmax=nmax,
-                                pool_size=pool_size,
-                                seed_evaluations=max(5, nmax // 10)),
+                                seed_evaluations=max(5, nmax // 10),
+                                spec=pool_spec),
             f"{label} (transfer)",
         )
     add(
         biased_search(fresh_eval(), kernel.space, surrogate, nmax=nmax,
-                      pool_size=pool_size),
+                      spec=pool_spec),
         "RSb (transfer)",
     )
     add(
-        smbo_search(fresh_eval(), kernel.space, nmax=nmax,
-                    n_initial=max(5, nmax // 10), pool_size=min(pool_size, 2000),
-                    seed=seed),
+        smbo_search(fresh_eval(), kernel.space, nmax=nmax, seed=seed,
+                    spec=smbo_spec),
         "smbo (cold)",
     )
     add(
         smbo_search(fresh_eval(), kernel.space, nmax=nmax,
-                    n_initial=max(5, nmax // 10), pool_size=min(pool_size, 2000),
-                    source_surrogate=surrogate, source_data=training, seed=seed),
+                    source_surrogate=surrogate, source_data=training, seed=seed,
+                    spec=smbo_spec),
         "smbo (transfer)",
     )
     return AblationResult(

@@ -16,6 +16,7 @@ from repro.errors import ExperimentError
 from repro.kernels import get_kernel
 from repro.machines import get_compiler, get_machine
 from repro.miniapps import MiniappEvaluator, make_hpl, make_raytracer
+from repro.spec import resolve_spec
 from repro.transfer.session import TransferSession
 
 __all__ = [
@@ -116,17 +117,21 @@ def build_session(
     """A fully configured transfer session for one experiment cell.
 
     ``spec`` (a :class:`repro.spec.TunerSpec`) threads tuner
-    hyperparameters through to every search the session runs;
-    ``pool_size=None`` (default) defers to it.
+    hyperparameters through to every search the session runs.
+    ``pool_size``, when given, is shorthand for
+    ``spec.with_value("pool.size", pool_size)`` — the one place outside
+    the spec a knob may be named, kept for experiments and benchmarks
+    that sweep the pool.
     """
     kernel, factory = build_problem(problem)
+    if pool_size is not None:
+        spec = resolve_spec(spec).with_value("pool.size", pool_size)
     return TransferSession(
         kernel=kernel,
         source=get_machine(source),
         target=get_machine(target),
         compiler=get_compiler(compiler),
         nmax=nmax,
-        pool_size=pool_size,
         openmp=openmp,
         threads=threads,
         seed=(problem, str(seed)),

@@ -17,11 +17,12 @@
 All variants are thin factories over one :class:`SearchEngine`
 evaluation loop, composed from a Proposer (candidate source) crossed
 with a Gate (admission test) — see ``docs/architecture.md`` for
-building new combinations.  The model-guided
-variants additionally take ``guard=`` (a
-:class:`repro.transfer.guard.GuardPolicy`), arming
-:class:`GuardedProposer`/:class:`GuardedGate` negative-transfer
-monitoring with graceful fallback to plain RS.
+building new combinations.  Every factory reads its hyperparameters
+(pool size, ``δ``, block size, guard) from ``spec=``, a
+:class:`repro.spec.TunerSpec`; a spec whose ``guard`` is a
+:class:`repro.transfer.guard.GuardPolicy` arms the model-guided
+variants with :class:`GuardedProposer`/:class:`GuardedGate`
+negative-transfer monitoring and graceful fallback to plain RS.
 """
 
 from repro.search.result import EvaluationRecord, SearchTrace

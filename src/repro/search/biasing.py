@@ -20,30 +20,31 @@ from __future__ import annotations
 from repro.errors import SearchError
 from repro.search.engine import SearchEngine
 from repro.search.gates import PredictionCutoffGate
-from repro.search.guarded import GuardedGate, GuardedProposer, build_guard
+from repro.search.guarded import GuardedGate, GuardedProposer
 from repro.search.proposers import PoolRankProposer
 from repro.search.protocols import SurrogateModel
 from repro.search.result import SearchTrace
 from repro.searchspace.space import SearchSpace
-from repro.spec import UNSET, TunerSpec, resolve_spec
+from repro.spec import TunerSpec, resolve_spec
 
 __all__ = ["biased_search", "hybrid_search"]
 
 
-def _guarded_pool_proposer(proposer, guard, surrogate, stream, name):
-    """Wrap a pool ranker when a guard is armed; validates the stream.
+def _guarded_pool_proposer(proposer, policy, surrogate, stream, name):
+    """Wrap a pool ranker when a guard ``policy`` is armed; validates
+    the stream.
 
     A pool ranker's only candidate source *is* the model, so a guarded
     run needs the shared stream as its plain-RS fallback.
     """
-    guard_obj = build_guard(guard, surrogate)
-    if guard_obj is None:
+    if policy is None:
         return proposer, None
-    if stream is None and guard_obj.enabled:
+    guard = policy.build(surrogate)
+    if stream is None and guard.enabled:
         raise SearchError(
             f"guarded {name} needs stream= as its plain-RS fallback source"
         )
-    return GuardedProposer(proposer, guard_obj, stream=stream), guard_obj
+    return GuardedProposer(proposer, guard, stream=stream), guard
 
 
 def biased_search(
@@ -51,12 +52,9 @@ def biased_search(
     space: SearchSpace,
     surrogate: SurrogateModel,
     nmax: int = 100,
-    pool_size: int | None = None,
     name: str = "RSb",
     checkpoint=None,
-    guard=UNSET,
     stream=None,
-    batch_size: int | None = None,
     spec: TunerSpec | None = None,
 ) -> SearchTrace:
     """Run RSb for at most ``nmax`` evaluations.
@@ -69,32 +67,22 @@ def biased_search(
     redrawn from its deterministic, stateless generator key, so the
     resumed evaluation order is bit-identical to the interrupted one.
 
-    ``guard`` (a :class:`repro.transfer.guard.GuardPolicy` or pre-built
-    guard) arms negative-transfer monitoring; a guarded RSb interleaves
-    the model ranking with ``stream`` draws while the model is SUSPECT
-    and follows ``stream`` alone — plain RS under common random
-    numbers — once it is REVOKED, so ``stream`` is required when the
-    guard is enabled.  ``guard=None`` and ``GuardPolicy.disabled()``
-    are byte-identical to an unguarded run.
-
-    ``spec`` (a :class:`repro.spec.TunerSpec`) supplies defaults for
-    ``pool_size``, ``guard``, and ``batch_size`` when those are not
-    passed explicitly; the default spec reproduces historical behavior.
+    ``spec`` (a :class:`repro.spec.TunerSpec`, default spec when
+    ``None``) sets the pool size ``N`` (``pool.size``) and the engine
+    block size (``engine.batch_size``).  A ``spec.guard`` policy arms
+    negative-transfer monitoring; a guarded RSb interleaves the model
+    ranking with ``stream`` draws while the model is SUSPECT and
+    follows ``stream`` alone — plain RS under common random numbers —
+    once it is REVOKED, so ``stream`` is required when the guard is
+    enabled.  No guard and ``GuardPolicy.disabled()`` are
+    byte-identical to an unguarded run.
     """
     spec = resolve_spec(spec)
-    if pool_size is None:
-        pool_size = spec.pool.size
-    if guard is UNSET:
-        guard = spec.guard
-    if batch_size is None:
-        batch_size = spec.engine.batch_size
     if nmax < 1:
         raise SearchError(f"nmax must be >= 1, got {nmax}")
-    if pool_size < 10:
-        raise SearchError(f"pool_size must be >= 10, got {pool_size}")
     proposer, _ = _guarded_pool_proposer(
-        PoolRankProposer(space, surrogate, pool_size=pool_size),
-        guard, surrogate, stream, name,
+        PoolRankProposer(space, surrogate, pool_size=spec.pool.size),
+        spec.guard, surrogate, stream, name,
     )
     engine = SearchEngine(
         evaluator,
@@ -103,7 +91,7 @@ def biased_search(
         name=name,
         space=space,
         checkpoint=checkpoint,
-        batch_size=batch_size,
+        batch_size=spec.engine.batch_size,
     )
     return engine.run()
 
@@ -113,13 +101,9 @@ def hybrid_search(
     space: SearchSpace,
     surrogate: SurrogateModel,
     nmax: int = 100,
-    pool_size: int | None = None,
-    delta_percent: float | None = None,
     name: str = "RSpb",
     checkpoint=None,
-    guard=UNSET,
     stream=None,
-    batch_size: int | None = None,
     spec: TunerSpec | None = None,
 ) -> SearchTrace:
     """Run the prune-then-bias hybrid (RSpb) for at most ``nmax``
@@ -139,34 +123,22 @@ def hybrid_search(
     deterministically.  ``trace.metadata`` carries both ``pool_size``
     and the ``cutoff`` ``∆``.
 
-    ``guard``/``stream`` behave as in :func:`biased_search` (the gate
-    additionally widens its cutoff and audits under suspicion, as in
-    guarded :func:`~repro.search.pruning.pruned_search`).  ``spec``
-    supplies defaults for ``pool_size``, ``delta_percent``, ``guard``,
-    and ``batch_size`` when those are not passed explicitly.
+    ``spec`` sets ``pool.size``, ``gate.delta_percent`` and
+    ``engine.batch_size``; ``spec.guard``/``stream`` behave as in
+    :func:`biased_search` (the gate additionally widens its cutoff and
+    audits under suspicion, as in guarded
+    :func:`~repro.search.pruning.pruned_search`).
     """
     spec = resolve_spec(spec)
-    if pool_size is None:
-        pool_size = spec.pool.size
-    if delta_percent is None:
-        delta_percent = spec.gate.delta_percent
-    if guard is UNSET:
-        guard = spec.guard
-    if batch_size is None:
-        batch_size = spec.engine.batch_size
     if nmax < 1:
         raise SearchError(f"nmax must be >= 1, got {nmax}")
-    if pool_size < 10:
-        raise SearchError(f"pool_size must be >= 10, got {pool_size}")
-    if not 0.0 < delta_percent < 100.0:
-        raise SearchError(f"delta_percent must be in (0, 100), got {delta_percent}")
-    proposer = PoolRankProposer(space, surrogate, pool_size=pool_size)
-    gate = PredictionCutoffGate(proposer, delta_percent=delta_percent)
-    proposer, guard_obj = _guarded_pool_proposer(
-        proposer, guard, surrogate, stream, name
+    proposer = PoolRankProposer(space, surrogate, pool_size=spec.pool.size)
+    gate = PredictionCutoffGate(proposer, delta_percent=spec.gate.delta_percent)
+    proposer, guard = _guarded_pool_proposer(
+        proposer, spec.guard, surrogate, stream, name
     )
-    if guard_obj is not None:
-        gate = GuardedGate(gate, guard_obj)
+    if guard is not None:
+        gate = GuardedGate(gate, guard)
     engine = SearchEngine(
         evaluator,
         proposer,
@@ -175,6 +147,6 @@ def hybrid_search(
         name=name,
         space=space,
         checkpoint=checkpoint,
-        batch_size=batch_size,
+        batch_size=spec.engine.batch_size,
     )
     return engine.run()

@@ -93,9 +93,10 @@ class SearchEngine:
         when its file exists the search resumes from it.
     batch_size:
         Propose/gate/score candidates in blocks of up to this many
-        (``1``, the default, is one candidate per iteration).  Purely an
-        execution strategy: every clock charge is still applied per
-        candidate in stream order, and proposals a block did not consume
+        (``1`` is one candidate per iteration); every factory passes
+        its spec's ``engine.batch_size``.  Purely an execution
+        strategy: every clock charge is still applied per candidate in
+        stream order, and proposals a block did not consume
         are handed back via ``rewind``, so traces and checkpoint bytes
         are identical for every batch size (the golden-trace suite
         enforces this).  Proposers that decide one candidate at a time
@@ -115,7 +116,7 @@ class SearchEngine:
         stream=None,
         position_cap: int | None = None,
         checkpoint=None,
-        batch_size: int = 1,
+        batch_size: int,
     ) -> None:
         if nmax < 1:
             raise SearchError(f"nmax must be >= 1, got {nmax}")

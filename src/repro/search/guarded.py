@@ -35,40 +35,17 @@ including in-flight audits and the SUSPECT interleave phase.
 
 from __future__ import annotations
 
-from repro.errors import SearchError
 from repro.search.proposers import BaseProposer
 from repro.search.protocols import EngineContext, Proposal
 from repro.search.stream import SharedStream
 
-__all__ = ["GuardedProposer", "GuardedGate", "build_guard"]
+__all__ = ["GuardedProposer", "GuardedGate"]
 
 # The guard-state contract (mirrors repro.transfer.guard.GUARD_STATES;
 # string literals keep this module import-free of the transfer layer).
 _TRUSTED = "trusted"
 _SUSPECT = "suspect"
 _REVOKED = "revoked"
-
-
-def build_guard(guard, surrogate):
-    """Normalize a factory's ``guard=`` argument to a guard instance.
-
-    Accepts ``None`` (unguarded), a policy-like object exposing
-    ``build(surrogate)`` (e.g. ``repro.transfer.guard.GuardPolicy`` —
-    a fresh per-run guard is built around the search's surrogate), or
-    an already-built guard instance, which is used as-is.
-    """
-    if guard is None:
-        return None
-    build = getattr(guard, "build", None)
-    if callable(build):
-        guard = build(surrogate)
-    for attr in ("enabled", "state", "observe", "state_dict", "load_state"):
-        if not hasattr(guard, attr):
-            raise SearchError(
-                f"guard object {type(guard).__name__} lacks {attr!r}; pass a "
-                "GuardPolicy, a ModelGuard, or None"
-            )
-    return guard
 
 
 class GuardedProposer(BaseProposer):

@@ -42,36 +42,29 @@ def model_free_pruned_search(
     evaluator,
     training: Sequence[tuple[Configuration, float]],
     nmax: int = 100,
-    delta_percent: float | None = None,
     name: str = "RSpf",
     checkpoint=None,
-    batch_size: int | None = None,
     spec: TunerSpec | None = None,
 ) -> SearchTrace:
     """RSpf: threshold replay of the source machine's evaluations.
 
-    ``spec`` (a :class:`repro.spec.TunerSpec`) supplies defaults for
-    ``delta_percent`` and ``batch_size`` when not passed explicitly.
+    ``spec`` (a :class:`repro.spec.TunerSpec`, default spec when
+    ``None``) sets the cutoff quantile ``δ`` (``gate.delta_percent``)
+    and the engine block size (``engine.batch_size``).
     """
     _check_training(training)
     spec = resolve_spec(spec)
-    if delta_percent is None:
-        delta_percent = spec.gate.delta_percent
-    if batch_size is None:
-        batch_size = spec.engine.batch_size
-    if not 0.0 < delta_percent < 100.0:
-        raise SearchError(f"delta_percent must be in (0, 100), got {delta_percent}")
     engine = SearchEngine(
         evaluator,
         ReplayProposer(training),
         ReplayThresholdGate(
-            [y for _, y in training], delta_percent=delta_percent
+            [y for _, y in training], delta_percent=spec.gate.delta_percent
         ),
         nmax=nmax,
         name=name,
         space=training[0][0].space,
         checkpoint=checkpoint,
-        batch_size=batch_size,
+        batch_size=spec.engine.batch_size,
     )
     return engine.run()
 
@@ -82,17 +75,13 @@ def model_free_biased_search(
     nmax: int = 100,
     name: str = "RSbf",
     checkpoint=None,
-    batch_size: int | None = None,
     spec: TunerSpec | None = None,
 ) -> SearchTrace:
     """RSbf: sorted replay of the source machine's evaluations.
 
-    ``spec`` supplies the default ``batch_size`` when not passed.
+    ``spec`` sets the engine block size (``engine.batch_size``).
     """
     _check_training(training)
-    spec = resolve_spec(spec)
-    if batch_size is None:
-        batch_size = spec.engine.batch_size
     engine = SearchEngine(
         evaluator,
         ReplayProposer(training, sort=True),
@@ -100,6 +89,6 @@ def model_free_biased_search(
         name=name,
         space=training[0][0].space,
         checkpoint=checkpoint,
-        batch_size=batch_size,
+        batch_size=resolve_spec(spec).engine.batch_size,
     )
     return engine.run()

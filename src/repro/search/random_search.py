@@ -23,7 +23,6 @@ def random_search(
     nmax: int = 100,
     name: str = "RS",
     checkpoint=None,
-    batch_size: int | None = None,
     spec: TunerSpec | None = None,
 ) -> SearchTrace:
     """Run RS for at most ``nmax`` evaluations.
@@ -46,15 +45,11 @@ def random_search(
     :class:`~repro.reliability.checkpoint.CheckpointManager`; when its
     file exists the search resumes from it instead of starting over.
 
-    ``batch_size`` is the engine's block size; traces are bit-identical
-    for every size — see :class:`~repro.search.engine.SearchEngine`.
-    When not passed it
-    comes from ``spec`` (a :class:`repro.spec.TunerSpec`; the default
-    spec reproduces historical behavior exactly).
+    ``spec`` (a :class:`repro.spec.TunerSpec`, default spec when
+    ``None``) sets the engine block size (``engine.batch_size``);
+    traces are bit-identical for every size — see
+    :class:`~repro.search.engine.SearchEngine`.
     """
-    spec = resolve_spec(spec)
-    if batch_size is None:
-        batch_size = spec.engine.batch_size
     engine = SearchEngine(
         evaluator,
         StreamProposer(stream),
@@ -63,6 +58,6 @@ def random_search(
         space=stream.space,
         stream=stream,
         checkpoint=checkpoint,
-        batch_size=batch_size,
+        batch_size=resolve_spec(spec).engine.batch_size,
     )
     return engine.run()

@@ -26,6 +26,7 @@ from repro.search.engine import SearchEngine
 from repro.search.protocols import SurrogateModel
 from repro.search.result import SearchTrace
 from repro.searchspace.space import SearchSpace
+from repro.spec import TunerSpec, resolve_spec
 from repro.tuner.adapter import TechniqueProposer
 from repro.tuner.database import ResultsDatabase
 from repro.tuner.manipulator import ConfigurationManipulator
@@ -40,16 +41,19 @@ def warm_started_search(
     technique: SearchTechnique,
     surrogate: SurrogateModel | None = None,
     nmax: int = 100,
-    pool_size: int = 10_000,
     seed_evaluations: int = 10,
     name: str | None = None,
+    spec: TunerSpec | None = None,
 ) -> SearchTrace:
     """Run a technique, optionally warm-started from a surrogate.
 
     The first ``seed_evaluations`` measurements (counted against
-    ``nmax``) are the surrogate's best pool predictions; each result is
-    fed to the technique before it takes over.
+    ``nmax``) are the surrogate's best picks from a pool of
+    ``spec.pool.size`` configurations (``spec`` is a
+    :class:`repro.spec.TunerSpec`, default spec when ``None``); each
+    result is fed to the technique before it takes over.
     """
+    spec = resolve_spec(spec)
     if nmax < 1:
         raise SearchError(f"nmax must be >= 1, got {nmax}")
     if seed_evaluations < 0:
@@ -70,11 +74,12 @@ def warm_started_search(
             space,
             result_label=label,
             surrogate=surrogate,
-            pool_size=pool_size,
+            pool_size=spec.pool.size,
             seed_evaluations=seed_evaluations,
         ),
         nmax=nmax,
         name=label,
         space=space,
+        batch_size=spec.engine.batch_size,
     )
     return engine.run()

@@ -26,7 +26,10 @@ Payload kinds:
 ``search`` and ``transfer`` payloads optionally carry a ``"spec"``
 key: a versioned :class:`~repro.spec.TunerSpec` wire dict (see
 :meth:`~repro.spec.TunerSpec.to_dict`) that threads tuner
-hyperparameters through the job.  Because the spec is part of the
+hyperparameters through the job and runs as given.  A spec-less
+``transfer`` job sets ``pool.size`` from ``"pool_size"`` (default
+2000); a payload carrying both fails with
+:class:`~repro.errors.SpecError`.  Because the spec is part of the
 payload it is part of the job's fingerprint — two jobs differing only
 in hyperparameters journal as distinct cells.
 
@@ -39,7 +42,7 @@ from __future__ import annotations
 import hashlib
 import time
 
-from repro.errors import ReproError
+from repro.errors import ReproError, SpecError
 from repro.exec.fingerprint import canonical_json
 from repro.utils.rng import stable_hash
 
@@ -136,13 +139,22 @@ def _run_transfer(payload: dict) -> dict:
     from repro.experiments.harness import build_session
 
     spec = _payload_spec(payload)
+    if spec is None:
+        pool_size = int(payload.get("pool_size", 2000))
+    elif "pool_size" in payload:
+        raise SpecError(
+            "a transfer job sets its pool through spec.pool.size or "
+            "pool_size, not both"
+        )
+    else:
+        pool_size = None
     session = build_session(
         problem=str(payload.get("problem", "MM")),
         source=str(payload.get("source", "westmere")),
         target=str(payload.get("target", "sandybridge")),
         seed=payload.get("seed", 0),
         nmax=int(payload.get("nmax", 30)),
-        pool_size=int(payload.get("pool_size", 2000)),
+        pool_size=pool_size,
         variants=tuple(payload.get("variants", ("RSp", "RSb"))),
         spec=spec,
     )

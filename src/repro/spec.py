@@ -15,6 +15,9 @@ Design rules:
 
 * **The default spec is the status quo.**  ``TunerSpec()`` reproduces
   the hard-coded values bit-for-bit; the golden-trace suite pins this.
+* **One way to set a knob.**  Search factories, sessions and runs read
+  every hyperparameter here from their ``spec=``; none also takes it
+  as a keyword argument (``repro.devtools.lint`` enforces this).
 * **Frozen and validated.**  Sub-specs are frozen dataclasses whose
   ``__post_init__`` rejects out-of-range knobs with :class:`SpecError`
   (a ``ValueError``), so an invalid spec cannot be constructed, only
@@ -48,7 +51,6 @@ from repro.errors import SpecError
 
 __all__ = [
     "SPEC_VERSION",
-    "UNSET",
     "ForestSpec",
     "GateSpec",
     "PoolSpec",
@@ -66,20 +68,6 @@ SPEC_VERSION = 2
 #: acquisition functions :class:`repro.search.proposers.SMBOProposer`
 #: implements.
 ACQUISITIONS = ("ei", "lcb", "mean")
-
-
-class _Unset:
-    """Sentinel distinguishing "argument not passed" from explicit
-    ``None`` (``guard=None`` is a meaningful value, so ``None`` cannot
-    mean "take it from the spec")."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "UNSET"
-
-
-UNSET = _Unset()
 
 
 def _require(condition: bool, message: str) -> None:
@@ -247,9 +235,8 @@ class TunerSpec:
     ``TunerSpec()`` is the status quo (golden-trace proven); pass a
     modified spec to any search factory, :class:`TransferSession`,
     :class:`TuningRun`, or a service job payload to change the tuner's
-    behavior from one typed source of truth.  Per-knob keyword
-    arguments still win over the spec where both are given — the spec
-    supplies defaults, it does not override explicit calls.
+    behavior.  The spec is the only way to set these knobs: no factory
+    takes a per-knob keyword argument alongside ``spec=``.
     """
 
     forest: ForestSpec = field(default_factory=ForestSpec)

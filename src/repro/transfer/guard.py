@@ -245,8 +245,8 @@ class GuardPolicy:
     def disabled(cls) -> "GuardPolicy":
         """A policy that never monitors and never intervenes.
 
-        A search built with it is byte-identical to one built with
-        ``guard=None`` — enforced by the golden-trace suite.
+        A search whose spec carries it is byte-identical to one whose
+        spec has no guard — enforced by the golden-trace suite.
         """
         return cls(enabled=False)
 

@@ -28,6 +28,7 @@ from repro.search.proposers import BaseProposer, failure_feedback
 from repro.search.protocols import EngineContext, Proposal
 from repro.search.result import SearchTrace
 from repro.searchspace.space import Configuration, SearchSpace
+from repro.spec import TunerSpec, resolve_spec
 from repro.transfer.surrogate import Surrogate
 from repro.utils.rng import spawn_rng
 
@@ -119,11 +120,11 @@ def online_biased_search(
     space: SearchSpace,
     source_data: Sequence[tuple[Configuration, float]],
     nmax: int = 100,
-    pool_size: int = 10_000,
     refit_every: int = 20,
     source_weight: float = 0.5,
     surrogate_factory=None,
     name: str = "RSb+online",
+    spec: TunerSpec | None = None,
 ) -> SearchTrace:
     """RSb with periodic surrogate refits on target observations.
 
@@ -141,10 +142,16 @@ def online_biased_search(
     surrogate_factory:
         Callable returning a fresh :class:`Surrogate`; defaults to the
         random-forest surrogate.
+    spec:
+        A :class:`repro.spec.TunerSpec` (default spec when ``None``):
+        the pool holds ``spec.pool.size`` configurations, and the
+        engine runs blocks of ``spec.engine.batch_size`` (this
+        proposer hands out blocks of one whatever the size).
 
     ``trace.metadata["refits"]`` counts the refits a run of this length
     makes.
     """
+    spec = resolve_spec(spec)
     if nmax < 1:
         raise SearchError(f"nmax must be >= 1, got {nmax}")
     if refit_every < 1:
@@ -158,13 +165,14 @@ def online_biased_search(
         space,
         source_data,
         spawn_rng("online-rsb", space.name, name),
-        pool_size=pool_size,
+        pool_size=spec.pool.size,
         refit_every=refit_every,
         source_weight=source_weight,
         surrogate_factory=surrogate_factory or (lambda: Surrogate(space)),
     )
     trace = SearchEngine(
-        evaluator, proposer, nmax=nmax, name=name, space=space
+        evaluator, proposer, nmax=nmax, name=name, space=space,
+        batch_size=spec.engine.batch_size,
     ).run()
     trace.metadata["refits"] = max(0, (trace.n_evaluations - 1) // refit_every)
     return trace

@@ -29,7 +29,7 @@ from repro.search.pruning import pruned_search
 from repro.search.random_search import random_search
 from repro.search.result import SearchTrace
 from repro.search.stream import SharedStream
-from repro.spec import UNSET, TunerSpec, resolve_spec
+from repro.spec import TunerSpec, resolve_spec
 from repro.transfer.metrics import SpeedupReport, speedups
 from repro.transfer.surrogate import Surrogate
 from repro.utils.stats import pearson, spearman
@@ -91,30 +91,29 @@ class TransferOutcome:
 class TransferSession:
     """Configure and run one transfer experiment.
 
-    Parameters mirror Section IV-D: ``nmax=100`` evaluations,
-    ``pool_size=10000``, ``delta_percent=20``.  ``seed`` controls the
-    common-random-numbers stream; ``budget_seconds`` optionally bounds
-    each search's simulated time (X-Gene style failures).
+    Parameters mirror Section IV-D: ``nmax=100`` evaluations, and the
+    default ``spec``'s pool of ``N = 10000`` and cutoff ``δ = 20%``.
+    ``seed`` controls the common-random-numbers stream;
+    ``budget_seconds`` optionally bounds each search's simulated time
+    (X-Gene style failures).
 
     Beyond the paper's four variants, ``variants`` also accepts
     ``"RSpb"`` — the prune-then-bias hybrid
     (:func:`~repro.search.biasing.hybrid_search`), which evaluates the
     biased pool ranking gated by the pruning cutoff ``∆``.
 
-    ``guard`` (a :class:`repro.transfer.guard.GuardPolicy`) arms
+    ``spec`` (a :class:`repro.spec.TunerSpec`, default spec when
+    ``None``) is the one place the session's tuner hyperparameters are
+    set: the pool size, ``δ``, the surrogate forest (unless
+    ``learner_factory`` supplies another learner), the engine block
+    size, and the guard.  A ``spec.guard`` policy arms
     negative-transfer guardrails on the model-guided variants
     (RSp/RSb/RSpb): each run gets a fresh
     :class:`~repro.transfer.guard.ModelGuard` that scores the
     surrogate against target reality and degrades the search —
     ultimately to plain RS on the shared stream — when transfer turns
-    out to hurt.  ``guard=None`` (default) runs every variant exactly
-    as before.
-
-    ``spec`` (a :class:`repro.spec.TunerSpec`) supplies defaults for
-    ``pool_size``, ``delta_percent``, ``guard``, the surrogate forest,
-    and the engine batch size; explicit keyword arguments beat it, and
-    the default spec reproduces historical behavior byte-identically
-    (golden-trace proven).
+    out to hurt.  The default spec arms no guard and reproduces the
+    historical traces byte-identically (golden-trace proven).
     """
 
     def __init__(
@@ -124,8 +123,6 @@ class TransferSession:
         target: MachineSpec,
         compiler: CompilerModel = GCC,
         nmax: int = 100,
-        pool_size: int | None = None,
-        delta_percent: float | None = None,
         threads: int | dict[str, int] = 1,
         openmp: bool = False,
         seed: object = 0,
@@ -134,23 +131,14 @@ class TransferSession:
         variants: tuple[str, ...] = ("RSp", "RSb", "RSpf", "RSbf"),
         evaluator_factory: Callable[[MachineSpec, SimClock], object] | None = None,
         evaluator_wrapper: Callable[[object], object] | None = None,
-        guard=UNSET,
         spec: TunerSpec | None = None,
     ) -> None:
-        # Spec-resolved knobs land as plain attributes (not lazy reads)
-        # because callers — the ablation drivers — mutate them between
-        # runs; explicit keyword arguments beat the spec.
         self.spec = resolve_spec(spec)
         self.kernel = kernel
         self.source = source
         self.target = target
         self.compiler = compiler
         self.nmax = nmax
-        self.pool_size = pool_size if pool_size is not None else self.spec.pool.size
-        self.delta_percent = (
-            delta_percent if delta_percent is not None
-            else self.spec.gate.delta_percent
-        )
         self.threads = threads
         self.openmp = openmp
         self.seed = seed
@@ -159,7 +147,6 @@ class TransferSession:
         self.variants = variants
         self.evaluator_factory = evaluator_factory
         self.evaluator_wrapper = evaluator_wrapper
-        self.guard = self.spec.guard if guard is UNSET else guard
 
     # ------------------------------------------------------------------
     def _threads_for(self, machine: MachineSpec) -> int:
@@ -199,10 +186,10 @@ class TransferSession:
 
     def fit_surrogate(self, source_trace: SearchTrace) -> Surrogate:
         """Step 2: fit Ma on Ta (forest shaped by the session spec
-        unless an explicit ``learner_factory`` overrides it)."""
+        unless ``learner_factory`` supplies a fresh learner)."""
         if self.learner_factory is not None:
             surrogate = Surrogate(
-                self.kernel.space, learner_factory=self.learner_factory
+                self.kernel.space, learner=self.learner_factory()
             )
         else:
             surrogate = Surrogate(self.kernel.space, spec=self.spec.forest)
@@ -242,45 +229,29 @@ class TransferSession:
         traces: dict[str, SearchTrace] = {}
         # Common random numbers: every stream-driven search replays the
         # same sequence (fresh SharedStream instances share the seed).
+        guarded = self.spec.guard is not None
         runners: dict[str, Callable[[], SearchTrace]] = {
             "RS": lambda: random_search(
                 self._evaluator(self.target), self._stream(), nmax=self.nmax,
                 spec=self.spec,
             ),
             "RSp": lambda: pruned_search(
-                self._evaluator(self.target),
-                self._stream(),
-                surrogate,
-                nmax=self.nmax,
-                pool_size=self.pool_size,
-                delta_percent=self.delta_percent,
-                guard=self.guard,
-                spec=self.spec,
+                self._evaluator(self.target), self._stream(), surrogate,
+                nmax=self.nmax, spec=self.spec,
             ),
             "RSb": lambda: biased_search(
-                self._evaluator(self.target),
-                self.kernel.space,
-                surrogate,
-                nmax=self.nmax,
-                pool_size=self.pool_size,
-                guard=self.guard,
-                stream=self._stream() if self.guard is not None else None,
+                self._evaluator(self.target), self.kernel.space, surrogate,
+                nmax=self.nmax, stream=self._stream() if guarded else None,
                 spec=self.spec,
             ),
             "RSpb": lambda: hybrid_search(
-                self._evaluator(self.target),
-                self.kernel.space,
-                surrogate,
-                nmax=self.nmax,
-                pool_size=self.pool_size,
-                delta_percent=self.delta_percent,
-                guard=self.guard,
-                stream=self._stream() if self.guard is not None else None,
+                self._evaluator(self.target), self.kernel.space, surrogate,
+                nmax=self.nmax, stream=self._stream() if guarded else None,
                 spec=self.spec,
             ),
             "RSpf": lambda: model_free_pruned_search(
                 self._evaluator(self.target), training, nmax=self.nmax,
-                delta_percent=self.delta_percent, spec=self.spec,
+                spec=self.spec,
             ),
             "RSbf": lambda: model_free_biased_search(
                 self._evaluator(self.target), training, nmax=self.nmax,

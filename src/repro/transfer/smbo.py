@@ -47,16 +47,10 @@ def smbo_search(
     evaluator,
     space: SearchSpace,
     nmax: int = 100,
-    n_initial: int | None = None,
-    pool_size: int | None = None,
-    acquisition: str | None = None,
-    kappa: float | None = None,
     source_surrogate: SurrogateModel | None = None,
     source_data: Sequence[tuple[Configuration, float]] | None = None,
-    refit_every: int | None = None,
     seed: object = 0,
     name: str | None = None,
-    batch_size: int | None = None,
     spec: TunerSpec | None = None,
 ) -> SearchTrace:
     """Run SMBO on the target machine.
@@ -66,56 +60,41 @@ def smbo_search(
     random design.  ``source_data`` additionally blends rescaled source
     observations into every refit (full transfer).
 
-    ``spec`` (a :class:`repro.spec.TunerSpec`) supplies defaults for
-    every SMBO knob not passed explicitly — ``n_initial``,
-    ``pool_size``, ``acquisition``, ``kappa``, ``refit_every``, the
-    refit forest, and the engine ``batch_size``.  The default spec
-    reproduces historical behavior exactly (``n_initial=10``, a 2k
-    pool, EI, a 48-tree refit forest).
+    ``spec`` (a :class:`repro.spec.TunerSpec`, default spec when
+    ``None``) sets every SMBO knob from ``spec.smbo`` — ``n_initial``,
+    ``pool_size``, ``acquisition``, ``kappa``, ``refit_every`` and the
+    refit forest — and the engine block size from ``spec.engine``.  The
+    default spec is ``n_initial=10``, a 2k pool, EI and a 48-tree refit
+    forest.
     """
     spec = resolve_spec(spec)
-    if n_initial is None:
-        n_initial = spec.smbo.n_initial
-    if pool_size is None:
-        pool_size = spec.smbo.pool_size
-    if acquisition is None:
-        acquisition = spec.smbo.acquisition
-    if kappa is None:
-        kappa = spec.smbo.kappa
-    if refit_every is None:
-        refit_every = spec.smbo.refit_every
-    if batch_size is None:
-        batch_size = spec.engine.batch_size
+    smbo = spec.smbo
     if nmax < 1:
         raise SearchError(f"nmax must be >= 1, got {nmax}")
-    if not 1 <= n_initial <= nmax:
-        raise SearchError(f"n_initial must be in [1, nmax], got {n_initial}")
-    if acquisition not in ("ei", "lcb", "mean"):
-        raise SearchError(f"unknown acquisition {acquisition!r} (ei | lcb | mean)")
-    if refit_every < 1:
-        raise SearchError(f"refit_every must be >= 1, got {refit_every}")
+    if not 1 <= smbo.n_initial <= nmax:
+        raise SearchError(f"n_initial must be in [1, nmax], got {smbo.n_initial}")
 
     label = name or (
-        f"SMBO-{acquisition}+transfer" if source_surrogate or source_data
-        else f"SMBO-{acquisition}"
+        f"SMBO-{smbo.acquisition}+transfer" if source_surrogate or source_data
+        else f"SMBO-{smbo.acquisition}"
     )
     engine = SearchEngine(
         evaluator,
         SMBOProposer(
             space,
             spawn_rng("smbo", space.name, label, str(seed)),
-            n_initial=n_initial,
-            pool_size=pool_size,
-            acquisition=acquisition,
-            kappa=kappa,
+            n_initial=smbo.n_initial,
+            pool_size=smbo.pool_size,
+            acquisition=smbo.acquisition,
+            kappa=smbo.kappa,
             source_surrogate=source_surrogate,
             source_data=source_data,
-            refit_every=refit_every,
-            forest=spec.smbo.forest,
+            refit_every=smbo.refit_every,
+            forest=smbo.forest,
         ),
         nmax=nmax,
         name=label,
         space=space,
-        batch_size=batch_size,
+        batch_size=spec.engine.batch_size,
     )
     return engine.run()

@@ -9,7 +9,7 @@ paper notes pool generation/prediction "should be within few seconds").
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -44,9 +44,8 @@ class Surrogate:
         random forest, built from ``spec``.
     spec:
         :class:`repro.spec.ForestSpec` hyperparameters for the default
-        forest.  Mutually exclusive with ``learner``/``learner_factory``
-        (those supply a learner outright; the spec only shapes the
-        default one).
+        forest.  Mutually exclusive with ``learner`` (which supplies a
+        learner outright; the spec only shapes the default one).
     log_target:
         Fit ``log(y)`` instead of ``y`` — runtimes are positive with
         multiplicative structure, so this is the better-behaved target
@@ -57,22 +56,13 @@ class Surrogate:
         self,
         space: SearchSpace,
         learner: Regressor | None = None,
-        learner_factory: Callable[[], Regressor] | None = None,
         log_target: bool = True,
         spec: "ForestSpec | None" = None,
     ) -> None:
-        if learner is not None and learner_factory is not None:
-            raise ModelError("pass either learner or learner_factory, not both")
-        if spec is not None and (learner is not None or learner_factory is not None):
-            raise ModelError(
-                "pass either spec or an explicit learner/learner_factory, "
-                "not both"
-            )
+        if spec is not None and learner is not None:
+            raise ModelError("pass either spec or an explicit learner, not both")
         if learner is None:
-            learner = (
-                learner_factory() if learner_factory
-                else RandomForestRegressor.from_spec(spec)
-            )
+            learner = RandomForestRegressor.from_spec(spec)
         self.space = space
         self.learner = learner
         self.log_target = log_target

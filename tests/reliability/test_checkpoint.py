@@ -32,8 +32,14 @@ from repro.search.pruning import pruned_search
 from repro.search.random_search import random_search
 from repro.search.result import EvaluationRecord, SearchTrace
 from repro.search.stream import SharedStream
+from repro.spec import PoolSpec, TunerSpec
 from repro.transfer.session import TransferSession
 from repro.tuner import RandomTechnique, TuningRun
+
+
+def _pool(size):
+    """The default spec with a pool of ``size`` configurations."""
+    return TunerSpec(pool=PoolSpec(size=size))
 
 
 def _trace_signature(trace):
@@ -321,16 +327,16 @@ class TestSearchResume:
                                          make_target):
         reference = pruned_search(
             make_target(), SharedStream(kernel.space, seed="ck"), surrogate,
-            nmax=10, pool_size=200,
+            nmax=10, spec=_pool(200),
         )
         manager = CheckpointManager(tmp_path / "rsp.json", every=3)
         pruned_search(
             make_target(), SharedStream(kernel.space, seed="ck"), surrogate,
-            nmax=5, pool_size=200, checkpoint=manager,
+            nmax=5, spec=_pool(200), checkpoint=manager,
         )
         resumed = pruned_search(
             make_target(), SharedStream(kernel.space, seed="ck"), surrogate,
-            nmax=10, pool_size=200, checkpoint=manager,
+            nmax=10, spec=_pool(200), checkpoint=manager,
         )
         assert _trace_signature(resumed) == _trace_signature(reference)
         assert resumed.metadata["cutoff"] == reference.metadata["cutoff"]
@@ -339,15 +345,15 @@ class TestSearchResume:
     def test_rsb_resume_is_bit_identical(self, tmp_path, kernel, surrogate,
                                          make_target):
         reference = biased_search(
-            make_target(), kernel.space, surrogate, nmax=16, pool_size=300
+            make_target(), kernel.space, surrogate, nmax=16, spec=_pool(300)
         )
         manager = CheckpointManager(tmp_path / "rsb.json", every=4)
         biased_search(
-            make_target(), kernel.space, surrogate, nmax=8, pool_size=300,
+            make_target(), kernel.space, surrogate, nmax=8, spec=_pool(300),
             checkpoint=manager,
         )
         resumed = biased_search(
-            make_target(), kernel.space, surrogate, nmax=16, pool_size=300,
+            make_target(), kernel.space, surrogate, nmax=16, spec=_pool(300),
             checkpoint=manager,
         )
         assert _trace_signature(resumed) == _trace_signature(reference)
@@ -383,15 +389,15 @@ class TestSearchResume:
     def test_hybrid_resume_is_bit_identical(self, tmp_path, kernel, surrogate,
                                             make_target):
         reference = hybrid_search(
-            make_target(), kernel.space, surrogate, nmax=16, pool_size=300
+            make_target(), kernel.space, surrogate, nmax=16, spec=_pool(300)
         )
         manager = CheckpointManager(tmp_path / "rspb.json", every=4)
         hybrid_search(
-            make_target(), kernel.space, surrogate, nmax=8, pool_size=300,
+            make_target(), kernel.space, surrogate, nmax=8, spec=_pool(300),
             checkpoint=manager,
         )
         resumed = hybrid_search(
-            make_target(), kernel.space, surrogate, nmax=16, pool_size=300,
+            make_target(), kernel.space, surrogate, nmax=16, spec=_pool(300),
             checkpoint=manager,
         )
         assert _trace_signature(resumed) == _trace_signature(reference)
@@ -450,7 +456,7 @@ class TestSessionResume:
                 return self.inner.evaluate(config)
 
         session = TransferSession(
-            kernel, WESTMERE, SANDYBRIDGE, nmax=12, pool_size=200,
+            kernel, WESTMERE, SANDYBRIDGE, nmax=12, spec=_pool(200),
             variants=("RSb",), evaluator_wrapper=Counting,
         )
         path = tmp_path / "session.json"
@@ -468,7 +474,7 @@ class TestSessionResume:
     def test_damaged_session_line_costs_one_trace(self, tmp_path, kernel):
         def session(variants):
             return TransferSession(kernel, WESTMERE, SANDYBRIDGE, nmax=12,
-                                   pool_size=200, variants=variants)
+                                   spec=_pool(200), variants=variants)
 
         reference = session(("RSb", "RSp")).run()
         path = tmp_path / "session.json"

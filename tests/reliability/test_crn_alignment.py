@@ -24,6 +24,12 @@ from repro.search.biasing import biased_search
 from repro.search.pruning import pruned_search
 from repro.search.random_search import random_search
 from repro.search.stream import SharedStream
+from repro.spec import PoolSpec, TunerSpec
+
+
+def _pool(size):
+    """The default spec with a pool of ``size`` configurations."""
+    return TunerSpec(pool=PoolSpec(size=size))
 
 
 def _resilient(kernel, rate, seed="crn", retries=3):
@@ -58,11 +64,11 @@ class TestFaultsPreserveAlignment:
                                                  make_target):
         clean = pruned_search(
             make_target(), SharedStream(kernel.space, seed="a"), surrogate,
-            nmax=10, pool_size=200,
+            nmax=10, spec=_pool(200),
         )
         faulty = pruned_search(
             _resilient(kernel, 0.20), SharedStream(kernel.space, seed="a"),
-            surrogate, nmax=10, pool_size=200,
+            surrogate, nmax=10, spec=_pool(200),
         )
         # Pruning decisions depend only on the (shared) model, so the
         # evaluated configurations and skip counts stay identical.
@@ -75,11 +81,11 @@ class TestFaultsPreserveAlignment:
     def test_rsb_pool_order_identical_under_faults(self, kernel, surrogate,
                                                    make_target):
         clean = biased_search(
-            make_target(), kernel.space, surrogate, nmax=20, pool_size=300
+            make_target(), kernel.space, surrogate, nmax=20, spec=_pool(300)
         )
         faulty = biased_search(
             _resilient(kernel, 0.20), kernel.space, surrogate, nmax=20,
-            pool_size=300,
+            spec=_pool(300),
         )
         assert _indices(faulty) == _indices(clean)
 
@@ -87,7 +93,7 @@ class TestFaultsPreserveAlignment:
                                                   make_target):
         rsp = pruned_search(
             _resilient(kernel, 0.20), SharedStream(kernel.space, seed="a"),
-            surrogate, nmax=10, pool_size=200,
+            surrogate, nmax=10, spec=_pool(200),
         )
         stream = SharedStream(kernel.space, seed="a")
         prefix = stream.prefix(rsp.metadata["stream_positions"])
@@ -114,16 +120,16 @@ class TestResumePreservesAlignment:
                                                  surrogate):
         reference = biased_search(
             _resilient(kernel, 0.10, seed="resume"), kernel.space, surrogate,
-            nmax=20, pool_size=300,
+            nmax=20, spec=_pool(300),
         )
         manager = CheckpointManager(tmp_path / "rsb.json", every=5)
         biased_search(
             _resilient(kernel, 0.10, seed="resume"), kernel.space, surrogate,
-            nmax=9, pool_size=300, checkpoint=manager,
+            nmax=9, spec=_pool(300), checkpoint=manager,
         )
         resumed = biased_search(
             _resilient(kernel, 0.10, seed="resume"), kernel.space, surrogate,
-            nmax=20, pool_size=300, checkpoint=manager,
+            nmax=20, spec=_pool(300), checkpoint=manager,
         )
         assert _indices(resumed) == _indices(reference)
         assert resumed.best().config.index == reference.best().config.index

@@ -23,6 +23,12 @@ from repro.reliability import (
     RetryPolicy,
 )
 from repro.search.biasing import biased_search
+from repro.spec import PoolSpec, TunerSpec
+
+
+def _pool(size):
+    """The default spec with a pool of ``size`` configurations."""
+    return TunerSpec(pool=PoolSpec(size=size))
 
 
 @dataclass(frozen=True)
@@ -225,7 +231,7 @@ class TestSearchUnderFaults:
             retry=RetryPolicy(),
         )
         trace = biased_search(resilient, kernel.space, surrogate, nmax=40,
-                              pool_size=500)
+                              spec=_pool(500))
         assert trace.n_evaluations == 40
         assert trace.best_runtime > 0
         assert resilient.stats.attempts >= 40
@@ -241,7 +247,7 @@ class TestSearchUnderFaults:
             retry=RetryPolicy.none(),
         )
         trace = biased_search(resilient, kernel.space, surrogate, nmax=40,
-                              pool_size=500)
+                              spec=_pool(500))
         assert trace.n_failures > 0
         assert len(trace.successes()) + len(trace.failures()) == 40
         assert all(r.failed for r in trace.failures())

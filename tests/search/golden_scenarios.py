@@ -21,6 +21,7 @@ otherwise the equivalence guarantee is meaningless.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import os
 
@@ -44,6 +45,7 @@ from repro.search.pruning import pruned_search
 from repro.search.random_search import random_search
 from repro.search.stream import SharedStream
 from repro.search.warm_start import warm_started_search
+from repro.spec import resolve_spec
 from repro.transfer.guard import GuardPolicy
 from repro.transfer.online import online_biased_search
 from repro.transfer.smbo import smbo_search
@@ -53,6 +55,9 @@ from repro.tuner import GeneticAlgorithm, RandomTechnique, TuningRun
 STREAM_SEED = "golden"
 NMAX = 24
 POOL = 240
+# Spec knobs the model-guided scenarios set (dotted spec paths).
+POOL_KNOBS = {"pool.size": POOL}
+SMBO_KNOBS = {"smbo.n_initial": 5, "smbo.pool_size": 200}
 
 # Mid-run budget walls, chosen so the budgeted scenarios exhaust after
 # at least one but fewer than nmax evaluations (asserted by the tests).
@@ -93,6 +98,15 @@ def _surrogate(kernel, training):
     return Surrogate(kernel.space).fit(training)
 
 
+def _spec(spec, knobs, guard=None):
+    """The caller's spec (default: the default spec) with this
+    scenario's ``knobs`` (dotted spec paths) set and ``guard`` armed."""
+    spec = resolve_spec(spec)
+    for path, value in knobs.items():
+        spec = spec.with_value(path, value)
+    return spec if guard is None else dataclasses.replace(spec, guard=guard)
+
+
 def _inverted_surrogate(kernel, training):
     """A surrogate fitted on mirrored source runtimes: it ranks the best
     configurations worst, so an armed guard must intervene."""
@@ -103,212 +117,226 @@ def _inverted_surrogate(kernel, training):
 
 # ----------------------------------------------------------------------
 # Scenarios: name -> zero-argument callable returning a SearchTrace.
-# Keyword arguments (checkpoint=...) are threaded through so the resume
-# tests can re-run any checkpointable scenario with a manager attached.
+# ``spec=`` overlays the scenario's own knobs (its pool, its SMBO
+# design) on a caller's spec — the batch-size tests set
+# ``engine.batch_size`` that way.  Other keyword arguments
+# (checkpoint=...) are threaded through so the resume tests can re-run
+# any checkpointable scenario with a manager attached.
 # ----------------------------------------------------------------------
-def rs_clean(**kw):
+def rs_clean(spec=None, **kw):
     k = _kernel()
-    return random_search(_target(k), _stream(k), nmax=NMAX, **kw)
+    return random_search(_target(k), _stream(k), nmax=NMAX, spec=spec, **kw)
 
 
-def rs_faulted(**kw):
-    k = _kernel()
-    return random_search(_faulty_target(k), _stream(k), nmax=NMAX, **kw)
-
-
-def rs_budget(**kw):
+def rs_faulted(spec=None, **kw):
     k = _kernel()
     return random_search(
-        _target(k, budget=RS_BUDGET_SECONDS), _stream(k), nmax=NMAX, **kw
+        _faulty_target(k), _stream(k), nmax=NMAX, spec=spec, **kw
     )
 
 
-def rsp_clean(**kw):
+def rs_budget(spec=None, **kw):
+    k = _kernel()
+    return random_search(
+        _target(k, budget=RS_BUDGET_SECONDS), _stream(k), nmax=NMAX,
+        spec=spec, **kw
+    )
+
+
+def rsp_clean(spec=None, **kw):
     k = _kernel()
     training = _source_training(k)
     return pruned_search(
         _target(k), _stream(k), _surrogate(k, training),
-        nmax=12, pool_size=POOL, **kw
+        nmax=12, spec=_spec(spec, POOL_KNOBS), **kw
     )
 
 
-def rsp_faulted(**kw):
+def rsp_faulted(spec=None, **kw):
     k = _kernel()
     training = _source_training(k)
     return pruned_search(
         _faulty_target(k), _stream(k), _surrogate(k, training),
-        nmax=12, pool_size=POOL, **kw
+        nmax=12, spec=_spec(spec, POOL_KNOBS), **kw
     )
 
 
-def rsb_clean(**kw):
+def rsb_clean(spec=None, **kw):
     k = _kernel()
     training = _source_training(k)
     return biased_search(
         _target(k), k.space, _surrogate(k, training),
-        nmax=16, pool_size=POOL, **kw
+        nmax=16, spec=_spec(spec, POOL_KNOBS), **kw
     )
 
 
-def rsb_faulted(**kw):
+def rsb_faulted(spec=None, **kw):
     k = _kernel()
     training = _source_training(k)
     return biased_search(
         _faulty_target(k), k.space, _surrogate(k, training),
-        nmax=16, pool_size=POOL, **kw
+        nmax=16, spec=_spec(spec, POOL_KNOBS), **kw
     )
 
 
-def rsb_budget(**kw):
+def rsb_budget(spec=None, **kw):
     k = _kernel()
     training = _source_training(k)
     return biased_search(
         _target(k, budget=RSB_BUDGET_SECONDS), k.space, _surrogate(k, training),
-        nmax=16, pool_size=POOL, **kw
+        nmax=16, spec=_spec(spec, POOL_KNOBS), **kw
     )
 
 
-def rspb_clean(**kw):
+def rspb_clean(spec=None, **kw):
     k = _kernel()
     training = _source_training(k)
     return hybrid_search(
         _target(k), k.space, _surrogate(k, training),
-        nmax=16, pool_size=POOL, **kw
+        nmax=16, spec=_spec(spec, POOL_KNOBS), **kw
     )
 
 
-def rspf_clean(**kw):
+def rspf_clean(spec=None, **kw):
     k = _kernel()
     return model_free_pruned_search(
-        _target(k), _source_training(k), nmax=100, **kw
+        _target(k), _source_training(k), nmax=100, spec=spec, **kw
     )
 
 
-def rspf_faulted(**kw):
+def rspf_faulted(spec=None, **kw):
     k = _kernel()
     return model_free_pruned_search(
-        _faulty_target(k), _source_training(k), nmax=100, **kw
+        _faulty_target(k), _source_training(k), nmax=100, spec=spec, **kw
     )
 
 
-def rsbf_clean(**kw):
+def rsbf_clean(spec=None, **kw):
     k = _kernel()
     return model_free_biased_search(
-        _target(k), _source_training(k), nmax=30, **kw
+        _target(k), _source_training(k), nmax=30, spec=spec, **kw
     )
 
 
-def rsbf_faulted(**kw):
+def rsbf_faulted(spec=None, **kw):
     k = _kernel()
     return model_free_biased_search(
-        _faulty_target(k), _source_training(k), nmax=30, **kw
+        _faulty_target(k), _source_training(k), nmax=30, spec=spec, **kw
     )
 
 
-def smbo_cold(**kw):
+def smbo_cold(spec=None, **kw):
     k = _kernel()
     return smbo_search(
-        _target(k), k.space, nmax=18, n_initial=5, pool_size=200, seed=0, **kw
+        _target(k), k.space, nmax=18, seed=0, spec=_spec(spec, SMBO_KNOBS),
+        **kw
     )
 
 
-def smbo_transfer(**kw):
+def smbo_transfer(spec=None, **kw):
     k = _kernel()
     training = _source_training(k)
     return smbo_search(
-        _target(k), k.space, nmax=18, n_initial=5, pool_size=200,
+        _target(k), k.space, nmax=18,
         source_surrogate=_surrogate(k, training), source_data=training,
-        seed=0, **kw
+        seed=0, spec=_spec(spec, SMBO_KNOBS), **kw
     )
 
 
-def smbo_faulted(**kw):
+def smbo_faulted(spec=None, **kw):
     # Transient-only faults: retries recover every measurement, so the
     # trace stays clean but the charged backoff shifts every elapsed.
     k = _kernel()
     return smbo_search(
         _faulty_target(k, retries=3,
                        spec=FaultSpec(transient_rate=0.2, seed="golden-faults")),
-        k.space, nmax=18, n_initial=5, pool_size=200, seed=0, **kw
+        k.space, nmax=18, seed=0, spec=_spec(spec, SMBO_KNOBS), **kw
     )
 
 
-def tuner_random_clean(**kw):
-    k = _kernel()
-    return TuningRun(_target(k), RandomTechnique(seed=3), nmax=15).run(**kw)
-
-
-def tuner_ga_clean(**kw):
+def tuner_random_clean(spec=None, **kw):
     k = _kernel()
     return TuningRun(
-        _target(k), GeneticAlgorithm(population_size=8, seed=3), nmax=15
+        _target(k), RandomTechnique(seed=3), nmax=15, spec=spec
     ).run(**kw)
 
 
-def tuner_ga_faulted(**kw):
+def tuner_ga_clean(spec=None, **kw):
     k = _kernel()
     return TuningRun(
-        _faulty_target(k), GeneticAlgorithm(population_size=8, seed=3), nmax=15
+        _target(k), GeneticAlgorithm(population_size=8, seed=3), nmax=15,
+        spec=spec,
     ).run(**kw)
 
 
-def warm_ga_cold(**kw):
+def tuner_ga_faulted(spec=None, **kw):
+    k = _kernel()
+    return TuningRun(
+        _faulty_target(k), GeneticAlgorithm(population_size=8, seed=3),
+        nmax=15, spec=spec,
+    ).run(**kw)
+
+
+def warm_ga_cold(spec=None, **kw):
     k = _kernel()
     return warm_started_search(
         _target(k), k.space, GeneticAlgorithm(population_size=8, seed=3),
-        surrogate=None, nmax=15, seed_evaluations=0, **kw
+        surrogate=None, nmax=15, seed_evaluations=0, spec=spec, **kw
     )
 
 
-def warm_ga_warm(**kw):
+def warm_ga_warm(spec=None, **kw):
     k = _kernel()
     training = _source_training(k)
     return warm_started_search(
         _target(k), k.space, GeneticAlgorithm(population_size=8, seed=3),
-        surrogate=_surrogate(k, training), nmax=15, pool_size=POOL,
-        seed_evaluations=5, **kw
+        surrogate=_surrogate(k, training), nmax=15, seed_evaluations=5,
+        spec=_spec(spec, POOL_KNOBS), **kw
     )
 
 
-def online_rsb(**kw):
+def online_rsb(spec=None, **kw):
     k = _kernel()
     return online_biased_search(
-        _target(k), k.space, _source_training(k), nmax=16, pool_size=POOL, **kw
+        _target(k), k.space, _source_training(k), nmax=16,
+        spec=_spec(spec, POOL_KNOBS), **kw
     )
 
 
-def online_rsb_refit(**kw):
+def online_rsb_refit(spec=None, **kw):
     k = _kernel()
     return online_biased_search(
-        _target(k), k.space, _source_training(k), nmax=16, pool_size=POOL,
-        refit_every=5, **kw
+        _target(k), k.space, _source_training(k), nmax=16, refit_every=5,
+        spec=_spec(spec, POOL_KNOBS), **kw
     )
 
 
 # Guarded runs against the inverted surrogate: the guard turns SUSPECT
 # and then REVOKED mid-run, so these pin the interventions themselves
 # (widening, audits, fallback to the shared stream).
-def guarded_rsp_inverted(**kw):
+def guarded_rsp_inverted(spec=None, **kw):
     k = _kernel()
     return pruned_search(
         _target(k), _stream(k), _inverted_surrogate(k, _source_training(k)),
-        nmax=12, pool_size=POOL, guard=GuardPolicy(), **kw
+        nmax=12, spec=_spec(spec, POOL_KNOBS, GuardPolicy()), **kw
     )
 
 
-def guarded_rsb_inverted(**kw):
+def guarded_rsb_inverted(spec=None, **kw):
     k = _kernel()
     return biased_search(
         _target(k), k.space, _inverted_surrogate(k, _source_training(k)),
-        nmax=16, pool_size=POOL, guard=GuardPolicy(), stream=_stream(k), **kw
+        nmax=16, stream=_stream(k),
+        spec=_spec(spec, POOL_KNOBS, GuardPolicy()), **kw
     )
 
 
-def guarded_rspb_inverted(**kw):
+def guarded_rspb_inverted(spec=None, **kw):
     k = _kernel()
     return hybrid_search(
         _target(k), k.space, _inverted_surrogate(k, _source_training(k)),
-        nmax=16, pool_size=POOL, guard=GuardPolicy(), stream=_stream(k), **kw
+        nmax=16, stream=_stream(k),
+        spec=_spec(spec, POOL_KNOBS, GuardPolicy()), **kw
     )
 
 

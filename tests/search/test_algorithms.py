@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import SearchError
+from repro.errors import SearchError, SpecError
 from repro.kernels import get_kernel
 from repro.machines import SANDYBRIDGE, WESTMERE
 from repro.orio.evaluator import OrioEvaluator
@@ -15,7 +15,13 @@ from repro.search import (
     pruned_search,
     random_search,
 )
+from repro.spec import GateSpec, PoolSpec, TunerSpec
 from repro.transfer.surrogate import Surrogate
+
+
+def _pool(size):
+    """The default spec with a pool of ``size`` configurations."""
+    return TunerSpec(pool=PoolSpec(size=size))
 
 
 @pytest.fixture(scope="module")
@@ -80,8 +86,9 @@ class TestPrunedSearch:
             SharedStream(kernel.space, seed="a"),
             surrogate,
             nmax=20,
-            pool_size=500,
-            delta_percent=20.0,
+            spec=TunerSpec(
+                pool=PoolSpec(size=500), gate=GateSpec(delta_percent=20.0)
+            ),
         )
         assert trace.n_evaluations <= 20
         assert trace.metadata["stream_positions"] >= trace.n_evaluations
@@ -94,7 +101,7 @@ class TestPrunedSearch:
             SharedStream(kernel.space, seed="a"),
             surrogate,
             nmax=10,
-            pool_size=200,
+            spec=_pool(200),
         )
         assert trace.metadata["cutoff"] > 0
 
@@ -107,7 +114,7 @@ class TestPrunedSearch:
             SharedStream(kernel.space, seed="a"),
             surrogate,
             nmax=10,
-            pool_size=200,
+            spec=_pool(200),
         )
         # CRN: RSp's evaluations come from the same stream (a prefix of
         # positions), so every RSp config within the RS prefix matches.
@@ -115,25 +122,20 @@ class TestPrunedSearch:
         overlap = [c for c in rsp.configs() if c.index in rs_set]
         assert len(overlap) >= 1
 
-    def test_invalid_delta(self, kernel, surrogate):
-        with pytest.raises(SearchError):
-            pruned_search(
-                target_evaluator(kernel), SharedStream(kernel.space), surrogate,
-                delta_percent=0.0,
-            )
+    def test_invalid_delta(self):
+        with pytest.raises(SpecError):
+            TunerSpec().with_value("gate.delta_percent", 0.0)
 
-    def test_tiny_pool_rejected(self, kernel, surrogate):
-        with pytest.raises(SearchError):
-            pruned_search(
-                target_evaluator(kernel), SharedStream(kernel.space), surrogate,
-                pool_size=5,
-            )
+    def test_tiny_pool_rejected(self):
+        with pytest.raises(SpecError):
+            TunerSpec().with_value("pool.size", 5)
 
 
 class TestBiasedSearch:
     def test_evaluates_in_predicted_order(self, kernel, surrogate):
         trace = biased_search(
-            target_evaluator(kernel), kernel.space, surrogate, nmax=15, pool_size=300
+            target_evaluator(kernel), kernel.space, surrogate, nmax=15,
+            spec=_pool(300),
         )
         assert trace.n_evaluations == 15
         preds = [surrogate.predict_one(c) for c in trace.configs()]
@@ -144,14 +146,15 @@ class TestBiasedSearch:
             target_evaluator(kernel), SharedStream(kernel.space, seed="a"), nmax=30
         )
         rsb = biased_search(
-            target_evaluator(kernel), kernel.space, surrogate, nmax=30, pool_size=2000
+            target_evaluator(kernel), kernel.space, surrogate, nmax=30,
+            spec=_pool(2000),
         )
         # Intel pair: the model's early picks should be strong.
         assert rsb.records[0].runtime < rs.runtimes().mean()
 
     def test_model_overhead_charged(self, kernel, surrogate):
         ev = target_evaluator(kernel)
-        biased_search(ev, kernel.space, surrogate, nmax=5, pool_size=200)
+        biased_search(ev, kernel.space, surrogate, nmax=5, spec=_pool(200))
         # Clock includes fit + pool prediction + 5 evaluations.
         assert ev.clock.now > surrogate.fit_seconds
 
@@ -170,7 +173,8 @@ class TestModelFree:
 
     def test_rspf_threshold_replay(self, kernel, source_data):
         trace = model_free_pruned_search(
-            target_evaluator(kernel), source_data, nmax=100, delta_percent=20.0
+            target_evaluator(kernel), source_data, nmax=100,
+            spec=TunerSpec(gate=GateSpec(delta_percent=20.0)),
         )
         cutoff = trace.metadata["cutoff"]
         # Only configs below the cutoff (on the source!) are evaluated.

@@ -1,7 +1,8 @@
 """Block execution is invisible in results.
 
-The engine's block size (``SearchEngine(batch_size=...)``) is an
-execution strategy, not an algorithm change: for every variant and
+The engine's block size (``spec.engine.batch_size``, which every
+factory hands to ``SearchEngine(batch_size=...)``) is an execution
+strategy, not an algorithm change: for every variant and
 every batch size — including the degenerate ``batch_size=1`` — traces
 must be byte-identical to the golden fixtures, checkpoints written
 mid-run must be byte-identical files, and a run killed in the middle of
@@ -22,7 +23,7 @@ import pytest
 
 from repro.reliability import CheckpointManager, trace_to_dict
 from repro.search.pruning import pruned_search
-from repro.spec import TunerSpec
+from repro.spec import EngineSpec, PoolSpec, TunerSpec
 from repro.transfer.guard import GuardPolicy
 
 from tests.search.golden_scenarios import (
@@ -49,8 +50,8 @@ with open(CHECKPOINT_DIGESTS_PATH) as _fh:
     CHECKPOINT_DIGESTS = json.load(_fh)
 
 # Factory-backed scenarios covering the paper's five variants and SMBO
-# (the hybrid and the guarded runs have their own tests below).
-# ``batch_size`` threads through the scenario's **kw.
+# (the hybrid and the guarded runs have their own tests below).  The
+# block size reaches each scenario as ``spec=_batched(size)``.
 BATCHABLE = (
     "rs_clean",
     "rs_faulted",
@@ -72,6 +73,10 @@ BATCHABLE = (
 BATCH_SIZES = (1, 3, 64)
 
 
+def _batched(batch):
+    return TunerSpec().with_value("engine.batch_size", batch)
+
+
 @pytest.fixture(scope="module")
 def kernel():
     return _kernel()
@@ -88,7 +93,7 @@ def surrogate(kernel):
 @pytest.mark.parametrize("name", BATCHABLE)
 @pytest.mark.parametrize("batch", BATCH_SIZES)
 def test_batched_trace_matches_golden(name, batch):
-    trace = SCENARIOS[name](batch_size=batch)
+    trace = SCENARIOS[name](spec=_batched(batch))
     assert trace_to_dict(trace) == FIXTURES[name]
 
 
@@ -105,7 +110,7 @@ def test_serial_trace_matches_golden(name):
 
 @pytest.mark.parametrize("batch", BATCH_SIZES)
 def test_hybrid_rspb_batched_matches_serial(batch):
-    trace = SCENARIOS["rspb_clean"](batch_size=batch)
+    trace = SCENARIOS["rspb_clean"](spec=_batched(batch))
     assert trace_to_dict(trace) == FIXTURES["rspb_clean"]
 
 
@@ -120,7 +125,9 @@ def test_mid_batch_checkpoint_bytes_match_serial(name, tmp_path):
     for batch in (1, 5):
         directory = tmp_path / str(batch)
         directory.mkdir()
-        digest = killed_checkpoint_digest(name, directory, batch_size=batch)
+        digest = killed_checkpoint_digest(
+            name, directory, spec=_batched(batch)
+        )
         assert digest == CHECKPOINT_DIGESTS[name], batch
 
 
@@ -131,12 +138,12 @@ def test_killed_mid_batch_resumes_to_golden(name, batch, tmp_path):
     with pytest.raises(_Killed):
         SCENARIOS[name](
             checkpoint=_KillingManager(path, every=2, kill_after=3),
-            batch_size=batch,
+            spec=_batched(batch),
         )
     killed = CheckpointManager(path).load()
     assert killed is not None and killed.position > 0
     resumed = SCENARIOS[name](
-        checkpoint=CheckpointManager(path, every=2), batch_size=batch
+        checkpoint=CheckpointManager(path, every=2), spec=_batched(batch)
     )
     assert trace_to_dict(resumed) == FIXTURES[name]
 
@@ -146,7 +153,7 @@ def test_killed_mid_batch_resumes_to_golden(name, batch, tmp_path):
 # ----------------------------------------------------------------------
 def _assert_guarded_golden(name):
     for batch in BATCH_SIZES:
-        trace = SCENARIOS[name](batch_size=batch)
+        trace = SCENARIOS[name](spec=_batched(batch))
         assert trace_to_dict(trace) == FIXTURES[name], batch
 
 
@@ -171,8 +178,11 @@ def test_guarded_rspb_intervening_matches_serial():
 def test_trusted_guard_batched_matches_golden(kernel, surrogate):
     """A faithful surrogate keeps the guard TRUSTED; the batched run
     must still match the unguarded golden fixture byte for byte."""
+    spec = TunerSpec(
+        pool=PoolSpec(size=POOL), engine=EngineSpec(batch_size=64),
+        guard=GuardPolicy(),
+    )
     trace = pruned_search(
-        _target(kernel), _stream(kernel), surrogate,
-        nmax=12, pool_size=POOL, guard=GuardPolicy(), batch_size=64,
+        _target(kernel), _stream(kernel), surrogate, nmax=12, spec=spec
     )
     assert trace_to_dict(trace) == FIXTURES["rsp_clean"]

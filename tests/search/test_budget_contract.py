@@ -28,6 +28,7 @@ from repro.search.model_free import (
 from repro.search.pruning import pruned_search
 from repro.search.random_search import random_search
 from repro.search.warm_start import warm_started_search
+from repro.spec import PoolSpec, SMBOSpec, TunerSpec
 from repro.transfer.online import online_biased_search
 from repro.transfer.smbo import smbo_search
 from repro.tuner import GeneticAlgorithm, RandomTechnique, TuningRun
@@ -38,6 +39,8 @@ from tests.search.golden_scenarios import (
     _stream,
     _surrogate,
 )
+
+POOL_SPEC = TunerSpec(pool=PoolSpec(size=POOL))
 
 
 class ChargeLog(SimClock):
@@ -67,29 +70,29 @@ def source(kernel):
 SEARCHES = {
     "RS": lambda ev, k, src: random_search(ev, _stream(k), nmax=12),
     "RSp": lambda ev, k, src: pruned_search(
-        ev, _stream(k), src[1], nmax=12, pool_size=POOL
+        ev, _stream(k), src[1], nmax=12, spec=POOL_SPEC
     ),
     "RSb": lambda ev, k, src: biased_search(
-        ev, k.space, src[1], nmax=12, pool_size=POOL
+        ev, k.space, src[1], nmax=12, spec=POOL_SPEC
     ),
     "RSpb": lambda ev, k, src: hybrid_search(
-        ev, k.space, src[1], nmax=12, pool_size=POOL
+        ev, k.space, src[1], nmax=12, spec=POOL_SPEC
     ),
     "RSpf": lambda ev, k, src: model_free_pruned_search(ev, src[0], nmax=12),
     "RSbf": lambda ev, k, src: model_free_biased_search(ev, src[0], nmax=12),
     "SMBO": lambda ev, k, src: smbo_search(
-        ev, k.space, nmax=12, n_initial=3, pool_size=200,
-        source_surrogate=src[1], seed=0,
+        ev, k.space, nmax=12, source_surrogate=src[1], seed=0,
+        spec=TunerSpec(smbo=SMBOSpec(n_initial=3, pool_size=200)),
     ),
     "warm start": lambda ev, k, src: warm_started_search(
         ev, k.space, GeneticAlgorithm(population_size=8, seed=3),
-        surrogate=src[1], nmax=12, pool_size=POOL, seed_evaluations=4,
+        surrogate=src[1], nmax=12, spec=POOL_SPEC, seed_evaluations=4,
     ),
     "TuningRun": lambda ev, k, src: TuningRun(
         ev, RandomTechnique(seed=3), nmax=12
     ).run(),
     "online RSb": lambda ev, k, src: online_biased_search(
-        ev, k.space, src[0], nmax=12, pool_size=POOL, refit_every=4
+        ev, k.space, src[0], nmax=12, spec=POOL_SPEC, refit_every=4
     ),
 }
 

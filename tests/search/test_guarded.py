@@ -2,10 +2,10 @@
 
 Three guarantees, mirroring the guard layer's contract:
 
-1. **Inertness** — ``guard=None`` and ``GuardPolicy.disabled()`` are
-   byte-identical to an unguarded run (checked against the golden-trace
-   fixtures), and an enabled guard that stays TRUSTED leaves the trace
-   untouched.
+1. **Inertness** — a spec without a guard and one carrying
+   ``GuardPolicy.disabled()`` are byte-identical to an unguarded run
+   (checked against the golden-trace fixtures), and an enabled guard
+   that stays TRUSTED leaves the trace untouched.
 2. **Fallback** — once REVOKED, RSp admits every stream position
    (pruning off) and RSb/RSpb serve the shared stream in order: the
    remainder of the run is plain RS under common random numbers.
@@ -23,8 +23,8 @@ from repro.errors import SearchError
 from repro.exec.journal import unframe_line
 from repro.reliability import CheckpointManager, trace_to_dict
 from repro.search.biasing import biased_search, hybrid_search
-from repro.search.guarded import build_guard
 from repro.search.pruning import pruned_search
+from repro.spec import PoolSpec, TunerSpec
 from repro.transfer.guard import GuardPolicy
 
 from tests.search.golden_scenarios import (
@@ -42,6 +42,11 @@ from tests.search.golden_scenarios import (
 from tests.search.test_golden_equivalence import FIXTURES
 
 GUARDABLE = ("rsp_clean", "rsp_faulted", "rsb_clean", "rsb_faulted")
+
+#: the scenarios' pool, bare and with an enabled or disabled guard.
+BARE = TunerSpec(pool=PoolSpec(size=POOL))
+GUARDED = TunerSpec(pool=PoolSpec(size=POOL), guard=GuardPolicy())
+DISABLED = TunerSpec(pool=PoolSpec(size=POOL), guard=GuardPolicy.disabled())
 
 
 @pytest.fixture(scope="module")
@@ -64,7 +69,7 @@ def inverted(kernel):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("name", GUARDABLE)
 def test_disabled_guard_matches_golden(name):
-    trace = SCENARIOS[name](guard=GuardPolicy.disabled())
+    trace = SCENARIOS[name](spec=DISABLED)
     assert trace_to_dict(trace) == FIXTURES[name]
 
 
@@ -72,11 +77,10 @@ def test_trusted_guard_leaves_rsp_untouched(kernel, faithful):
     """A faithful source keeps the guard TRUSTED for the whole run, and
     a TRUSTED guard must not change a single byte of the trace."""
     bare = pruned_search(
-        _target(kernel), _stream(kernel), faithful, nmax=12, pool_size=POOL
+        _target(kernel), _stream(kernel), faithful, nmax=12, spec=BARE
     )
     guarded = pruned_search(
-        _target(kernel), _stream(kernel), faithful, nmax=12, pool_size=POOL,
-        guard=GuardPolicy(),
+        _target(kernel), _stream(kernel), faithful, nmax=12, spec=GUARDED
     )
     assert trace_to_dict(guarded) == trace_to_dict(bare)
     assert "guard" not in guarded.metadata
@@ -92,8 +96,7 @@ def _revocation_evaluation(trace):
 
 def test_inverted_rsp_revokes_and_stops_pruning(kernel, inverted):
     trace = pruned_search(
-        _target(kernel), _stream(kernel), inverted, nmax=12, pool_size=POOL,
-        guard=GuardPolicy(),
+        _target(kernel), _stream(kernel), inverted, nmax=12, spec=GUARDED
     )
     assert trace.metadata["guard"]["state"] == "revoked"
     rev = _revocation_evaluation(trace)
@@ -105,8 +108,8 @@ def test_inverted_rsp_revokes_and_stops_pruning(kernel, inverted):
 
 def test_inverted_rsb_falls_back_to_the_shared_stream(kernel, inverted):
     trace = biased_search(
-        _target(kernel), kernel.space, inverted, nmax=16, pool_size=POOL,
-        guard=GuardPolicy(), stream=_stream(kernel),
+        _target(kernel), kernel.space, inverted, nmax=16,
+        stream=_stream(kernel), spec=GUARDED,
     )
     meta = trace.metadata["guard"]
     assert meta["state"] == "revoked"
@@ -126,16 +129,16 @@ def test_inverted_rsb_falls_back_to_the_shared_stream(kernel, inverted):
 
 def test_inverted_hybrid_revokes(kernel, inverted):
     trace = hybrid_search(
-        _target(kernel), kernel.space, inverted, nmax=16, pool_size=POOL,
-        guard=GuardPolicy(), stream=_stream(kernel),
+        _target(kernel), kernel.space, inverted, nmax=16,
+        stream=_stream(kernel), spec=GUARDED,
     )
     assert trace.metadata["guard"]["state"] == "revoked"
 
 
 def test_suspect_phase_is_recorded_before_revocation(kernel, inverted):
     trace = biased_search(
-        _target(kernel), kernel.space, inverted, nmax=16, pool_size=POOL,
-        guard=GuardPolicy(), stream=_stream(kernel),
+        _target(kernel), kernel.space, inverted, nmax=16,
+        stream=_stream(kernel), spec=GUARDED,
     )
     states = [t["to"] for t in trace.metadata["guard"]["transitions"]]
     assert states == ["suspect", "revoked"]  # hysteresis: no direct jump
@@ -148,16 +151,16 @@ def _guarded_scenario(variant, kernel, surrogate, **kw):
     if variant == "rsp":
         return pruned_search(
             _target(kernel), _stream(kernel), surrogate, nmax=12,
-            pool_size=POOL, guard=GuardPolicy(), **kw
+            spec=GUARDED, **kw
         )
     if variant == "rsb":
         return biased_search(
-            _target(kernel), kernel.space, surrogate, nmax=16, pool_size=POOL,
-            guard=GuardPolicy(), stream=_stream(kernel), **kw
+            _target(kernel), kernel.space, surrogate, nmax=16,
+            stream=_stream(kernel), spec=GUARDED, **kw
         )
     return hybrid_search(
-        _target(kernel), kernel.space, surrogate, nmax=16, pool_size=POOL,
-        guard=GuardPolicy(), stream=_stream(kernel), **kw
+        _target(kernel), kernel.space, surrogate, nmax=16,
+        stream=_stream(kernel), spec=GUARDED, **kw
     )
 
 
@@ -215,30 +218,16 @@ def test_guard_state_is_json_round_trippable(kernel, inverted, tmp_path):
 def test_enabled_guard_requires_stream_for_pool_rankers(kernel, faithful):
     with pytest.raises(SearchError):
         biased_search(
-            _target(kernel), kernel.space, faithful, nmax=4, pool_size=POOL,
-            guard=GuardPolicy(),
+            _target(kernel), kernel.space, faithful, nmax=4, spec=GUARDED
         )
     with pytest.raises(SearchError):
         hybrid_search(
-            _target(kernel), kernel.space, faithful, nmax=4, pool_size=POOL,
-            guard=GuardPolicy(),
+            _target(kernel), kernel.space, faithful, nmax=4, spec=GUARDED
         )
 
 
 def test_disabled_guard_needs_no_stream(kernel, faithful):
     trace = biased_search(
-        _target(kernel), kernel.space, faithful, nmax=4, pool_size=POOL,
-        guard=GuardPolicy.disabled(),
+        _target(kernel), kernel.space, faithful, nmax=4, spec=DISABLED
     )
     assert trace.n_evaluations == 4
-
-
-def test_build_guard_rejects_junk():
-    with pytest.raises(SearchError):
-        build_guard(object(), None)
-
-
-def test_build_guard_passthrough():
-    guard = GuardPolicy().build()
-    assert build_guard(guard, None) is guard
-    assert build_guard(None, None) is None

@@ -9,8 +9,14 @@ from repro.orio.evaluator import OrioEvaluator
 from repro.perf.simclock import SimClock
 from repro.search import SharedStream, random_search
 from repro.search.warm_start import warm_started_search
+from repro.spec import PoolSpec, TunerSpec
 from repro.transfer.surrogate import Surrogate
 from repro.tuner import GeneticAlgorithm, SimulatedAnnealing
+
+
+def _pool(size):
+    """The default spec with a pool of ``size`` configurations."""
+    return TunerSpec(pool=PoolSpec(size=size))
 
 
 @pytest.fixture(scope="module")
@@ -33,7 +39,7 @@ class TestWarmStart:
     def test_runs_to_budget(self, kernel, surrogate):
         trace = warm_started_search(
             evaluator(kernel), kernel.space, GeneticAlgorithm(population_size=8),
-            surrogate=surrogate, nmax=30, pool_size=500, seed_evaluations=8,
+            surrogate=surrogate, nmax=30, spec=_pool(500), seed_evaluations=8,
         )
         assert trace.n_evaluations == 30
         assert trace.algorithm == "ga+warm"
@@ -41,7 +47,7 @@ class TestWarmStart:
     def test_seeds_are_surrogate_best(self, kernel, surrogate):
         trace = warm_started_search(
             evaluator(kernel), kernel.space, GeneticAlgorithm(population_size=8),
-            surrogate=surrogate, nmax=20, pool_size=500, seed_evaluations=6,
+            surrogate=surrogate, nmax=20, spec=_pool(500), seed_evaluations=6,
         )
         seed_preds = [surrogate.predict_one(c) for c in trace.configs()[:6]]
         assert seed_preds == sorted(seed_preds)
@@ -60,7 +66,8 @@ class TestWarmStart:
         warm = warm_started_search(
             evaluator(kernel), kernel.space,
             GeneticAlgorithm(population_size=10, seed=1),
-            surrogate=surrogate, nmax=20, pool_size=2000, seed_evaluations=10,
+            surrogate=surrogate, nmax=20, seed_evaluations=10,
+            spec=_pool(2000),
         )
         cold = warm_started_search(
             evaluator(kernel), kernel.space,

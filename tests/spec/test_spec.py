@@ -10,7 +10,6 @@ from repro.errors import ReproError, SpecError
 from repro.spec import (
     DEFAULT_SPEC,
     SPEC_VERSION,
-    UNSET,
     EngineSpec,
     ForestSpec,
     GateSpec,
@@ -57,9 +56,6 @@ class TestErrorsAndDefaults:
         assert resolve_spec(spec) is spec
         with pytest.raises(SpecError, match="TunerSpec or None"):
             resolve_spec({"version": 1})
-
-    def test_unset_sentinel_repr(self):
-        assert repr(UNSET) == "UNSET"
 
 
 class TestValidation:
@@ -292,13 +288,14 @@ class TestThreading:
     def test_surrogate_uses_forest_spec(self):
         from repro.errors import ModelError
         from repro.kernels import get_kernel
+        from repro.ml.forest import RandomForestRegressor
         from repro.transfer.surrogate import Surrogate
 
         space = get_kernel("mm").space
         surr = Surrogate(space, spec=ForestSpec(n_estimators=5))
         assert surr.learner.n_estimators == 5
         with pytest.raises(ModelError):
-            Surrogate(space, learner_factory=lambda: None,
+            Surrogate(space, learner=RandomForestRegressor(),
                       spec=ForestSpec())
 
     def test_smbo_proposer_uses_forest_spec(self):

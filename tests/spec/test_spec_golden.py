@@ -1,25 +1,32 @@
 """The default TunerSpec is the status quo, golden-trace proven.
 
-Every spec-threaded search factory, called with an *explicit*
-``spec=TunerSpec()``, must reproduce the pre-spec golden fixtures byte
-for byte — the spec layer supplies the very same defaults the code used
-to hard-code, and threading it through changed nothing.  (The plain
-no-spec paths are pinned by ``tests/search/test_golden_equivalence.py``;
-this file pins the ``spec=`` code paths against the same fixtures.)
+Every search factory reads its knobs from ``spec=``, so the golden
+suite (``tests/search/test_golden_equivalence.py``) already runs the
+spec path; an explicitly built ``TunerSpec()`` must reproduce the same
+fixtures as the shared ``DEFAULT_SPEC``.  The counter-tests show the
+spec is live: a non-default knob changes the trace.
 """
 
 import pytest
 
 from repro.reliability import trace_to_dict
+from repro.search.warm_start import warm_started_search
 from repro.spec import TunerSpec
+from repro.transfer.online import online_biased_search
+from repro.tuner import GeneticAlgorithm
 
-from tests.search.golden_scenarios import SCENARIOS
+from tests.search.golden_scenarios import (
+    SCENARIOS,
+    _kernel,
+    _source_training,
+    _surrogate,
+    _target,
+)
 from tests.search.test_golden_equivalence import FIXTURES
 
-# One scenario per spec-accepting search family: plain RS (serial and
-# budget-walled), pruning, biasing, their model-free variants, and the
-# transfer-seeded SMBO loop.  (The tuner/warm-start scenarios thread
-# their keywords into ``run()``, which takes no spec.)
+# One scenario per search family: plain RS (serial and budget-walled),
+# pruning, biasing, their model-free variants, and the transfer-seeded
+# SMBO loop.
 SPEC_SCENARIOS = (
     "rs_clean",
     "rs_budget",
@@ -43,3 +50,30 @@ def test_non_default_spec_changes_the_search():
     tight = TunerSpec().with_value("gate.delta_percent", 1.0)
     trace = SCENARIOS["rsp_clean"](spec=tight)
     assert trace_to_dict(trace) != FIXTURES["rsp_clean"]
+
+
+# A pool small enough to change which configurations the model ranks
+# first (the golden scenarios use POOL = 240).
+SMALL_POOL = TunerSpec().with_value("pool.size", 12)
+
+
+def test_pool_size_changes_the_warm_start():
+    """Counter-test: the warm start's seed picks come from a pool of
+    ``spec.pool.size`` configurations, not a fixed 10,000."""
+    k = _kernel()
+    training = _source_training(k)
+    trace = warm_started_search(
+        _target(k), k.space, GeneticAlgorithm(population_size=8, seed=3),
+        surrogate=_surrogate(k, training), nmax=15, seed_evaluations=5,
+        spec=SMALL_POOL,
+    )
+    assert trace_to_dict(trace) != FIXTURES["warm_ga_warm"]
+
+
+def test_pool_size_changes_online_rsb():
+    """Counter-test: online RSb ranks a pool of ``spec.pool.size``."""
+    k = _kernel()
+    trace = online_biased_search(
+        _target(k), k.space, _source_training(k), nmax=16, spec=SMALL_POOL
+    )
+    assert trace_to_dict(trace) != FIXTURES["online_rsb"]

@@ -9,6 +9,7 @@ from repro.devtools.lint import (
     check_imports,
     check_outcome_handlers,
     check_persistence,
+    check_spec_knobs,
     collect_modules,
     find_cycles,
     run_lint,
@@ -264,6 +265,40 @@ class TestOutcomeHandlers:
         assert [e.split(": ")[1].split()[1] for e in errors] == [
             "BudgetExhaustedError", "DeepTimeout"
         ]
+
+
+class TestSpecKnobs:
+    def test_a_knob_beside_spec_is_flagged(self, tmp_path):
+        src = _write_tree(tmp_path, {
+            "src/repro/__init__.py": "",
+            "src/repro/search/__init__.py": "",
+            "src/repro/search/pruning.py": """\
+                def pruned_search(evaluator, nmax=100, *, pool_size=None,
+                                  spec=None):
+                    pass
+
+                def gate(delta_percent, pool_size):
+                    pass
+
+                class Session:
+                    def __init__(self, guard=None, spec=None):
+                        pass
+            """,
+            "src/repro/experiments/__init__.py": "",
+            "src/repro/experiments/harness.py": """\
+                def build_session(problem, pool_size=None, spec=None):
+                    pass
+
+                def other(problem, pool_size=None, spec=None):
+                    pass
+            """,
+        })
+        errors = check_spec_knobs(collect_modules(src))
+        assert len(errors) == 3
+        assert [e.split(": ")[1].split()[0] for e in errors] == [
+            "other", "pruned_search", "Session.__init__"
+        ]
+        assert "'pool_size'" in errors[1] and "'guard'" in errors[2]
 
 
 class TestCli:

@@ -1,5 +1,7 @@
 """Tests for speedup metrics and the transfer session."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import SearchError
@@ -7,6 +9,7 @@ from repro.kernels import get_kernel
 from repro.machines import get_machine
 from repro.search.result import EvaluationRecord, SearchTrace
 from repro.searchspace import IntegerParameter, SearchSpace
+from repro.spec import PoolSpec, TunerSpec
 from repro.transfer import TransferSession, speedups
 from repro.transfer.guard import GuardPolicy
 
@@ -76,7 +79,7 @@ class TestTransferSession:
             source=get_machine("westmere"),
             target=get_machine("sandybridge"),
             nmax=40,
-            pool_size=1500,
+            spec=TunerSpec(pool=PoolSpec(size=1500)),
             seed="session-test",
         )
         return session.run()
@@ -117,7 +120,7 @@ class TestTransferSession:
             source=get_machine("westmere"),
             target=get_machine("sandybridge"),
             nmax=15,
-            pool_size=500,
+            spec=TunerSpec(pool=PoolSpec(size=500)),
             seed="determinism",
             variants=("RSb",),
         )
@@ -134,12 +137,14 @@ class TestGuardedSession:
             source=get_machine("westmere"),
             target=get_machine("sandybridge"),
             nmax=40,
-            pool_size=1500,
             seed="session-guard",
             variants=("RSp", "RSb"),
         )
-        bare = TransferSession(**kw).run()
-        guarded = TransferSession(**kw, guard=GuardPolicy()).run()
+        spec = TunerSpec(pool=PoolSpec(size=1500))
+        bare = TransferSession(**kw, spec=spec).run()
+        guarded = TransferSession(
+            **kw, spec=dataclasses.replace(spec, guard=GuardPolicy())
+        ).run()
         # A faithful Intel->Intel source at this scale keeps the guard
         # TRUSTED for RSp, so the guarded trace is bit-identical.
         assert [r.config.index for r in guarded.traces["RSp"].records] == [
@@ -157,12 +162,14 @@ class TestGuardedSession:
             source=get_machine("westmere"),
             target=get_machine("sandybridge"),
             nmax=20,
-            pool_size=800,
             seed="session-guard-off",
             variants=("RSp", "RSb"),
         )
-        bare = TransferSession(**kw).run()
-        off = TransferSession(**kw, guard=GuardPolicy.disabled()).run()
+        spec = TunerSpec(pool=PoolSpec(size=800))
+        bare = TransferSession(**kw, spec=spec).run()
+        off = TransferSession(
+            **kw, spec=dataclasses.replace(spec, guard=GuardPolicy.disabled())
+        ).run()
         for variant in ("RSp", "RSb"):
             assert (
                 off.report(variant).performance

@@ -14,7 +14,13 @@ from repro.reliability import (
     RetryPolicy,
 )
 from repro.search import SharedStream, random_search
+from repro.spec import PoolSpec, TunerSpec
 from repro.transfer.online import online_biased_search
+
+
+def _pool(size):
+    """The default spec with a pool of ``size`` configurations."""
+    return TunerSpec(pool=PoolSpec(size=size))
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +43,7 @@ class TestOnlineSearch:
     def test_runs_to_budget(self, kernel, source_data):
         trace = online_biased_search(
             evaluator(kernel), kernel.space, source_data,
-            nmax=20, pool_size=400, refit_every=8,
+            nmax=20, spec=_pool(400), refit_every=8,
         )
         assert trace.n_evaluations == 20
         assert trace.metadata["refits"] >= 1
@@ -45,7 +51,7 @@ class TestOnlineSearch:
     def test_no_duplicate_evaluations(self, kernel, source_data):
         trace = online_biased_search(
             evaluator(kernel), kernel.space, source_data,
-            nmax=25, pool_size=400, refit_every=5,
+            nmax=25, spec=_pool(400), refit_every=5,
         )
         indices = [c.index for c in trace.configs()]
         assert len(set(indices)) == len(indices)
@@ -53,12 +59,12 @@ class TestOnlineSearch:
     def test_refit_cost_charged(self, kernel, source_data):
         ev_no = evaluator(kernel)
         online_biased_search(
-            ev_no, kernel.space, source_data, nmax=12, pool_size=300,
+            ev_no, kernel.space, source_data, nmax=12, spec=_pool(300),
             refit_every=100,  # never refits: plain RSb
         )
         ev_yes = evaluator(kernel)
         online_biased_search(
-            ev_yes, kernel.space, source_data, nmax=12, pool_size=300,
+            ev_yes, kernel.space, source_data, nmax=12, spec=_pool(300),
             refit_every=4,
         )
         # The variance of evaluated configs dominates total time, so
@@ -72,11 +78,11 @@ class TestOnlineSearch:
         out the stale source signal."""
         frozen = online_biased_search(
             evaluator(kernel, XGENE), kernel.space, source_data,
-            nmax=30, pool_size=600, refit_every=1000,
+            nmax=30, spec=_pool(600), refit_every=1000,
         )
         online = online_biased_search(
             evaluator(kernel, XGENE), kernel.space, source_data,
-            nmax=30, pool_size=600, refit_every=6,
+            nmax=30, spec=_pool(600), refit_every=6,
         )
         assert online.best_runtime <= frozen.best_runtime * 1.5
 
@@ -99,7 +105,7 @@ class TestOnlineSearch:
     def test_budget_exhaustion(self, kernel, source_data):
         trace = online_biased_search(
             evaluator(kernel, budget=5.0), kernel.space, source_data,
-            nmax=50, pool_size=300,
+            nmax=50, spec=_pool(300),
         )
         assert trace.exhausted_budget
 
@@ -109,7 +115,8 @@ class TestOnlineSearch:
             retry=RetryPolicy(max_retries=1),
         )
         trace = online_biased_search(
-            ev, kernel.space, source_data, nmax=30, pool_size=300, refit_every=5,
+            ev, kernel.space, source_data, nmax=30, refit_every=5,
+            spec=_pool(300),
         )
         assert trace.n_evaluations == 30
         failed = sum(r.failed for r in trace.records)

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.errors import SearchError
+from repro.errors import SearchError, SpecError
 from repro.kernels import get_kernel
 from repro.machines import SANDYBRIDGE, WESTMERE
 from repro.orio.evaluator import OrioEvaluator
@@ -16,8 +16,14 @@ from repro.reliability import (
     RetryPolicy,
 )
 from repro.search import SharedStream, random_search
+from repro.spec import SMBOSpec, TunerSpec
 from repro.transfer.smbo import smbo_search
 from repro.transfer.surrogate import Surrogate
+
+
+def _smbo(**knobs):
+    """The default spec with ``knobs`` set on its ``smbo`` sub-spec."""
+    return TunerSpec(smbo=SMBOSpec(**knobs))
 
 
 @pytest.fixture(scope="module")
@@ -42,13 +48,13 @@ def evaluator(kernel):
 class TestSmbo:
     def test_runs_to_budget(self, kernel):
         trace = smbo_search(evaluator(kernel), kernel.space, nmax=20,
-                            n_initial=6, pool_size=300, seed="t1")
+                            seed="t1", spec=_smbo(n_initial=6, pool_size=300))
         assert trace.n_evaluations == 20
         assert trace.algorithm == "SMBO-ei"
 
     def test_no_duplicate_evaluations(self, kernel):
         trace = smbo_search(evaluator(kernel), kernel.space, nmax=25,
-                            n_initial=5, pool_size=300, seed="t2")
+                            seed="t2", spec=_smbo(n_initial=5, pool_size=300))
         indices = [c.index for c in trace.configs()]
         assert len(set(indices)) == len(indices)
 
@@ -56,15 +62,15 @@ class TestSmbo:
         rs = random_search(evaluator(kernel),
                            SharedStream(kernel.space, seed="smbo-rs"), nmax=30)
         smbo = smbo_search(evaluator(kernel), kernel.space, nmax=30,
-                           n_initial=10, pool_size=800, seed="t3")
+                           seed="t3", spec=_smbo(n_initial=10, pool_size=800))
         assert smbo.best_runtime <= rs.best_runtime * 1.25
 
     def test_transfer_seeding_improves_early_quality(self, kernel, source):
         _, surrogate = source
         cold = smbo_search(evaluator(kernel), kernel.space, nmax=12,
-                           n_initial=8, pool_size=500, seed="t4")
+                           seed="t4", spec=_smbo(n_initial=8, pool_size=500))
         warm = smbo_search(evaluator(kernel), kernel.space, nmax=12,
-                           n_initial=8, pool_size=500, seed="t4",
+                           seed="t4", spec=_smbo(n_initial=8, pool_size=500),
                            source_surrogate=surrogate)
         import numpy as np
 
@@ -76,30 +82,33 @@ class TestSmbo:
     def test_source_data_blending(self, kernel, source):
         data, surrogate = source
         trace = smbo_search(evaluator(kernel), kernel.space, nmax=15,
-                            n_initial=5, pool_size=300, seed="t5",
+                            seed="t5", spec=_smbo(n_initial=5, pool_size=300),
                             source_surrogate=surrogate, source_data=data)
         assert trace.n_evaluations == 15
 
     @pytest.mark.parametrize("acq", ["ei", "lcb", "mean"])
     def test_acquisitions(self, kernel, acq):
         trace = smbo_search(evaluator(kernel), kernel.space, nmax=10,
-                            n_initial=4, pool_size=200, acquisition=acq, seed="t6")
+                            seed="t6",
+                            spec=_smbo(n_initial=4, pool_size=200,
+                                       acquisition=acq))
         assert trace.n_evaluations == 10
 
     def test_validation(self, kernel):
         with pytest.raises(SearchError):
             smbo_search(evaluator(kernel), kernel.space, nmax=0)
         with pytest.raises(SearchError):
-            smbo_search(evaluator(kernel), kernel.space, nmax=10, n_initial=20)
-        with pytest.raises(SearchError):
-            smbo_search(evaluator(kernel), kernel.space, acquisition="ucb")
-        with pytest.raises(SearchError):
-            smbo_search(evaluator(kernel), kernel.space, refit_every=0)
+            smbo_search(evaluator(kernel), kernel.space, nmax=10,
+                        spec=_smbo(n_initial=20))
+        with pytest.raises(SpecError):
+            _smbo(acquisition="ucb")
+        with pytest.raises(SpecError):
+            _smbo(refit_every=0)
 
     def test_budget_exhaustion(self, kernel):
         ev = OrioEvaluator(kernel, SANDYBRIDGE, clock=SimClock(3.0))
-        trace = smbo_search(ev, kernel.space, nmax=50, n_initial=5,
-                            pool_size=200, seed="t7")
+        trace = smbo_search(ev, kernel.space, nmax=50, seed="t7",
+                            spec=_smbo(n_initial=5, pool_size=200))
         assert trace.exhausted_budget
 
 
@@ -112,8 +121,8 @@ class TestSmboOutcomes:
         return get_kernel("lu", n=128)
 
     def _run(self, small, evaluator):
-        return smbo_search(evaluator, small.space, nmax=12, n_initial=3,
-                           pool_size=200, seed=0)
+        return smbo_search(evaluator, small.space, nmax=12, seed=0,
+                           spec=_smbo(n_initial=3, pool_size=200))
 
     def test_budget_wall_in_refit_returns_partial_trace(self, small):
         reference = self._run(small, OrioEvaluator(small, SANDYBRIDGE, clock=SimClock()))

@@ -53,12 +53,6 @@ class TestFitting:
         s = Surrogate(kernel.space, learner=RidgeRegressor()).fit(data)
         assert s.is_fitted
 
-    def test_learner_and_factory_mutually_exclusive(self, training):
-        kernel, _ = training
-        with pytest.raises(ModelError):
-            Surrogate(kernel.space, learner=RidgeRegressor(),
-                      learner_factory=RidgeRegressor)
-
     def test_log_target_rejects_nonpositive(self, training):
         kernel, data = training
         bad = [(data[0][0], 0.0)] + data[1:]
