@@ -7,6 +7,12 @@ configuration.  Metric computation is cached per configuration index —
 the same variant is measured on several machines during a transfer
 experiment, and the metrics are machine-independent.  The cache is a
 bounded LRU: once full, each miss evicts the least recently used entry.
+
+A miss does not compose the configuration's transformed AST: each nest
+keeps one :class:`~repro.orio.analysis.ShapePlan` per transform shape
+it has met (which loops are tiled, register-tiled or unrolled), and the
+configuration's sizes are bound into it.  A session's misses fall into
+a few dozen shapes per nest, so the shape plans are built that often.
 """
 
 from __future__ import annotations
@@ -15,10 +21,16 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.errors import SearchSpaceError
-from repro.orio.analysis import VariantMetrics, analyze_variant
+from repro.orio.analysis import ShapePlan, VariantMetrics, analyze_variant
 from repro.orio.annotations import AnnotatedKernel, parse_annotated_blocks
 from repro.orio.codegen import generate_c
-from repro.orio.transforms.pipeline import TransformedVariant, TransformPlan, compose
+from repro.orio.transforms.pipeline import (
+    Shape,
+    SourceNest,
+    TransformedVariant,
+    TransformPlan,
+    compose,
+)
 from repro.searchspace.space import Configuration, SearchSpace
 
 __all__ = ["KernelInfo", "SpaptKernel"]
@@ -81,6 +93,8 @@ class SpaptKernel:
                     f"kernel {name!r}: option bound to unknown parameter {pname!r}"
                 )
         self._metrics_cache: OrderedDict[int, tuple[VariantMetrics, ...]] = OrderedDict()
+        self._sources = tuple(SourceNest(nest.nest) for nest in self.nests)
+        self._shape_plans: dict[tuple[int, Shape], ShapePlan] = {}
 
     # ------------------------------------------------------------------
     def info(self) -> KernelInfo:
@@ -109,11 +123,23 @@ class SpaptKernel:
         if cached is not None:
             cache.move_to_end(config.index)
             return cached
-        metrics = tuple(analyze_variant(v) for v in self.variants_for(config))
+        plans = [TransformPlan.from_spec(nest.spec, config) for nest in self.nests]
+        metrics = tuple(
+            analyze_variant(self._shape_plan(idx, plan), plan) for idx, plan in enumerate(plans)
+        )
         if len(cache) >= _METRICS_CACHE_LIMIT:
             cache.popitem(last=False)
         cache[config.index] = metrics
         return metrics
+
+    def _shape_plan(self, idx: int, plan: TransformPlan) -> ShapePlan:
+        """Nest ``idx``'s shape plan for ``plan``, built on first use."""
+        source = self._sources[idx]
+        shape = source.shape(plan)
+        shape_plan = self._shape_plans.get((idx, shape))
+        if shape_plan is None:
+            shape_plan = self._shape_plans[idx, shape] = ShapePlan(source, shape)
+        return shape_plan
 
     def scalar_options(self, config: Configuration) -> dict[str, object]:
         """Evaluator options (vectorize, scalar replacement, ...) from

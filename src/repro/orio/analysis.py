@@ -18,7 +18,12 @@ needs:
 * the generated-statement count (compile-time model).
 
 Trip counts and iteration totals for triangular loops (LU) are
-estimated by unbiased deterministic path sampling (:func:`_level_stats`).
+estimated by unbiased deterministic path sampling (:func:`_sample_paths`).
+
+A configuration is priced without building its transformed AST: a
+:class:`ShapePlan` analyses one transform *shape* of a source nest (which
+loops are tiled, register-tiled or unrolled) once, with the sizes left
+symbolic, and :func:`analyze_variant` binds one plan's sizes into it.
 """
 
 from __future__ import annotations
@@ -43,13 +48,18 @@ from repro.orio.ast import (
     Var,
     affine_coefficients,
     fold,
-    loop_chain,
 )
-from repro.orio.transforms.pipeline import TransformedVariant
-from repro.orio.transforms.unroll import materialized_statements
+from repro.orio.transforms.pipeline import Shape, SourceNest, TransformPlan, step_var
 from repro.utils.rng import hash_uniform
 
-__all__ = ["LevelInfo", "RefInfo", "VariantMetrics", "analyze_nest", "analyze_variant"]
+__all__ = [
+    "LevelInfo",
+    "RefInfo",
+    "ShapePlan",
+    "VariantMetrics",
+    "analyze_nest",
+    "analyze_variant",
+]
 
 ELEM_BYTES = 8  # all kernels use double precision
 
@@ -147,6 +157,23 @@ class VariantMetrics:
         """Number of entries into ``level`` (unbiased path estimate)."""
         return self.entry_counts[level]
 
+    @functools.cached_property
+    def _working_sets(self) -> tuple[float, ...]:
+        """:meth:`working_set_bytes` of every level, computed once."""
+        seen = set()
+        distinct = []
+        for r in self.refs:
+            if (r.array, r.vars) not in seen:
+                seen.add((r.array, r.vars))
+                distinct.append(r)
+        out = []
+        for level in range(self.n_levels + 1):
+            total = 0.0
+            for r in distinct:
+                total += r.bytes_at(level)
+            out.append(total)
+        return tuple(out)
+
     def working_set_bytes(self, level: int) -> float:
         """Total bytes live during one execution of levels ``level..``.
 
@@ -154,15 +181,7 @@ class VariantMetrics:
         load and store of a read-modify-write target) occupy the same
         cache lines, so they are counted once.
         """
-        seen = set()
-        total = 0.0
-        for r in self.refs:
-            key = (r.array, r.vars)
-            if key in seen:
-                continue
-            seen.add(key)
-            total += r.bytes_at(level)
-        return total
+        return self._working_sets[level]
 
     def fit_level(self, capacity_bytes: float) -> int:
         """Outermost level whose working set fits in ``capacity_bytes``.
@@ -170,8 +189,8 @@ class VariantMetrics:
         Returns ``n_levels`` when even a single iteration's data does
         not fit (capacity smaller than one body's refs).
         """
-        for level in range(self.n_levels + 1):
-            if self.working_set_bytes(level) <= capacity_bytes:
+        for level, total in enumerate(self._working_sets):
+            if total <= capacity_bytes:
                 return level
         return self.n_levels  # pragma: no cover - loop always returns
 
@@ -184,12 +203,20 @@ class VariantMetrics:
         """
         level = self.fit_level(capacity_bytes)
         entries = self.executions_before(level)
-        per_entry = sum(
-            r.lines(level, line_bytes, fractional=r.parent_advances_unit(level))
-            * line_bytes
-            for r in self.refs
-        )
+        per_entry = self._entry_bytes.get((level, line_bytes))
+        if per_entry is None:
+            per_entry = self._entry_bytes[level, line_bytes] = sum(
+                r.lines(level, line_bytes, fractional=r.parent_advances_unit(level))
+                * line_bytes
+                for r in self.refs
+            )
         return entries * per_entry
+
+    @functools.cached_property
+    def _entry_bytes(self) -> dict[tuple[int, int], float]:
+        """Footprint bytes per entry into a level, by (level, line
+        size), filled in by :meth:`traffic_bytes` as it meets them."""
+        return {}
 
 
 # ----------------------------------------------------------------------
@@ -277,21 +304,27 @@ def _eval_bound(expr: Expr, env: Mapping[str, np.ndarray]):
 def _path_sum(values: np.ndarray) -> float:
     """Sum in path order, one addition at a time (``np.sum`` sums
     pairwise, which changes the float bits)."""
-    return float(np.cumsum(values)[-1]) if len(values) else 0.0
+    return float(values.cumsum()[-1]) if len(values) else 0.0
 
 
-def _level_stats(chain: list[ForLoop]) -> tuple[list[float], list[float]]:
+def _sample_paths(
+    bounds: Sequence[tuple[str, Expr, Expr]],
+    steps: Sequence[int],
+    sizes: Mapping[str, int],
+) -> tuple[list[float], list[float]]:
     """(conditional trips per level, entry counts per boundary).
 
-    Bounds may reference outer loop variables (triangular nests, tiled
-    point loops), so statistics are estimated by descending the nest
-    along ``_TRIP_SAMPLES`` deterministic sample paths: at each level
-    the bounds are evaluated with the sampled outer bindings, the trip
+    ``bounds`` holds each level's variable and pre-folded bounds,
+    outermost first; ``sizes`` binds the bounds' symbolic plan sizes
+    (:func:`~repro.orio.transforms.pipeline.step_var`).  Bounds may
+    reference outer loop variables (triangular nests, tiled point
+    loops), so statistics are estimated by descending the nest along
+    ``_TRIP_SAMPLES`` deterministic sample paths: at each level the
+    bounds are evaluated with the sampled outer bindings, the trip
     count recorded, and one iteration sampled uniformly to bind the
-    level's variable.  All paths descend together, one level at a time:
-    each bound is pre-folded once (applying :func:`fold`'s identities)
-    and then evaluated over the int64 bindings of the paths still
-    alive; a path dies at a level whose trip count is zero.
+    level's variable.  All paths descend together, one level at a
+    time, each bound evaluated over the int64 bindings of the paths
+    still alive; a path dies at a level whose trip count is zero.
 
     ``trips[l]`` is the mean trip count of level ``l`` *given that the
     level is reached* (used for footprint extents).  ``entries[l]`` is
@@ -302,36 +335,49 @@ def _level_stats(chain: list[ForLoop]) -> tuple[list[float], list[float]]:
     count, triangular shapes included).  ``entries[n]`` is the total
     innermost-body execution count.
     """
-    n = len(chain)
+    n = len(bounds)
     trip_sum = [0.0] * n
     reach_count = [0] * n
     entry_sum = [0.0] * (n + 1)
-    paths = np.arange(_TRIP_SAMPLES)
+    paths = None  # the alive paths' numbers, None while all are alive
     prod = np.ones(_TRIP_SAMPLES)
-    bindings: dict[str, np.ndarray] = {}
-    for idx, loop in enumerate(chain):
-        if not len(paths):
+    bindings: dict[str, object] = dict(sizes)
+    for idx, ((var, lower, upper), step) in enumerate(zip(bounds, steps)):
+        if not len(prod):
             break
         entry_sum[idx] = _path_sum(prod)
-        lo = _eval_bound(fold(loop.lower), bindings)
-        hi = _eval_bound(fold(loop.upper), bindings)
+        reach_count[idx] = len(prod)
+        lo = _eval_bound(lower, bindings)
+        hi = _eval_bound(upper, bindings)
         if lo is None or hi is None:
-            raise TransformError(
-                f"loop {loop.var}: cannot resolve bounds {loop.lower}..{loop.upper}"
-            )
-        if np.ndim(lo) == 0:  # a constant bound
-            lo = np.full(len(paths), lo, dtype=np.int64)
-        span = hi - lo
-        trip = np.where(span > 0, -(-span // loop.step), 0)
-        trip_sum[idx] = float(trip.sum())  # integers: exact in any order
-        reach_count[idx] = len(paths)
-        alive = trip > 0
-        if not alive.all():
-            paths, prod, lo, trip = paths[alive], prod[alive], lo[alive], trip[alive]
-            bindings = {v: b[alive] for v, b in bindings.items()}
+            raise TransformError(f"loop {var}: cannot resolve bounds {lower}..{upper}")
+        u = _trip_uniforms(idx, var)
+        if paths is not None:
+            u = u[paths]
+        if isinstance(lo, np.ndarray) or isinstance(hi, np.ndarray):
+            span = hi - lo
+            # ceil(span / step), or 0 for an empty range
+            trip = np.maximum(span if step == 1 else (span + (step - 1)) // step, 0)
+            trip_sum[idx] = float(trip.sum())  # integers: exact in any order
+            alive = trip > 0
+            if not alive.all():
+                paths = np.flatnonzero(alive) if paths is None else paths[alive]
+                prod, trip, u = prod[alive], trip[alive], u[alive]
+                if isinstance(lo, np.ndarray):
+                    lo = lo[alive]
+                bindings = {
+                    v: b[alive] if isinstance(b, np.ndarray) else b
+                    for v, b in bindings.items()
+                }
+        else:  # constant bounds: one trip count on every path
+            trip = max(-(-(hi - lo) // step), 0)
+            trip_sum[idx] = float(trip * len(prod))
+            if not trip:
+                prod = prod[:0]
+                break
         prod = prod * trip
-        u = _trip_uniforms(idx, loop.var)[paths]
-        bindings[loop.var] = lo + (u * trip).astype(np.int64) * loop.step
+        offset = (u * trip).astype(np.int64)
+        bindings[var] = lo + (offset if step == 1 else offset * step)
     entry_sum[n] = _path_sum(prod)  # empty once every path has died
     trips = [
         max(trip_sum[i] / reach_count[i], 1e-3) if reach_count[i] else 1e-3
@@ -341,142 +387,172 @@ def _level_stats(chain: list[ForLoop]) -> tuple[list[float], list[float]]:
     return trips, entries
 
 
-def analyze_variant(variant: TransformedVariant) -> VariantMetrics:
-    """Analyze a composed variant, using its role map for extents."""
-    return analyze_nest(variant.nest, roles=variant.roles)
+class ShapePlan:
+    """The analysis of one transform shape of a source nest.
 
-
-def analyze_nest(
-    nest: ForLoop,
-    roles: Mapping[str, tuple[str, str]] | None = None,
-) -> VariantMetrics:
-    """Analyze a perfect (post-transformation) loop nest.
-
-    ``roles`` maps transformed loop variables to ``(role, orig_var)``;
-    untransformed nests may omit it (every loop is then its own point
-    loop).
+    Built once per shape with the tile, register-tile and unroll sizes
+    left symbolic: the level chain with pre-folded bounds, and
+    everything about the innermost body that no size changes (the
+    references, their affine index variables and stride classes, and
+    the flops, loads and stores per body execution).
+    :func:`analyze_variant` prices one plan of the shape: it walks the
+    sample paths over the bound steps and sizes and does the arithmetic
+    that depends on them.  Its metrics equal those of analysing the
+    nest :func:`compose` builds for the plan, field for field.
     """
-    chain = loop_chain(nest)
-    if not chain:
-        raise TransformError("expected a loop nest")
-    body = chain[-1].body
-    trips, entries = _level_stats(chain)
-    n = len(chain)
 
-    level_infos: list[LevelInfo] = []
-    for loop, trip in zip(chain, trips):
-        role, orig = ("point", loop.var)
-        if roles and loop.var in roles:
-            role, orig = roles[loop.var]
-        level_infos.append(
-            LevelInfo(var=loop.var, orig_var=orig, role=role, trip=trip,
-                      unroll=loop.unroll, step=loop.step)
+    def __init__(self, source: SourceNest, shape: Shape | None = None) -> None:
+        loops = source.loops(shape or Shape())
+        self._loops = loops
+        self._bounds = [(l.var, fold(l.lower), fold(l.upper)) for l in loops]
+        self._steps = [l.step for l in loops]
+        self._unrolls = [l.unroll for l in loops]
+        self._step_sizes = [
+            (i, l.step_by, l.orig_var, step_var(l.var).name)
+            for i, l in enumerate(loops) if l.step_by is not None
+        ]
+        self._unroll_sizes = [
+            (i, l.unroll_by, l.orig_var) for i, l in enumerate(loops) if l.unroll_by is not None
+        ]
+        # The levels controlling each source variable, outermost first.
+        self._controls: dict[str, list[int]] = {}
+        for i, l in enumerate(loops):
+            self._controls.setdefault(l.orig_var, []).append(i)
+
+        body = source.body
+        raw_refs = _collect_refs(body)
+        point_vars = [l.orig_var for l in loops if l.role == "point"]
+        innermost_var = loops[-1].orig_var
+        refs = []
+        stride1 = invariant = 0
+        for ref, is_store in raw_refs:
+            coef_by_var: dict[str, int] = {}
+            unit_var: str | None = None
+            for dim, idx in enumerate(ref.indices):
+                coefs, _ = affine_coefficients(idx, point_vars)
+                for v, c in coefs.items():
+                    coef_by_var[v] = coef_by_var.get(v, 0) + abs(c)
+                if dim == len(ref.indices) - 1:
+                    for v, c in coefs.items():
+                        if abs(c) == 1:
+                            unit_var = v
+            inv = innermost_var not in coef_by_var
+            has_unit = unit_var is not None
+            if has_unit and unit_var == innermost_var:
+                stride1 += 1
+            if inv:
+                invariant += 1
+            refs.append((ref.name, is_store, tuple(sorted(coef_by_var)), unit_var, has_unit, inv))
+        self._refs = refs
+        # References sharing (array, vars) share registers.
+        self._live_vars = list({(r[0], r[2]): r[2] for r in refs}.values())
+        n_refs = max(1, len(raw_refs))
+        self._stride1_fraction = stride1 / n_refs
+        self._invariant_fraction = invariant / n_refs
+        self._flops_per_body = float(
+            sum(_compute_ops(s.value) for s in body if isinstance(s, Assign))
         )
+        self._loads_per_body = float(sum(1 for _, st in raw_refs if not st))
+        self._stores_per_body = float(sum(1 for _, st in raw_refs if st))
+        self._body_statements = len(body)
 
-    # Extent of each *original* variable over levels >= l: product of the
-    # trips of its controlling loops at those levels.
-    orig_vars = {li.orig_var for li in level_infos}
+
+def analyze_variant(shape: ShapePlan, plan: TransformPlan | None = None) -> VariantMetrics:
+    """The metrics of ``plan``, a plan of ``shape``'s shape (none for
+    the untransformed shape): its sizes bound into the shape plan."""
+    steps = list(shape._steps)
+    unrolls = list(shape._unrolls)
+    sizes: dict[str, int] = {}
+    for i, field, var, name in shape._step_sizes:
+        size = getattr(plan, field)[var]
+        steps[i] = sizes[name] = (int(size) if field == "tile" else size) * steps[i]
+    for i, field, var in shape._unroll_sizes:
+        unrolls[i] = getattr(plan, field)[var]
+    trips, entries = _sample_paths(shape._bounds, steps, sizes)
+    n = len(steps)
+
+    # Extent of each source variable over levels >= l: the product
+    # of the trips of its controlling levels, outermost first.
     extent: dict[str, list[float]] = {}
-    for ov in orig_vars:
+    for ov, levels in shape._controls.items():
         per_level = []
         for l in range(n + 1):
             prod = 1.0
-            for li, trip in zip(level_infos[l:], trips[l:]):
-                if li.orig_var == ov:
-                    prod *= trip
+            for i in levels:
+                if i >= l:
+                    prod *= trips[i]
             per_level.append(prod)
         extent[ov] = per_level
 
-    # Innermost point variable (for stride classification).
-    innermost_var = level_infos[-1].orig_var
-
-    raw_refs = _collect_refs(body)
-    point_vars = [li.orig_var for li in level_infos if li.role == "point"]
-    ref_infos: list[RefInfo] = []
-    stride1 = 0
-    invariant = 0
-    for ref, is_store in raw_refs:
-        coef_by_var: dict[str, int] = {}
-        unit_var: str | None = None
-        for dim, idx in enumerate(ref.indices):
-            coefs, _ = affine_coefficients(idx, point_vars)
-            for v, c in coefs.items():
-                coef_by_var[v] = coef_by_var.get(v, 0) + abs(c)
-            if dim == len(ref.indices) - 1:
-                for v, c in coefs.items():
-                    if abs(c) == 1:
-                        unit_var = v
-        ref_vars = tuple(sorted(coef_by_var))
-        elements = []
-        unit_ext = []
-        for l in range(n + 1):
-            prod = 1.0
-            for v in ref_vars:
-                prod *= extent[v][l]
-            elements.append(prod)
-            unit_ext.append(extent[unit_var][l] if unit_var else 1.0)
-        inv = innermost_var not in coef_by_var
-        has_unit = unit_var is not None
-        if has_unit and unit_var == innermost_var:
-            stride1 += 1
-        if inv:
-            invariant += 1
-        ref_infos.append(
-            RefInfo(
-                array=ref.name,
-                is_store=is_store,
-                vars=ref_vars,
-                elements=tuple(elements),
-                unit_extent=tuple(unit_ext),
-                has_unit_stride=has_unit,
-                innermost_invariant=inv,
-            )
-        )
-
-    body_execs = entries[n]
+    ref_infos = []
+    footprints: dict[tuple, tuple] = {}
+    for array, is_store, ref_vars, unit_var, has_unit, inv in shape._refs:
+        footprint = footprints.get((ref_vars, unit_var))
+        if footprint is None:
+            elements = []
+            for l in range(n + 1):
+                prod = 1.0
+                for v in ref_vars:
+                    prod *= extent[v][l]
+                elements.append(prod)
+            unit_ext = tuple(extent[unit_var]) if unit_var else (1.0,) * (n + 1)
+            footprint = footprints[ref_vars, unit_var] = (tuple(elements), unit_ext)
+        ref_infos.append(RefInfo(array, is_store, ref_vars, *footprint, has_unit, inv))
 
     header_execs = 0.0
-    for idx, li in enumerate(level_infos):
-        header_execs += entries[idx + 1] / li.unroll
+    for i in range(n):
+        header_execs += entries[i + 1] / unrolls[i]
 
-    flops_per_body = float(sum(_compute_ops(s.value) for s in body if isinstance(s, Assign)))
-    loads_per_body = float(sum(1 for _, st in raw_refs if not st))
-    stores_per_body = float(sum(1 for _, st in raw_refs if st))
-
-    # Replication attributable to each original variable: product of the
-    # unroll factors of its controlling loops.
-    repl: dict[str, int] = {ov: 1 for ov in orig_vars}
+    # Replication attributable to each source variable: the product
+    # of the unroll factors of its controlling levels.
+    repl = dict.fromkeys(shape._controls, 1)
     total_repl = 1
-    for li in level_infos:
-        repl[li.orig_var] *= li.unroll
-        total_repl *= li.unroll
-
+    for loop, unroll in zip(shape._loops, unrolls):
+        repl[loop.orig_var] *= unroll
+        total_repl *= unroll
     register_demand = 0.0
-    seen: set[tuple] = set()
-    for ri in ref_infos:
-        key = (ri.array, ri.vars)
-        if key in seen:
-            continue
-        seen.add(key)
+    for ref_vars in shape._live_vars:
         live = 1.0
-        for v in ri.vars:
-            live *= repl.get(v, 1)
+        for v in ref_vars:
+            live *= repl[v]
         register_demand += live
     register_demand += 2  # scratch temporaries
 
-    n_refs = max(1, len(raw_refs))
+    # materialized_statements() in closed form: a loop adds its
+    # header, an unrolled one its copies, remainder and two headers.
+    statements = shape._body_statements
+    for unroll in reversed(unrolls):
+        statements = statements + 1 if unroll == 1 else unroll * statements + statements + 2
+
+    body_execs = entries[n]
     return VariantMetrics(
-        levels=tuple(level_infos),
+        levels=tuple(
+            LevelInfo(l.var, l.orig_var, l.role, trip, unroll, step)
+            for l, trip, unroll, step in zip(shape._loops, trips, unrolls, steps)
+        ),
         refs=tuple(ref_infos),
         entry_counts=tuple(entries),
-        flops=flops_per_body * body_execs,
-        loads=loads_per_body * body_execs,
-        stores=stores_per_body * body_execs,
+        flops=shape._flops_per_body * body_execs,
+        loads=shape._loads_per_body * body_execs,
+        stores=shape._stores_per_body * body_execs,
         body_executions=body_execs,
         header_executions=header_execs,
-        statements_generated=materialized_statements(nest),
+        statements_generated=statements,
         replication=total_repl,
         register_demand=register_demand,
-        stride1_fraction=stride1 / n_refs,
-        invariant_fraction=invariant / n_refs,
+        stride1_fraction=shape._stride1_fraction,
+        invariant_fraction=shape._invariant_fraction,
     )
+
+
+def analyze_nest(nest: ForLoop, plan: TransformPlan | None = None) -> VariantMetrics:
+    """Analyze a source nest as transformed by ``plan`` (untransformed
+    when ``plan`` is None), building its shape plan for this one call.
+
+    Raises :class:`TransformError` where :func:`compose` would refuse
+    the plan or the nest cannot be analysed.
+    """
+    source = SourceNest(nest)
+    if plan is None:
+        return analyze_variant(ShapePlan(source))
+    return analyze_variant(ShapePlan(source, source.shape(plan)), plan)

@@ -183,7 +183,6 @@ class CostModel:
         vectorize: bool = True,
         scalar_replacement: bool = True,
         parallel: bool = False,
-        config_key: object = None,
     ) -> CostBreakdown:
         """Deterministic (pre-noise) cost components for a variant."""
         mach = self.machine
@@ -220,14 +219,12 @@ class CostModel:
         for i, level in enumerate(mach.caches):
             if i == 0:
                 continue  # L1 handled as port pressure above
-            capacity = level.effective_size_bytes(cores_active) * _CACHE_UTILIZATION
             upper = mach.caches[i - 1]
             traffic = metrics.traffic_bytes(
                 upper.effective_size_bytes(cores_active) * _CACHE_UTILIZATION,
                 mach.line_bytes,
             )
             bandwidth_cycles += traffic * work_share / level.bandwidth_bytes_per_cycle
-            del capacity
         last = mach.caches[-1]
         dram_bytes = metrics.traffic_bytes(
             last.effective_size_bytes(cores_active) * _CACHE_UTILIZATION, mach.line_bytes
@@ -317,7 +314,6 @@ class CostModel:
             vectorize=vectorize,
             scalar_replacement=scalar_replacement,
             parallel=parallel,
-            config_key=config_key,
         )
         seconds = bd.total_cycles / self.machine.clock_hz
 

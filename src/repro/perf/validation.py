@@ -24,9 +24,9 @@ from dataclasses import dataclass
 from repro.kernels import get_kernel
 from repro.machines import GCC, MACHINES
 from repro.machines.spec import MachineSpec
-from repro.orio.analysis import analyze_nest, analyze_variant
+from repro.orio.analysis import analyze_nest
 from repro.orio.parser import parse_loop_nest
-from repro.orio.transforms.pipeline import TransformPlan, compose
+from repro.orio.transforms.pipeline import TransformPlan
 from repro.perf.costmodel import CostModel
 from repro.utils.tables import format_table
 
@@ -85,7 +85,7 @@ def _dgemm_times(machine: MachineSpec) -> tuple[float, float, float]:
         regtile={"i": 2, "j": 2},
         unroll={"k": 4},
     )
-    tuned = analyze_variant(compose(nest, plan))
+    tuned = analyze_nest(nest, plan)
     model = CostModel(machine, GCC)
     t_tuned = model.breakdown(tuned).total_cycles / machine.clock_hz
     t_naive = model.breakdown(naive).total_cycles / machine.clock_hz

@@ -266,6 +266,16 @@ class SearchSpace:
             seen.update(picks)
         return chosen
 
+    def random_index(self, rng: np.random.Generator) -> int:
+        """One uniform index, drawn with replacement.
+
+        Spaces beyond the int64 range draw one digit per axis, as
+        :meth:`sample_indices` does.
+        """
+        if self._cardinality > (1 << 62):
+            return self._random_indices_bigint(rng, 1)[0]
+        return int(rng.integers(0, self._cardinality))
+
     def _random_indices_bigint(self, rng: np.random.Generator, count: int) -> list[int]:
         """Uniform indices for spaces beyond the int64 range.
 

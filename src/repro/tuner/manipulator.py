@@ -23,7 +23,7 @@ class ConfigurationManipulator:
 
     def random(self, rng: np.random.Generator) -> Configuration:
         """A uniformly random configuration."""
-        return self.space.config_at(int(rng.integers(0, self.space.cardinality)))
+        return self.space.config_at(self.space.random_index(rng))
 
     def mutate(
         self,

@@ -58,8 +58,12 @@ def _tokenize(parts: Iterable[Any]) -> bytes:
 
 def stable_hash(*parts: Any) -> int:
     """Return a process-stable 64-bit hash of the key parts."""
-    digest = hashlib.sha256(_tokenize(parts)).digest()
-    return int.from_bytes(digest[:8], "little") & _MASK64
+    return _digest_word(hashlib.sha256(_tokenize(parts)))
+
+
+def _digest_word(hasher) -> int:
+    """The first 64 bits of a SHA-256 hasher's digest, little-endian."""
+    return int.from_bytes(hasher.digest()[:8], "little") & _MASK64
 
 
 def stable_seed(*parts: Any) -> np.random.SeedSequence:
@@ -84,14 +88,25 @@ def hash_uniform(*parts: Any) -> float:
     return (stable_hash(*parts) + 0.5) / float(1 << 64)
 
 
+_NORMAL_DRAWS = (_tokenize(("u1",)), _tokenize(("u2",)))
+
+
 def hash_normal(*parts: Any) -> float:
     """Return a deterministic standard-normal value keyed by the parts.
 
     Implemented as a Box–Muller transform over two hash-derived
-    uniforms, so the output is exactly reproducible across runs.
+    uniforms, ``hash_uniform(*parts, "u1")`` and ``(*parts, "u2")``, so
+    the output is exactly reproducible across runs.  The two keys share
+    their tokenized prefix, which is hashed once; each draw continues a
+    copy of that hasher with its own suffix, so the same bytes are hashed.
     """
-    u1 = hash_uniform(*parts, "u1")
-    u2 = hash_uniform(*parts, "u2")
+    prefix = hashlib.sha256(_tokenize(parts) + b"\x1f" if parts else b"")
+    uniforms = []
+    for suffix in _NORMAL_DRAWS:
+        hasher = prefix.copy()
+        hasher.update(suffix)
+        uniforms.append((_digest_word(hasher) + 0.5) / float(1 << 64))
+    u1, u2 = uniforms
     return float(np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2))
 
 

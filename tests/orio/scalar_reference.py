@@ -1,5 +1,5 @@
 """The scalar trip-sample walk, kept as the slow reference for
-:func:`repro.orio.analysis._level_stats`.
+:func:`repro.orio.analysis._sample_paths`.
 
 This is the pre-vectorisation implementation, unchanged: it descends
 the nest one sample path at a time and folds each bound with

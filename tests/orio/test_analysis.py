@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from repro.errors import TransformError
-from repro.orio.analysis import ELEM_BYTES, analyze_nest, analyze_variant
+from repro.orio.analysis import ELEM_BYTES, analyze_nest
 from repro.orio.ast import loop_chain
 from repro.orio.parser import parse_loop_nest
-from repro.orio.transforms.pipeline import TransformPlan, compose
+from repro.orio.transforms.pipeline import TransformPlan
 from tests.orio.scalar_reference import scalar_level_stats
 
 MM_SRC = """
@@ -26,10 +26,7 @@ for (k = 0; k <= N-1; k++)
 
 
 def mm_metrics(n=64, plan=None):
-    nest = parse_loop_nest(MM_SRC, consts={"N": n})
-    if plan is None:
-        return analyze_nest(nest)
-    return analyze_variant(compose(nest, plan))
+    return analyze_nest(parse_loop_nest(MM_SRC, consts={"N": n}), plan)
 
 
 class TestBasicCounts:

@@ -1,5 +1,6 @@
-"""Differential oracle: the vectorised trip-sample walk against the
-scalar reference in :mod:`tests.orio.scalar_reference`.
+"""Differential oracle: the vectorised trip-sample walk
+(:func:`repro.orio.analysis._sample_paths`) against the scalar reference
+in :mod:`tests.orio.scalar_reference`.
 
 Equality is exact (``==`` on the float lists), never approximate: the
 cost model, and through it every golden trace, reads these numbers.
@@ -10,7 +11,6 @@ import pytest
 
 from repro.errors import TransformError
 from repro.kernels import KERNELS, get_kernel
-from repro.orio.analysis import _level_stats
 from repro.orio.ast import (
     ArrayRef,
     Assign,
@@ -22,6 +22,7 @@ from repro.orio.ast import (
     Var,
     loop_chain,
 )
+from tests.orio.reference_analysis import level_stats
 from tests.orio.scalar_reference import scalar_level_stats
 
 CONFIGS_PER_KERNEL = 25
@@ -110,7 +111,7 @@ def _random_chains():
 def test_random_configurations_of_every_kernel():
     compared = 0
     for label, chain in _random_chains():
-        assert _level_stats(chain) == scalar_level_stats(chain), label
+        assert level_stats(chain) == scalar_level_stats(chain), label
         compared += 1
     assert compared >= len(KERNELS) * (CONFIGS_PER_KERNEL + 1)
 
@@ -118,15 +119,15 @@ def test_random_configurations_of_every_kernel():
 @pytest.mark.parametrize("name", sorted(HAND_BUILT))
 def test_hand_built_nests(name):
     chain = loop_chain(HAND_BUILT[name])
-    assert _level_stats(chain) == scalar_level_stats(chain)
+    assert level_stats(chain) == scalar_level_stats(chain)
 
 
 def test_hand_built_nests_exercise_path_death():
-    trips, entries = _level_stats(loop_chain(HAND_BUILT["zero_trip_inner_level"]))
+    trips, entries = level_stats(loop_chain(HAND_BUILT["zero_trip_inner_level"]))
     assert entries[2] > 1e-6  # some paths survive level 1...
     assert trips[2] == 1e-3 and entries[3] == entries[4] == 1e-6  # ...and die at 2
     assert trips[3] == 1e-3  # level 3 is never reached
-    trips, entries = _level_stats(loop_chain(HAND_BUILT["negative_span"]))
+    trips, entries = level_stats(loop_chain(HAND_BUILT["negative_span"]))
     assert trips[1] == 1e-3 and entries[2] == 1e-6
 
 
@@ -138,21 +139,21 @@ def test_hand_built_nests_exercise_path_death():
     ],
     ids=["division", "modulo"],
 )
-@pytest.mark.parametrize("walk", [_level_stats, scalar_level_stats], ids=["vectorised", "scalar"])
+@pytest.mark.parametrize("walk", [level_stats, scalar_level_stats], ids=["vectorised", "scalar"])
 def test_zero_divisor_rejected(walk, upper):
     chain = loop_chain(_nest(("i", IntLit(0), IntLit(8), 1), ("j", IntLit(0), upper, 1)))
     with pytest.raises(TransformError, match="by zero"):
         walk(chain)
 
 
-@pytest.mark.parametrize("walk", [_level_stats, scalar_level_stats], ids=["vectorised", "scalar"])
+@pytest.mark.parametrize("walk", [level_stats, scalar_level_stats], ids=["vectorised", "scalar"])
 def test_bound_on_an_inner_variable_rejected(walk):
     chain = loop_chain(_nest(("i", IntLit(0), j, 1), ("j", IntLit(0), N, 1)))
     with pytest.raises(TransformError, match="cannot resolve bounds"):
         walk(chain)
 
 
-@pytest.mark.parametrize("walk", [_level_stats, scalar_level_stats], ids=["vectorised", "scalar"])
+@pytest.mark.parametrize("walk", [level_stats, scalar_level_stats], ids=["vectorised", "scalar"])
 def test_unreachable_level_is_never_evaluated(walk):
     # Every path dies at level 0, so the unresolvable level 1 is skipped.
     chain = loop_chain(_nest(("i", IntLit(4), IntLit(4), 1), ("j", IntLit(0), Var("m"), 1)))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.errors import EvaluationError
-from repro.orio.analysis import analyze_nest, analyze_variant
+from repro.orio.analysis import analyze_nest
 from repro.orio.parser import parse_loop_nest
 from repro.orio.transforms.pipeline import TransformPlan, compose
 from tests.perf.cachesim import LruCache, simulate_nest
@@ -109,9 +109,7 @@ class TestAnalyticModelValidation:
 
     def _analytic(self, plan, capacity):
         nest = parse_loop_nest(MM_SRC, consts={"N": self.N})
-        metrics = (
-            analyze_variant(compose(nest, plan)) if plan else analyze_nest(nest)
-        )
+        metrics = analyze_nest(nest, plan)
         return metrics.traffic_bytes(capacity, 64)
 
     @pytest.mark.parametrize("capacity", [4 * 1024, 16 * 1024])

@@ -5,16 +5,14 @@ import pytest
 from repro.errors import EvaluationError
 from repro.kernels import get_kernel
 from repro.machines import GCC, ICC, SANDYBRIDGE, WESTMERE, XEON_PHI, XGENE
-from repro.orio.transforms.pipeline import TransformPlan, compose
-from repro.orio.analysis import analyze_variant
+from repro.orio.transforms.pipeline import TransformPlan
+from repro.orio.analysis import analyze_nest
 from repro.perf.costmodel import CostModel
 
 
 def metrics_for_plan(plan=None, n=512, kernel="mm"):
     k = get_kernel(kernel, n=n)
-    nest = k.nests[0].nest
-    variant = compose(nest, plan or TransformPlan())
-    return analyze_variant(variant)
+    return analyze_nest(k.nests[0].nest, plan or TransformPlan())
 
 
 @pytest.fixture(scope="module")

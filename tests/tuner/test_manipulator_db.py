@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import SearchError, SearchSpaceError
+from repro.miniapps import make_raytracer
 from repro.searchspace import BooleanParameter, EnumParameter, IntegerParameter, SearchSpace
 from repro.tuner.database import Result, ResultsDatabase
 from repro.tuner.manipulator import ConfigurationManipulator
@@ -32,6 +33,18 @@ class TestManipulator:
         for _ in range(20):
             cfg = manip.random(rng)
             assert cfg.space is manip.space
+
+    def test_random_on_the_compiler_flag_space(self):
+        # 247 flags and params: |D| is far beyond int64, where
+        # rng.integers(0, |D|) raises "high is out of bounds".
+        space = make_raytracer().space
+        assert space.cardinality > 1 << 64
+        manip = ConfigurationManipulator(space)
+        rng = np.random.default_rng(0)
+        indices = [manip.random(rng).index for _ in range(8)]
+        assert all(0 <= i < space.cardinality for i in indices)
+        assert len(set(indices)) == 8
+        assert max(indices) > 1 << 64
 
     def test_mutate_changes_something(self, manip):
         rng = np.random.default_rng(1)
