@@ -9,10 +9,7 @@ META_SEEDS ?= 2
 META_CANDIDATES ?= 4
 META_NMAX ?= 30
 
-# Chaos knobs for `make chaos` (override on the command line).
-CHAOS_RATE ?= 0.5
-CHAOS_HANG_RATE ?= 0.2
-CHAOS_SEED ?= 7
+# Chaos knob for `make chaos` (override on the command line).
 CHAOS_PLANS ?= 13
 
 install:
@@ -54,17 +51,14 @@ faults:
 guard:
 	$(PYTHON) -m pytest -x -q benchmarks/test_ablations.py::test_negative_transfer --benchmark-only
 
-# Full chaos gauntlet: (1) the executor test suite under amplified
-# deterministic worker kills and hangs (REPRO_CHAOS_* injection), (2) a
-# seeded cross-layer chaos campaign — CHAOS_PLANS seeds x two
-# intensities, each cell running search+grid+service under composed
-# evaluator/worker/filesystem/deadline faults and verified against the
-# crash-consistency oracle — then (3) the tier-1 suite to prove the
-# chaos run left nothing broken behind.
+# Full chaos gauntlet: (1) a seeded cross-layer chaos campaign —
+# CHAOS_PLANS seeds x two intensities, each cell running
+# search+grid+service under composed evaluator/worker/filesystem/deadline
+# faults and verified against the crash-consistency oracle — then (2)
+# the tier-1 suite, whose executor recovery tests include heavy worker
+# kill-and-hang pressure, to prove the chaos run left nothing broken
+# behind.
 chaos:
-	REPRO_CHAOS_RATE=$(CHAOS_RATE) REPRO_CHAOS_HANG_RATE=$(CHAOS_HANG_RATE) \
-		REPRO_CHAOS_SEED=$(CHAOS_SEED) \
-		$(PYTHON) -m pytest -x -q tests/exec
 	$(PYTHON) -m repro.chaos.campaign --seeds $(CHAOS_PLANS)
 	$(PYTHON) -m pytest -x -q tests/
 

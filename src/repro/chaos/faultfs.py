@@ -34,9 +34,8 @@ machinery (:mod:`repro.exec.scrub`) exists to survive:
 
 ``bitflip``
     One byte of one already-acknowledged record is XOR-flipped in
-    place — the disk lied, nothing raised.  A CRC32-framed record
-    fails verification on the next load; an unframed one may even
-    still parse.
+    place — the disk lied, nothing raised.  The record's CRC32
+    envelope fails verification on the next load.
 ``truncate``
     The file is cut mid-record somewhere in the middle — everything
     after the cut is gone, and the cut line itself is torn.

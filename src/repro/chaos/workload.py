@@ -377,7 +377,6 @@ def _make_service(root: str, plan: ChaosPlan, chaos: bool) -> TuningService:
                 for t in _TENANTS},
         batch_size=2,
         executor=executor,
-        task_timeout=None,
         store_max_bytes=1500,
         degraded_cooldown=0.05,
     )

@@ -1,6 +1,6 @@
 """Static hygiene checks for the ``repro`` source tree.
 
-Five checks, all AST-based (the checked code is never imported):
+Six checks, all AST-based (the checked code is never imported):
 
 1. **Import cycles.**  Builds the module-level import graph of
    ``repro`` — every ``import``/``from ... import`` executed at module
@@ -41,6 +41,12 @@ Five checks, all AST-based (the checked code is never imported):
    decide which of the two wins.  The allow-list names the exceptions
    and why.
 
+6. **No environment side-doors.**  ``os.environ``/``os.getenv`` reads
+   appear only for the (module, variable) pairs of an allow-list, each
+   with its reason.  A setting a caller can pass is an argument; one
+   read from the environment deep inside a call is a second way to set
+   it that no signature shows.
+
 Run as ``python -m repro.devtools.lint`` (or ``make lint``).  Exit
 status 0 means clean; 1 means findings (one per line on stdout).
 """
@@ -61,6 +67,7 @@ __all__ = [
     "check_persistence",
     "check_outcome_handlers",
     "check_spec_knobs",
+    "check_env_reads",
     "run_lint",
     "main",
 ]
@@ -479,6 +486,71 @@ def check_spec_knobs(modules: dict[str, str]) -> list[str]:
 
 
 # ----------------------------------------------------------------------
+# Check 6: no environment side-doors
+# ----------------------------------------------------------------------
+#: ``(module, variable)`` -> why that module may read that variable.
+_ENV_ALLOWED = {
+    (f"{PACKAGE}.ml._native", "CC"):
+        "the C compiler the native kernels build with, by the usual convention",
+    (f"{PACKAGE}.ml._native", "REPRO_NATIVE"):
+        "turns the native build off on a host without a working compiler",
+    (f"{PACKAGE}.exec.executor", "REPRO_WORKERS"):
+        "sizes every default worker fleet to the host it runs on",
+    (f"{PACKAGE}.exec.registry", "REPRO_RESUME"):
+        "re-runs a journaled grid from scratch without editing its driver",
+    (f"{PACKAGE}.exec.fingerprint", "REPRO_CODE_VERSION"):
+        "pins cell fingerprints across a code change",
+}
+
+
+def _is_os_attr(node: ast.AST, attr: str) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == attr
+            and isinstance(node.value, ast.Name) and node.value.id == "os")
+
+
+def _literal(node: ast.AST | None) -> str | None:
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    return None
+
+
+def _env_reads(tree: ast.Module):
+    """``(line, variable or None)`` for every environment read."""
+    parents = {child: node for node in ast.walk(tree)
+               for child in ast.iter_child_nodes(node)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _is_os_attr(node.func, "getenv"):
+            yield node.lineno, _literal(node.args[0] if node.args else None)
+        elif _is_os_attr(node, "environ"):
+            parent = parents.get(node)
+            name = None
+            if isinstance(parent, ast.Subscript):
+                name = _literal(parent.slice)
+            elif isinstance(parent, ast.Compare):
+                name = _literal(parent.left)
+            elif isinstance(parent, ast.Attribute) and parent.attr == "get":
+                call = parents.get(parent)
+                if isinstance(call, ast.Call) and call.args:
+                    name = _literal(call.args[0])
+            yield node.lineno, name
+
+
+def check_env_reads(modules: dict[str, str]) -> list[str]:
+    """Environment reads outside the allow-list."""
+    errors: list[str] = []
+    for name, path in sorted(modules.items()):
+        with open(path, "rb") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        for lineno, variable in _env_reads(tree):
+            if (name, variable) not in _ENV_ALLOWED:
+                what = (f"environment variable {variable!r}" if variable
+                        else "the environment by a non-literal name")
+                errors.append(f"{path}:{lineno}: reads {what} — take the "
+                              "setting as an argument")
+    return errors
+
+
+# ----------------------------------------------------------------------
 def _default_roots() -> tuple[str, str]:
     src_root = os.path.dirname(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__)
@@ -495,7 +567,7 @@ def run_lint(src_root: str | None = None, repo_root: str | None = None) -> list[
     modules = collect_modules(src_root)
     return (check_imports(modules) + check_dead_code(modules, repo_root)
             + check_persistence(modules) + check_outcome_handlers(modules)
-            + check_spec_knobs(modules))
+            + check_spec_knobs(modules) + check_env_reads(modules))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -508,7 +580,8 @@ def main(argv: list[str] | None = None) -> int:
     print("lint: clean (import graph acyclic, no hidden internal imports, "
           f"no dead code in {PACKAGE}, durable writes only through the "
           "journal layer, search outcomes handled only by the engine, "
-          "tuner knobs set only through the spec)")
+          "tuner knobs set only through the spec, no environment "
+          "side-doors)")
     return 0
 
 

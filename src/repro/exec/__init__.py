@@ -21,9 +21,10 @@ halfway through a figure.  This package supplies that layer:
 Every cell in this library is a pure function of its spec and seed, so
 supervision and resume are invisible in the results: a grid that
 crashed five times and resumed twice is bit-identical to one serial
-uninterrupted run.  Env knobs: ``REPRO_WORKERS`` (fleet size),
-``REPRO_TASK_TIMEOUT`` (per-cell wall-clock budget, seconds),
-``REPRO_RESUME=0`` (ignore the journal and re-run everything).
+uninterrupted run.  Env knobs: ``REPRO_WORKERS`` (fleet size) and
+``REPRO_RESUME=0`` (ignore the journal and re-run everything).  The
+per-cell wall-clock budget (``task_timeout``) and chaos injection
+(``chaos=``) are arguments only.
 """
 
 from repro.exec.executor import (

@@ -110,38 +110,6 @@ def default_workers(cap: int = 8) -> int:
     return max(1, min(cap, cpus - 1 if cpus > 1 else 1))
 
 
-def _env_task_timeout() -> float | None:
-    """Per-task wall-clock budget from ``REPRO_TASK_TIMEOUT`` (seconds).
-
-    Unset, empty, or ``0`` means no timeout.
-    """
-    env = os.environ.get("REPRO_TASK_TIMEOUT")
-    if env is None or env.strip() == "":
-        return None
-    try:
-        value = float(env)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_TASK_TIMEOUT must be a number of seconds, got {env!r}"
-        ) from None
-    return value if value > 0 else None
-
-
-def _env_chaos_float(name: str, raw: str, lo: float, hi: float) -> float:
-    """Parse one chaos env var strictly (the ``REPRO_WORKERS`` convention)."""
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ValueError(
-            f"{name} must be a number, got {raw!r}"
-        ) from None
-    if not (lo <= value <= hi):
-        raise ValueError(
-            f"{name} must be in [{lo:g}, {hi:g}], got {value:g}"
-        )
-    return value
-
-
 @dataclass(frozen=True)
 class ChaosConfig:
     """Deterministic worker kill/hang injection for supervision tests.
@@ -177,39 +145,6 @@ class ChaosConfig:
             return False
         draw = stable_hash("chaos-hang", self.seed, task_id, attempt) / _TWO64
         return draw < self.hang_rate
-
-    @classmethod
-    def from_env(cls) -> "ChaosConfig | None":
-        """A config from the ``REPRO_CHAOS_*`` environment variables.
-
-        ``REPRO_CHAOS_RATE`` (kill probability), ``REPRO_CHAOS_HANG_RATE``,
-        ``REPRO_CHAOS_HANG_SECONDS``, and ``REPRO_CHAOS_SEED``.  Returns
-        ``None`` when no rate is set — the hook ``make chaos`` uses to
-        run the exec test suite under injected worker kills.  Malformed
-        or out-of-range values raise :class:`ValueError` immediately
-        rather than surfacing as a confusing mid-grid failure.
-        """
-        rate = os.environ.get("REPRO_CHAOS_RATE")
-        hang_rate = os.environ.get("REPRO_CHAOS_HANG_RATE")
-        if (rate is None or rate.strip() == "") and (
-            hang_rate is None or hang_rate.strip() == ""
-        ):
-            return None
-        kwargs: dict[str, Any] = {"kill_rate": 0.0}
-        if rate is not None and rate.strip() != "":
-            kwargs["kill_rate"] = _env_chaos_float(
-                "REPRO_CHAOS_RATE", rate, 0.0, 1.0
-            )
-        if hang_rate is not None and hang_rate.strip() != "":
-            kwargs["hang_rate"] = _env_chaos_float(
-                "REPRO_CHAOS_HANG_RATE", hang_rate, 0.0, 1.0
-            )
-        hang_seconds = os.environ.get("REPRO_CHAOS_HANG_SECONDS")
-        if hang_seconds is not None and hang_seconds.strip() != "":
-            kwargs["hang_seconds"] = _env_chaos_float(
-                "REPRO_CHAOS_HANG_SECONDS", hang_seconds, 0.0, 3600.0
-            )
-        return cls(seed=os.environ.get("REPRO_CHAOS_SEED", "0"), **kwargs)
 
 
 @dataclass(frozen=True)
@@ -377,8 +312,8 @@ class SupervisedExecutor:
         Worker process count; ``None`` defers to
         :func:`default_workers` (which honours ``REPRO_WORKERS``).
     task_timeout:
-        Per-task wall-clock budget in seconds.  The string ``"env"``
-        (default) reads ``REPRO_TASK_TIMEOUT``; ``None`` disables.
+        Per-task wall-clock budget in seconds; ``None`` (default)
+        disables it.
     heartbeat_interval:
         Worker heartbeat period; ``None`` disables stall detection.
     max_task_retries:
@@ -393,7 +328,7 @@ class SupervisedExecutor:
     def __init__(
         self,
         n_workers: int | None = None,
-        task_timeout: float | str | None = "env",
+        task_timeout: float | None = None,
         heartbeat_interval: float | None = DEFAULT_HEARTBEAT_INTERVAL,
         max_task_retries: int = 2,
         retry_backoff_seconds: float = 0.05,
@@ -403,9 +338,7 @@ class SupervisedExecutor:
         if max_task_retries < 0:
             raise ValueError(f"max_task_retries must be >= 0, got {max_task_retries}")
         self.n_workers = n_workers
-        self.task_timeout = (
-            _env_task_timeout() if task_timeout == "env" else task_timeout
-        )
+        self.task_timeout = task_timeout
         self.heartbeat_interval = heartbeat_interval
         self.max_task_retries = max_task_retries
         self.retry_backoff_seconds = retry_backoff_seconds
@@ -857,7 +790,7 @@ def run_grid(
     resume: bool | None = None,
     executor: SupervisedExecutor | None = None,
     n_workers: int | None = 1,
-    task_timeout: float | str | None = "env",
+    task_timeout: float | None = None,
     max_task_retries: int = 2,
     chaos: ChaosConfig | None = None,
     version: str | None = None,

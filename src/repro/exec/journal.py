@@ -21,14 +21,14 @@ persist as fsync'd JSONL journals with the same durability contract:
   and the journal itself is still recoverable (a partial write is a
   torn tail, repaired on the next append and dropped by readers).
 
-Beyond the torn-tail contract, records can be wrapped in a per-record
+Beyond the torn-tail contract, every record is wrapped in a per-record
 CRC32 **envelope** (:func:`frame_line` / :func:`unframe_line`):
 ``{"crc":<crc32>,"rec":{...},"v":1}`` where the checksum covers the
 canonical JSON bytes of the inner record.  A flipped bit anywhere in a
 framed line — even one that still parses as JSON — fails verification
-instead of being replayed as quietly wrong data.  Unframed legacy
-lines pass through :func:`unframe_line` unchanged, so journals written
-before framing (and committed golden fixtures) keep loading.
+instead of being replayed as quietly wrong data.  A line that is not
+an envelope at all fails verification the same way: there is one
+journal format, and anything else on a journal line is damage.
 
 Search and session checkpoints (:mod:`repro.reliability.checkpoint`)
 are journals of framed lines too; benchmark artefacts are single
@@ -65,9 +65,7 @@ _TMP_SUFFIX = ".tmp"
 #: Envelope schema version: ``{"crc":N,"rec":{...},"v":FRAME_VERSION}``.
 FRAME_VERSION = 1
 
-#: The exact key set that marks a parsed line as an envelope.  Caller
-#: record schemas never collide (registry records carry ``fp``/``status``,
-#: store records carry ``kind``), so detection is unambiguous.
+#: The exact key set of an envelope.
 _ENVELOPE_KEYS = frozenset({"crc", "rec", "v"})
 
 
@@ -99,20 +97,18 @@ def frame_obj(obj: dict) -> str:
     return frame_line(canonical_json(obj))
 
 
-def unframe_obj(obj):
-    """Verify an already-parsed envelope; pass legacy records through.
+def unframe_obj(obj) -> dict:
+    """Verify an already-parsed envelope and return the record inside.
 
-    Returns ``(record, framed)``.  Raises :class:`ValueError` when the
-    object is an envelope with an unknown version or a CRC mismatch.
-    Non-envelope objects (legacy unframed records, or non-dicts) are
-    returned as-is with ``framed=False``.
+    Raises :class:`ValueError` when the object is not an envelope, or
+    is one with an unknown version or a CRC mismatch.
     """
     if not (
         isinstance(obj, dict)
         and set(obj) == _ENVELOPE_KEYS
         and isinstance(obj.get("rec"), dict)
     ):
-        return obj, False
+        raise ValueError("journal line is not a CRC32 envelope")
     if obj["v"] != FRAME_VERSION:
         raise ValueError(f"unknown journal frame version {obj['v']!r}")
     expected = obj["crc"]
@@ -122,22 +118,19 @@ def unframe_obj(obj):
             f"record checksum mismatch: stored crc32 {expected!r}, "
             f"computed {actual}"
         )
-    return obj["rec"], True
+    return obj["rec"]
 
 
-def unframe_line(line) -> tuple[dict, bool]:
-    """Parse one journal line and verify its envelope if framed.
+def unframe_line(line) -> dict:
+    """Parse one journal line, verify its envelope, return the record.
 
-    Accepts ``bytes`` or ``str``.  Returns ``(record, framed)``; raises
-    :class:`ValueError` on unparseable JSON, a non-dict line, an
-    unknown envelope version, or a CRC mismatch.
+    Accepts ``bytes`` or ``str``.  Raises :class:`ValueError` on
+    unparseable JSON, a line that is not an envelope, an unknown
+    envelope version, or a CRC mismatch.
     """
     if isinstance(line, bytes):
         line = line.decode("utf-8")
-    obj = json.loads(line)
-    if not isinstance(obj, dict):
-        raise ValueError(f"journal line is not a JSON object: {obj!r}")
-    return unframe_obj(obj)
+    return unframe_obj(json.loads(line))
 
 
 def _remove_quietly(path: str) -> None:

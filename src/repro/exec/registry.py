@@ -19,10 +19,11 @@ Records are keyed by the deterministic cell fingerprint
 (:mod:`repro.exec.fingerprint`); completed cells carry their result as
 a base64 pickle with a SHA-256 checksum, so resuming a grid
 re-materializes bit-identical objects without re-running anything.
-New appends are wrapped in per-record CRC32 envelopes
+Every record is wrapped in a per-record CRC32 envelope
 (:func:`~repro.exec.journal.frame_line`), so a flipped bit anywhere in
 a record — even one that still parses — is *detected* instead of being
-replayed as quietly wrong data; unframed legacy journals keep loading.
+replayed as quietly wrong data, and a line without an envelope is
+damage like any other.
 
 Long-lived journals (the service layer appends for the lifetime of a
 process, not one grid) are kept bounded by **compaction**:
@@ -281,10 +282,9 @@ class RunRegistry:
     # Reading
     # ------------------------------------------------------------------
     @staticmethod
-    def _decode_line(line: bytes) -> tuple[RunRecord, bool]:
+    def _decode_line(line: bytes) -> RunRecord:
         """Verify one journal line (envelope CRC + schema + payload SHA)."""
-        rec, framed = unframe_line(line)
-        return _record_from_dict(rec), framed
+        return _record_from_dict(unframe_line(line))
 
     def load(self) -> RegistryState:
         """Replay the journal into its latest per-fingerprint state.

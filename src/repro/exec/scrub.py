@@ -13,7 +13,7 @@ compaction — without turning one bad record into a dead campaign:
   ``<journal>.quarantine`` file (JSONL: path, offset, length, reason,
   base64 raw bytes, timestamp — nothing is silently discarded) and
   atomically rewrites the journal with only the surviving lines, each
-  byte-for-byte as read, so legacy unframed records stay legacy;
+  byte-for-byte as read;
 * :func:`scrub_journal` wraps both into a :class:`ScrubReport` for one
   file, and :func:`main` exposes the pass as
   ``python -m repro.exec.scrub`` (``make scrub``).
@@ -89,7 +89,6 @@ class ScannedLine:
     offset: int
     line: str  # the line exactly as read (rewrites preserve it verbatim)
     record: object  # whatever the decoder produced
-    framed: bool  # True when the line carried a CRC32 envelope
 
 
 @dataclass(frozen=True)
@@ -98,7 +97,6 @@ class ScrubReport:
 
     path: str
     n_records: int = 0  # records that verified clean
-    n_framed: int = 0  # ... of which carried CRC32 envelopes
     quarantined: tuple[DamagedLine, ...] = ()
     torn: DamagedLine | None = None  # a torn final line that was dropped
     rewritten: bool = False  # the clean journal was swapped in
@@ -109,11 +107,6 @@ class ScrubReport:
         return self.torn is not None
 
     @property
-    def n_legacy(self) -> int:
-        """Clean records that predate framing (no integrity envelope)."""
-        return self.n_records - self.n_framed
-
-    @property
     def ok(self) -> bool:
         return not self.quarantined and not self.dropped_partial
 
@@ -121,8 +114,6 @@ class ScrubReport:
         return {
             "path": self.path,
             "n_records": self.n_records,
-            "n_framed": self.n_framed,
-            "n_legacy": self.n_legacy,
             "quarantined": [
                 {"offset": d.offset, "length": d.length, "reason": d.reason}
                 for d in self.quarantined
@@ -134,10 +125,7 @@ class ScrubReport:
 
     def summary(self) -> str:
         verdict = "clean" if self.ok else "DAMAGED"
-        parts = [
-            f"{self.path}: {verdict} — {self.n_records} record(s)"
-            f" ({self.n_framed} framed, {self.n_legacy} legacy)"
-        ]
+        parts = [f"{self.path}: {verdict} — {self.n_records} record(s)"]
         if self.quarantined:
             offsets = ", ".join(str(d.offset) for d in self.quarantined)
             parts.append(
@@ -159,21 +147,21 @@ def _verify_payload_sha(record: object) -> None:
             raise ValueError("payload checksum mismatch")
 
 
-def _decode_generic(line: bytes) -> tuple[object, bool]:
+def _decode_generic(line: bytes) -> object:
     """Default decoder: envelope/CRC verification plus payload SHA."""
-    record, framed = unframe_line(line)
+    record = unframe_line(line)
     _verify_payload_sha(record)
-    return record, framed
+    return record
 
 
 def scan_journal(
     journal: JsonlJournal,
-    decode: Callable[[bytes], tuple[object, bool]] = _decode_generic,
+    decode: Callable[[bytes], object] = _decode_generic,
     repair_tail: bool = True,
 ) -> tuple[list[ScannedLine], list[DamagedLine], DamagedLine | None]:
     """Verify every journal line; partition clean from damaged.
 
-    ``decode`` maps raw line bytes to ``(record, framed)`` and raises
+    ``decode`` maps raw line bytes to a record and raises
     ``ValueError``/``KeyError``/``TypeError`` on anything unacceptable.
     Returns ``(clean, damaged, torn)`` where ``torn`` is a final line
     that failed to decode — the crash-mid-append signature, truncated
@@ -187,7 +175,7 @@ def scan_journal(
         return clean, damaged, torn
     for offset, line, is_final in journal.iter_lines():
         try:
-            record, framed = decode(line)
+            record = decode(line)
         except (ValueError, KeyError, TypeError) as exc:
             if is_final:
                 torn = DamagedLine(offset=offset, raw=bytes(line),
@@ -202,8 +190,7 @@ def scan_journal(
                                        reason=str(exc)))
             continue
         clean.append(ScannedLine(
-            offset=offset, line=line.decode("utf-8"),
-            record=record, framed=framed,
+            offset=offset, line=line.decode("utf-8"), record=record,
         ))
     return clean, damaged, torn
 
@@ -239,7 +226,7 @@ def quarantine_and_rewrite(
 
 def scrub_journal(
     path,
-    decode: Callable[[bytes], tuple[object, bool]] = _decode_generic,
+    decode: Callable[[bytes], object] = _decode_generic,
     salvage: bool = True,
     apply: Callable[[object], object] | None = None,
     label: str | None = None,
@@ -285,7 +272,6 @@ def scrub_journal(
     report = ScrubReport(
         path=journal.path,
         n_records=len(clean),
-        n_framed=sum(1 for s in clean if s.framed),
         quarantined=tuple(damaged),
         torn=torn,
         rewritten=rewritten,

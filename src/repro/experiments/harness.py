@@ -45,22 +45,15 @@ def grid_map(
     keys: Sequence | None = None,
     n_workers: int | None = 1,
     registry_path=None,
-    resume: bool | None = None,
-    task_timeout: float | str | None = "env",
-    max_task_retries: int = 2,
-    chaos=None,
-    strict: bool = True,
 ) -> list:
     """Run one experiment's independent cells through the supervised
     executor, journaled and resumable when ``registry_path`` is given.
 
     Cells quarantined after exhausting their retries surface as an
-    :class:`~repro.errors.ExperimentError` when ``strict`` (the
-    default) — but only *after* every completed sibling has been
-    durably journaled, so the failed invocation loses nothing and a
-    re-invocation retries just the failures.  ``strict=False`` returns
-    :class:`~repro.exec.CellFailure` entries in place of the missing
-    results for drivers that can render holes.
+    :class:`~repro.errors.ExperimentError` — but only *after* every
+    completed sibling has been durably journaled, so the failed
+    invocation loses nothing and a re-invocation retries just the
+    failures.  ``REPRO_RESUME`` applies (see :func:`repro.exec.run_grid`).
     """
     from repro.exec import run_grid
 
@@ -70,14 +63,9 @@ def grid_map(
         specs,
         keys=keys,
         registry=registry_path,
-        resume=resume,
         n_workers=n_workers,
-        task_timeout=task_timeout,
-        max_task_retries=max_task_retries,
-        chaos=chaos,
     )
-    if strict:
-        outcome.raise_on_failure()
+    outcome.raise_on_failure()
     return list(outcome.results)
 
 

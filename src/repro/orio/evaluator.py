@@ -88,9 +88,6 @@ class OrioEvaluator:
 
         self.cost_model = CostModel(machine, compiler, threads=threads)
         self.n_evaluations = 0
-        # Reference (default-configuration) metrics anchor the
-        # compression model; computed lazily and cached.
-        self._ref_metrics = kernel.metrics_for(kernel.space.default())
 
     # ------------------------------------------------------------------
     def measure(self, config: Configuration) -> Measurement:
@@ -120,7 +117,6 @@ class OrioEvaluator:
                         is_default=is_default,
                         rep=rep,
                         quirk_sigma=self.quirk_sigma,
-                        ref_metrics=self._ref_metrics[nest_idx],
                     )
                 )
             runtime += sum(reps) / len(reps)

@@ -299,7 +299,6 @@ class CostModel:
         is_default: bool = False,
         rep: int = 0,
         quirk_sigma: float | None = None,
-        ref_metrics: VariantMetrics | None = None,
     ) -> float:
         """Simulated runtime of one timing run of a variant.
 

@@ -74,8 +74,8 @@ class QuantileGate:
         self,
         space: SearchSpace,
         surrogate: SurrogateModel,
-        delta_percent: float = 20.0,
-        pool_size: int = 10_000,
+        delta_percent: float,
+        pool_size: int,
         rng_label: str = "rsp-pool",
     ) -> None:
         self.space = space
@@ -162,7 +162,7 @@ class ReplayThresholdGate:
     def __init__(
         self,
         source_runtimes,
-        delta_percent: float = 20.0,
+        delta_percent: float,
     ) -> None:
         self.source_runtimes = list(source_runtimes)
         self.delta_percent = delta_percent
@@ -197,7 +197,7 @@ class PredictionCutoffGate:
     def __init__(
         self,
         proposer: PoolRankProposer,
-        delta_percent: float = 20.0,
+        delta_percent: float,
     ) -> None:
         self.proposer = proposer
         self.delta_percent = delta_percent

@@ -175,7 +175,7 @@ class PoolRankProposer(BaseProposer):
         self,
         space: SearchSpace,
         surrogate: SurrogateModel,
-        pool_size: int = 10_000,
+        pool_size: int,
         rng_label: str = "rsb-pool",
     ) -> None:
         self.space = space

@@ -9,8 +9,8 @@ batches into :func:`~repro.exec.run_grid` calls against **one** shared
   (tenant priority, then job priority), FIFO within a priority class;
 * **deadline propagation** — a job's absolute deadline becomes the
   batch's per-task wall-clock budget on the executor (the same
-  watchdog mechanism ``REPRO_TASK_TIMEOUT`` feeds), so a job that
-  blows its deadline is killed and surfaced, not left running;
+  watchdog mechanism ``task_timeout`` feeds), so a job that blows its
+  deadline is killed and surfaced, not left running;
 * **crash safety for free** — every job is fingerprinted from its
   identity + payload, and ``run_grid`` journals each completed cell
   into the registry as it finishes; a killed service finds completed
@@ -96,7 +96,7 @@ class Dispatcher:
         """The per-task wall-clock budget for this batch.
 
         The tightest remaining deadline in the batch, clamped by the
-        executor's own configured budget (``REPRO_TASK_TIMEOUT``) —
+        executor's own configured budget (``task_timeout``) —
         deadline propagation ends at the same watchdog that kills hung
         cells.
         """

@@ -95,7 +95,7 @@ class TuningService:
         batch_size: int = 8,
         n_workers: int | None = 1,
         executor: SupervisedExecutor | None = None,
-        task_timeout: float | str | None = "env",
+        task_timeout: float | None = None,
         store_max_bytes: int = 1_000_000,
         registry_max_bytes: int = 8_000_000,
         degraded_cooldown: float = 2.0,

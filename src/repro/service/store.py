@@ -16,7 +16,7 @@ Every append — including the compaction snapshot and its retained
 event tail — is wrapped in a per-record CRC32 envelope
 (:func:`~repro.exec.journal.frame_line`), so bit rot that still parses
 as JSON is *detected* on replay instead of resurrecting quietly wrong
-state; unframed legacy journals keep loading, and mid-journal damage
+state; a line without an envelope is damage too, and mid-journal damage
 is always quarantined and salvaged on :meth:`SessionStore.open` by
 :func:`~repro.exec.scrub.scrub_journal` rather than killing the
 service.
@@ -94,12 +94,12 @@ class SessionStore:
     # Recovery
     # ------------------------------------------------------------------
     @staticmethod
-    def _decode_line(line: bytes) -> tuple[dict, bool]:
+    def _decode_line(line: bytes) -> dict:
         """Verify one journal line (envelope CRC + store-record shape)."""
-        record, framed = unframe_line(line)
-        if not isinstance(record, dict) or "kind" not in record:
+        record = unframe_line(line)
+        if "kind" not in record:
             raise ValueError("not a store record")
-        return record, framed
+        return record
 
     def open(self) -> "SessionStore":
         """Replay the journal (if any) into memory; returns ``self``.

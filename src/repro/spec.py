@@ -24,9 +24,8 @@ Design rules:
   reported.
 * **Versioned wire format.**  :meth:`TunerSpec.to_dict` emits a
   ``{"version": 2, ...}`` payload; :meth:`TunerSpec.from_dict` rejects
-  unknown fields and unknown versions instead of guessing — service
-  job payloads and journaled meta-grid cells both ride on it.  Version
-  1 payloads still decode (see :func:`_upgrade_v1`).
+  unknown fields and any other version instead of guessing — service
+  job payloads and journaled meta-grid cells both ride on it.
 
 This module sits below every consumer (search, transfer, tuner,
 service), so at import time it depends only on :mod:`repro.errors`;
@@ -61,8 +60,8 @@ __all__ = [
     "resolve_spec",
 ]
 
-#: wire-format version written by :meth:`TunerSpec.to_dict`;
-#: :meth:`TunerSpec.from_dict` reads it and version 1.
+#: wire-format version written by :meth:`TunerSpec.to_dict`, and the
+#: only one :meth:`TunerSpec.from_dict` reads.
 SPEC_VERSION = 2
 
 #: acquisition functions :class:`repro.search.proposers.SMBOProposer`
@@ -189,23 +188,6 @@ def _guard_from_dict(data: Any) -> "GuardPolicy":
     return GuardPolicy(**dict(data))
 
 
-def _upgrade_v1(payload: dict) -> dict:
-    """A version-1 payload in version-2 shape.
-
-    Version 1 had ``pool.prefetch`` (RSp's prediction chunk, now the
-    engine block) and allowed ``engine.batch_size: null`` (the removed
-    serial loop).  Neither could change a trace, so the prefetch is
-    dropped and a null batch size becomes blocks of one.
-    """
-    pool = payload.get("pool")
-    if isinstance(pool, Mapping):
-        payload["pool"] = {k: v for k, v in pool.items() if k != "prefetch"}
-    engine = payload.get("engine")
-    if isinstance(engine, Mapping) and engine.get("batch_size", 1) is None:
-        payload["engine"] = dict(engine, batch_size=1)
-    return payload
-
-
 def _sub_to_dict(spec: Any) -> dict:
     out = {}
     for f in fields(spec):
@@ -271,11 +253,9 @@ class TunerSpec:
         payload = dict(data)
         _require("version" in payload, "spec payload has no 'version' field")
         version = payload.pop("version")
-        _require(version in (1, SPEC_VERSION),
+        _require(version == SPEC_VERSION,
                  f"unsupported spec version {version!r} "
-                 f"(this build reads versions 1 and {SPEC_VERSION})")
-        if version == 1:
-            payload = _upgrade_v1(payload)
+                 f"(this build reads version {SPEC_VERSION})")
         unknown = sorted(set(payload) - set(_SUB_SPECS) - {"guard"})
         _require(not unknown, f"unknown spec field(s): {unknown}")
         kwargs: dict[str, Any] = {}

@@ -57,7 +57,7 @@ def _cell(x):
     return x * x
 
 outcome = run_grid("kill-compact", _cell, list(range({cells})),
-                   registry=path, n_workers=1, task_timeout=None)
+                   registry=path, n_workers=1)
 assert outcome.ok
 {hook}
 from repro.exec import RunRegistry
@@ -95,7 +95,6 @@ def _spawn_frozen(script: str, root, phase: str) -> subprocess.Popen:
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in ("src", env.get("PYTHONPATH", "")) if p
     )
-    env.pop("REPRO_CHAOS_RATE", None)
     proc = subprocess.Popen(
         [sys.executable, "-c", script, os.fspath(root), phase],
         stdout=subprocess.PIPE, text=True, env=env, cwd=os.getcwd(),
@@ -133,7 +132,7 @@ class TestRegistryCompactionKill:
         # The durability claim, end to end: a resumed grid re-executes
         # zero cells and returns bit-identical results.
         outcome = run_grid("kill-compact", _cell, list(range(_GRID_CELLS)),
-                           registry=path, n_workers=1, task_timeout=None)
+                           registry=path, n_workers=1)
         assert outcome.executed == 0 and outcome.cached == _GRID_CELLS
         assert list(outcome.results) == [x * x for x in range(_GRID_CELLS)]
 
@@ -157,7 +156,7 @@ class TestStoreCompactionKill:
         else:
             # The swap landed: the journal now leads with the snapshot.
             with open(path, "rb") as fh:
-                first, _framed = unframe_obj(json.loads(fh.readline()))
+                first = unframe_obj(json.loads(fh.readline()))
             assert first["kind"] == "snapshot"
 
         store = SessionStore(path).open()

@@ -1,12 +1,10 @@
 """Chaos injection: deterministic worker kills exercise supervision.
 
-``make chaos`` runs this suite (and the rest of ``tests/exec``) with
-``REPRO_CHAOS_RATE``/``REPRO_CHAOS_SEED`` exported; the recovery test
-below picks the env config up via :meth:`ChaosConfig.from_env`, so the
-same assertions hold under whatever kill pressure the target dials in.
+Chaos is an argument (``chaos=ChaosConfig(...)``), never read from the
+environment.  The recovery tests below run at a moderate pressure and
+at :data:`GAUNTLET`, a heavy kill-and-hang one, so the same assertions
+hold under both.
 """
-
-import pytest
 
 from repro.exec import CellFailure, ChaosConfig, SupervisedExecutor, run_grid
 from repro.exec.executor import CHAOS_EXITCODE
@@ -18,7 +16,6 @@ def _square(x):
 
 def _chaos_executor(chaos, **kwargs):
     kwargs.setdefault("n_workers", 3)
-    kwargs.setdefault("task_timeout", None)
     kwargs.setdefault("retry_backoff_seconds", 0.01)
     kwargs.setdefault("poll_interval", 0.02)
     return SupervisedExecutor(chaos=chaos, **kwargs)
@@ -44,54 +41,12 @@ class TestChaosConfig:
         assert not any(never.should_kill(t, 0) for t in range(50))
         assert all(always.should_kill(t, 0) for t in range(50))
 
-    def test_from_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CHAOS_RATE", raising=False)
-        assert ChaosConfig.from_env() is None
-        monkeypatch.setenv("REPRO_CHAOS_RATE", "0.25")
-        monkeypatch.setenv("REPRO_CHAOS_SEED", "42")
-        config = ChaosConfig.from_env()
-        assert config.kill_rate == 0.25
-        assert config.seed == "42"
-
-
-class TestChaosEnvStrict:
-    """Malformed REPRO_CHAOS_* values fail fast, not mid-grid."""
-
-    def test_blank_values_mean_unset(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHAOS_RATE", "  ")
-        monkeypatch.delenv("REPRO_CHAOS_HANG_RATE", raising=False)
-        assert ChaosConfig.from_env() is None
-
-    @pytest.mark.parametrize("name, value", [
-        ("REPRO_CHAOS_RATE", "lots"),
-        ("REPRO_CHAOS_RATE", "1.5"),
-        ("REPRO_CHAOS_RATE", "-0.1"),
-        ("REPRO_CHAOS_HANG_RATE", "often"),
-        ("REPRO_CHAOS_HANG_RATE", "2"),
-        ("REPRO_CHAOS_HANG_SECONDS", "soon"),
-        ("REPRO_CHAOS_HANG_SECONDS", "-1"),
-    ])
-    def test_malformed_values_raise_with_the_variable_name(
-        self, monkeypatch, name, value
-    ):
-        for var in ("REPRO_CHAOS_RATE", "REPRO_CHAOS_HANG_RATE",
-                    "REPRO_CHAOS_HANG_SECONDS"):
-            monkeypatch.delenv(var, raising=False)
-        monkeypatch.setenv("REPRO_CHAOS_RATE", "0.1")
-        monkeypatch.setenv(name, value)
-        with pytest.raises(ValueError, match=name):
-            ChaosConfig.from_env()
-
-    def test_hang_only_env_defaults_kill_rate_to_zero(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CHAOS_RATE", raising=False)
-        monkeypatch.setenv("REPRO_CHAOS_HANG_RATE", "0.3")
-        monkeypatch.setenv("REPRO_CHAOS_HANG_SECONDS", "0.05")
-        monkeypatch.setenv("REPRO_CHAOS_SEED", "7")
-        config = ChaosConfig.from_env()
-        assert config.kill_rate == 0.0
-        assert config.hang_rate == 0.3
-        assert config.hang_seconds == 0.05
-        assert config.seed == "7"
+    def test_environment_is_not_read(self, monkeypatch):
+        # Chaos is the chaos= argument; the retired REPRO_CHAOS_*
+        # variables are inert.
+        monkeypatch.setenv("REPRO_CHAOS_RATE", "1.0")
+        assert not hasattr(ChaosConfig, "from_env")
+        assert SupervisedExecutor().chaos is None
 
 
 class TestChaosHang:
@@ -132,15 +87,21 @@ class TestChaosHang:
         assert {r.kind for r in results} == {"timeout"}
 
 
+#: Heavy pressure: half of all dispatches kill their worker and,
+#: independently, a fifth hang it.
+GAUNTLET = ChaosConfig(kill_rate=0.5, hang_rate=0.2, seed=7)
+
+
 class TestChaosRecovery:
     def test_grid_survives_injected_kills_bitwise_equal_to_serial(self):
-        # Under `make chaos` the env config takes over; default pressure
-        # otherwise.  Generous retries: recovery, not attrition, is what
-        # this test measures.
-        chaos = ChaosConfig.from_env() or ChaosConfig(kill_rate=0.35, seed=2)
+        # Generous retries: recovery, not attrition, is what this test
+        # measures.
         items = list(range(12))
-        results = _chaos_executor(chaos, max_task_retries=10).map(_square, items)
-        assert results == [x * x for x in items]
+        for chaos in (ChaosConfig(kill_rate=0.35, seed=2), GAUNTLET):
+            results = _chaos_executor(chaos, max_task_retries=10).map(
+                _square, items
+            )
+            assert results == [x * x for x in items], chaos
 
     def test_certain_death_quarantines_with_chaos_exitcode(self):
         chaos = ChaosConfig(kill_rate=1.0, seed=0)
@@ -153,32 +114,31 @@ class TestChaosRecovery:
         assert {r.attempts for r in results} == {2}
 
     def test_chaotic_grid_journals_and_resumes(self, tmp_path):
-        chaos = ChaosConfig.from_env() or ChaosConfig(kill_rate=0.35, seed=3)
-        journal = tmp_path / "journal.jsonl"
         items = list(range(10))
-        first = run_grid(
-            "chaos-grid",
-            _square,
-            items,
-            registry=journal,
-            n_workers=3,
-            task_timeout=None,
-            max_task_retries=10,
-            chaos=chaos,
-        )
-        assert first.ok and first.executed == 10
-        assert list(first.results) == [x * x for x in items]
-        second = run_grid(
-            "chaos-grid",
-            _square,
-            items,
-            registry=journal,
-            n_workers=3,
-            task_timeout=None,
-            chaos=chaos,
-        )
-        assert second.cached == 10 and second.executed == 0
-        assert list(second.results) == list(first.results)
+        for i, chaos in enumerate((ChaosConfig(kill_rate=0.35, seed=3),
+                                   GAUNTLET)):
+            journal = tmp_path / f"journal{i}.jsonl"
+            first = run_grid(
+                "chaos-grid",
+                _square,
+                items,
+                registry=journal,
+                n_workers=3,
+                max_task_retries=10,
+                chaos=chaos,
+            )
+            assert first.ok and first.executed == 10, chaos
+            assert list(first.results) == [x * x for x in items]
+            second = run_grid(
+                "chaos-grid",
+                _square,
+                items,
+                registry=journal,
+                n_workers=3,
+                chaos=chaos,
+            )
+            assert second.cached == 10 and second.executed == 0, chaos
+            assert list(second.results) == list(first.results)
 
 
 class TestChaosKillsAreRetriedNotRaised:
@@ -195,5 +155,5 @@ class TestChaosKillsAreRetriedNotRaised:
     def test_serial_path_ignores_chaos(self):
         # n_workers=1 runs in-process: chaos would kill the test runner.
         chaos = ChaosConfig(kill_rate=1.0, seed=0)
-        ex = SupervisedExecutor(n_workers=1, chaos=chaos, task_timeout=None)
+        ex = SupervisedExecutor(n_workers=1, chaos=chaos)
         assert ex.map(_square, [1, 2, 3]) == [1, 4, 9]

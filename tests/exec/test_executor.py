@@ -46,6 +46,11 @@ def _hang_on_three(x):
     return x * x
 
 
+def _sleep_then_square(x):
+    time.sleep(0.1)
+    return x * x
+
+
 def _raise_on_three(x):
     if x == 3:
         raise ValueError("boom on 3")
@@ -54,7 +59,6 @@ def _raise_on_three(x):
 
 def _fast_executor(**kwargs):
     kwargs.setdefault("n_workers", 3)
-    kwargs.setdefault("task_timeout", None)
     kwargs.setdefault("retry_backoff_seconds", 0.01)
     kwargs.setdefault("poll_interval", 0.02)
     return SupervisedExecutor(**kwargs)
@@ -158,13 +162,14 @@ class TestHangRecovery:
         ran = float(failure.message.split("(ran ")[1].split("s)")[0])
         assert ran >= 0.4
 
-    def test_env_task_timeout_is_honoured(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TASK_TIMEOUT", "0.4")
-        ex = _fast_executor(task_timeout="env", max_task_retries=0)
-        assert ex.task_timeout == 0.4
-        results = ex.map(_hang_on_three, ITEMS)
-        assert isinstance(results[3], CellFailure)
-        assert results[3].kind == "timeout"
+    def test_task_timeout_is_an_argument_only(self, monkeypatch):
+        # REPRO_TASK_TIMEOUT is not read: without task_timeout= a slow
+        # cell runs to completion however small the variable says.
+        monkeypatch.setenv("REPRO_TASK_TIMEOUT", "0.01")
+        ex = SupervisedExecutor(n_workers=2, max_task_retries=0,
+                                poll_interval=0.02)
+        assert ex.task_timeout is None
+        assert ex.map(_sleep_then_square, [1, 2, 3]) == [1, 4, 9]
 
 
 class TestApplicationErrors:
@@ -216,8 +221,7 @@ def _report_and_sleep(x):
     time.sleep(60.0)
     return x
 
-SupervisedExecutor(n_workers=2, task_timeout=None,
-                   heartbeat_interval=None).map(_report_and_sleep, [0, 1])
+SupervisedExecutor(n_workers=2, heartbeat_interval=None).map(_report_and_sleep, [0, 1])
 """
 
 

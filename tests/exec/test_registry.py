@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import CheckpointError, EvaluationFailure, RegistryCorruptionError
 from repro.exec import RunRegistry
-from repro.exec.journal import frame_obj, unframe_obj
+from repro.exec.journal import canonical_json, frame_obj, unframe_obj
 
 
 @pytest.fixture
@@ -103,8 +103,7 @@ class TestCorruption:
         lines = open(registry.path, "rb").read().splitlines(keepends=True)
         # Corrupt the pickled payload *behind* a valid CRC envelope: the
         # deep SHA-256 check must catch what the frame cannot.
-        record, framed = unframe_obj(json.loads(lines[0]))
-        assert framed
+        record = unframe_obj(json.loads(lines[0]))
         record["sha"] = "0" * 64
         lines[0] = (frame_obj(record) + "\n").encode()
         open(registry.path, "wb").write(b"".join(lines))
@@ -115,14 +114,35 @@ class TestCorruption:
         assert damaged.offset == 0 and "checksum" in damaged.reason
 
     def test_unknown_record_version_is_corruption(self, registry):
-        with open(registry.path, "wb") as fh:
-            fh.write(b'{"v":99,"fp":"aaaa","status":"completed"}\n')
-            fh.write(b'{"v":1,"fp":"bbbb","status":"completed","experiment":"e","attempts":1,"ts":0}\n')
+        with open(registry.path, "w") as fh:
+            fh.write(frame_obj({"v": 99, "fp": "aaaa", "status": "completed"}) + "\n")
+            fh.write(frame_obj({"v": 1, "fp": "bbbb", "status": "completed",
+                                "experiment": "e", "attempts": 1, "ts": 0}) + "\n")
         with pytest.warns(RuntimeWarning, match="quarantined 1 damaged"):
             state = registry.load()
         assert set(state.completed) == {"bbbb"}
         (damaged,) = state.salvage.quarantined
         assert damaged.offset == 0 and "version 99" in damaged.reason
+
+    def test_unframed_line_is_damage(self, registry):
+        # A record without its CRC32 envelope is quarantined mid-file
+        # and dropped as a torn tail, like any other damaged line.
+        for fp in ("a", "b", "c"):
+            registry.mark_completed(fp * 32, "exp", fp)
+        lines = open(registry.path, "rb").read().splitlines(keepends=True)
+        bare = [canonical_json(unframe_obj(json.loads(line))).encode()
+                for line in lines]
+        lines[1] = bare[1] + b"\n"
+        lines[2] = bare[2]  # unterminated: a torn tail
+        open(registry.path, "wb").write(b"".join(lines))
+        with pytest.warns(RuntimeWarning) as caught:
+            state = registry.load()
+        assert any("torn final record" in str(w.message) for w in caught)
+        assert set(state.completed) == {"a" * 32}
+        assert state.dropped_partial
+        (damaged,) = state.salvage.quarantined
+        assert damaged.raw == bare[1] and "envelope" in damaged.reason
+        assert open(registry.path, "rb").read() == lines[0]
 
     def test_corruption_error_is_both_checkpoint_and_failure(self):
         exc = RegistryCorruptionError("x")

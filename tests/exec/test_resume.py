@@ -50,7 +50,6 @@ def grid(tmp_path):
 
 def _run(grid, **kwargs):
     kwargs.setdefault("n_workers", 2)
-    kwargs.setdefault("task_timeout", None)
     return run_grid(
         "resume-test",
         _logged_cell,
@@ -103,7 +102,6 @@ class TestResume:
             keys=grid["keys"],
             registry=tmp_path / "other.jsonl",
             n_workers=1,
-            task_timeout=None,
         )
         assert list(clean.results) == list(resumed.results)
 
@@ -190,7 +188,6 @@ class TestGridMapStrict:
                 keys=grid["keys"],
                 registry_path=grid["journal"],
                 n_workers=2,
-                task_timeout=None,
             )
         # The raise did not cost us the completed siblings.
         state = RunRegistry(grid["journal"]).load()
@@ -205,7 +202,6 @@ class TestGridMapStrict:
             keys=grid["keys"],
             registry_path=grid["journal"],
             n_workers=2,
-            task_timeout=None,
         )
         assert results == grid["serial"]
         counts = {x: _executions(grid["log"]).count(x) for x in grid["xs"]}

@@ -30,15 +30,20 @@ class TestScanJournal:
         _write_framed(journal)
         clean, damaged, torn = scan_journal(journal)
         assert [s.record["n"] for s in clean] == [0, 1, 2, 3]
-        assert all(s.framed for s in clean)
         assert not damaged and torn is None
 
-    def test_legacy_unframed_lines_scan_clean(self, journal):
+    def test_unframed_lines_are_damage(self, journal):
+        # Valid JSON records without an envelope: mid-file it is
+        # damage, as an unterminated final line a torn tail.
         journal.append_line(canonical_json({"n": 0}))
         journal.append_line(frame_obj({"n": 1}))
-        clean, damaged, torn = scan_journal(journal)
-        assert [s.framed for s in clean] == [False, True]
-        assert not damaged and torn is None
+        with open(journal.path, "ab") as fh:
+            fh.write(canonical_json({"n": 2}).encode())
+        clean, damaged, torn = scan_journal(journal, repair_tail=False)
+        assert [s.record for s in clean] == [{"n": 1}]
+        assert [d.raw for d in damaged] == [b'{"n":0}']
+        assert "envelope" in damaged[0].reason
+        assert torn is not None and torn.raw == b'{"n":2}'
 
     def test_missing_journal_scans_empty(self, journal):
         assert scan_journal(journal) == ([], [], None)
@@ -90,7 +95,7 @@ class TestScrubJournal:
         _write_framed(journal)
         before = open(journal.path, "rb").read()
         report = scrub_journal(journal.path)
-        assert report.ok and report.n_records == 4 and report.n_framed == 4
+        assert report.ok and report.n_records == 4
         assert not report.rewritten
         assert open(journal.path, "rb").read() == before
 
@@ -135,13 +140,17 @@ class TestScrubJournal:
         assert len(report.quarantined) == 1
         assert "checksum" in report.quarantined[0].reason
 
-    def test_report_counts_legacy_records(self, journal):
+    def test_report_quarantines_unframed_records(self, journal):
         journal.append_line(canonical_json({"n": 0}))
         journal.append_line(frame_obj({"n": 1}))
         report = scrub_journal(journal.path)
-        assert report.n_records == 2 and report.n_framed == 1
-        assert report.n_legacy == 1
-        assert "1 legacy" in report.summary()
+        assert report.n_records == 1 and len(report.quarantined) == 1
+        assert report.rewritten
+        assert report.summary().endswith(
+            "1 record(s); 1 quarantined at byte offset(s) 0; salvaged to "
+            f"{report.quarantine_path}"
+        )
+        assert open(journal.path).read() == frame_obj({"n": 1}) + "\n"
 
 
 class TestScrubCheckpoint:
@@ -155,7 +164,7 @@ class TestScrubCheckpoint:
 
     def test_clean_checkpoint(self, tmp_path):
         report = scrub_journal(self._save(tmp_path))
-        assert report.ok and report.n_records == 1 and report.n_framed == 1
+        assert report.ok and report.n_records == 1
 
     def test_missing_checkpoint_is_empty_report(self, tmp_path):
         report = scrub_journal(tmp_path / "absent.json")

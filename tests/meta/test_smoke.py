@@ -64,7 +64,7 @@ def _grid(journal, **kwargs):
     assert len(cells) == N_CELLS
     return run_grid(
         "meta-campaign", _meta_cell, cells, keys=keys, registry=journal,
-        n_workers=1, task_timeout=None, **kwargs,
+        n_workers=1, **kwargs,
     )
 
 

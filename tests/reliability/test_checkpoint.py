@@ -123,7 +123,7 @@ class TestCheckpointManager:
 
     def test_unknown_version_rejected(self, tmp_path):
         path = tmp_path / "ck.json"
-        path.write_text(json.dumps({"version": 99}))
+        path.write_text(frame_line(canonical_json({"version": 99})))
         with pytest.raises(CheckpointError):
             CheckpointManager(path).load()
 
@@ -203,18 +203,51 @@ class TestCheckpointIntegrity:
         # were written: foreign input, neither resumed nor salvaged.
         doc = {"version": 1, "algorithm": "RS", "position": 4, "trace": {},
                "clock": {}, "reliability": None, "extra": {}}
-        for blob in (frame_line(canonical_json(doc)), json.dumps(doc)):
-            path = tmp_path / "ck.json"
-            path.write_text(blob)
-            with pytest.raises(CheckpointError, match="format version 1"):
-                CheckpointManager(path).load()
-            with pytest.raises(CheckpointError, match="format version 1"):
-                CheckpointManager(path).restore(SearchTrace(algorithm="RS"),
-                                                space=None)
-            with pytest.raises(CheckpointError, match="format version 1"):
-                load_traces(path, space=None)
-            assert path.read_text() == blob
-            assert not os.path.exists(f"{path}{QUARANTINE_SUFFIX}")
+        blob = frame_line(canonical_json(doc))
+        path = tmp_path / "ck.json"
+        path.write_text(blob)
+        with pytest.raises(CheckpointError, match="format version 1"):
+            CheckpointManager(path).load()
+        with pytest.raises(CheckpointError, match="format version 1"):
+            CheckpointManager(path).restore(SearchTrace(algorithm="RS"),
+                                            space=None)
+        with pytest.raises(CheckpointError, match="format version 1"):
+            load_traces(path, space=None)
+        assert path.read_text() == blob
+        assert not os.path.exists(f"{path}{QUARANTINE_SUFFIX}")
+        # Without its envelope the one-line document is no checkpoint at
+        # all: an unterminated unframed line, dropped as a torn tail.
+        path.write_text(json.dumps(doc))
+        with pytest.warns(RuntimeWarning, match="torn final record"):
+            assert CheckpointManager(path).load() is None
+        path.write_text(json.dumps(doc))
+        with pytest.warns(RuntimeWarning, match="torn final record"):
+            assert CheckpointManager(path).restore(
+                SearchTrace(algorithm="RS"), space=None) == (0, {})
+        path.write_text(json.dumps(doc))
+        with pytest.warns(RuntimeWarning, match="torn final record"):
+            assert load_traces(path, space=None) == {}
+
+    def test_unframed_line_is_damage(self, tmp_path):
+        # A save without its CRC32 envelope is quarantined mid-file and
+        # dropped as a torn tail, like any other damaged line.  (These
+        # saves add no records, so the lines after a damaged one still
+        # chain.)
+        manager = self._manager(tmp_path, saves=3)
+        lines = _lines(manager.path)
+        bare = [canonical_json(json.loads(line)["rec"]).encode()
+                for line in lines]
+        with open(manager.path, "wb") as fh:
+            fh.write(lines[0] + lines[1] + bare[2])  # unterminated
+        with pytest.warns(RuntimeWarning, match="torn final record"):
+            assert manager.load().position == 2
+        assert _lines(manager.path) == lines[:2]
+        with open(manager.path, "wb") as fh:
+            fh.write(lines[0] + bare[1] + b"\n" + lines[2])
+        with pytest.warns(RuntimeWarning, match="quarantined 1 damaged"):
+            assert manager.load().position == 3
+        assert _quarantined_offsets(manager.path) == [len(lines[0])]
+        assert _lines(manager.path) == [lines[0], lines[2]]
 
     def test_bitflip_resumes_from_last_clean_save(self, tmp_path):
         manager = self._manager(tmp_path)

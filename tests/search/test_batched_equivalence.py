@@ -99,11 +99,10 @@ def test_batched_trace_matches_golden(name, batch):
 
 @pytest.mark.parametrize("name", BATCHABLE)
 def test_serial_trace_matches_golden(name):
-    """A version-1 spec asking for the former serial loop
-    (``engine.batch_size: null``) decodes to blocks of one and still
-    reproduces every golden trace through the factories' ``spec=``."""
-    spec = TunerSpec.from_dict({"version": 1, "engine": {"batch_size": None}})
-    assert spec.engine.batch_size == 1
+    """A wire-format spec asking for the former serial loop — blocks
+    of one — reproduces every golden trace through the factories'
+    ``spec=``."""
+    spec = TunerSpec.from_dict({"version": 2, "engine": {"batch_size": 1}})
     trace = SCENARIOS[name](spec=spec)
     assert trace_to_dict(trace) == FIXTURES[name]
 

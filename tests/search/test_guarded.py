@@ -206,7 +206,7 @@ def test_guard_state_is_json_round_trippable(kernel, inverted, tmp_path):
         "rsb", kernel, inverted, checkpoint=CheckpointManager(path, every=2)
     )
     with open(path) as fh:
-        payload, _framed = unframe_line(fh.read().splitlines()[-1])
+        payload = unframe_line(fh.read().splitlines()[-1])
     guard_state = payload["extra"]["guard"]
     assert guard_state["state"] == "revoked"
     assert json.loads(json.dumps(guard_state)) == guard_state

@@ -89,7 +89,7 @@ def _registry_fingerprints(path):
         return []
     blob = _complete_prefix(open(path, "rb").read())
     return [
-        unframe_obj(json.loads(line))[0]["fp"]
+        unframe_obj(json.loads(line))["fp"]
         for line in blob.splitlines()
         if line
     ]
@@ -103,7 +103,6 @@ class TestServiceKill:
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in ("src", env.get("PYTHONPATH", "")) if p
         )
-        env.pop("REPRO_CHAOS_RATE", None)
         script = _CHILD_SCRIPT.format(tenants=TENANTS,
                                       jobs_per_tenant=JOBS_PER_TENANT)
         proc = subprocess.Popen(

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.exec.journal import unframe_obj
+from repro.exec.journal import canonical_json, unframe_obj
 from repro.service.model import (
     JOB_COMPLETED,
     JOB_QUEUED,
@@ -126,6 +126,26 @@ class TestCorruption:
         clean = SessionStore(store.path).open()
         assert clean.salvaged_records == 0
 
+    def test_unframed_line_is_damage(self, store):
+        # A record without its CRC32 envelope is quarantined mid-file
+        # and dropped as a torn tail, like any other damaged line.
+        store.record("session-created", "s1", session=make_session())
+        store.record("job-queued", "s1", job=make_job("j1"))
+        store.record("job-queued", "s1", job=make_job("j2"))
+        lines = open(store.path, "rb").read().splitlines(keepends=True)
+        bare = [canonical_json(unframe_obj(json.loads(line))).encode()
+                for line in lines]
+        lines[1] = bare[1] + b"\n"
+        lines[2] = bare[2]  # unterminated: a torn tail
+        open(store.path, "wb").write(b"".join(lines))
+        with pytest.warns(RuntimeWarning) as caught:
+            replayed = SessionStore(store.path).open()
+        assert any("torn final" in str(w.message) for w in caught)
+        assert set(replayed.sessions) == {"s1"} and replayed.jobs == {}
+        (damaged,) = replayed.salvage_report.quarantined
+        assert damaged.raw == bare[1] and "envelope" in damaged.reason
+        assert open(store.path, "rb").read() == lines[0]
+
     def test_open_is_idempotent(self, store):
         store.record("session-created", "s1", session=make_session())
         store.open()
@@ -217,6 +237,5 @@ class TestCompaction:
             envelope = json.loads(raw)
             # Every line is a CRC32-framed envelope around the event.
             assert envelope["v"] == 1 and "crc" in envelope
-            record, framed = unframe_obj(envelope)
-            assert framed
+            record = unframe_obj(envelope)
             assert "seq" in record and "kind" in record

@@ -144,23 +144,17 @@ class TestWireFormat:
         assert DEFAULT_SPEC.to_dict()["version"] == 2
         assert "prefetch" not in DEFAULT_SPEC.to_dict()["pool"]
 
-    def test_v1_payload_decodes(self):
-        # Version 1 carried pool.prefetch and allowed a null batch size
-        # (the former serial loop); neither can change a trace.
-        spec = TunerSpec.from_dict({
-            "version": 1,
-            "pool": {"size": 500, "prefetch": 64},
-            "engine": {"batch_size": None},
-        })
-        assert spec.pool == PoolSpec(size=500)
-        assert spec.engine == EngineSpec(batch_size=1)
-        v1_batched = TunerSpec.from_dict(
-            {"version": 1, "engine": {"batch_size": 16}}
-        )
-        assert v1_batched.engine.batch_size == 16
+    def test_v1_payload_is_refused(self):
+        # Version 1 (with pool.prefetch and a nullable batch size) is a
+        # retired format: refused like any other unknown version.
+        for payload in ({"version": 1, "pool": {"size": 500, "prefetch": 64}},
+                        {"version": 1, "engine": {"batch_size": 16}}):
+            with pytest.raises(SpecError, match="unsupported spec version 1"):
+                TunerSpec.from_dict(payload)
 
     def test_meta_recommendations_decode(self):
-        # The committed meta-campaign results are version-1 payloads.
+        # The committed meta-campaign results are version-2 payloads
+        # that today's writer reproduces exactly.
         path = os.path.join(
             os.path.dirname(__file__), os.pardir, os.pardir,
             "benchmarks", "results", "meta_recommendations.json",
@@ -172,11 +166,9 @@ class TestWireFormat:
             for section in ("candidates", "recommendations", "results")
             for entry in data[section]
         ]
-        assert payloads and all(p["version"] == 1 for p in payloads)
+        assert payloads and all(p["version"] == 2 for p in payloads)
         for payload in payloads:
-            spec = TunerSpec.from_dict(payload)
-            assert spec.pool.size == payload["pool"]["size"]
-            assert spec.engine.batch_size == payload["engine"]["batch_size"]
+            assert TunerSpec.from_dict(payload).to_dict() == payload
 
     def test_partial_payload_fills_defaults(self):
         spec = TunerSpec.from_dict(
@@ -347,23 +339,18 @@ class TestThreading:
         # The spec rode along without changing the search results
         # (pool.size does not affect plain RS).
         assert result["trace_digest"] == baseline["trace_digest"]
-        # A journaled version-1 payload still runs, to the same trace.
-        v1 = execute_job({
-            "kind": "search", "kernel": "mm", "machine": "sandybridge",
-            "nmax": 4, "seed": 1,
-            "spec": {"version": 1, "pool": {"size": 500, "prefetch": 256},
-                     "engine": {"batch_size": None}},
-        })
-        assert v1["trace_digest"] == baseline["trace_digest"]
 
     def test_service_rejects_malformed_spec(self):
         from repro.service.worker import execute_job
 
-        with pytest.raises(SpecError):
-            execute_job({
-                "kind": "search", "kernel": "mm", "machine": "sandybridge",
-                "nmax": 2, "spec": {"version": 99},
-            })
+        # A retired version-1 payload fails at dispatch like any other.
+        for spec in ({"version": 99},
+                     {"version": 1, "pool": {"size": 500, "prefetch": 256}}):
+            with pytest.raises(SpecError):
+                execute_job({
+                    "kind": "search", "kernel": "mm",
+                    "machine": "sandybridge", "nmax": 2, "spec": spec,
+                })
 
     def test_top_level_reexports(self):
         import repro

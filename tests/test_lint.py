@@ -6,6 +6,7 @@ import textwrap
 
 from repro.devtools.lint import (
     check_dead_code,
+    check_env_reads,
     check_imports,
     check_outcome_handlers,
     check_persistence,
@@ -299,6 +300,48 @@ class TestSpecKnobs:
             "other", "pruned_search", "Session.__init__"
         ]
         assert "'pool_size'" in errors[1] and "'guard'" in errors[2]
+
+
+class TestEnvReads:
+    def test_only_allow_listed_reads_pass(self, tmp_path):
+        src = _write_tree(tmp_path, {
+            "src/repro/__init__.py": "",
+            "src/repro/exec/__init__.py": "",
+            "src/repro/exec/executor.py": """\
+                import os
+
+                def default_workers():
+                    return os.environ.get("REPRO_WORKERS")
+
+                def task_timeout():
+                    return os.environ.get("REPRO_TASK_TIMEOUT")
+            """,
+            "src/repro/exec/registry.py": """\
+                import os
+
+                def resume_enabled():
+                    return os.environ["REPRO_RESUME"] != "0"
+            """,
+            "src/repro/chaos/__init__.py": "",
+            "src/repro/chaos/plan.py": """\
+                import os
+
+                RATE = os.getenv("REPRO_CHAOS_RATE")
+                SEEDED = "REPRO_CHAOS_SEED" in os.environ
+                ENV = dict(os.environ)
+            """,
+        })
+        errors = check_env_reads(collect_modules(src))
+        assert [e.split(": ", 1)[1] for e in errors] == [
+            "reads environment variable 'REPRO_CHAOS_RATE' — take the "
+            "setting as an argument",
+            "reads environment variable 'REPRO_CHAOS_SEED' — take the "
+            "setting as an argument",
+            "reads the environment by a non-literal name — take the "
+            "setting as an argument",
+            "reads environment variable 'REPRO_TASK_TIMEOUT' — take the "
+            "setting as an argument",
+        ]
 
 
 class TestCli:
