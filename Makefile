@@ -17,7 +17,6 @@ install:
 
 test:
 	$(PYTHON) -m pytest tests/
-	$(PYTHON) -m pytest -x -q tests/reliability
 
 test-fast:
 	$(PYTHON) -m pytest tests/ -x -q -m "not slow"

@@ -444,7 +444,8 @@ _SPEC_KNOBS = frozenset({
 #: take beside ``spec``.
 _SPEC_KNOB_ALLOWED = {
     # The one translation, ``spec.with_value("pool.size", pool_size)``,
-    # for experiments and benchmarks that sweep the pool.
+    # kept for the perfbench workloads that size the pool; no caller
+    # in the package uses it.
     (f"{PACKAGE}.experiments.harness", "build_session"): {"pool_size"},
     # Online RSb's own refit cadence; the spec's ``smbo.refit_every``
     # is SMBO's and does not reach this search.

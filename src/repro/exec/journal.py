@@ -253,10 +253,6 @@ class JsonlJournal:
                 errno=exc.errno,
             ) from exc
 
-    def append(self, obj: dict) -> None:
-        """Durably append one record as canonical one-line JSON."""
-        self.append_line(canonical_json(obj))
-
     def rewrite(self, lines: Iterable[str]) -> None:
         """Atomically replace the journal's content with ``lines``.
 

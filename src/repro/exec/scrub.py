@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.errors import JournalWriteError
-from repro.exec.journal import JsonlJournal, unframe_line
+from repro.exec.journal import JsonlJournal, frame_obj, unframe_line
 
 __all__ = [
     "QUARANTINE_SUFFIX",
@@ -212,7 +212,7 @@ def quarantine_and_rewrite(
     sidecar = JsonlJournal(quarantine_path)
     try:
         for entry in damaged:
-            sidecar.append(entry.to_wire(journal.path))
+            sidecar.append_line(frame_obj(entry.to_wire(journal.path)))
     except JournalWriteError:
         quarantine_path = None
     rewritten = False

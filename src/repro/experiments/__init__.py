@@ -4,6 +4,14 @@ Every experiment is a pure function of its seed and returns a typed
 result object with a ``render()`` method that prints the same rows or
 series the paper reports.  ``benchmarks/`` regenerates each of them.
 
+Experiments that vary tuner hyperparameters — the δ and pool sweeps,
+the hybrid ablation, the variance study and the meta campaign
+(:mod:`repro.meta.campaign`) — all run on one sweep driver,
+:func:`~repro.experiments.harness.score_specs`: it scores each
+(spec × problem × pair × seed) cell through
+:func:`~repro.experiments.harness.evaluate_spec` as one journaled
+:func:`~repro.experiments.harness.grid_map` cell.
+
 =================  ==================================================
 module             paper artefact
 =================  ==================================================
@@ -22,7 +30,13 @@ ablations          extensions: delta sweep, surrogate choice,
 =================  ==================================================
 """
 
-from repro.experiments.harness import PROBLEMS, build_problem, build_session
+from repro.experiments.harness import (
+    PROBLEMS,
+    build_problem,
+    build_session,
+    evaluate_spec,
+    score_specs,
+)
 from repro.experiments.figure1 import Figure1Result, run_figure1
 from repro.experiments.figure2 import Figure2Result, run_figure2
 from repro.experiments.figure3 import PanelResult, run_figure3
@@ -38,6 +52,8 @@ __all__ = [
     "PROBLEMS",
     "build_problem",
     "build_session",
+    "evaluate_spec",
+    "score_specs",
     "Figure1Result",
     "run_figure1",
     "Figure2Result",

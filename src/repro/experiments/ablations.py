@@ -37,11 +37,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.experiments.harness import build_session, grid_map
+from repro.experiments.harness import build_session, grid_map, score_specs
 from repro.kernels import get_kernel
 from repro.machines import MACHINES, get_machine, response_distance
 from repro.ml import (
@@ -82,11 +82,6 @@ __all__ = [
 ]
 
 
-def _pool_spec(pool_size: int) -> TunerSpec:
-    """The default spec with a pool of ``pool_size`` configurations."""
-    return TunerSpec(pool=PoolSpec(size=pool_size))
-
-
 @dataclass(frozen=True)
 class AblationRow:
     label: str
@@ -112,6 +107,14 @@ class AblationResult:
         return table + ("\n" + self.note if self.note else "")
 
 
+def _rows(cells: list[dict], variant: str) -> tuple[AblationRow, ...]:
+    """One row per sweep cell: its label and ``variant``'s speedups."""
+    return tuple(
+        AblationRow(c["candidate"], c["prf"][variant], c["srh"][variant])
+        for c in cells
+    )
+
+
 def run_delta_sweep(
     deltas: Sequence[float] = (5.0, 10.0, 20.0, 40.0, 60.0),
     problem: str = "LU",
@@ -121,19 +124,15 @@ def run_delta_sweep(
     nmax: int = 100,
 ) -> AblationResult:
     """RSp speedups as a function of the pruning cutoff δ."""
-    rows = []
-    for delta in deltas:
-        session = build_session(
-            problem, source, target, seed=seed, nmax=nmax,
-            variants=("RSp",),
-            spec=DEFAULT_SPEC.with_value("gate.delta_percent", delta),
-        )
-        outcome = session.run()
-        rep = outcome.report("RSp")
-        rows.append(AblationRow(f"delta={delta:g}%", rep.performance, rep.search_time))
+    cells = score_specs(
+        "delta-sweep",
+        [(f"delta={d:g}%", DEFAULT_SPEC.with_value("gate.delta_percent", d))
+         for d in deltas],
+        [problem], [(source, target)], [seed], nmax, variants=("RSp",),
+    )
     return AblationResult(
         name=f"RSp delta sweep ({problem}, {source} -> {target})",
-        rows=tuple(rows),
+        rows=_rows(cells, "RSp"),
         note="paper's setting is delta=20%; smaller cutoffs prune harder",
     )
 
@@ -146,20 +145,23 @@ def run_surrogate_ablation(
     nmax: int = 100,
 ) -> AblationResult:
     """RSb speedups under different surrogate learners."""
-    learners: dict[str, Callable] = {
-        "random-forest": lambda: RandomForestRegressor(n_estimators=64, seed=0),
-        "boosted-trees": lambda: GradientBoostingRegressor(n_estimators=150, seed=0),
-        "knn": lambda: KNeighborsRegressor(n_neighbors=5, weights="distance"),
-        "ridge": lambda: RidgeRegressor(alpha=1.0),
+    kernel, training, _surrogate, rs = _source_surrogate_and_rs(
+        problem, source, target, seed, nmax
+    )
+    learners = {
+        "random-forest": RandomForestRegressor(n_estimators=64, seed=0),
+        "boosted-trees": GradientBoostingRegressor(n_estimators=150, seed=0),
+        "knn": KNeighborsRegressor(n_neighbors=5, weights="distance"),
+        "ridge": RidgeRegressor(alpha=1.0),
     }
     rows = []
-    for label, factory in learners.items():
-        session = build_session(
-            problem, source, target, seed=seed, nmax=nmax,
-            variants=("RSb",), learner_factory=factory,
+    for label, learner in learners.items():
+        surrogate = Surrogate(kernel.space, learner=learner).fit(training)
+        rsb = biased_search(
+            OrioEvaluator(kernel, get_machine(target), clock=SimClock()),
+            kernel.space, surrogate, nmax=nmax,
         )
-        outcome = session.run()
-        rep = outcome.report("RSb")
+        rep = speedups(rs, rsb)
         rows.append(AblationRow(label, rep.performance, rep.search_time))
     return AblationResult(
         name=f"surrogate-learner ablation ({problem}, {source} -> {target})",
@@ -177,18 +179,15 @@ def run_pool_sweep(
     nmax: int = 100,
 ) -> AblationResult:
     """RSb speedups as a function of the prediction pool size N."""
-    rows = []
-    for pool in pool_sizes:
-        session = build_session(
-            problem, source, target, seed=seed, nmax=nmax,
-            pool_size=pool, variants=("RSb",),
-        )
-        outcome = session.run()
-        rep = outcome.report("RSb")
-        rows.append(AblationRow(f"N={pool}", rep.performance, rep.search_time))
+    cells = score_specs(
+        "pool-sweep",
+        [(f"N={pool}", DEFAULT_SPEC.with_value("pool.size", pool))
+         for pool in pool_sizes],
+        [problem], [(source, target)], [seed], nmax, variants=("RSb",),
+    )
     return AblationResult(
         name=f"RSb pool-size sweep ({problem}, {source} -> {target})",
-        rows=tuple(rows),
+        rows=_rows(cells, "RSb"),
         note="larger pools let the model exploit more of D (paper uses N=10000)",
     )
 
@@ -253,6 +252,7 @@ def run_multisource(
     before pooling, so machines of different absolute speeds mix.
     """
     kernel = get_kernel(problem.lower())
+    spec = DEFAULT_SPEC.with_value("pool.size", pool_size)
     rows = []
 
     def rsb_with_training(training, label: str) -> None:
@@ -262,7 +262,7 @@ def run_multisource(
         stream = SharedStream(kernel.space, seed=(problem, str(seed)))
         rs = random_search(rs_eval, stream, nmax=nmax)
         rsb = biased_search(target_eval, kernel.space, surrogate, nmax=nmax,
-                            spec=_pool_spec(pool_size))
+                            spec=spec)
         rep = speedups(rs, rsb)
         rows.append(AblationRow(label, rep.performance, rep.search_time))
 
@@ -331,6 +331,7 @@ def run_warm_start(
             ),
         }
 
+    spec = DEFAULT_SPEC.with_value("pool.size", pool_size)
     rows = []
     for label, factory in technique_set().items():
         for warm in (False, True):
@@ -341,7 +342,7 @@ def run_warm_start(
                 surrogate=surrogate if warm else None,
                 nmax=nmax,
                 seed_evaluations=max(5, nmax // 10) if warm else 0,
-                spec=_pool_spec(pool_size),
+                spec=spec,
             )
             rep = speedups(rs, trace)
             rows.append(
@@ -373,17 +374,18 @@ def run_online(
     kernel, training, surrogate, rs = _source_surrogate_and_rs(
         problem, source, target, seed, nmax
     )
+    spec = DEFAULT_SPEC.with_value("pool.size", pool_size)
     rows = []
     frozen = biased_search(
         OrioEvaluator(kernel, get_machine(target), clock=SimClock()),
-        kernel.space, surrogate, nmax=nmax, spec=_pool_spec(pool_size),
+        kernel.space, surrogate, nmax=nmax, spec=spec,
     )
     rep = speedups(rs, frozen)
     rows.append(AblationRow("RSb (frozen model)", rep.performance, rep.search_time))
     online = online_biased_search(
         OrioEvaluator(kernel, get_machine(target), clock=SimClock()),
         kernel.space, training, nmax=nmax, refit_every=refit_every,
-        spec=_pool_spec(pool_size),
+        spec=spec,
     )
     rep = speedups(rs, online)
     rows.append(
@@ -442,7 +444,7 @@ def run_fault_ablation(
             )
             trace = biased_search(
                 evaluator, kernel.space, surrogate, nmax=nmax,
-                spec=_pool_spec(pool_size),
+                spec=DEFAULT_SPEC.with_value("pool.size", pool_size),
             )
             rep = speedups(rs, trace)
             label = f"rate={rate:.0%} ({'retries' if retries else 'fail-fast'})"
@@ -462,25 +464,6 @@ def run_fault_ablation(
         rows=tuple(rows),
         note=note,
     )
-
-
-def _hybrid_cell(spec: tuple) -> tuple:
-    """One hybrid-ablation cell — module level so it can run in a worker."""
-    problem, source, target, seed, nmax, delta = spec
-    session = build_session(
-        problem, source, target, seed=seed, nmax=nmax,
-        variants=("RSp", "RSb", "RSpb"),
-        spec=DEFAULT_SPEC.with_value("gate.delta_percent", delta),
-    )
-    outcome = session.run()
-    rows = []
-    for variant in ("RSp", "RSb", "RSpb"):
-        rep = outcome.report(variant)
-        rows.append(
-            AblationRow(f"{variant} (delta={delta:g}%)",
-                        rep.performance, rep.search_time)
-        )
-    return tuple(rows)
 
 
 def run_hybrid(
@@ -503,13 +486,20 @@ def run_hybrid(
     cell is journaled by the supervised grid and a re-invocation
     resumes instead of re-running.
     """
-    specs = [(problem, source, target, seed, nmax, float(d)) for d in deltas]
-    keys = [(p, s, t, str(sd), nm, d) for p, s, t, sd, nm, d in specs]
-    cells = grid_map(
-        "hybrid", _hybrid_cell, specs,
-        keys=keys, n_workers=n_workers, registry_path=registry_path,
+    variants = ("RSp", "RSb", "RSpb")
+    deltas = [float(d) for d in deltas]
+    cells = score_specs(
+        "hybrid",
+        [(f"delta={d:g}% nmax={nmax}",
+          DEFAULT_SPEC.with_value("gate.delta_percent", d)) for d in deltas],
+        [problem], [(source, target)], [seed], nmax, variants=variants,
+        registry_path=registry_path, n_workers=n_workers,
     )
-    rows = tuple(row for cell in cells for row in cell)
+    rows = tuple(
+        AblationRow(f"{v} (delta={d:g}%)", cell["prf"][v], cell["srh"][v])
+        for d, cell in zip(deltas, cells)
+        for v in variants
+    )
     return AblationResult(
         name=f"prune-then-bias hybrid ({problem}, {source} -> {target})",
         rows=rows,
@@ -687,7 +677,7 @@ def run_search_comparison(
         return OrioEvaluator(kernel, get_machine(target), clock=SimClock())
 
     rows = []
-    pool_spec = _pool_spec(pool_size)
+    pool_spec = DEFAULT_SPEC.with_value("pool.size", pool_size)
     smbo_spec = (
         DEFAULT_SPEC.with_value("smbo.n_initial", max(5, nmax // 10))
         .with_value("smbo.pool_size", min(pool_size, 2000))

@@ -6,17 +6,23 @@ driver uses to run its independent cells.  All grids therefore share
 the same execution layer: the supervised executor (worker supervision,
 retry, quarantine) and, when a journal path is given, crash-safe
 journaling with skip-and-resume (see :mod:`repro.exec`).
+
+On top of it sits the one sweep driver, :func:`score_specs`: every
+experiment that varies tuner hyperparameters (the δ and pool sweeps,
+the hybrid ablation, the variance study, the meta campaign) scores
+(spec × problem × pair × seed) cells through :func:`evaluate_spec`.
 """
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Callable, Sequence
 
 from repro.errors import ExperimentError
 from repro.kernels import get_kernel
 from repro.machines import get_compiler, get_machine
 from repro.miniapps import MiniappEvaluator, make_hpl, make_raytracer
-from repro.spec import resolve_spec
+from repro.spec import TunerSpec, resolve_spec
 from repro.transfer.session import TransferSession
 
 __all__ = [
@@ -24,6 +30,9 @@ __all__ = [
     "build_problem",
     "build_session",
     "grid_map",
+    "evaluate_spec",
+    "score_specs",
+    "SWEEP_VARIANTS",
     "XEON_PHI_THREADS",
 ]
 
@@ -99,7 +108,6 @@ def build_session(
     threads: int | dict = 1,
     budget_seconds: float | None = None,
     variants: tuple[str, ...] = ("RSp", "RSb", "RSpf", "RSbf"),
-    learner_factory: Callable | None = None,
     spec=None,
 ) -> TransferSession:
     """A fully configured transfer session for one experiment cell.
@@ -108,8 +116,8 @@ def build_session(
     hyperparameters through to every search the session runs.
     ``pool_size``, when given, is shorthand for
     ``spec.with_value("pool.size", pool_size)`` — the one place outside
-    the spec a knob may be named, kept for experiments and benchmarks
-    that sweep the pool.
+    the spec a knob may be named, kept for the benchmarks that size
+    the pool.
     """
     kernel, factory = build_problem(problem)
     if pool_size is not None:
@@ -126,6 +134,106 @@ def build_session(
         budget_seconds=budget_seconds,
         variants=variants,
         evaluator_factory=factory,
-        learner_factory=learner_factory,
         spec=spec,
+    )
+
+
+#: variants a sweep scores by default: the two model-guided searches
+#: whose outcomes the spec's knobs actually move.
+SWEEP_VARIANTS: tuple[str, ...] = ("RSp", "RSb")
+
+
+def evaluate_spec(
+    spec: TunerSpec,
+    problem: str = "MM",
+    source: str = "westmere",
+    target: str = "sandybridge",
+    nmax: int = 30,
+    seed: object = 0,
+    variants: tuple[str, ...] = SWEEP_VARIANTS,
+) -> dict:
+    """Run one full transfer session under ``spec``; score it.
+
+    Returns a JSON-safe dict: the spec wire payload, per-variant
+    performance (``prf``) and search-time (``srh``) speedups over plain
+    RS (the session runs them under common random numbers, so the
+    ratios isolate what the spec changed), the scalar ``objective``
+    (mean Prf across variants, higher is better), its reciprocal
+    ``cost``, and the inner-budget accounting (``inner_evaluations``,
+    ``inner_elapsed``).
+    """
+    outcome = build_session(
+        problem=problem,
+        source=source,
+        target=target,
+        seed=seed,
+        nmax=nmax,
+        variants=tuple(variants),
+        spec=spec,
+    ).run()
+    prf = {name: rep.performance for name, rep in outcome.reports.items()}
+    srh = {name: rep.search_time for name, rep in outcome.reports.items()}
+    scored = [v for v in prf.values() if v == v]  # drop NaN
+    objective = sum(scored) / len(scored) if scored else float("nan")
+    traces = [outcome.source_trace, *outcome.traces.values()]
+    return {
+        "spec": spec.to_dict(),
+        "fingerprint": spec.fingerprint(),
+        "problem": problem,
+        "source": source,
+        "target": target,
+        "seed": str(seed),
+        "nmax": nmax,
+        "variants": list(variants),
+        "prf": prf,
+        "srh": srh,
+        "objective": objective,
+        "cost": (1.0 / objective) if objective and objective > 0 else float("inf"),
+        "inner_evaluations": sum(t.n_evaluations for t in traces),
+        "inner_elapsed": sum(t.total_elapsed for t in traces),
+    }
+
+
+def _score_cell(cell: tuple) -> dict:
+    """One sweep cell — module level so it can run in a worker."""
+    label, spec, session = cell
+    return {**evaluate_spec(spec, **session), "candidate": label}
+
+
+def score_specs(
+    experiment: str,
+    labelled_specs: Sequence[tuple[str, TunerSpec]],
+    problems: Sequence[str],
+    pairs: Sequence[tuple[str, str]],
+    seeds: Sequence,
+    nmax: int,
+    variants: tuple[str, ...] = SWEEP_VARIANTS,
+    registry_path=None,
+    n_workers: int | None = 1,
+) -> list[dict]:
+    """Score every ``(label, spec)`` on every (problem, pair, seed).
+
+    Returns one :func:`evaluate_spec` payload per cell, plus the cell's
+    ``"candidate"`` label, in (problem, pair, seed, spec) order.  Each
+    cell is one :func:`grid_map` cell keyed
+    ``"<problem>:<source>-><target>:s<seed>:<label>"``, so with
+    ``registry_path`` a killed sweep resumes without re-running a
+    journaled cell.  The key names neither ``nmax`` nor ``variants``:
+    a caller that journals must fold any such setting it varies into
+    its labels.  Seeds reach :func:`build_session` as given (a tuple
+    seed stays a tuple: the session stream is seeded from ``str(seed)``).
+    """
+    grid = list(product(problems, pairs, seeds, labelled_specs))
+    cells = [
+        (label, spec, dict(problem=problem, source=source, target=target,
+                           seed=seed, nmax=nmax, variants=tuple(variants)))
+        for problem, (source, target), seed, (label, spec) in grid
+    ]
+    keys = [
+        f"{problem}:{source}->{target}:s{seed}:{label}"
+        for problem, (source, target), seed, (label, _spec) in grid
+    ]
+    return grid_map(
+        experiment, _score_cell, cells,
+        keys=keys, n_workers=n_workers, registry_path=registry_path,
     )

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.experiments.harness import build_session, grid_map
+from repro.experiments.harness import score_specs
+from repro.spec import DEFAULT_SPEC
 from repro.utils.stats import bootstrap_ci, summary
 from repro.utils.tables import format_table
 
@@ -71,18 +72,6 @@ class VarianceResult:
         return table + f"\nsuccess rate: {self.success_rate():.0%}"
 
 
-def _run_replicate(spec: tuple) -> tuple[float, float]:
-    """One seed replicate — module level so it can run in a worker."""
-    problem, source, target, variant, k, nmax, pool_size = spec
-    session = build_session(
-        problem, source, target,
-        seed=("variance", k), nmax=nmax, pool_size=pool_size,
-        variants=(variant,),
-    )
-    report = session.run().report(variant)
-    return report.performance, report.search_time
-
-
 def run_variance_study(
     problem: str = "LU",
     source: str = "westmere",
@@ -96,25 +85,23 @@ def run_variance_study(
 ) -> VarianceResult:
     """Replicate one transfer cell across independent seeds.
 
-    Replicates are independent cells run through
-    :func:`~repro.experiments.harness.grid_map` — fan them out with
-    ``n_workers`` or journal them with ``registry_path`` at will.
+    Replicates are independent cells of one
+    :func:`~repro.experiments.harness.score_specs` sweep — fan them out
+    with ``n_workers`` or journal them with ``registry_path`` at will.
     """
-    specs = [
-        (problem, source, target, variant, k, nmax, pool_size)
-        for k in range(n_seeds)
-    ]
-    reports = grid_map(
-        "variance", _run_replicate, specs,
-        n_workers=n_workers, registry_path=registry_path,
+    cells = score_specs(
+        "variance",
+        [(f"{variant} N={pool_size} nmax={nmax}",
+          DEFAULT_SPEC.with_value("pool.size", pool_size))],
+        [problem], [(source, target)],
+        [("variance", k) for k in range(n_seeds)], nmax, variants=(variant,),
+        registry_path=registry_path, n_workers=n_workers,
     )
-    performances = [p for p, _ in reports]
-    search_times = [s for _, s in reports]
     return VarianceResult(
         problem=problem,
         source=source,
         target=target,
         variant=variant,
-        performances=tuple(performances),
-        search_times=tuple(search_times),
+        performances=tuple(c["prf"][variant] for c in cells),
+        search_times=tuple(c["srh"][variant] for c in cells),
     )

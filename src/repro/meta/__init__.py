@@ -8,32 +8,25 @@ the loop over :class:`repro.spec.TunerSpec`:
   :class:`repro.searchspace.SearchSpace` (one enum axis per dotted
   spec path), so the meta-level search reuses the exact machinery the
   object-level search runs on;
-* :mod:`repro.meta.evaluate` scores one candidate spec by running a
-  full inner transfer-tuning session with it and reporting the mean
-  performance speedup over plain RS — plus
-  :class:`~repro.meta.evaluate.MetaTuningEvaluator`, which wraps that
-  as an engine-compatible evaluator so ``random_search`` itself can
-  drive the meta-search;
-* :mod:`repro.meta.campaign` fans (kernel × machine-pair × seed ×
-  candidate) cells through :func:`repro.experiments.harness.grid_map`
-  — journaled, SIGKILL-resumable with zero re-executed cells — and
-  emits the per-(kernel, machine-pair) recommended-config table
+* :mod:`repro.meta.campaign` scores the default spec and a sample of
+  that space on (kernel × machine-pair × seed) cells through the sweep
+  driver :func:`repro.experiments.harness.score_specs` — each cell a
+  full inner transfer session scored by
+  :func:`~repro.experiments.harness.evaluate_spec`, journaled and
+  SIGKILL-resumable with zero re-executed cells — and emits the
+  per-(kernel, machine-pair) recommended-config table
   (``benchmarks/results/meta_recommendations.json`` + txt report).
 
-See ``docs/meta.md`` for the meta-space, the inner/outer budget
-accounting, and the recommendation table format.
+See ``docs/meta.md`` for the meta-space, the sweep driver, and the
+recommendation table format.
 """
 
-from repro.meta.evaluate import MetaTuningEvaluator, evaluate_spec, meta_random_search
 from repro.meta.space import META_AXES, meta_space, spec_at
 
 __all__ = [
     "META_AXES",
     "meta_space",
     "spec_at",
-    "evaluate_spec",
-    "MetaTuningEvaluator",
-    "meta_random_search",
     "run_meta_campaign",
     "render_recommendations",
     "write_artifacts",

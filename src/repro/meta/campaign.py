@@ -2,11 +2,11 @@
 
 One campaign cell scores one candidate :class:`~repro.spec.TunerSpec`
 on one (problem, machine-pair, seed) — a full inner tuning session via
-:func:`repro.meta.evaluate.evaluate_spec`.  Cells fan through
-:func:`repro.experiments.harness.grid_map`, so a campaign pointed at a
-``--registry`` journals every completed cell and a killed invocation
-resumes with **zero re-executed cells** (``make meta-smoke`` proves
-this with a SIGKILL).
+:func:`repro.experiments.harness.evaluate_spec`.  Cells run through the
+sweep driver :func:`repro.experiments.harness.score_specs`, so a
+campaign pointed at a ``--registry`` journals every completed cell and
+a killed invocation resumes with **zero re-executed cells** (``make
+meta-smoke`` proves this with a SIGKILL).
 
 Candidate specs are the default spec plus a deterministic sample of
 the meta-space (:func:`repro.meta.space.meta_space`); the default is
@@ -32,8 +32,7 @@ import json
 import sys
 
 from repro.errors import SpecError
-from repro.experiments.harness import grid_map
-from repro.meta.evaluate import DEFAULT_VARIANTS, evaluate_spec
+from repro.experiments.harness import SWEEP_VARIANTS, score_specs
 from repro.meta.space import meta_space, spec_at
 from repro.spec import TunerSpec, resolve_spec
 from repro.utils.rng import spawn_rng
@@ -41,7 +40,6 @@ from repro.utils.rng import spawn_rng
 __all__ = [
     "DEFAULT_PAIRS",
     "candidate_specs",
-    "campaign_cells",
     "run_meta_campaign",
     "render_recommendations",
     "write_artifacts",
@@ -85,56 +83,6 @@ def candidate_specs(
     return out
 
 
-def _meta_cell(cell: dict) -> dict:
-    """One campaign cell: score one spec on one (problem, pair, seed).
-
-    Module-level and a pure function of its dict argument — picklable
-    for worker processes, fingerprintable for the run registry.
-    """
-    payload = evaluate_spec(
-        TunerSpec.from_dict(cell["spec"]),
-        problem=cell["problem"],
-        source=cell["source"],
-        target=cell["target"],
-        seed=cell["seed"],
-        nmax=cell["nmax"],
-        variants=tuple(cell["variants"]),
-    )
-    payload["candidate"] = cell["candidate"]
-    return payload
-
-
-def campaign_cells(
-    candidates,
-    problems=("MM",),
-    pairs=DEFAULT_PAIRS,
-    seeds=(0, 1),
-    nmax: int = 30,
-    variants=DEFAULT_VARIANTS,
-) -> tuple[list[dict], list[str]]:
-    """The campaign grid: one ``(cell, key)`` per (problem, pair, seed,
-    candidate).  Exposed so tests can drive the identical grid through
-    ``run_grid`` directly and inspect its cached/executed accounting.
-    """
-    cells, keys = [], []
-    for problem in problems:
-        for source, target in pairs:
-            for seed in seeds:
-                for label, spec in candidates:
-                    cells.append({
-                        "spec": spec.to_dict(),
-                        "candidate": label,
-                        "problem": problem,
-                        "source": source,
-                        "target": target,
-                        "seed": seed,
-                        "nmax": nmax,
-                        "variants": list(variants),
-                    })
-                    keys.append(f"{problem}:{source}->{target}:s{seed}:{label}")
-    return cells, keys
-
-
 def run_meta_campaign(
     problems=("MM",),
     pairs=DEFAULT_PAIRS,
@@ -142,7 +90,7 @@ def run_meta_campaign(
     n_candidates: int = 4,
     axes=None,
     nmax: int = 30,
-    variants=DEFAULT_VARIANTS,
+    variants=SWEEP_VARIANTS,
     registry_path=None,
     n_workers: int | None = 1,
 ) -> dict:
@@ -156,17 +104,9 @@ def run_meta_campaign(
     re-executed cells.
     """
     candidates = candidate_specs(n_candidates, axes=axes)
-    cells, keys = campaign_cells(
-        candidates, problems=problems, pairs=pairs, seeds=seeds,
-        nmax=nmax, variants=variants,
-    )
-    results = grid_map(
-        "meta-campaign",
-        _meta_cell,
-        cells,
-        keys=keys,
-        registry_path=registry_path,
-        n_workers=n_workers,
+    results = score_specs(
+        "meta-campaign", candidates, problems, pairs, seeds, nmax,
+        variants=variants, registry_path=registry_path, n_workers=n_workers,
     )
 
     by_group: dict[tuple[str, str, str], dict[str, list[dict]]] = {}

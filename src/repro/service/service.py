@@ -84,7 +84,13 @@ def _job_cost(payload: dict) -> int:
 
 
 class TuningService:
-    """A long-lived, multi-tenant, crash-safe tuning service core."""
+    """A long-lived, multi-tenant, crash-safe tuning service core.
+
+    Jobs run on ``executor`` when one is given; otherwise the service
+    builds a :class:`SupervisedExecutor` with ``n_workers`` workers
+    (default 1).  The two are exclusive: a given executor already fixes
+    its worker count.
+    """
 
     def __init__(
         self,
@@ -93,15 +99,19 @@ class TuningService:
         default_quota: TenantQuota | None = None,
         max_total_queued: int = 64,
         batch_size: int = 8,
-        n_workers: int | None = 1,
+        n_workers: int | None = None,
         executor: SupervisedExecutor | None = None,
-        task_timeout: float | None = None,
         store_max_bytes: int = 1_000_000,
         registry_max_bytes: int = 8_000_000,
         degraded_cooldown: float = 2.0,
         poll_interval: float = 0.02,
         min_free_bytes: int = 0,
     ) -> None:
+        if executor is not None and n_workers is not None:
+            raise ValueError(
+                "pass either executor or n_workers, not both: the executor "
+                "already fixes its worker count"
+            )
         self.root = os.fspath(root)
         os.makedirs(self.root, exist_ok=True)
         self.store = SessionStore(os.path.join(self.root, "sessions.jsonl"))
@@ -111,9 +121,7 @@ class TuningService:
             default_quota=default_quota,
             max_total_queued=max_total_queued,
         )
-        self.executor = executor or SupervisedExecutor(
-            n_workers=n_workers, task_timeout=task_timeout
-        )
+        self.executor = executor or SupervisedExecutor(n_workers=n_workers or 1)
         self.dispatcher = Dispatcher(
             self.executor,
             self.registry,

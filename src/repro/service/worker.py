@@ -137,26 +137,28 @@ def _run_search(payload: dict) -> dict:
 
 def _run_transfer(payload: dict) -> dict:
     from repro.experiments.harness import build_session
+    from repro.spec import DEFAULT_SPEC
 
     spec = _payload_spec(payload)
     if spec is None:
-        pool_size = int(payload.get("pool_size", 2000))
+        session_spec = DEFAULT_SPEC.with_value(
+            "pool.size", int(payload.get("pool_size", 2000))
+        )
     elif "pool_size" in payload:
         raise SpecError(
             "a transfer job sets its pool through spec.pool.size or "
             "pool_size, not both"
         )
     else:
-        pool_size = None
+        session_spec = spec
     session = build_session(
         problem=str(payload.get("problem", "MM")),
         source=str(payload.get("source", "westmere")),
         target=str(payload.get("target", "sandybridge")),
         seed=payload.get("seed", 0),
         nmax=int(payload.get("nmax", 30)),
-        pool_size=pool_size,
         variants=tuple(payload.get("variants", ("RSp", "RSb"))),
-        spec=spec,
+        spec=session_spec,
     )
     outcome = session.run()
     result = {

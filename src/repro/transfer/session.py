@@ -20,7 +20,6 @@ from typing import Callable
 
 from repro.machines.compiler import CompilerModel, GCC
 from repro.machines.spec import MachineSpec
-from repro.ml.base import Regressor
 from repro.orio.evaluator import OrioEvaluator
 from repro.perf.simclock import SimClock
 from repro.search.biasing import biased_search, hybrid_search
@@ -104,8 +103,7 @@ class TransferSession:
 
     ``spec`` (a :class:`repro.spec.TunerSpec`, default spec when
     ``None``) is the one place the session's tuner hyperparameters are
-    set: the pool size, ``δ``, the surrogate forest (unless
-    ``learner_factory`` supplies another learner), the engine block
+    set: the pool size, ``δ``, the surrogate forest, the engine block
     size, and the guard.  A ``spec.guard`` policy arms
     negative-transfer guardrails on the model-guided variants
     (RSp/RSb/RSpb): each run gets a fresh
@@ -127,7 +125,6 @@ class TransferSession:
         openmp: bool = False,
         seed: object = 0,
         budget_seconds: float | None = None,
-        learner_factory: Callable[[], Regressor] | None = None,
         variants: tuple[str, ...] = ("RSp", "RSb", "RSpf", "RSbf"),
         evaluator_factory: Callable[[MachineSpec, SimClock], object] | None = None,
         evaluator_wrapper: Callable[[object], object] | None = None,
@@ -143,7 +140,6 @@ class TransferSession:
         self.openmp = openmp
         self.seed = seed
         self.budget_seconds = budget_seconds
-        self.learner_factory = learner_factory
         self.variants = variants
         self.evaluator_factory = evaluator_factory
         self.evaluator_wrapper = evaluator_wrapper
@@ -185,14 +181,8 @@ class TransferSession:
         )
 
     def fit_surrogate(self, source_trace: SearchTrace) -> Surrogate:
-        """Step 2: fit Ma on Ta (forest shaped by the session spec
-        unless ``learner_factory`` supplies a fresh learner)."""
-        if self.learner_factory is not None:
-            surrogate = Surrogate(
-                self.kernel.space, learner=self.learner_factory()
-            )
-        else:
-            surrogate = Surrogate(self.kernel.space, spec=self.spec.forest)
+        """Step 2: fit Ma on Ta (forest shaped by the session spec)."""
+        surrogate = Surrogate(self.kernel.space, spec=self.spec.forest)
         return surrogate.fit(source_trace.training_data())
 
     def run(self, checkpoint_path=None) -> TransferOutcome:

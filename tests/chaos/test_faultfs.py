@@ -21,7 +21,7 @@ from repro.chaos.faultfs import (
     corrupt_file,
 )
 from repro.errors import JournalWriteError
-from repro.exec.journal import JsonlJournal
+from repro.exec.journal import JsonlJournal, canonical_json
 
 
 def _records(journal: JsonlJournal) -> list[dict]:
@@ -67,9 +67,9 @@ class TestRefuseMode:
         with fs:
             for _ in range(2):
                 with pytest.raises(JournalWriteError) as exc_info:
-                    journal.append({"n": 1})
+                    journal.append_line(canonical_json({"n": 1}))
                 assert exc_info.value.errno == errno.ENOSPC
-            journal.append({"n": 2})  # budget spent: space came back
+            journal.append_line(canonical_json({"n": 2}))  # budget spent: space came back
         assert _records(journal) == [{"n": 2}]
         assert fs.failures == 2
 
@@ -78,31 +78,31 @@ class TestRefuseMode:
         fs.add_rule(journal.path, mode="refuse", err=errno.EACCES, budget=1)
         with fs:
             with pytest.raises(JournalWriteError) as exc_info:
-                journal.append({"n": 1})
+                journal.append_line(canonical_json({"n": 1}))
         assert exc_info.value.errno == errno.EACCES
 
     def test_reads_keep_working_while_writes_are_down(self, journal):
-        journal.append({"n": 1})
+        journal.append_line(canonical_json({"n": 1}))
         fs = FaultFS()
         fs.add_rule(journal.path, mode="refuse")
         with fs:
             with pytest.raises(JournalWriteError):
-                journal.append({"n": 2})
+                journal.append_line(canonical_json({"n": 2}))
             assert [json.loads(line) for _, line, _ in journal.iter_lines()] \
                 == [{"n": 1}]
 
 
 class TestPartialMode:
     def test_leaves_a_torn_tail_repaired_by_the_next_append(self, journal):
-        journal.append({"n": 1})
+        journal.append_line(canonical_json({"n": 1}))
         fs = FaultFS()
         fs.add_rule(journal.path, mode="partial", budget=1)
         with fs:
             with pytest.raises(JournalWriteError):
-                journal.append({"n": 2, "pad": "x" * 64})
+                journal.append_line(canonical_json({"n": 2, "pad": "x" * 64}))
             with open(journal.path, "rb") as fh:
                 assert not fh.read().endswith(b"\n")  # genuine torn tail
-            journal.append({"n": 3})
+            journal.append_line(canonical_json({"n": 3}))
         # The unacknowledged record was truncated away, never glued onto.
         assert _records(journal) == [{"n": 1}, {"n": 3}]
 
@@ -113,19 +113,19 @@ class TestFsyncMode:
         fs.add_rule(journal.path, mode="fsync", budget=1)
         with fs:
             with pytest.raises(JournalWriteError):
-                journal.append({"n": 1})
+                journal.append_line(canonical_json({"n": 1}))
             # The nastiest shape: the bytes are all there, but the caller
             # was told the write failed — so a crash-safe caller retries,
             # and replay must be last-record-wins to absorb the duplicate.
             assert _records(journal) == [{"n": 1}]
-            journal.append({"n": 1})
+            journal.append_line(canonical_json({"n": 1}))
         assert _records(journal) == [{"n": 1}, {"n": 1}]
 
 
 class TestRenameMode:
     def test_rewrite_fails_and_discards_the_stale_temporary(self, journal):
-        journal.append({"n": 1})
-        journal.append({"n": 2})
+        journal.append_line(canonical_json({"n": 1}))
+        journal.append_line(canonical_json({"n": 2}))
         fs = FaultFS()
         fs.add_rule(journal.path, mode="rename", budget=1)
         with fs:
@@ -140,7 +140,7 @@ class TestRenameMode:
         fs = FaultFS()
         fs.add_rule(journal.path, mode="rename")
         with fs:
-            journal.append({"n": 1})
+            journal.append_line(canonical_json({"n": 1}))
         assert _records(journal) == [{"n": 1}]
 
 
@@ -151,21 +151,21 @@ class TestScheduling:
         fs = FaultFS()
         fs.add_rule(ruled.path, mode="refuse")
         with fs:
-            other.append({"n": 1})
+            other.append_line(canonical_json({"n": 1}))
             with pytest.raises(JournalWriteError):
-                ruled.append({"n": 1})
+                ruled.append_line(canonical_json({"n": 1}))
         assert _records(other) == [{"n": 1}]
 
     def test_arm_disarm_windows(self, journal):
         fs = FaultFS()
         fs.add_rule(journal.path, mode="refuse", armed=False)
         with fs:
-            journal.append({"n": 1})  # disarmed: passes
+            journal.append_line(canonical_json({"n": 1}))  # disarmed: passes
             fs.arm(journal.path)
             with pytest.raises(JournalWriteError):
-                journal.append({"n": 2})
+                journal.append_line(canonical_json({"n": 2}))
             fs.disarm()
-            journal.append({"n": 3})
+            journal.append_line(canonical_json({"n": 3}))
         assert _records(journal) == [{"n": 1}, {"n": 3}]
 
     def test_counts_per_mode(self, tmp_path):
@@ -177,7 +177,7 @@ class TestScheduling:
         with fs:
             for journal in (a, a, b):
                 with pytest.raises(JournalWriteError):
-                    journal.append({"n": 0})
+                    journal.append_line(canonical_json({"n": 0}))
         assert fs.counts() == {"refuse": 2, "partial": 0, "fsync": 1,
                                "rename": 0, "bitflip": 0, "truncate": 0}
         assert fs.failures == 3
@@ -187,7 +187,7 @@ class TestScheduling:
 class TestCorruptFile:
     def _fill(self, journal, n=5):
         for i in range(n):
-            journal.append({"n": i, "pad": "x" * 24})
+            journal.append_line(canonical_json({"n": i, "pad": "x" * 24}))
         with open(journal.path, "rb") as fh:
             return fh.read()
 
@@ -247,14 +247,14 @@ class TestCorruptFile:
         assert open(journal.path, "rb").read().splitlines()[0] == first
 
     def test_too_small_files_are_left_alone(self, journal):
-        journal.append({"n": 1})  # single line: final-line protection
+        journal.append_line(canonical_json({"n": 1}))  # single line: final-line protection
         before = open(journal.path, "rb").read()
         assert corrupt_file(journal.path, "bitflip", seed="s") == 0
         assert open(journal.path, "rb").read() == before
         assert corrupt_file(str(journal.path) + ".missing", "bitflip") == 0
 
     def test_single_document_corruptible_when_unprotected(self, journal):
-        journal.append({"n": 1})
+        journal.append_line(canonical_json({"n": 1}))
         assert corrupt_file(journal.path, "bitflip", seed="s",
                             protect_final_line=False) == 1
 
@@ -267,11 +267,11 @@ class TestCorruptionRules:
 
     def test_bitflip_fires_on_append_open_and_spares_the_append(self, journal):
         for i in range(4):
-            journal.append({"n": i, "pad": "y" * 24})
+            journal.append_line(canonical_json({"n": i, "pad": "y" * 24}))
         fs = FaultFS()
         rule = fs.add_rule(journal.path, mode="bitflip", budget=1, seed="s")
         with fs:
-            journal.append({"n": 99})
+            journal.append_line(canonical_json({"n": 99}))
         records = _records(journal)
         # The in-flight append survived; one *prior* record was damaged.
         assert {"n": 99} in records or any(r.get("n") == 99 for r in records)
@@ -283,16 +283,16 @@ class TestCorruptionRules:
         fs = FaultFS()
         rule = fs.add_rule(journal.path, mode="bitflip", budget=1, seed="s")
         with fs:
-            journal.append({"n": 0})  # file empty at open: nothing to rot
+            journal.append_line(canonical_json({"n": 0}))  # file empty at open: nothing to rot
         assert rule.damage == 0 and rule.failures == 0 and rule.active
 
     def test_truncate_in_open_keeps_the_cut_aligned(self, journal):
         for i in range(5):
-            journal.append({"n": i, "pad": "z" * 24})
+            journal.append_line(canonical_json({"n": i, "pad": "z" * 24}))
         fs = FaultFS()
         rule = fs.add_rule(journal.path, mode="truncate", budget=1, seed="s")
         with fs:
-            journal.append({"n": 99})
+            journal.append_line(canonical_json({"n": 99}))
         records = _records(journal)
         # The acknowledged append is intact after the aligned cut, so
         # lost records == counted damage exactly.
@@ -301,7 +301,7 @@ class TestCorruptionRules:
 
     def test_on_replace_rots_the_freshly_swapped_file(self, journal):
         for i in range(4):
-            journal.append({"n": i, "pad": "w" * 24})
+            journal.append_line(canonical_json({"n": i, "pad": "w" * 24}))
         clean_lines = [
             line.decode() for _, line, _ in journal.iter_lines()
         ]
@@ -309,7 +309,7 @@ class TestCorruptionRules:
         rule = fs.add_rule(journal.path, mode="bitflip", budget=1,
                            seed="s", on_replace=True)
         with fs:
-            journal.append({"n": 4})  # plain append: on_replace idle
+            journal.append_line(canonical_json({"n": 4}))  # plain append: on_replace idle
             assert rule.damage == 0
             journal.rewrite(clean_lines)  # compaction: the snapshot rots
         assert rule.damage == 1
@@ -337,8 +337,8 @@ class TestInstallation:
         saved_os = journal_mod.os
         with pytest.raises(JournalWriteError):
             with fs:
-                journal.append({"n": 1})
+                journal.append_line(canonical_json({"n": 1}))
                 raise AssertionError("append should have failed")
         assert journal_mod.os is saved_os
-        journal.append({"n": 2})  # world restored
+        journal.append_line(canonical_json({"n": 2}))  # world restored
         assert _records(journal) == [{"n": 2}]

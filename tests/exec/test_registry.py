@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import CheckpointError, EvaluationFailure, RegistryCorruptionError
 from repro.exec import RunRegistry
-from repro.exec.journal import canonical_json, frame_obj, unframe_obj
+from repro.exec.journal import canonical_json, frame_obj, unframe_line, unframe_obj
 
 
 @pytest.fixture
@@ -92,7 +92,7 @@ class TestCorruption:
         assert state.salvage.quarantined[0].offset == offset
         # The sidecar preserves the damaged bytes with provenance, and
         # the rewritten journal reloads silently.
-        sidecar = json.loads(
+        sidecar = unframe_line(
             open(f"{registry.path}.quarantine", "rb").readline())
         assert sidecar["offset"] == offset
         assert registry.load().salvaged_records == 0

@@ -2,10 +2,11 @@
 
 import base64
 import json
+import os
 
 import pytest
 
-from repro.exec.journal import JsonlJournal, canonical_json, frame_obj
+from repro.exec.journal import JsonlJournal, canonical_json, frame_obj, unframe_line
 from repro.exec.scrub import (
     QUARANTINE_SUFFIX,
     main,
@@ -115,12 +116,26 @@ class TestScrubJournal:
         assert [d.offset for d in report.quarantined] == [offset]
         assert report.quarantine_path == str(journal.path) + QUARANTINE_SUFFIX
         # Sidecar preserves the exact damaged bytes with provenance.
-        entry = json.loads(open(report.quarantine_path, "rb").readline())
+        entry = unframe_line(open(report.quarantine_path, "rb").readline())
         assert base64.b64decode(entry["raw"]) == b"rotten"
         assert entry["offset"] == offset and entry["path"] == journal.path
         # The rewrite kept every surviving line byte-for-byte.
         assert open(journal.path, "rb").read().splitlines() == survivors
         assert scrub_journal(journal.path).ok
+
+    def test_sidecar_scrubs_clean_by_name(self, journal):
+        _write_framed(journal, n=2)
+        with open(journal.path, "ab") as fh:
+            fh.write(b"rotten\n")
+        journal.append_line(frame_obj({"n": 99}))
+        sidecar = scrub_journal(journal.path).quarantine_path
+        before = open(sidecar, "rb").read()
+
+        report = scrub_journal(sidecar)
+        assert report.ok and report.n_records == 1
+        assert not report.rewritten
+        assert open(sidecar, "rb").read() == before
+        assert not os.path.exists(sidecar + QUARANTINE_SUFFIX)
 
     def test_check_mode_modifies_nothing(self, journal):
         _write_framed(journal, n=2)

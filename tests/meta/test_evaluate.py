@@ -4,13 +4,10 @@ import json
 
 import pytest
 
-from repro.meta.evaluate import (
-    MetaTuningEvaluator,
-    evaluate_spec,
-    meta_random_search,
-)
-from repro.meta.space import meta_space
+from repro.experiments.harness import build_session, evaluate_spec, score_specs
+from repro.meta.space import META_AXES, meta_space, spec_at
 from repro.spec import DEFAULT_SPEC, TunerSpec
+from repro.utils.rng import spawn_rng
 
 # One variant and a tiny nmax keep each inner session well under a
 # second; these tests are about wiring, not statistics.
@@ -43,39 +40,47 @@ class TestEvaluateSpec:
         assert a == b
 
 
-class TestMetaTuningEvaluator:
-    def test_satisfies_evaluator_protocol(self):
-        space = meta_space(("gate.delta_percent",))
-        ev = MetaTuningEvaluator(space, **CHEAP)
-        config = space.config_at(0)
-        measurement = ev.evaluate(config)
-        assert measurement.runtime_seconds == ev.results[0]["cost"]
-        assert ev.clock.now == pytest.approx(ev.results[0]["inner_elapsed"])
+class TestScoreSpecs:
+    """The sweep driver against its obviously-correct twin: one plain
+    ``build_session(...).run()`` per cell."""
 
-    def test_budget_wall_stops_the_meta_search(self):
-        from repro.search.random_search import random_search
-        from repro.search.stream import SharedStream
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_payloads_equal_direct_sessions(self, n_workers):
+        rng = spawn_rng("score-specs-differential", n_workers)
+        space = meta_space(tuple(META_AXES))
+        labelled = [
+            (f"c{i}", spec_at(config))
+            for i, config in enumerate(space.sample(rng, 3))
+        ]
+        seeds = [int(rng.integers(1000)), ("variance", int(rng.integers(10)))]
+        nmax = int(rng.integers(4, 11))
+        variants = ("RSp", "RSb", "RSpb")
+        problems = ["LU", "HPL"]
+        pairs = [("westmere", "sandybridge")]
 
-        space = meta_space(("gate.delta_percent", "pool.size"))
-        probe = MetaTuningEvaluator(space, **CHEAP)
-        probe.evaluate(space.config_at(0))
-        one_cell = probe.results[0]["inner_elapsed"]
+        cells = score_specs(
+            "differential", labelled, problems, pairs, seeds, nmax,
+            variants=variants, n_workers=n_workers,
+        )
 
-        ev = MetaTuningEvaluator(space, budget_seconds=1.5 * one_cell, **CHEAP)
-        stream = SharedStream(space, seed="meta-budget-test")
-        trace = random_search(ev, stream, nmax=5, name="meta-RS")
-        # The second candidate's charge crosses the budget: the engine
-        # absorbs BudgetExhaustedError and ends the meta-search.
-        assert trace.exhausted_budget
-        assert len(ev.results) < 5
-
-
-class TestMetaRandomSearch:
-    def test_the_tuner_tunes_itself(self):
-        space = meta_space(("gate.delta_percent", "forest.n_estimators"))
-        trace, ev = meta_random_search(space, n_candidates=3, **CHEAP)
-        assert trace.n_evaluations == 3
-        assert len(ev.results) == 3
-        assert trace.best().runtime == min(r["cost"] for r in ev.results)
-        # Three distinct candidate specs were actually scored.
-        assert len({r["fingerprint"] for r in ev.results}) == 3
+        expected = [
+            (problem, seed, label, spec)
+            for problem in problems
+            for seed in seeds
+            for label, spec in labelled
+        ]
+        assert len(cells) == len(expected)
+        for cell, (problem, seed, label, spec) in zip(cells, expected):
+            outcome = build_session(
+                problem, "westmere", "sandybridge", seed=seed, nmax=nmax,
+                variants=variants, spec=spec,
+            ).run()
+            assert (cell["problem"], cell["candidate"]) == (problem, label)
+            assert cell["seed"] == str(seed)
+            assert cell["fingerprint"] == spec.fingerprint()
+            assert cell["prf"] == {
+                v: r.performance for v, r in outcome.reports.items()
+            }
+            assert cell["srh"] == {
+                v: r.search_time for v, r in outcome.reports.items()
+            }

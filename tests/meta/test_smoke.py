@@ -2,7 +2,7 @@
 
 A tiny meta-grid is run as a real subprocess (``python -m
 repro.meta.campaign``), SIGKILLed mid-campaign, and resumed in-process
-through the identical grid: every cell journaled before the kill must
+by the same campaign call: every cell journaled before the kill must
 be served from the registry — **zero re-executed cells** — and the
 resumed campaign must still produce the recommendation artifacts.
 """
@@ -18,11 +18,9 @@ import warnings
 import pytest
 
 import repro
-from repro.exec import RunRegistry, run_grid
+import repro.experiments.harness as harness
+from repro.exec import RunRegistry
 from repro.meta.campaign import (
-    _meta_cell,
-    campaign_cells,
-    candidate_specs,
     render_recommendations,
     run_meta_campaign,
     write_artifacts,
@@ -56,19 +54,27 @@ def _completed(journal):
         return len(RunRegistry(journal).load().completed)
 
 
-def _grid(journal, **kwargs):
-    cells, keys = campaign_cells(
-        candidate_specs(N_CANDIDATES), problems=PROBLEMS, pairs=PAIRS,
-        seeds=SEEDS, nmax=NMAX,
-    )
-    assert len(cells) == N_CELLS
-    return run_grid(
-        "meta-campaign", _meta_cell, cells, keys=keys, registry=journal,
-        n_workers=1, **kwargs,
-    )
+def _campaign(journal, monkeypatch):
+    """The CLI's campaign, in-process; returns (summary, cells executed)."""
+    executed = []
+    real = harness.evaluate_spec
+
+    def counting(spec, **kwargs):
+        executed.append(kwargs["seed"])
+        return real(spec, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "evaluate_spec", counting)
+        summary = run_meta_campaign(
+            problems=PROBLEMS, pairs=PAIRS, seeds=SEEDS,
+            n_candidates=N_CANDIDATES, nmax=NMAX, registry_path=journal,
+        )
+    return summary, len(executed)
 
 
-def test_sigkilled_campaign_resumes_with_zero_reexecuted_cells(tmp_path):
+def test_sigkilled_campaign_resumes_with_zero_reexecuted_cells(
+    tmp_path, monkeypatch
+):
     journal = str(tmp_path / "meta.jsonl")
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(repro.__file__))
@@ -96,20 +102,21 @@ def test_sigkilled_campaign_resumes_with_zero_reexecuted_cells(tmp_path):
     survived = _completed(journal)
     assert 2 <= survived < N_CELLS  # died mid-campaign, journal intact
 
-    # Resume the identical grid: every journaled cell is served from
+    # Resume the same campaign: every journaled cell is served from
     # the registry, only the missing ones execute.
-    outcome = _grid(journal)
-    assert outcome.cached == survived  # zero re-executed cells
-    assert outcome.executed == N_CELLS - survived
-    assert not outcome.failures
+    summary, executed = _campaign(journal, monkeypatch)
+    assert executed == N_CELLS - survived  # zero re-executed cells
+    assert summary["n_cells"] == N_CELLS
     assert _completed(journal) == N_CELLS
+    # The campaign's cell identity: experiment name and key format.
+    records = RunRegistry(journal).load().completed.values()
+    assert {r.experiment for r in records} == {"meta-campaign"}
+    assert "MM:westmere->sandybridge:s1:default" in {r.key for r in records}
 
     # A full re-invocation is now pure cache.
-    again = _grid(journal)
-    assert again.cached == N_CELLS and again.executed == 0
-    assert [r["fingerprint"] for r in again.results] == [
-        r["fingerprint"] for r in outcome.results
-    ]
+    again, executed = _campaign(journal, monkeypatch)
+    assert executed == 0
+    assert again == summary
 
 
 def test_campaign_summary_and_artifacts(tmp_path):

@@ -6,7 +6,7 @@ import os
 import pytest
 
 from repro.errors import CheckpointError
-from repro.exec.journal import canonical_json, frame_line
+from repro.exec.journal import canonical_json, frame_line, unframe_line
 from repro.exec.scrub import QUARANTINE_SUFFIX
 from repro.machines import SANDYBRIDGE, WESTMERE
 from repro.miniapps import MiniappEvaluator, make_hpl
@@ -160,8 +160,8 @@ def _flip_line(path, k):
 
 
 def _quarantined_offsets(path):
-    with open(f"{path}{QUARANTINE_SUFFIX}") as fh:
-        return [json.loads(line)["offset"] for line in fh]
+    with open(f"{path}{QUARANTINE_SUFFIX}", "rb") as fh:
+        return [unframe_line(line)["offset"] for line in fh]
 
 
 class TestCheckpointIntegrity:

@@ -5,6 +5,7 @@ from collections import deque
 import numpy as np
 import pytest
 
+from repro.exec.executor import SupervisedExecutor
 from repro.service import (
     QueueFullError,
     QuotaExceededError,
@@ -27,8 +28,7 @@ from repro.service.model import (
 
 @pytest.fixture
 def service(tmp_path):
-    # n_workers=None with 1-item batches falls back to the in-process
-    # serial path; n_workers=1 here means the serial executor too.
+    # n_workers=1 is the in-process serial executor.
     svc = TuningService(tmp_path / "svc", n_workers=1, batch_size=4).open()
     yield svc
     svc.stop()
@@ -150,6 +150,16 @@ class TestDispatch:
             svc.pump()
             results.append(svc.job(job.job_id).result)
         assert results[0] == results[1]
+
+
+class TestExecutorSettings:
+    def test_executor_and_n_workers_are_exclusive(self, tmp_path):
+        executor = SupervisedExecutor(n_workers=2)
+        with pytest.raises(ValueError, match="either executor or n_workers"):
+            TuningService(tmp_path / "svc", n_workers=2, executor=executor)
+        assert not (tmp_path / "svc").exists()  # refused before any I/O
+        assert TuningService(tmp_path / "svc", executor=executor).executor \
+            is executor
 
 
 class TestBackpressure:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.exec.journal import canonical_json, unframe_obj
+from repro.exec.journal import canonical_json, unframe_line, unframe_obj
 from repro.service.model import (
     JOB_COMPLETED,
     JOB_QUEUED,
@@ -122,7 +122,8 @@ class TestCorruption:
         assert replayed.salvage_report.quarantined[0].offset == offset
         # The sidecar records provenance; the clean journal reloads
         # silently (the damage is gone, not hidden).
-        assert json.load(open(f"{store.path}.quarantine"))["offset"] == offset
+        sidecar = open(f"{store.path}.quarantine", "rb").readline()
+        assert unframe_line(sidecar)["offset"] == offset
         clean = SessionStore(store.path).open()
         assert clean.salvaged_records == 0
 
