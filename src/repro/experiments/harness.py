@@ -216,12 +216,12 @@ def score_specs(
     Returns one :func:`evaluate_spec` payload per cell, plus the cell's
     ``"candidate"`` label, in (problem, pair, seed, spec) order.  Each
     cell is one :func:`grid_map` cell keyed
-    ``"<problem>:<source>-><target>:s<seed>:<label>"``, so with
-    ``registry_path`` a killed sweep resumes without re-running a
-    journaled cell.  The key names neither ``nmax`` nor ``variants``:
-    a caller that journals must fold any such setting it varies into
-    its labels.  Seeds reach :func:`build_session` as given (a tuple
-    seed stays a tuple: the session stream is seeded from ``str(seed)``).
+    ``"<problem>:<source>-><target>:s<seed>:n<nmax>:<variants>:<label>"``
+    (the variants joined by ``+``), so with ``registry_path`` a killed
+    sweep resumes without re-running a journaled cell, and a sweep with
+    another budget or variant set never reuses one.  Seeds reach
+    :func:`build_session` as given (a tuple seed stays a tuple: the
+    session stream is seeded from ``str(seed)``).
     """
     grid = list(product(problems, pairs, seeds, labelled_specs))
     cells = [
@@ -229,8 +229,9 @@ def score_specs(
                            seed=seed, nmax=nmax, variants=tuple(variants)))
         for problem, (source, target), seed, (label, spec) in grid
     ]
+    budget = f"n{nmax}:{'+'.join(variants)}"
     keys = [
-        f"{problem}:{source}->{target}:s{seed}:{label}"
+        f"{problem}:{source}->{target}:s{seed}:{budget}:{label}"
         for problem, (source, target), seed, (label, _spec) in grid
     ]
     return grid_map(

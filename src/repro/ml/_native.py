@@ -37,17 +37,38 @@ hardware.
 
 The kernels are entirely optional: if no C compiler is present, the
 compile fails, or ``REPRO_NATIVE=0`` is set, callers fall back to the
-NumPy paths.  Nothing is installed — the shared object lives in a
-per-process temporary directory.  A failed compile is *not* silent:
-the first :func:`available` probe emits a one-time ``RuntimeWarning``
-with the compiler error, and :func:`diagnostics` exposes the probe
-outcome (the repository benchmark records it with every run).
+NumPy paths.  A failed compile is *not* silent: the first
+:func:`available` probe emits a one-time ``RuntimeWarning`` with the
+compiler error, and :func:`diagnostics` exposes the probe outcome (the
+repository benchmark records it with every run).
+
+The shared object is compiled once per checkout, not once per process.
+It is cached beside this module's bytecode (:data:`CACHE_DIR`, the
+``__pycache__`` directory that ``make clean`` removes) as
+``_native.<key>.so``, where the key is the SHA-256 of the C source, the
+compile flags, the resolved compiler path, that compiler's
+``--version`` output and the machine type, so a different compiler or
+an edited kernel never loads a stale object.  A miss compiles into a
+per-process temporary directory and publishes the bytes with
+:func:`repro.exec.journal.atomic_write`; concurrent cold builders
+serialise on an exclusive ``flock`` of ``_native.<key>.lock`` and look
+again before compiling.  Each published object ends with the SHA-256 of
+its own bytes, checked before it is loaded: ``dlopen`` of a truncated
+object can kill the process with ``SIGBUS`` instead of failing, so a
+damaged object is deleted and rebuilt without ever being loaded.  When
+the cache directory cannot be written, the object is built and loaded
+from the temporary directory alone.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
+import fcntl
+import hashlib
+import importlib.util
 import os
+import platform
 import shutil
 import subprocess
 import tempfile
@@ -411,10 +432,23 @@ int64_t gate_topk(
 }
 """
 
+#: Compile flags and libraries of the kernel object, both part of its
+#: cache key.
+_FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
+_LIBS = ("-lm",)
+
+#: Where compiled objects are cached: this module's ``__pycache__``,
+#: which has the same trust as the ``.py`` beside it.
+CACHE_DIR = os.path.dirname(importlib.util.cache_from_source(__file__))
+_DIGEST = hashlib.sha256().digest_size
+
 _lib: ctypes.CDLL | None = None
 _tried = False
 _workdir: tempfile.TemporaryDirectory | None = None  # keeps the .so alive
-_diag: dict = {"status": "untried", "compiler": None, "error": None}
+_diag: dict = {
+    "status": "untried", "compiler": None, "error": None,
+    "cache": None, "path": None,
+}
 
 
 def _compiler() -> str | None:
@@ -424,23 +458,56 @@ def _compiler() -> str | None:
     return None
 
 
-def _build() -> ctypes.CDLL | None:
+def _cache_key(source: str, flags, compiler: str, version: bytes,
+               machine: str) -> str:
+    """SHA-256 naming the object ``compiler`` builds from ``source``."""
+    parts = (source, tuple(flags), compiler, version, machine)
+    return hashlib.sha256(repr(parts).encode()).hexdigest()
+
+
+def _sealed(data: bytes) -> bytes:
+    """An object as published: its bytes, then their SHA-256."""
+    return data + hashlib.sha256(data).digest()
+
+
+def _intact(path: str) -> bool:
+    """Whether ``path`` holds a whole published object (see :func:`_sealed`)."""
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError:
+        return False
+    return len(blob) > _DIGEST and _sealed(blob[:-_DIGEST]) == blob
+
+
+@contextlib.contextmanager
+def _build_lock(key: str):
+    """Hold the exclusive build lock of one cache entry; yields whether
+    the cache directory can be written (no lock is taken when not)."""
+    try:
+        os.makedirs(CACHE_DIR, exist_ok=True)
+        fh = open(os.path.join(CACHE_DIR, f"_native.{key}.lock"), "ab")
+    except OSError:
+        fh = None
+    if fh is None:
+        yield False
+        return
+    with fh:  # closing the file releases the lock
+        fcntl.flock(fh, fcntl.LOCK_EX)
+        yield True
+
+
+def _compile(cc: str) -> str | None:
+    """Compile the kernels into this process's temporary directory: the
+    object's path, or ``None`` with the compiler error recorded."""
     global _workdir
-    cc = _compiler()
-    if cc is None:
-        _diag.update(
-            status="no-compiler",
-            error="no C compiler on PATH (tried $CC, cc, gcc, clang)",
-        )
-        return None
-    _diag["compiler"] = cc
     _workdir = tempfile.TemporaryDirectory(prefix="repro-native-")
     src = os.path.join(_workdir.name, "kernel.c")
     so = os.path.join(_workdir.name, "kernel.so")
     with open(src, "w") as fh:
         fh.write(_SOURCE)
     proc = subprocess.run(
-        [cc, "-O3", "-ffp-contract=off", "-shared", "-fPIC", "-o", so, src, "-lm"],
+        [cc, *_FLAGS, "-o", so, src, *_LIBS],
         capture_output=True,
         timeout=120,
     )
@@ -451,11 +518,13 @@ def _build() -> ctypes.CDLL | None:
             error=stderr[-500:] if stderr else f"{cc} exited with {proc.returncode}",
         )
         return None
-    try:
-        lib = ctypes.CDLL(so)
-    except OSError as exc:
-        _diag.update(status="load-failed", error=str(exc))
-        return None
+    return so
+
+
+def _load(path: str) -> ctypes.CDLL:
+    """Load the object at ``path`` and declare its kernels' signatures;
+    raises :class:`OSError` when it cannot be loaded."""
+    lib = ctypes.CDLL(path)
     i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
     f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
     u8 = np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS")
@@ -478,7 +547,80 @@ def _build() -> ctypes.CDLL | None:
     lib.fit_node.restype = c_i64
     lib.gate_topk.argtypes = [f64, c_i64, c_i64, c_f64, i64, u8, f64, i64]
     lib.gate_topk.restype = c_i64
-    _diag.update(status="ok", error=None)
+    return lib
+
+
+def _load_cached(path: str) -> ctypes.CDLL | None:
+    """The cached object at ``path`` if it is whole and loads, else ``None``."""
+    if not _intact(path):
+        return None
+    try:
+        return _load(path)
+    except OSError:
+        return None
+
+
+def _build() -> ctypes.CDLL | None:
+    cc = _compiler()
+    if cc is None:
+        _diag.update(
+            status="no-compiler",
+            error="no C compiler on PATH (tried $CC, cc, gcc, clang)",
+        )
+        return None
+    _diag["compiler"] = cc
+    cc = shutil.which(cc)
+    version = subprocess.run(
+        [cc, "--version"], capture_output=True, timeout=120
+    ).stdout
+    key = _cache_key(_SOURCE, _FLAGS + _LIBS, cc, version, platform.machine())
+    path = os.path.join(CACHE_DIR, f"_native.{key}.so")
+    lib = _load_cached(path)
+    if lib is not None:
+        return _loaded(lib, path, "hit")
+    with _build_lock(key) as writable:
+        if not writable:
+            return _compile_and_load(cc, None, "off")
+        # Another builder may have published while this one waited.
+        lib = _load_cached(path)
+        if lib is not None:
+            return _loaded(lib, path, "hit")
+        cache = "miss"
+        if os.path.exists(path):
+            cache = "rebuilt"
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        return _compile_and_load(cc, path, cache)
+
+
+def _compile_and_load(cc: str, path: str | None, cache: str) -> ctypes.CDLL | None:
+    """Compile, publish the object at ``path`` (``None``: do not cache)
+    and load it; an object that cannot be published is loaded from the
+    temporary directory it was compiled in."""
+    _diag["cache"] = cache
+    so = _compile(cc)
+    if so is None:
+        return None
+    if path is not None:
+        from repro.exec.journal import atomic_write
+
+        with open(so, "rb") as fh:
+            data = fh.read()
+        try:
+            atomic_write(path, _sealed(data))
+        except OSError:
+            path, cache = None, "off"
+    path = path or so
+    try:
+        lib = _load(path)
+    except OSError as exc:
+        _diag.update(status="load-failed", error=str(exc), cache=cache)
+        return None
+    return _loaded(lib, path, cache)
+
+
+def _loaded(lib: ctypes.CDLL, path: str, cache: str) -> ctypes.CDLL:
+    _diag.update(status="ok", error=None, cache=cache, path=path)
     return lib
 
 
@@ -513,8 +655,11 @@ def diagnostics() -> dict:
 
     Keys: ``available`` (bool), ``status`` (``"ok"``, ``"disabled"``,
     ``"no-compiler"``, ``"compile-failed"``, or ``"load-failed"``),
-    ``compiler`` (the compiler probed, or ``None``), and ``error``
-    (the failure detail, or ``None``).
+    ``compiler`` (the compiler probed, or ``None``), ``error`` (the
+    failure detail, or ``None``), ``cache`` (``"hit"``, ``"miss"``,
+    ``"rebuilt"`` after a damaged cached object, ``"off"`` when the
+    cache directory cannot be written, or ``None`` when no compiler was
+    probed) and ``path`` (the loaded object, or ``None``).
     """
     if os.environ.get("REPRO_NATIVE", "1") == "0":
         return {
@@ -522,14 +667,11 @@ def diagnostics() -> dict:
             "status": "disabled",
             "compiler": None,
             "error": None,
+            "cache": None,
+            "path": None,
         }
     available()
-    return {
-        "available": _lib is not None,
-        "status": _diag["status"],
-        "compiler": _diag["compiler"],
-        "error": _diag["error"],
-    }
+    return {"available": _lib is not None, **_diag}
 
 
 def handle() -> ctypes.CDLL | None:

@@ -111,12 +111,32 @@ def test_sigkilled_campaign_resumes_with_zero_reexecuted_cells(
     # The campaign's cell identity: experiment name and key format.
     records = RunRegistry(journal).load().completed.values()
     assert {r.experiment for r in records} == {"meta-campaign"}
-    assert "MM:westmere->sandybridge:s1:default" in {r.key for r in records}
+    assert "MM:westmere->sandybridge:s1:n6:RSp+RSb:default" in {
+        r.key for r in records
+    }
 
     # A full re-invocation is now pure cache.
     again, executed = _campaign(journal, monkeypatch)
     assert executed == 0
     assert again == summary
+
+
+def test_journal_rerun_with_another_budget_scores_fresh_cells(tmp_path):
+    """A cell's key names its ``nmax`` and variants: re-running the
+    campaign with a larger budget on the same journal must not serve
+    the smaller budget's payloads."""
+    journal = str(tmp_path / "meta.jsonl")
+    small = run_meta_campaign(
+        problems=PROBLEMS, pairs=PAIRS, seeds=(0,), n_candidates=0,
+        nmax=NMAX, registry_path=journal,
+    )
+    large = run_meta_campaign(
+        problems=PROBLEMS, pairs=PAIRS, seeds=(0,), n_candidates=0,
+        nmax=NMAX + 2, registry_path=journal,
+    )
+    assert [r["nmax"] for r in small["results"]] == [NMAX]
+    assert [r["nmax"] for r in large["results"]] == [NMAX + 2]
+    assert _completed(journal) == 2
 
 
 def test_campaign_summary_and_artifacts(tmp_path):
