@@ -422,6 +422,26 @@ def test_unwritable_cache_falls_back_to_a_temporary_build(blocked, tmp_path):
     assert not list(tmp_path.rglob("_native.*"))
 
 
+@needs_native
+def test_disabled_kernels_never_touch_the_cache(tmp_path, warm_cache):
+    """``REPRO_NATIVE=0`` neither loads a warm cached object nor creates
+    a cache directory."""
+    for cache in (warm_cache, tmp_path / "cache"):
+        before = sorted(os.listdir(cache)) if cache.exists() else None
+        env = _child_env()
+        env["REPRO_NATIVE"] = "0"
+        proc = subprocess.run(
+            [sys.executable, "-c", _PROBE, str(cache)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        diag = json.loads(proc.stdout.splitlines()[-1])
+        assert (diag["status"], diag["cache"], diag["path"]) == (
+            "disabled", None, None
+        )
+        assert (sorted(os.listdir(cache)) if cache.exists() else None) == before
+
+
 #: In a process that hits the cache, every kernel against its NumPy
 #: path on randomized inputs (seeded by the second argument).
 _HIT_ORACLE = textwrap.dedent(
