@@ -14,38 +14,9 @@ Run:  python examples/beyond_the_paper.py
 """
 
 from repro.experiments.ablations import run_online, run_warm_start
-from repro.ml.model_selection import cross_validate
-from repro.ml import RandomForestRegressor, RidgeRegressor
-from repro.kernels import get_kernel
-from repro.machines import get_machine
-from repro.orio.evaluator import OrioEvaluator
-from repro.utils.rng import spawn_rng
-
-import numpy as np
-
-
-def surrogate_quality_check() -> None:
-    print("=== which learner models the LU landscape? (5-fold CV) ===")
-    kernel = get_kernel("lu", n=512)
-    rng = spawn_rng("beyond-example")
-    configs = kernel.space.sample(rng, 100)
-    evaluator = OrioEvaluator(kernel, get_machine("westmere"))
-    y = np.log([evaluator.measure(c).runtime_seconds for c in configs])
-    X = kernel.space.encode_many(configs)
-    for label, factory in (
-        ("random forest", lambda: RandomForestRegressor(n_estimators=40, seed=0)),
-        ("ridge", lambda: RidgeRegressor()),
-    ):
-        cv = cross_validate(factory, X, y, k=5)
-        print(
-            f"  {label:14s} held-out R^2 {cv.mean_r2:5.2f}   "
-            f"rank corr {cv.mean_rank_correlation:5.2f}"
-        )
-    print("  (RSb consumes only the ranking, so rank correlation is what counts)\n")
 
 
 def main() -> None:
-    surrogate_quality_check()
     print(run_warm_start(seed="example").render())
     print()
     print(run_online(seed="example").render())

@@ -1,6 +1,6 @@
 """Static hygiene checks for the ``repro`` source tree.
 
-Six checks, all AST-based (the checked code is never imported):
+Seven checks, all AST-based (the checked code is never imported):
 
 1. **Import cycles.**  Builds the module-level import graph of
    ``repro`` — every ``import``/``from ... import`` executed at module
@@ -13,10 +13,10 @@ Six checks, all AST-based (the checked code is never imported):
    way, not hidden from the runtime.
 
 2. **Dead code.**  Top-level functions and classes anywhere in
-   ``repro`` that no other source file, test, benchmark, or example
-   references and that their module does not export via ``__all__``;
-   plus private (``_``-prefixed) top-level definitions never referenced
-   inside their own module.
+   ``repro`` that no other source, test, benchmark, example or
+   perfbench file references and that their module does not export
+   via ``__all__``; plus private (``_``-prefixed) top-level definitions
+   never referenced inside their own module.
 
 3. **One persistence primitive.**  ``os.replace``, ``os.rename`` and
    ``os.fsync`` are called only in :mod:`repro.exec.journal` (the
@@ -47,6 +47,15 @@ Six checks, all AST-based (the checked code is never imported):
    read from the environment deep inside a call is a second way to set
    it that no signature shows.
 
+7. **No module only tests reach.**  Every non-package module of
+   ``repro`` is imported from ``src/``, ``benchmarks/``, ``examples/``
+   or ``perfbench/`` — a lazy import inside a function counts, a
+   package ``__init__`` import whose name appears only in ``__all__``
+   does not — or is run by a Makefile target as ``python -m``.  Code
+   that only its own tests exercise is deleted; a slow reference twin
+   lives under ``tests/``.  Entry points come from the Makefile, so
+   there is no allow-list.
+
 Run as ``python -m repro.devtools.lint`` (or ``make lint``).  Exit
 status 0 means clean; 1 means findings (one per line on stdout).
 """
@@ -68,6 +77,7 @@ __all__ = [
     "check_outcome_handlers",
     "check_spec_knobs",
     "check_env_reads",
+    "check_unreached_modules",
     "run_lint",
     "main",
 ]
@@ -102,6 +112,22 @@ def _is_type_checking_test(test: ast.expr) -> bool:
     return isinstance(test, ast.Attribute) and test.attr == "TYPE_CHECKING"
 
 
+def _is_package(path: str) -> bool:
+    return os.path.basename(path) == "__init__.py"
+
+
+def _resolve_from(name: str, is_package: bool, node: ast.ImportFrom) -> str:
+    """The module a ``from ... import`` in module ``name`` reads from."""
+    if node.level == 0:
+        return node.module or ""
+    # Relative import: climb ``level`` packages from this module.
+    parts = name.split(".")
+    if not is_package:
+        parts = parts[:-1]
+    parts = parts[: len(parts) - (node.level - 1)]
+    return ".".join(parts + ([node.module] if node.module else []))
+
+
 def module_imports(name: str, path: str) -> tuple[list, list]:
     """The module's import-time and TYPE_CHECKING-only imports.
 
@@ -113,19 +139,9 @@ def module_imports(name: str, path: str) -> tuple[list, list]:
     """
     with open(path, "rb") as fh:
         tree = ast.parse(fh.read(), filename=path)
-    is_package = os.path.basename(path) == "__init__.py"
+    is_package = _is_package(path)
     runtime: list[tuple[str, int]] = []
     type_only: list[tuple[str, int]] = []
-
-    def resolve_from(node: ast.ImportFrom) -> str:
-        if node.level == 0:
-            return node.module or ""
-        # Relative import: climb ``level`` packages from this module.
-        parts = name.split(".")
-        if not is_package:
-            parts = parts[:-1]
-        parts = parts[: len(parts) - (node.level - 1)]
-        return ".".join(parts + ([node.module] if node.module else []))
 
     def walk(body, sink) -> None:
         for node in body:
@@ -137,7 +153,7 @@ def module_imports(name: str, path: str) -> tuple[list, list]:
                 # dependency is the submodule, not the package __init__ —
                 # longest-prefix resolution collapses plain attribute
                 # imports back onto the module that defines them.
-                base = resolve_from(node)
+                base = _resolve_from(name, is_package, node)
                 sink.extend(
                     (f"{base}.{alias.name}" if base else alias.name, node.lineno)
                     for alias in node.names
@@ -270,30 +286,37 @@ def _word_count(pattern: re.Pattern, text: str) -> int:
     return len(pattern.findall(text))
 
 
-def check_dead_code(modules: dict[str, str], repo_root: str) -> list[str]:
-    """Top-level defs anywhere in the package that nothing references.
+#: The top-level directories whose code runs the package for real:
+#: the package itself, the experiments, the examples and the benchmark.
+_USE_DIRS = ("src", "benchmarks", "examples", "perfbench")
 
-    Public names survive if any *other* source/test/benchmark/example
-    file mentions them or their module exports them via ``__all__``;
-    private names survive if their own module mentions them anywhere
-    beyond the definition line.
-    """
-    errors: list[str] = []
-    corpus_dirs = [
-        os.path.join(repo_root, d)
-        for d in ("src", "tests", "benchmarks", "examples")
-        if os.path.isdir(os.path.join(repo_root, d))
-    ]
+
+def _read_corpus(repo_root: str, dirs: tuple[str, ...]) -> dict[str, str]:
+    """Map the path of every Python file under ``repo_root``'s ``dirs``
+    to its source (caches and hidden directories skipped)."""
     corpus: dict[str, str] = {}
-    for root in corpus_dirs:
-        for dirpath, dirnames, filenames in os.walk(root):
-            dirnames[:] = [d for d in dirnames if d != "__pycache__"]
+    for d in dirs:
+        for dirpath, dirnames, filenames in os.walk(os.path.join(repo_root, d)):
+            dirnames[:] = [n for n in dirnames
+                           if n != "__pycache__" and not n.startswith(".")]
             for filename in filenames:
                 if filename.endswith(".py"):
                     path = os.path.join(dirpath, filename)
                     with open(path, encoding="utf-8") as fh:
                         corpus[path] = fh.read()
+    return corpus
 
+
+def check_dead_code(modules: dict[str, str], repo_root: str) -> list[str]:
+    """Top-level defs anywhere in the package that nothing references.
+
+    Public names survive if any *other* source, test, benchmark, example
+    or perfbench file mentions them or their module exports them via
+    ``__all__``; private names survive if their own module mentions
+    them anywhere beyond the definition line.
+    """
+    errors: list[str] = []
+    corpus = _read_corpus(repo_root, _USE_DIRS + ("tests",))
     for path in sorted(modules.values()):
         source = corpus[path]
         tree = ast.parse(source, filename=path)
@@ -552,6 +575,95 @@ def check_env_reads(modules: dict[str, str]) -> list[str]:
 
 
 # ----------------------------------------------------------------------
+# Check 7: every module reached by something other than tests
+# ----------------------------------------------------------------------
+def _imports_anywhere(tree: ast.Module, name: str, is_package: bool):
+    """``(module, imported name or None, bound name)`` for every import
+    in ``tree``, function bodies included: a lazy import is still a use."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield (alias.name, None,
+                       alias.asname or alias.name.split(".")[0])
+        elif isinstance(node, ast.ImportFrom):
+            base = _resolve_from(name, is_package, node)
+            for alias in node.names:
+                yield base, alias.name, alias.asname or alias.name
+
+
+def _makefile_entry_points(repo_root: str) -> set[str]:
+    """Modules the Makefile runs as ``python -m repro.<mod>``."""
+    path = os.path.join(repo_root, "Makefile")
+    if not os.path.exists(path):
+        return set()
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    return set(re.findall(rf"-m\s+({PACKAGE}(?:\.\w+)*)", text))
+
+
+def check_unreached_modules(modules: dict[str, str], repo_root: str) -> list[str]:
+    """``repro`` modules that only tests import.
+
+    A module is reached when a file under ``src/``, ``benchmarks/``,
+    ``examples/`` or ``perfbench/`` imports it (at any depth, names
+    re-exported by a package resolved to the module defining them) or
+    when a Makefile target runs it with ``python -m``.  A package
+    ``__init__``'s own import counts only when the ``__init__`` uses
+    the bound name beyond listing it in ``__all__``.  Packages
+    themselves are not checked: importing any submodule runs them.
+    """
+    packages = {n for n, path in modules.items() if _is_package(path)}
+    by_path = {path: n for n, path in modules.items()}
+    # package -> {name it re-exports: (module, name) it imports it from}
+    reexports: dict[str, dict[str, tuple[str, str]]] = {}
+    for pkg in packages:
+        with open(modules[pkg], "rb") as fh:
+            tree = ast.parse(fh.read(), filename=modules[pkg])
+        reexports[pkg] = {
+            alias.asname or alias.name:
+                (_resolve_from(pkg, True, node), alias.name)
+            for node in tree.body
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        }
+
+    def landing(base: str, imported: str | None) -> str | None:
+        seen: set[tuple[str, str]] = set()
+        while imported is not None and (base, imported) not in seen:
+            seen.add((base, imported))
+            if f"{base}.{imported}" in modules:
+                return f"{base}.{imported}"
+            if imported not in reexports.get(base, {}):
+                break
+            base, imported = reexports[base][imported]
+        return _edge_target(base, modules)
+
+    reached: set[str] = set()
+    for entry in _makefile_entry_points(repo_root):
+        reached.update({entry, f"{entry}.__main__"})
+    for path, source in _read_corpus(repo_root, _USE_DIRS).items():
+        own = by_path.get(path, "")
+        is_init = own in packages
+        tree = ast.parse(source, filename=path)
+        used_here = ({n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+                     if is_init else set())
+        for base, imported, bound in _imports_anywhere(tree, own, is_init):
+            if is_init and bound not in used_here:
+                continue
+            target = landing(base, imported)
+            if target is not None and target != own:
+                reached.add(target)
+
+    return [
+        f"{path}:1: module {n!r} is imported by nothing outside tests "
+        "and run by no Makefile target — delete it, or move it to tests/ "
+        "if it is a test oracle"
+        for n, path in sorted(modules.items())
+        if n not in packages and n not in reached
+    ]
+
+
+# ----------------------------------------------------------------------
 def _default_roots() -> tuple[str, str]:
     src_root = os.path.dirname(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__)
@@ -568,7 +680,8 @@ def run_lint(src_root: str | None = None, repo_root: str | None = None) -> list[
     modules = collect_modules(src_root)
     return (check_imports(modules) + check_dead_code(modules, repo_root)
             + check_persistence(modules) + check_outcome_handlers(modules)
-            + check_spec_knobs(modules) + check_env_reads(modules))
+            + check_spec_knobs(modules) + check_env_reads(modules)
+            + check_unreached_modules(modules, repo_root))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -582,7 +695,7 @@ def main(argv: list[str] | None = None) -> int:
           f"no dead code in {PACKAGE}, durable writes only through the "
           "journal layer, search outcomes handled only by the engine, "
           "tuner knobs set only through the spec, no environment "
-          "side-doors)")
+          "side-doors, no module that only tests import)")
     return 0
 
 

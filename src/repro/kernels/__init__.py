@@ -42,12 +42,9 @@ KERNELS = {
 KERNELS.update(EXTRA_KERNELS)
 
 
-def kernel_names(include_extras: bool = False) -> list[str]:
-    """Registry keys in Table III order (paper kernels first)."""
-    names = list(KERNELS)
-    if include_extras:
-        return names
-    return [n for n in names if n not in EXTRA_KERNELS]
+def kernel_names() -> list[str]:
+    """The paper's kernels, in Table III order."""
+    return [n for n in KERNELS if n not in EXTRA_KERNELS]
 
 
 def get_kernel(name: str, n: int | None = None) -> SpaptKernel:

@@ -4,8 +4,7 @@ Figure 2 of the paper displays the decision tree learned from
 matrix-multiplication data on Sandybridge, with if/else rules over the
 unroll (U_I, U_J, U_K) and register-tiling (RT_I, RT_J, RT_K)
 parameters.  :func:`export_text` reproduces that view for any fitted
-tree; :func:`export_rules` lists the leaf hyperrectangles as
-root-to-leaf rule chains.
+tree.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from typing import Sequence
 from repro.errors import NotFittedError
 from repro.ml.tree import DecisionTreeRegressor
 
-__all__ = ["export_text", "export_rules"]
+__all__ = ["export_text"]
 
 
 def _names(tree: DecisionTreeRegressor, feature_names: Sequence[str] | None) -> list[str]:
@@ -57,29 +56,3 @@ def export_text(
 
     walk(0, 0)
     return "\n".join(lines)
-
-
-def export_rules(
-    tree: DecisionTreeRegressor,
-    feature_names: Sequence[str] | None = None,
-    value_fmt: str = ".4g",
-) -> list[str]:
-    """One line per leaf: the conjunction of split conditions -> value."""
-    names = _names(tree, feature_names)
-    nodes = tree.nodes
-    assert nodes is not None
-    rules: list[str] = []
-
-    def walk(i: int, conds: list[str]) -> None:
-        if nodes.feature[i] == -1:
-            body = " and ".join(conds) if conds else "true"
-            mean = format(nodes.value[i], value_fmt)
-            rules.append(f"if {body}: predict {mean}  (n={nodes.n_samples[i]})")
-            return
-        name = names[nodes.feature[i]]
-        thr = format(nodes.threshold[i], ".4g")
-        walk(nodes.left[i], conds + [f"{name} <= {thr}"])
-        walk(nodes.right[i], conds + [f"{name} > {thr}"])
-
-    walk(0, [])
-    return rules

@@ -17,13 +17,7 @@ from repro.orio.transforms.base import Transform, find_loop, replace_loop, fresh
 from repro.orio.transforms.tile import CacheTile, tile_nest
 from repro.orio.transforms.unroll import UnrollJam, expand_unroll, expand_all_unrolls
 from repro.orio.transforms.regtile import RegisterTile
-from repro.orio.transforms.interchange import (
-    Interchange,
-    dependence_directions,
-    interchange_legal,
-)
 from repro.orio.transforms.scalarrep import ScalarReplacement, replaceable_targets
-from repro.orio.transforms.distribute import LoopDistribution, distribution_legal
 from repro.orio.transforms.pipeline import compose, TransformPlan
 
 __all__ = [
@@ -37,13 +31,8 @@ __all__ = [
     "expand_unroll",
     "expand_all_unrolls",
     "RegisterTile",
-    "Interchange",
-    "dependence_directions",
-    "interchange_legal",
     "ScalarReplacement",
     "replaceable_targets",
-    "LoopDistribution",
-    "distribution_legal",
     "compose",
     "TransformPlan",
 ]

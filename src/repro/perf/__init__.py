@@ -9,15 +9,12 @@ variants (the quantity behind the paper's search-time speedups).
 
 from repro.perf.simclock import SimClock
 from repro.perf.noise import measurement_noise, machine_quirk
-from repro.perf.roofline import arithmetic_intensity, roofline_time
 from repro.perf.costmodel import CostModel, CostBreakdown
 
 __all__ = [
     "SimClock",
     "measurement_noise",
     "machine_quirk",
-    "arithmetic_intensity",
-    "roofline_time",
     "CostModel",
     "CostBreakdown",
 ]

@@ -4,10 +4,9 @@ A gate decides which proposals are worth paying an evaluation for.  A
 rejected proposal consumes its position (the skip is recorded on the
 next accepted evaluation's ``skipped_before``) but no evaluation time —
 except where the *decision itself* costs simulated time, which the gate
-charges to the clock:
+charges to the clock.  ``gate=None`` evaluates every proposal (RS, RSb,
+the techniques); the gates are:
 
-* :class:`AcceptAll` — evaluate everything (RS, RSb, the techniques;
-  equivalent to passing ``gate=None`` to the engine);
 * :class:`QuantileGate` — Algorithm 1's pruning test: a surrogate
   prediction per position, admitted below the ``δ``-quantile cutoff
   ``∆`` of a scored pool, each query charged to the clock (RSp);
@@ -34,28 +33,10 @@ from repro.utils.rng import spawn_rng
 from repro.utils.stats import quantile
 
 __all__ = [
-    "AcceptAll",
     "QuantileGate",
     "ReplayThresholdGate",
     "PredictionCutoffGate",
 ]
-
-
-class AcceptAll:
-    """Evaluate every proposal (what ``gate=None`` means, reified)."""
-
-    #: Simulated seconds one admission decision charges (free here).
-    admit_charge = 0.0
-
-    def setup(self, ctx: EngineContext) -> None:
-        pass
-
-    def admit(self, ctx: EngineContext, proposal: Proposal) -> bool:
-        return True
-
-    def admit_vector(self, predicted: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`admit` over a block of predictions."""
-        return np.ones(len(predicted), dtype=bool)
 
 
 class QuantileGate:

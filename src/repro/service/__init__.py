@@ -7,7 +7,7 @@ stream** — all multiplexed onto one shared supervised worker pool.
 
 Layering (transport down to domain)::
 
-    transport.ServiceHandler / wsgi_app    dict- or HTTP-shaped requests
+    transport.ServiceHandler               dict-shaped requests
       service.TuningService                lifecycle, recovery, pump loop
         quota.AdmissionController          per-tenant quotas, shedding
         jobs.Dispatcher                    batching, deadlines -> run_grid
@@ -63,7 +63,7 @@ from repro.service.model import (
 from repro.service.quota import AdmissionController
 from repro.service.service import TuningService
 from repro.service.store import SessionStore
-from repro.service.transport import ServiceHandler, wsgi_app
+from repro.service.transport import ServiceHandler
 from repro.service.worker import execute_job, trace_digest
 
 __all__ = [
@@ -87,5 +87,4 @@ __all__ = [
     "execute_job",
     "job_fingerprint",
     "trace_digest",
-    "wsgi_app",
 ]

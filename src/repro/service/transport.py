@@ -1,31 +1,22 @@
-"""Transport adapters over :class:`~repro.service.service.TuningService`.
+"""The transport adapter over :class:`~repro.service.service.TuningService`.
 
-Two thin layers, no business logic:
-
-* :class:`ServiceHandler` — a dict-in/dict-out request handler.  Every
-  operation takes a JSON-safe request ``{"op": ..., ...}`` and returns
-  ``{"ok": True, ...}`` or ``{"ok": False, "error": {...}}`` where the
-  error body is the structured payload of a
-  :class:`~repro.service.errors.ServiceError` (``reason``,
-  ``retry_after``, ``tenant``).  This is the surface the load and chaos
-  tests drive, and what any RPC framing would wrap.
-* :func:`wsgi_app` — a minimal stdlib WSGI callable around a handler:
-  ``POST /`` with a JSON body, status codes mapped from the error
-  reason (429 for quota/queue/overload with a ``Retry-After`` header,
-  404 for unknown ids, 400 otherwise).  Serve it with
-  ``wsgiref.simple_server`` for an actual network endpoint; nothing in
-  the repo requires one.
+:class:`ServiceHandler` is a dict-in/dict-out request handler with no
+business logic.  Every operation takes a JSON-safe request
+``{"op": ..., ...}`` and returns ``{"ok": True, ...}`` or
+``{"ok": False, "error": {...}}`` where the error body is the
+structured payload of a :class:`~repro.service.errors.ServiceError`
+(``reason``, ``retry_after``, ``tenant``).  This is the surface the
+load and chaos tests and the ``service_mix`` benchmark drive, and what
+any RPC or HTTP framing would wrap.
 """
 
 from __future__ import annotations
-
-import json
 
 from repro.errors import ReproError
 from repro.service.errors import ServiceError
 from repro.service.service import TuningService
 
-__all__ = ["ServiceHandler", "wsgi_app"]
+__all__ = ["ServiceHandler"]
 
 
 class ServiceHandler:
@@ -130,54 +121,3 @@ class ServiceHandler:
 
     def _health(self, req: dict) -> dict:
         return {"health": self.service.health()}
-
-
-def _status_for(error: dict) -> str:
-    reason = error.get("reason", "")
-    if reason in ("quota-exceeded", "queue-full", "overloaded", "rejected"):
-        return "429 Too Many Requests"
-    if reason in ("session-not-found", "job-not-found"):
-        return "404 Not Found"
-    return "400 Bad Request"
-
-
-def wsgi_app(service: TuningService):
-    """A WSGI callable serving ``POST /`` JSON requests over ``service``."""
-    handler = ServiceHandler(service)
-
-    def app(environ, start_response):
-        if environ.get("REQUEST_METHOD") != "POST":
-            start_response(
-                "405 Method Not Allowed", [("Content-Type", "application/json")]
-            )
-            return [b'{"ok": false, "error": {"reason": "bad-request", '
-                    b'"message": "POST a JSON request body"}}']
-        try:
-            length = int(environ.get("CONTENT_LENGTH") or 0)
-            raw = environ["wsgi.input"].read(length) if length else b"{}"
-            request = json.loads(raw.decode("utf-8"))
-            if not isinstance(request, dict):
-                raise ValueError("request body must be a JSON object")
-        except (ValueError, UnicodeDecodeError) as exc:
-            start_response(
-                "400 Bad Request", [("Content-Type", "application/json")]
-            )
-            body = {
-                "ok": False,
-                "error": {"reason": "bad-request", "message": str(exc)},
-            }
-            return [json.dumps(body).encode("utf-8")]
-        response = handler.handle(request)
-        headers = [("Content-Type", "application/json")]
-        if response.get("ok"):
-            status = "200 OK"
-        else:
-            error = response.get("error", {})
-            status = _status_for(error)
-            retry_after = error.get("retry_after")
-            if retry_after is not None:
-                headers.append(("Retry-After", str(retry_after)))
-        start_response(status, headers)
-        return [json.dumps(response, sort_keys=True).encode("utf-8")]
-
-    return app

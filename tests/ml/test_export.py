@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import NotFittedError
-from repro.ml.export import export_rules, export_text
+from repro.ml.export import export_text
 from repro.ml.tree import DecisionTreeRegressor
 
 
@@ -46,18 +46,3 @@ class TestExportText:
     def test_unfitted_rejected(self):
         with pytest.raises(NotFittedError):
             export_text(DecisionTreeRegressor())
-
-
-class TestExportRules:
-    def test_one_rule_per_leaf(self, fitted_tree):
-        rules = export_rules(fitted_tree, feature_names=FEATURES)
-        assert len(rules) == fitted_tree.n_leaves
-
-    def test_rules_predict_values(self, fitted_tree):
-        rules = export_rules(fitted_tree, feature_names=FEATURES)
-        assert all("predict" in r for r in rules)
-
-    def test_single_leaf_tree_rule(self):
-        tree = DecisionTreeRegressor(max_depth=0).fit([[1.0]], [7.0])
-        rules = export_rules(tree)
-        assert rules == ["if true: predict 7  (n=1)"]

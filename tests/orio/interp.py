@@ -3,7 +3,10 @@
 Used by the test suite to prove that the source-level transformations
 are *semantics-preserving*: the transformed nest, executed on small
 arrays, must produce bit-identical results to the original.  Runtime
-performance does not matter here; correctness does.
+performance does not matter here; correctness does.  Its access hook
+also feeds the analysis ground-truth oracle and the cache simulator
+(``tests/perf/cachesim.py``).  Nothing in the library runs it, so it
+lives with the tests.
 """
 
 from __future__ import annotations

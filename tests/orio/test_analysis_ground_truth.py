@@ -2,7 +2,7 @@
 
 Each kernel is built at a reduced size; random configurations are
 composed into real transformed nests and executed by the reference
-interpreter (:func:`repro.orio.interp.run_nest`), whose access hook
+interpreter (:func:`tests.orio.interp.run_nest`), whose access hook
 counts every load and store.  Each array reference of the body is
 renamed apart first, so the hook also tells which reference touched
 which element.  The interpreter's counts are then compared with what
@@ -24,9 +24,9 @@ import pytest
 from repro.kernels import KERNELS, get_kernel
 from repro.orio.analysis import analyze_nest
 from repro.orio.ast import ArrayRef, Assign, BinOp, MaxExpr, MinExpr, loop_chain
-from repro.orio.interp import run_nest
 from repro.orio.transforms.pipeline import TransformPlan, compose
 from repro.searchspace import PowerOfTwoParameter
+from tests.orio.interp import run_nest
 
 CONFIGS = 8
 RECTANGULAR = sorted(name for name in KERNELS if name != "lu")

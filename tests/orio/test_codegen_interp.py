@@ -6,9 +6,9 @@ import pytest
 from repro.errors import EvaluationError
 from repro.orio.ast import ArrayRef, Assign, BinOp, ForLoop, IntLit, MinExpr, Var
 from repro.orio.codegen import emit_expr, emit_stmt, generate_c
-from repro.orio.interp import eval_expr, run_nest
 from repro.orio.parser import parse_loop_nest, parse_statement
 from repro.orio.transforms import UnrollJam, tile_nest
+from tests.orio.interp import eval_expr, run_nest
 
 MM_SRC = """
 for (i = 0; i <= N-1; i++)

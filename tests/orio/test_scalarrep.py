@@ -6,9 +6,9 @@ import pytest
 from repro.errors import TransformError
 from repro.orio.ast import Assign, ForLoop, Var, loop_chain
 from repro.orio.codegen import generate_c
-from repro.orio.interp import run_nest
 from repro.orio.parser import parse_loop_nest
 from repro.orio.transforms.scalarrep import ScalarReplacement, replaceable_targets
+from tests.orio.interp import run_nest
 
 N = 7
 

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from repro.errors import TransformError
 from repro.orio.ast import ForLoop, loop_chain
-from repro.orio.interp import run_nest
 from repro.orio.parser import parse_loop_nest
 from repro.orio.transforms import (
     CacheTile,
@@ -25,6 +24,7 @@ from repro.orio.transforms import (
 )
 from repro.orio.transforms.pipeline import TransformPlan
 from repro.orio.transforms.unroll import materialized_statements
+from tests.orio.interp import run_nest
 
 MM_SRC = """
 for (i = 0; i <= N-1; i++)

@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.errors import EvaluationError
 from repro.orio.ast import Stmt
-from repro.orio.interp import run_nest
+from tests.orio.interp import run_nest
 
 __all__ = ["CacheStats", "LruCache", "simulate_nest"]
 

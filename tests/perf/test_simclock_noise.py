@@ -1,11 +1,10 @@
-"""Tests for the simulated clock, noise models and roofline helpers."""
+"""Tests for the simulated clock and noise models."""
 
 import numpy as np
 import pytest
 
 from repro.errors import BudgetExhaustedError
 from repro.perf.noise import machine_quirk, measurement_noise
-from repro.perf.roofline import arithmetic_intensity, attainable_gflops, roofline_time
 from repro.perf.simclock import SimClock
 
 
@@ -82,28 +81,3 @@ class TestNoise:
         a = np.log([machine_quirk(0.3, "m1", i) for i in range(500)])
         b = np.log([machine_quirk(0.3, "m2", i) for i in range(500)])
         assert abs(np.corrcoef(a, b)[0, 1]) < 0.15
-
-
-class TestRoofline:
-    def test_compute_bound_region(self):
-        # High intensity: limited by peak.
-        assert attainable_gflops(100.0, 50.0, 10.0) == 50.0
-
-    def test_memory_bound_region(self):
-        assert attainable_gflops(0.5, 50.0, 10.0) == 5.0
-
-    def test_roofline_time_max_of_terms(self):
-        t = roofline_time(1e9, 1e9, 1e9, 0.5e9)
-        assert t == pytest.approx(2.0)  # memory term dominates
-
-    def test_intensity(self):
-        assert arithmetic_intensity(8.0, 4.0) == 2.0
-        assert arithmetic_intensity(8.0, 0.0) == float("inf")
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            arithmetic_intensity(-1.0, 1.0)
-        with pytest.raises(ValueError):
-            attainable_gflops(1.0, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            roofline_time(1.0, 1.0, 0.0, 1.0)

@@ -1,11 +1,8 @@
-"""Tests for the transport adapters: dict handler and WSGI wrapper."""
-
-import io
-import json
+"""Tests for the transport adapter: the dict request handler."""
 
 import pytest
 
-from repro.service import ServiceHandler, TenantQuota, TuningService, wsgi_app
+from repro.service import ServiceHandler, TenantQuota, TuningService
 
 
 @pytest.fixture
@@ -18,23 +15,6 @@ def service(tmp_path):
 @pytest.fixture
 def handler(service):
     return ServiceHandler(service)
-
-
-def wsgi_post(app, body):
-    raw = json.dumps(body).encode("utf-8")
-    environ = {
-        "REQUEST_METHOD": "POST",
-        "CONTENT_LENGTH": str(len(raw)),
-        "wsgi.input": io.BytesIO(raw),
-    }
-    captured = {}
-
-    def start_response(status, headers):
-        captured["status"] = status
-        captured["headers"] = dict(headers)
-
-    chunks = app(environ, start_response)
-    return captured["status"], captured["headers"], json.loads(b"".join(chunks))
 
 
 class TestHandler:
@@ -85,55 +65,3 @@ class TestHandler:
     def test_stats_and_health_ops(self, handler):
         assert handler.handle({"op": "health"})["health"]["ok"] is True
         assert "jobs" in handler.handle({"op": "stats"})["stats"]
-
-
-class TestWsgi:
-    def test_ok_round_trip_is_200(self, service):
-        app = wsgi_app(service)
-        status, _, body = wsgi_post(app, {"op": "create_session",
-                                          "tenant": "alice"})
-        assert status == "200 OK" and body["ok"]
-
-    def test_quota_rejection_is_429_with_retry_after_header(self, tmp_path):
-        svc = TuningService(
-            tmp_path / "svc", n_workers=1,
-            default_quota=TenantQuota(max_live_sessions=1),
-        ).open()
-        app = wsgi_app(svc)
-        wsgi_post(app, {"op": "create_session", "tenant": "alice"})
-        status, headers, body = wsgi_post(
-            app, {"op": "create_session", "tenant": "alice"})
-        assert status.startswith("429")
-        assert float(headers["Retry-After"]) > 0
-        assert body["error"]["reason"] == "quota-exceeded"
-
-    def test_not_found_is_404(self, service):
-        status, _, _ = wsgi_post(wsgi_app(service),
-                                 {"op": "job", "job": "j999999"})
-        assert status.startswith("404")
-
-    def test_get_is_405(self, service):
-        app = wsgi_app(service)
-        captured = {}
-
-        def start_response(status, headers):
-            captured["status"] = status
-
-        app({"REQUEST_METHOD": "GET"}, start_response)
-        assert captured["status"].startswith("405")
-
-    def test_malformed_json_is_400(self, service):
-        app = wsgi_app(service)
-        raw = b"{not json"
-        environ = {
-            "REQUEST_METHOD": "POST",
-            "CONTENT_LENGTH": str(len(raw)),
-            "wsgi.input": io.BytesIO(raw),
-        }
-        captured = {}
-
-        def start_response(status, headers):
-            captured["status"] = status
-
-        app(environ, start_response)
-        assert captured["status"].startswith("400")

@@ -11,6 +11,7 @@ from repro.devtools.lint import (
     check_outcome_handlers,
     check_persistence,
     check_spec_knobs,
+    check_unreached_modules,
     collect_modules,
     find_cycles,
     run_lint,
@@ -342,6 +343,71 @@ class TestEnvReads:
             "reads environment variable 'REPRO_TASK_TIMEOUT' — take the "
             "setting as an argument",
         ]
+
+
+class TestUnreachedModules:
+    def _findings(self, tmp_path, files):
+        src = _write_tree(tmp_path, {
+            "src/repro/__init__.py": "",
+            "src/repro/pkg/__init__.py": "",
+            **files,
+        })
+        errors = check_unreached_modules(collect_modules(src), str(tmp_path))
+        return [e.split("module ")[1].split()[0] for e in errors]
+
+    def test_module_nothing_imports_is_flagged(self, tmp_path):
+        assert self._findings(tmp_path, {
+            "src/repro/pkg/orphan.py": "def helper():\n    pass\n",
+            "tests/test_orphan.py": "from repro.pkg.orphan import helper\n",
+        }) == ["'repro.pkg.orphan'"]
+
+    def test_module_only_an_init_reexports_is_flagged(self, tmp_path):
+        assert self._findings(tmp_path, {
+            "src/repro/pkg/__init__.py": (
+                "from repro.pkg.shown import Shown\n"
+                "from repro.pkg.used import TABLE\n"
+                "__all__ = ['Shown', 'LOOKUP']\n"
+                "LOOKUP = dict(TABLE)\n"
+            ),
+            "src/repro/pkg/shown.py": "class Shown:\n    pass\n",
+            "src/repro/pkg/used.py": "TABLE = {}\n",
+        }) == ["'repro.pkg.shown'"]
+
+    def test_name_imported_through_its_package_reaches_the_module(
+        self, tmp_path
+    ):
+        assert self._findings(tmp_path, {
+            "src/repro/pkg/__init__.py": (
+                "from repro.pkg.shown import Shown\n__all__ = ['Shown']\n"
+            ),
+            "src/repro/pkg/shown.py": "class Shown:\n    pass\n",
+            "perfbench/bench.py": "from repro.pkg import Shown\n",
+        }) == []
+
+    def test_lazy_function_level_import_is_a_use(self, tmp_path):
+        assert self._findings(tmp_path, {
+            "src/repro/pkg/online.py": "def search():\n    pass\n",
+            "src/repro/pkg/ablations.py": (
+                "def run():\n"
+                "    from repro.pkg import online\n"
+                "    return online.search()\n"
+            ),
+            "examples/demo.py": "from repro.pkg.ablations import run\n",
+        }) == []
+
+    def test_makefile_entry_point_is_a_use(self, tmp_path):
+        files = {
+            "src/repro/pkg/campaign.py": "def main():\n    pass\n",
+            "src/repro/__main__.py": "print('cli')\n",
+        }
+        assert self._findings(tmp_path, dict(files)) == [
+            "'repro.__main__'", "'repro.pkg.campaign'"
+        ]
+        (tmp_path / "Makefile").write_text(
+            "campaign:\n\t$(PYTHON) -m repro.pkg.campaign --seeds 2\n"
+            "report:\n\t$(PYTHON) -m repro report\n"
+        )
+        assert self._findings(tmp_path, files) == []
 
 
 class TestCli:
