@@ -22,7 +22,6 @@ from repro.chaos.campaign import render_campaign_report, run_chaos_campaign
 from repro.chaos.faultfs import (
     CORRUPT_MODES,
     FAULTFS_MODES,
-    FailingFS,
     FaultFS,
     FaultRule,
     corrupt_file,
@@ -39,7 +38,6 @@ from repro.chaos.workload import BREAK_INVARIANT_MODES, run_workload
 __all__ = [
     "CORRUPT_MODES",
     "FAULTFS_MODES",
-    "FailingFS",
     "FaultFS",
     "FaultRule",
     "corrupt_file",

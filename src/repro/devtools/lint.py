@@ -13,10 +13,13 @@ Seven checks, all AST-based (the checked code is never imported):
    way, not hidden from the runtime.
 
 2. **Dead code.**  Top-level functions and classes anywhere in
-   ``repro`` that no other source, test, benchmark, example or
-   perfbench file references and that their module does not export
-   via ``__all__``; plus private (``_``-prefixed) top-level definitions
-   never referenced inside their own module.
+   ``repro`` that no file under ``src/``, ``benchmarks/``, ``examples/``
+   or ``perfbench/`` names in code: an import of the name, an
+   ``__all__`` entry and the definition's own body do not count, and
+   tests do not count at all (a package ``__init__`` that uses the
+   name, as ``KERNELS`` uses ``make_mm``, does).  Plus private
+   (``_``-prefixed) top-level definitions never referenced inside their
+   own module.  The name-level twin of check 7.
 
 3. **One persistence primitive.**  ``os.replace``, ``os.rename`` and
    ``os.fsync`` are called only in :mod:`repro.exec.journal` (the
@@ -269,21 +272,20 @@ def check_imports(modules: dict[str, str]) -> list[str]:
 # ----------------------------------------------------------------------
 # Check 2: dead code anywhere in the package
 # ----------------------------------------------------------------------
-def _module_all(tree: ast.Module) -> set[str]:
-    exported: set[str] = set()
-    for node in tree.body:
-        if isinstance(node, ast.Assign):
-            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
-            if "__all__" in targets and isinstance(node.value, (ast.List, ast.Tuple)):
-                exported.update(
-                    el.value for el in node.value.elts
-                    if isinstance(el, ast.Constant) and isinstance(el.value, str)
-                )
-    return exported
-
-
-def _word_count(pattern: re.Pattern, text: str) -> int:
-    return len(pattern.findall(text))
+def _name_uses(tree: ast.Module) -> dict[str, list[int]]:
+    """Line numbers of every ``Name`` and attribute reference in
+    ``tree``, by identifier.  Imports, ``__all__`` strings and
+    definitions are not references, so they never appear."""
+    uses: dict[str, list[int]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            ident = node.id
+        elif isinstance(node, ast.Attribute):
+            ident = node.attr
+        else:
+            continue
+        uses.setdefault(ident, []).append(node.lineno)
+    return uses
 
 
 #: The top-level directories whose code runs the package for real:
@@ -308,20 +310,20 @@ def _read_corpus(repo_root: str, dirs: tuple[str, ...]) -> dict[str, str]:
 
 
 def check_dead_code(modules: dict[str, str], repo_root: str) -> list[str]:
-    """Top-level defs anywhere in the package that nothing references.
+    """Top-level defs anywhere in the package that nothing uses.
 
-    Public names survive if any *other* source, test, benchmark, example
-    or perfbench file mentions them or their module exports them via
-    ``__all__``; private names survive if their own module mentions
-    them anywhere beyond the definition line.
+    A public name survives only if a file under ``src/``,
+    ``benchmarks/``, ``examples/`` or ``perfbench/`` references it in
+    code outside its own definition; private names survive if their
+    own module mentions them anywhere beyond the definition line.
     """
     errors: list[str] = []
-    corpus = _read_corpus(repo_root, _USE_DIRS + ("tests",))
+    corpus = _read_corpus(repo_root, _USE_DIRS)
+    uses = {path: _name_uses(ast.parse(text, filename=path))
+            for path, text in corpus.items()}
     for path in sorted(modules.values()):
         source = corpus[path]
-        tree = ast.parse(source, filename=path)
-        exported = _module_all(tree)
-        for node in tree.body:
+        for node in ast.parse(source, filename=path).body:
             if not isinstance(
                 node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
             ):
@@ -329,27 +331,27 @@ def check_dead_code(modules: dict[str, str], repo_root: str) -> list[str]:
             ident = node.name
             if ident.startswith("__"):
                 continue
-            word = re.compile(rf"\b{re.escape(ident)}\b")
             if ident.startswith("_"):
                 # Private: any use inside its own module keeps it alive
                 # (the definition itself accounts for one match).
-                if _word_count(word, source) <= 1:
+                word = re.compile(rf"\b{re.escape(ident)}\b")
+                if len(word.findall(source)) <= 1:
                     errors.append(
                         f"{path}:{node.lineno}: private {ident!r} is never "
                         "used in its module"
                     )
                 continue
-            if ident in exported:
-                continue
+            own_body = range(node.lineno, node.end_lineno + 1)
             used = any(
-                _word_count(word, text) > 0
-                for other, text in corpus.items()
-                if other != path
+                other != path or line not in own_body
+                for other, found in uses.items()
+                for line in found.get(ident, ())
             )
             if not used:
                 errors.append(
-                    f"{path}:{node.lineno}: {ident!r} is not exported via "
-                    "__all__ and nothing outside its module references it"
+                    f"{path}:{node.lineno}: {ident!r} is used by no code under "
+                    + ", ".join(f"{d}/" for d in _USE_DIRS)
+                    + " — delete it, or move it to tests/ if only tests use it"
                 )
     return errors
 
@@ -692,7 +694,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"lint: {len(errors)} finding(s)")
         return 1
     print("lint: clean (import graph acyclic, no hidden internal imports, "
-          f"no dead code in {PACKAGE}, durable writes only through the "
+          f"no function or class in {PACKAGE} that only tests use, "
+          "durable writes only through the "
           "journal layer, search outcomes handled only by the engine, "
           "tuner knobs set only through the spec, no environment "
           "side-doors, no module that only tests import)")

@@ -23,8 +23,9 @@ supervision and resume are invisible in the results: a grid that
 crashed five times and resumed twice is bit-identical to one serial
 uninterrupted run.  Env knobs: ``REPRO_WORKERS`` (fleet size) and
 ``REPRO_RESUME=0`` (ignore the journal and re-run everything).  The
-per-cell wall-clock budget (``task_timeout``) and chaos injection
-(``chaos=``) are arguments only.
+per-cell wall-clock budget (``task_timeout``), retry limit and chaos
+injection (``chaos=``) are arguments of :class:`SupervisedExecutor`
+only; a grid that needs them passes ``run_grid(executor=...)``.
 """
 
 from repro.exec.executor import (

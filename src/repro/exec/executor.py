@@ -790,10 +790,6 @@ def run_grid(
     resume: bool | None = None,
     executor: SupervisedExecutor | None = None,
     n_workers: int | None = 1,
-    task_timeout: float | None = None,
-    max_task_retries: int = 2,
-    chaos: ChaosConfig | None = None,
-    version: str | None = None,
 ) -> GridOutcome:
     """Run one experiment grid crash-safely and resumably.
 
@@ -802,6 +798,9 @@ def run_grid(
     finish and skipped bit-identically on re-invocation (each cell is a
     pure function of its spec, so skip-and-merge preserves exact
     results).  ``resume=None`` honours ``REPRO_RESUME`` (default on).
+    Cells run on ``executor``, or on a fresh :class:`SupervisedExecutor`
+    of ``n_workers`` workers; timeouts, retries and chaos are set on
+    the executor.
 
     Cells that fail permanently come back as :class:`CellFailure`
     entries in ``GridOutcome.results`` — callers that cannot represent a
@@ -814,7 +813,7 @@ def run_grid(
         raise ExperimentError(
             f"grid {experiment!r}: {len(keys)} keys for {len(specs)} specs"
         )
-    fingerprints = [cell_fingerprint(experiment, k, version=version) for k in keys]
+    fingerprints = [cell_fingerprint(experiment, k) for k in keys]
     if len(set(fingerprints)) != len(fingerprints):
         seen: dict[str, int] = {}
         for i, fp in enumerate(fingerprints):
@@ -843,12 +842,7 @@ def run_grid(
 
     failures: list[CellFailure] = []
     if todo:
-        ex = executor or SupervisedExecutor(
-            n_workers=n_workers,
-            task_timeout=task_timeout,
-            max_task_retries=max_task_retries,
-            chaos=chaos,
-        )
+        ex = executor or SupervisedExecutor(n_workers=n_workers)
 
         def _journal(sub_index: int, result: Any, attempts: int) -> None:
             if registry is None:

@@ -21,7 +21,6 @@ from repro.machines.registry import (
     POWER7,
     XGENE,
     get_machine,
-    machine_names,
 )
 from repro.machines.compiler import CompilerModel, GCC, ICC, get_compiler
 from repro.machines.response import ResponseVector, response_distance
@@ -36,7 +35,6 @@ __all__ = [
     "POWER7",
     "XGENE",
     "get_machine",
-    "machine_names",
     "CompilerModel",
     "GCC",
     "ICC",

@@ -45,7 +45,6 @@ __all__ = [
     "XGENE",
     "MACHINES",
     "get_machine",
-    "machine_names",
 ]
 
 WESTMERE = MachineSpec(
@@ -260,11 +259,6 @@ _ALIASES = {
     "arm": "xgene",
     "x-gene": "xgene",
 }
-
-
-def machine_names() -> list[str]:
-    """Registry keys in Table II order."""
-    return list(MACHINES)
 
 
 def get_machine(name: str) -> MachineSpec:

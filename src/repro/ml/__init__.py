@@ -3,8 +3,7 @@
 The paper builds its surrogate with a random forest (Breiman 2001,
 reference [9]); scikit-learn is not available in this environment, so
 this subpackage implements the full stack: CART regression trees with a
-vectorized NumPy split search, bagged random forests with out-of-bag
-error and impurity-based feature importances, and simpler baselines
+presorted split search, bagged random forests, and simpler baselines
 (ridge regression, k-nearest-neighbours, gradient-boosted trees) used by
 the surrogate-choice ablation in :mod:`repro.experiments`.
 """
@@ -15,7 +14,7 @@ from repro.ml.forest import RandomForestRegressor
 from repro.ml.linear import RidgeRegressor
 from repro.ml.knn import KNeighborsRegressor
 from repro.ml.boosting import GradientBoostingRegressor
-from repro.ml.metrics import mae, rmse, r2_score
+from repro.ml.metrics import r2_score
 from repro.ml.export import export_text
 
 __all__ = [
@@ -25,8 +24,6 @@ __all__ = [
     "RidgeRegressor",
     "KNeighborsRegressor",
     "GradientBoostingRegressor",
-    "mae",
-    "rmse",
     "r2_score",
     "export_text",
 ]

@@ -20,7 +20,7 @@ The same argument extends to the other kernels here:
   first-argmin and tie-break operation for operation; then
   ``partition_node``, the stable node partition that routes the node's
   rows (``x[f] <= thr``), splits every presorted feature row, and
-  computes both children's statistics in the NumPy path's exact
+  computes both children's mean and purity in the NumPy path's exact
   arithmetic order;
 * ``ensemble_mean`` / ``ensemble_std`` — column mean/std of the
   per-tree value matrix in NumPy's exact sequential axis-0 reduction
@@ -89,12 +89,13 @@ __all__ = [
 #: ``fit_node`` param-block slot indices — must match the FN_* / FD_*
 #: enums in the C source below.  The int64 block carries pointers and
 #: integer parameters; the double block carries the NumPy-computed
-#: sums, the tie-break tolerance, and the scan/stat outputs.
+#: sums, the tie-break tolerance, the threshold and the child stats
+#: (three slots per child: mean, pure, small).
 (FN_X, FN_P, FN_Y, FN_T, FN_IDX, FN_YS, FN_M, FN_CAND, FN_K,
  FN_MSL, FN_MSS, FN_DEPTH_OK, FN_OUT_IDX, FN_OUT_YS, FN_OUT_T,
  FN_MEMBER, FN_SCALAR_MAX, FN_OUT_F, FN_SLOTS) = range(19)
-(FD_Y_SUM, FD_Y_SQ_SUM, FD_TOL, FD_THR, FD_SSE, FD_STATS) = range(6)
-FD_SLOTS = FD_STATS + 8
+(FD_Y_SUM, FD_Y_SQ_SUM, FD_TOL, FD_THR, FD_STATS) = range(5)
+FD_SLOTS = FD_STATS + 6
 
 _SOURCE = r"""
 #include <stdint.h>
@@ -165,14 +166,13 @@ void ensemble_mean(
 /* Fused best-split scan over a node's presorted candidate rows.
  *
  * Replays the NumPy growth path exactly: per candidate feature a
- * sequential prefix sum of y and y*y in sorted order (identical to
- * cumsum), the same SSE expression with the same operation order and
- * grouping, validity = value-change and min_samples_leaf, first-min
- * argmin (NaN wins like np.argmin), then the cross-candidate
- * tie-break loop (first candidate better than best - tol wins) with
- * the midpoint-threshold guard.  y_sum / y_sq_sum are computed by the
- * caller with NumPy (pairwise reduce / BLAS dot are not replicable
- * here) and passed in.
+ * sequential prefix sum of y and y*y in sorted order, the same SSE
+ * expression with the same operation order and grouping, validity =
+ * value-change and min_samples_leaf, first-min per column (NaN wins
+ * like np.argmin), then the cross-candidate tie-break (first
+ * candidate better than best - tol wins) with the midpoint-threshold
+ * guard.  y_sum / y_sq_sum are computed by the caller with NumPy
+ * (pairwise reduce / BLAS dot are not replicable here) and passed in.
  *
  * Returns the winning candidate slot j (feature cand[j]) or -1. */
 static int64_t split_scan(
@@ -181,7 +181,7 @@ static int64_t split_scan(
     const int64_t *cand, int64_t k,
     double y_sum, double y_sq_sum,
     int64_t msl, double tol,
-    double *out_thr, double *out_sse)
+    double *out_thr)
 {
     double best_sse = INFINITY;
     int64_t best_j = -1;
@@ -216,7 +216,6 @@ static int64_t split_scan(
             double thr = 0.5 * (xlo + xhi);
             if (thr <= xlo) thr = xhi;
             *out_thr = thr;
-            *out_sse = best_sse;
             best_j = j;
         }
     }
@@ -224,11 +223,11 @@ static int64_t split_scan(
 }
 
 /* Per-child node statistics in the Python engine's exact order.
- * st = [mean, var, pure, small].  Purity (an all-equal scan, order
- * independent) is computed for every size; mean/variance only below
+ * st = [mean, pure, small].  Purity (an all-equal scan, order
+ * independent) is computed for every size; the mean only below
  * scalar_max, where NumPy's pairwise summation degenerates to the same
  * plain left-to-right loop — larger children are flagged small=0 and
- * the caller computes their stats with NumPy's pairwise reduce. */
+ * the caller computes their mean with NumPy's pairwise reduce. */
 static void child_stats(const double *ys, int64_t m, int64_t scalar_max,
                         double *st)
 {
@@ -236,20 +235,15 @@ static void child_stats(const double *ys, int64_t m, int64_t scalar_max,
     int pure = 1;
     for (int64_t i = 0; i < m; ++i)
         if (ys[i] != first) { pure = 0; break; }
-    st[2] = (double) pure;
+    st[1] = (double) pure;
     if (m < scalar_max) {
         double s = 0.0;
         for (int64_t i = 0; i < m; ++i) s += ys[i];
-        double mean = s / (double) m;
-        double q = 0.0;
-        for (int64_t i = 0; i < m; ++i) { double d = ys[i] - mean; q += d * d; }
-        st[0] = mean;
-        st[1] = q / (double) m;
-        st[3] = 1.0;
+        st[0] = s / (double) m;
+        st[2] = 1.0;
     } else {
         st[0] = 0.0;
-        st[1] = 0.0;
-        st[3] = 0.0;
+        st[2] = 0.0;
     }
 }
 
@@ -257,8 +251,8 @@ static void child_stats(const double *ys, int64_t m, int64_t scalar_max,
  * partition_rows + partition_sorted pair and both children's stats.
  *
  * Routes the node's rows left/right of (f, thr) stably into
- * idx_out/ys_out, fills stats[0:4]/stats[4:8] with each child's
- * [mean, var, pure, small] (see child_stats), and — when either child
+ * idx_out/ys_out, fills stats[0:3]/stats[3:6] with each child's
+ * [mean, pure, small] (see child_stats), and — when either child
  * is still splittable (depth_ok, >= mss rows, impure) — splits every
  * presorted feature row by membership into out_T: the left child's
  * (p, n_left) block first, the right child's (p, n_right) block after
@@ -293,9 +287,9 @@ static int64_t partition_node(
     }
     int64_t n_right = m - n_left;
     child_stats(ys_out, n_left, scalar_max, stats);
-    child_stats(ys_out + n_left, n_right, scalar_max, stats + 4);
-    int l_ok = depth_ok && n_left >= mss && stats[2] == 0.0;
-    int r_ok = depth_ok && n_right >= mss && stats[6] == 0.0;
+    child_stats(ys_out + n_left, n_right, scalar_max, stats + 3);
+    int l_ok = depth_ok && n_left >= mss && stats[1] == 0.0;
+    int r_ok = depth_ok && n_right >= mss && stats[4] == 0.0;
     if (l_ok || r_ok) {
         int64_t *ro_base = out_T + p * n_left;
         for (int64_t r = 0; r < p; ++r) {
@@ -326,28 +320,26 @@ enum {
     FN_MSL, FN_MSS, FN_DEPTH_OK, FN_OUT_IDX, FN_OUT_YS, FN_OUT_T,
     FN_MEMBER, FN_SCALAR_MAX, FN_OUT_F, FN_SLOTS
 };
-enum { FD_Y_SUM = 0, FD_Y_SQ_SUM, FD_TOL, FD_THR, FD_SSE, FD_STATS,
-       FD_SLOTS = FD_STATS + 8 };
+enum { FD_Y_SUM = 0, FD_Y_SQ_SUM, FD_TOL, FD_THR, FD_STATS,
+       FD_SLOTS = FD_STATS + 6 };
 
 /* One fused call per split: split_scan then partition_node, reading
  * every argument from the two param blocks.  Returns -1 when no valid
  * split exists, else partition_node's left count; the chosen global
- * feature lands in ip[FN_OUT_F], threshold/SSE/child stats in dp. */
+ * feature lands in ip[FN_OUT_F], threshold and child stats in dp. */
 int64_t fit_node(int64_t *ip, double *dp)
 {
     int64_t m = ip[FN_M];
     const int64_t *cand = (const int64_t *) ip[FN_CAND];
-    double thr, sse;
+    double thr;
     int64_t j = split_scan(
         (const double *) ip[FN_X], ip[FN_P], (const double *) ip[FN_Y],
         (const int64_t *) ip[FN_T], m, cand, ip[FN_K],
-        dp[FD_Y_SUM], dp[FD_Y_SQ_SUM], ip[FN_MSL], dp[FD_TOL],
-        &thr, &sse);
+        dp[FD_Y_SUM], dp[FD_Y_SQ_SUM], ip[FN_MSL], dp[FD_TOL], &thr);
     if (j < 0) return -1;
     int64_t f = cand[j];
     ip[FN_OUT_F] = f;
     dp[FD_THR] = thr;
-    dp[FD_SSE] = sse;
     return partition_node(
         (const double *) ip[FN_X], ip[FN_P],
         (const int64_t *) ip[FN_IDX], (const double *) ip[FN_YS], m,

@@ -2,9 +2,9 @@
 
 Each tree is grown on a bootstrap resample of the training set with a
 random feature subset considered at every split; the forest predicts
-the mean of its trees.  Out-of-bag (OOB) predictions give an unbiased
-generalization estimate without a held-out set — useful because the
-paper's training sets are only ``nmax = 100`` evaluations.
+the mean of its trees.  The tuner only ever reads predictions: RSp
+compares them against a quantile cutoff and RSb ranks a pool by them,
+so a fit computes the trees and nothing else.
 
 Prediction runs through a *packed* representation: every tree's flat
 node arrays are concatenated into one offset-indexed structure, so
@@ -69,7 +69,7 @@ class PackedTrees:
         """Reusable ``(n_trees, n)`` output buffer.  Scoring a 10k pool
         materializes a multi-megabyte matrix; a fresh allocation per
         call pays mmap page faults, so internal hot paths (predict,
-        predict_std, OOB) reuse one buffer.  Only for callers that
+        predict_std) reuse one buffer.  Only for callers that
         fully consume the values before the next call — the public
         ``tree_values`` default stays a fresh allocation."""
         if self._scratch is None or self._scratch.shape[1] != n:
@@ -174,8 +174,6 @@ class RandomForestRegressor(Regressor):
         self.seed = seed
         self.trees: list[DecisionTreeRegressor] = []
         self._packed: PackedTrees | None = None
-        self._oob_prediction: np.ndarray | None = None
-        self._importances: np.ndarray | None = None
 
     @classmethod
     def from_spec(cls, spec=None) -> "RandomForestRegressor":
@@ -201,33 +199,14 @@ class RandomForestRegressor(Regressor):
     def fit(self, X, y) -> "RandomForestRegressor":
         X, y = check_Xy(X, y)
         n, p = X.shape
-        self.trees, samples = self._fit_serial(X, y, n, p)
-        importances = np.zeros(p)
-        for tree in self.trees:
-            importances += tree.feature_importances_
+        self.trees = self._fit_serial(X, y, n)
         self._packed = PackedTrees(self.trees)
-        # OOB bookkeeping, batched: one bincount per tree gives the O(n)
-        # out-of-bag mask, and one packed traversal of the training rows
-        # yields every tree's predictions at once.
-        vals = self._packed.tree_values(X)
-        oob_sum = np.zeros(n)
-        oob_count = np.zeros(n)
-        for t in range(self.n_estimators):
-            out_of_bag = np.flatnonzero(np.bincount(samples[t], minlength=n) == 0)
-            if out_of_bag.size:
-                oob_sum[out_of_bag] += vals[t, out_of_bag]
-                oob_count[out_of_bag] += 1
         self._n_features = p
-        with np.errstate(invalid="ignore", divide="ignore"):
-            self._oob_prediction = np.where(oob_count > 0, oob_sum / oob_count, np.nan)
-        total = importances.sum()
-        self._importances = importances / total if total > 0 else importances
-        self._y_train = y
         return self
 
     def _fit_serial(
-        self, X: np.ndarray, y: np.ndarray, n: int, p: int
-    ) -> tuple[list[DecisionTreeRegressor], np.ndarray]:
+        self, X: np.ndarray, y: np.ndarray, n: int
+    ) -> list[DecisionTreeRegressor]:
         """Serial growth with the per-tree root argsorts batched into a
         single (T, n, p) stable sort — the forest-level half of the
         presorted split search."""
@@ -251,7 +230,7 @@ class RandomForestRegressor(Regressor):
             )
             tree._fit_arrays(Xb[t], y[samples[t]], root_sorted=root_sorted[t])
             trees.append(tree)
-        return trees, samples
+        return trees
 
     def predict(self, X) -> np.ndarray:
         p = self._require_fitted()
@@ -289,26 +268,3 @@ class RandomForestRegressor(Regressor):
         return self._packed.tree_values(
             X, out=self._packed._values_scratch(X.shape[0])
         )
-
-    @property
-    def oob_prediction_(self) -> np.ndarray:
-        """Per-training-row OOB prediction (NaN where always in-bag)."""
-        self._require_fitted()
-        assert self._oob_prediction is not None
-        return self._oob_prediction
-
-    def oob_score(self) -> float:
-        """OOB R² over the rows that received at least one OOB vote."""
-        from repro.ml.metrics import r2_score
-
-        pred = self.oob_prediction_
-        mask = np.isfinite(pred)
-        if mask.sum() < 2:
-            raise ModelError("too few OOB rows to compute a score; add trees")
-        return r2_score(self._y_train[mask], pred[mask])
-
-    @property
-    def feature_importances_(self) -> np.ndarray:
-        self._require_fitted()
-        assert self._importances is not None
-        return self._importances

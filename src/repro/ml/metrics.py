@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["mae", "rmse", "r2_score"]
+__all__ = ["r2_score"]
 
 
 def _pair(y_true, y_pred) -> tuple[np.ndarray, np.ndarray]:
@@ -15,18 +15,6 @@ def _pair(y_true, y_pred) -> tuple[np.ndarray, np.ndarray]:
     if yt.size == 0:
         raise ValueError("empty input")
     return yt, yp
-
-
-def mae(y_true, y_pred) -> float:
-    """Mean absolute error."""
-    yt, yp = _pair(y_true, y_pred)
-    return float(np.mean(np.abs(yt - yp)))
-
-
-def rmse(y_true, y_pred) -> float:
-    """Root mean squared error."""
-    yt, yp = _pair(y_true, y_pred)
-    return float(np.sqrt(np.mean((yt - yp) ** 2)))
 
 
 def r2_score(y_true, y_pred) -> float:

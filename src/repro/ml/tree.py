@@ -12,13 +12,14 @@ per row.
 
 The split search presorts once: one global stable argsort per feature
 at ``fit()``; sorted index partitions are maintained down the tree
-(sklearn-style), and all candidate features of a node are scanned in a
-single batched prefix-sum pass.  Growth is O(depth · p · n) after the
-initial O(p · n log n) sort, and the constant factor is kept low by
-computing node statistics with raw ufunc reductions (scalar arithmetic
-for tiny nodes, where NumPy's pairwise summation is defined to be
-plain left-to-right).  When the native kernels compile, each split is
-one fused ``fit_node`` call; otherwise the same growth runs in NumPy.
+(sklearn-style), and each candidate feature of a node is scanned by one
+prefix-sum pass over its presorted rows.  Growth is O(depth · p · n)
+after the initial O(p · n log n) sort; node means use raw ufunc
+reductions (scalar arithmetic for tiny nodes, where NumPy's pairwise
+summation is defined to be plain left-to-right).  When the native
+kernels compile, each split is one fused ``fit_node`` call; otherwise
+the same growth runs in NumPy, with the scan as a plain Python loop
+over the same IEEE-double arithmetic.
 
 The original per-node-per-feature ``np.argsort`` search,
 O(depth · p · n log n), lives on as the slow reference in
@@ -55,13 +56,6 @@ _SSE_TOL = 1e-12
 #: bit-for-bit and skips several array-op dispatches per node.
 _SCALAR_SUM_MAX = 8
 
-#: Largest node size routed to the scalar split scan in the NumPy
-#: growth path — below this the batched (k, m) matrix pipeline is
-#: dominated by per-op dispatch, and a plain Python loop over the same
-#: IEEE-double arithmetic is faster (and bit-identical; the cutoff
-#: only picks an implementation, never changes a result).
-_SCALAR_SCAN_MAX = 128
-
 
 @dataclass
 class TreeNodes:
@@ -78,7 +72,6 @@ class TreeNodes:
     right: np.ndarray  # (n_nodes,) int
     value: np.ndarray  # (n_nodes,) float — mean target in the node
     n_samples: np.ndarray  # (n_nodes,) int
-    impurity: np.ndarray  # (n_nodes,) float — within-node MSE
 
     @property
     def n_nodes(self) -> int:
@@ -128,7 +121,6 @@ class DecisionTreeRegressor(Regressor):
         self.max_features = max_features
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.nodes: TreeNodes | None = None
-        self._importances: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     def _n_candidate_features(self, p: int) -> int:
@@ -181,16 +173,13 @@ class DecisionTreeRegressor(Regressor):
         right: list[int] = []
         value: list[float] = []
         counts: list[int] = []
-        impurity: list[float] = []
-        importances = np.zeros(p)
 
         def new_node(ys: np.ndarray, m: int) -> tuple[int, bool]:
-            """Record a node; returns (id, pure).  Mean/variance follow
-            the exact reduction order of ``ndarray.mean``/``var`` (plain
+            """Record a node; returns (id, pure).  The mean follows the
+            exact reduction order of ``ndarray.mean`` (plain
             left-to-right below the pairwise-summation cutoff).  Purity
-            needs the explicit all-equal scan: a pure node can still
-            report ``var > 0`` when the mean rounds away from the
-            common value."""
+            is an explicit all-equal scan: the mean of a pure node can
+            round away from its common value."""
             node = len(feature)
             if m < _SCALAR_SUM_MAX:
                 vals = ys.tolist()
@@ -198,11 +187,6 @@ class DecisionTreeRegressor(Regressor):
                 for v in vals:
                     s += v
                 mean = s / m
-                q = 0.0
-                for v in vals:
-                    d = v - mean
-                    q += d * d
-                var = q / m
                 first = vals[0]
                 pure = True
                 for v in vals:
@@ -210,10 +194,7 @@ class DecisionTreeRegressor(Regressor):
                         pure = False
                         break
             else:
-                mean_np = add(ys) / m
-                d = ys - mean_np
-                mean = float(mean_np)
-                var = float(add(d * d) / m)
+                mean = float(add(ys) / m)
                 pure = bool((ys == ys[0]).all())
             feature.append(-1)
             threshold.append(np.nan)
@@ -221,45 +202,32 @@ class DecisionTreeRegressor(Regressor):
             right.append(_NO_CHILD)
             value.append(mean)
             counts.append(m)
-            impurity.append(var)
             return node, pure
 
-        # Per-node-size scratch reused across the whole growth:
-        # split-position sizes as broadcastable rows plus the
-        # min_samples_leaf validity row.
-        sizes_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray | None]] = {}
-
-        def sizes_for(m: int):
-            got = sizes_cache.get(m)
-            if got is None:
-                sl = np.arange(1, m, dtype=float)
-                sr = m - sl
-                mask = (sl >= msl) & (sr >= msl) if msl > 1 else None
-                got = (sl, sr, mask)
-                sizes_cache[m] = got
-            return got
-
         arange_p = np.arange(p)
-        arange_k = np.arange(k)
         inf = np.inf
         colsT = np.ascontiguousarray(X.T)
 
-        def best_split_scalar(ys, sorted_T, cand, m):
-            """Scalar replay of the batched scan for small nodes, where
-            the (k, m) matrix pipeline is pure dispatch overhead.
-            Python floats are IEEE doubles, so the per-position
-            arithmetic below — the native ``split_scan`` loop, already
-            proven bit-identical to the matrix pass — rounds exactly
-            the same way."""
-            y_sum = float(add(ys))
-            y_sq_sum = float(np.dot(ys, ys))
-            best = None
-            best_sse = inf
+        def best_split(ys, sorted_T, cand, m):
+            """Best (feature, threshold) over the candidates, from the
+            presorted row-major (feature, position) matrix; ``None``
+            when no valid split exists.  Python floats are IEEE
+            doubles, so this loop rounds exactly like the native
+            ``split_scan`` and the per-node argsort reference: a
+            sequential prefix sum, the same SSE grouping, first-min per
+            column, and the first candidate within ``_SSE_TOL`` of the
+            running best wins."""
             # Positions with a left or right side below min_samples_leaf
             # can never split: accumulate their prefix silently and scan
             # only the eligible band [lo, hi).
             lo = msl - 1 if msl > 1 else 0
             hi = m - msl if msl > 1 else m - 1
+            if hi <= lo:
+                return None
+            y_sum = float(add(ys))
+            y_sq_sum = float(np.dot(ys, ys))
+            best = None
+            best_sse = inf
             for f in cand:
                 f = int(f)
                 rows = sorted_T[f]
@@ -297,59 +265,14 @@ class DecisionTreeRegressor(Regressor):
                     thr = 0.5 * (xlo + xhi)
                     if thr <= xlo:
                         thr = xhi
-                    best = (f, thr, best_sse)
-            return best
-
-        def best_split(ys, sorted_T, cand, m):
-            """Best (feature, threshold, sse_after) over the candidates,
-            from presorted row-major (feature, position) matrices in one
-            prefix-sum pass; ``None`` when no valid split exists."""
-            if m <= _SCALAR_SCAN_MAX:
-                return best_split_scalar(ys, sorted_T, cand, m)
-            y_sum = add(ys)
-            y_sq_sum = float(np.dot(ys, ys))
-            sub = sorted_T[cand]  # (k, m) global row ids, contiguous rows
-            xs = X[sub, cand[:, np.newaxis]]  # (k, m) sorted feature values
-            ysm = y[sub]
-            csum = ysm.cumsum(axis=1)
-            csq = (ysm * ysm).cumsum(axis=1)
-            sum_left = csum[:, :-1]
-            sq_left = csq[:, :-1]
-            sum_right = y_sum - sum_left
-            sq_right = y_sq_sum - sq_left
-            sl, sr, msl_mask = sizes_for(m)
-            sse = (sq_left - sum_left**2 / sl) + (sq_right - sum_right**2 / sr)
-            valid = xs[:, 1:] > xs[:, :-1]
-            if msl_mask is not None:
-                valid &= msl_mask
-            col_ok = valid.any(axis=1)
-            if not col_ok.any():
-                return None
-            sse[~valid] = inf
-            pos = sse.argmin(axis=1)
-            cand_best = sse[arange_k if len(cand) == k else arange_p, pos]
-            # Scalar tie-break in candidate order: the first candidate
-            # within _SSE_TOL of the running best wins.
-            best = None
-            best_sse = inf
-            for j in range(len(cand)):
-                if not col_ok[j]:
-                    continue
-                if cand_best[j] < best_sse - _SSE_TOL:
-                    best_sse = float(cand_best[j])
-                    p0 = int(pos[j])
-                    thr = 0.5 * (xs[j, p0] + xs[j, p0 + 1])
-                    if thr <= xs[j, p0]:
-                        thr = xs[j, p0 + 1]
-                    best = (int(cand[j]), float(thr), best_sse)
+                    best = (f, thr)
             return best
 
         root_idx = np.arange(n)
         if root_sorted is None:
             root_sorted = np.argsort(X, axis=0, kind="stable")
         # Row-major (feature, position) layout keeps every per-node op
-        # on contiguous memory (row slices, axis-1 cumsums, row-major
-        # boolean partition).
+        # on contiguous memory (row slices, row-major boolean partition).
         sorted_T0 = np.ascontiguousarray(root_sorted.T)
         member = np.zeros(n, dtype=bool)
 
@@ -362,12 +285,11 @@ class DecisionTreeRegressor(Regressor):
 
         if lib is not None:
             # Native growth: ONE fused C call per split (fit_node =
-            # split_scan + partition_node), replaying the batched NumPy
-            # pass above: sequential cumulative sums, same SSE
-            # arithmetic and grouping, first-min argmin, same scalar
-            # tie-break, stable row routing, presorted-row splits, and
-            # both children's statistics in new_node's exact arithmetic
-            # order.  Compiled with -ffp-contract=off, so every double
+            # split_scan + partition_node), replaying best_split above:
+            # sequential prefix sums, same SSE arithmetic and grouping,
+            # first-min per column, same tie-break, then stable row
+            # routing, presorted-row splits, and both children's means
+            # in new_node's exact arithmetic order.  Compiled with -ffp-contract=off, so every double
             # op rounds exactly like NumPy's.  Arguments travel through
             # two preconstructed param blocks — ctypes converts every
             # argument of every call, which at this call rate costs
@@ -407,15 +329,11 @@ class DecisionTreeRegressor(Regressor):
             def record_child(ys_c, mc, off):
                 """Record a child whose purity fit_node already
                 determined; small children arrive with their scalar
-                mean/var, larger ones replay new_node's pairwise path."""
-                if dp[off + 3]:
+                mean, larger ones replay new_node's pairwise path."""
+                if dp[off + 2]:
                     mean = float(dp[off])
-                    var = float(dp[off + 1])
                 else:
-                    mean_np = add(ys_c) / mc
-                    d = ys_c - mean_np
-                    mean = float(mean_np)
-                    var = float(add(d * d) / mc)
+                    mean = float(add(ys_c) / mc)
                 child = len(feature)
                 feature.append(-1)
                 threshold.append(np.nan)
@@ -423,7 +341,6 @@ class DecisionTreeRegressor(Regressor):
                 right.append(_NO_CHILD)
                 value.append(mean)
                 counts.append(mc)
-                impurity.append(var)
                 return child
 
             # Arena blocks for node buffers (out_idx + out_T share an
@@ -479,8 +396,6 @@ class DecisionTreeRegressor(Regressor):
                 if n_left < 0:
                     continue
                 f = int(ip[_native.FN_OUT_F])
-                sse_before = impurity[node] * m
-                importances[f] += max(0.0, sse_before - dp[_native.FD_SSE])
                 if n_left == 0 or n_left == m:  # pragma: no cover - guarded
                     continue
                 n_right = m - n_left
@@ -490,20 +405,19 @@ class DecisionTreeRegressor(Regressor):
                 ys_right = arena_f[oy + n_left:oy + m]
                 lchild = record_child(ys_left, n_left, fd_stats)
                 left[node] = lchild
-                rchild = record_child(ys_right, n_right, fd_stats + 4)
+                rchild = record_child(ys_right, n_right, fd_stats + 3)
                 right[node] = rchild
-                if depth_ok and n_left >= mss and not dp[fd_stats + 2]:
+                if depth_ok and n_left >= mss and not dp[fd_stats + 1]:
                     stack.append(
                         (lchild, ys_left, child_depth, oi_p, oy_p, bT_p)
                     )
-                if depth_ok and n_right >= mss and not dp[fd_stats + 6]:
+                if depth_ok and n_right >= mss and not dp[fd_stats + 4]:
                     stack.append(
                         (rchild, ys_right, child_depth,
                          oi_p + 8 * n_left, oy_p + 8 * n_left,
                          bT_p + 8 * p * n_left)
                     )
-            self._store(feature, threshold, left, right, value, counts,
-                        impurity, importances, p)
+            self._store(feature, threshold, left, right, value, counts, p)
             return self
 
         stack = []
@@ -516,9 +430,7 @@ class DecisionTreeRegressor(Regressor):
             found = best_split(ys, sorted_T, cand, m)
             if found is None:
                 continue
-            f, thr, sse_after = found
-            sse_before = impurity[node] * m  # impurity is exactly float(ys.var())
-            importances[f] += max(0.0, sse_before - sse_after)
+            f, thr = found
             # Flat take on the transposed copy beats the strided 2-D
             # fancy index; the compared values are identical either way.
             go_left = colsT[f].take(idx) <= thr
@@ -555,12 +467,10 @@ class DecisionTreeRegressor(Regressor):
                         (rchild, idx[not_left], ys_right, child_depth, right_T)
                     )
 
-        self._store(feature, threshold, left, right, value, counts, impurity,
-                    importances, p)
+        self._store(feature, threshold, left, right, value, counts, p)
         return self
 
-    def _store(self, feature, threshold, left, right, value, counts, impurity,
-               importances, p) -> None:
+    def _store(self, feature, threshold, left, right, value, counts, p) -> None:
         self.nodes = TreeNodes(
             feature=np.array(feature, dtype=int),
             threshold=np.array(threshold, dtype=float),
@@ -568,10 +478,7 @@ class DecisionTreeRegressor(Regressor):
             right=np.array(right, dtype=int),
             value=np.array(value, dtype=float),
             n_samples=np.array(counts, dtype=int),
-            impurity=np.array(impurity, dtype=float),
         )
-        total = importances.sum()
-        self._importances = importances / total if total > 0 else importances
         self._n_features = p
 
     # ------------------------------------------------------------------
@@ -602,12 +509,6 @@ class DecisionTreeRegressor(Regressor):
         return self.nodes.value[leaves]  # type: ignore[union-attr]
 
     # ------------------------------------------------------------------
-    @property
-    def feature_importances_(self) -> np.ndarray:
-        self._require_fitted()
-        assert self._importances is not None
-        return self._importances
-
     @property
     def depth(self) -> int:
         """Depth of the fitted tree (root = 0)."""

@@ -20,7 +20,7 @@ This package rebuilds that pipeline:
   charging simulated compile + execution time.
 """
 
-from repro.orio.annotations import AnnotatedKernel, parse_annotated_source
+from repro.orio.annotations import AnnotatedKernel
 from repro.orio.parser import parse_statement, parse_loop_nest
 from repro.orio.codegen import generate_c
 from repro.orio.analysis import VariantMetrics, analyze_nest
@@ -28,7 +28,6 @@ from repro.orio.evaluator import Measurement, OrioEvaluator
 
 __all__ = [
     "AnnotatedKernel",
-    "parse_annotated_source",
     "parse_statement",
     "parse_loop_nest",
     "generate_c",

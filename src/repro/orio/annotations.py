@@ -35,7 +35,6 @@ from repro.orio.parser import parse_loop_nest
 __all__ = [
     "TransformSpec",
     "AnnotatedKernel",
-    "parse_annotated_source",
     "parse_annotated_blocks",
 ]
 
@@ -138,29 +137,15 @@ def _parse_header(header: str) -> TransformSpec:
     )
 
 
-def parse_annotated_source(
-    source: str, consts: Mapping[str, int] | None = None
-) -> AnnotatedKernel:
-    """Extract and parse the single annotated loop of a kernel source.
-
-    ``consts`` binds problem-size symbols (e.g. ``{"N": 2000}``) so the
-    parsed nest has concrete bounds.
-    """
-    matches = list(_BLOCK_RE.finditer(source))
-    if not matches:
-        raise ParseError("no /*@ begin Loop ... @*/ ... /*@ end @*/ block found")
-    if len(matches) > 1:
-        raise ParseError(f"expected exactly one annotated block, found {len(matches)}")
-    return _parse_block(matches[0], consts)
-
-
 def parse_annotated_blocks(
     source: str, consts: Mapping[str, int] | None = None
 ) -> list[AnnotatedKernel]:
     """Extract every annotated loop block of a kernel source, in order.
 
-    Multi-phase kernels (ATAX: ``t = A x`` then ``y = A^T t``) annotate
-    each phase separately; the phases share the configuration namespace.
+    ``consts`` binds problem-size symbols (e.g. ``{"N": 2000}``) so the
+    parsed nests have concrete bounds.  Multi-phase kernels (ATAX:
+    ``t = A x`` then ``y = A^T t``) annotate each phase separately; the
+    phases share the configuration namespace.
     """
     matches = list(_BLOCK_RE.finditer(source))
     if not matches:

@@ -14,7 +14,7 @@ costed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from repro.errors import TransformError
 
@@ -34,9 +34,6 @@ __all__ = [
     "shift_var",
     "affine_coefficients",
     "loop_chain",
-    "innermost_body",
-    "count_ops",
-    "walk_exprs",
 ]
 
 
@@ -343,34 +340,3 @@ def loop_chain(stmt: Stmt) -> list[ForLoop]:
         else:
             break
     return chain
-
-
-def innermost_body(stmt: Stmt) -> tuple[Stmt, ...]:
-    """The statement list inside the innermost loop of a perfect nest."""
-    chain = loop_chain(stmt)
-    if not chain:
-        return (stmt,)
-    return chain[-1].body
-
-
-def walk_exprs(stmt: Stmt) -> Iterator[Expr]:
-    """Yield every expression in a statement subtree (targets included)."""
-    if isinstance(stmt, Assign):
-        yield stmt.target
-        yield stmt.value
-    elif isinstance(stmt, ForLoop):
-        yield stmt.lower
-        yield stmt.upper
-        for s in stmt.body:
-            yield from walk_exprs(s)
-
-
-def count_ops(expr: Expr) -> int:
-    """Number of arithmetic operations in an expression tree."""
-    if isinstance(expr, BinOp):
-        return 1 + count_ops(expr.left) + count_ops(expr.right)
-    if isinstance(expr, (MinExpr, MaxExpr)):
-        return 1 + count_ops(expr.left) + count_ops(expr.right)
-    if isinstance(expr, ArrayRef):
-        return sum(count_ops(i) for i in expr.indices)
-    return 0

@@ -3,7 +3,7 @@
 All three transformations are real AST-to-AST passes over the IR in
 :mod:`repro.orio.ast`:
 
-* :class:`CacheTile` — strip-mine + hoist to create cache-blocked tile
+* :func:`tile_nest` — strip-mine + hoist to create cache-blocked tile
   loops (``T`` in ``2^0 .. 2^11``);
 * :class:`RegisterTile` — strip-mine by a small factor and fully unroll
   the resulting point loop (``RT`` in ``2^0 .. 2^5``);
@@ -14,7 +14,7 @@ concrete configuration, mirroring Orio's ``Composite`` transform.
 """
 
 from repro.orio.transforms.base import Transform, find_loop, replace_loop, fresh_name
-from repro.orio.transforms.tile import CacheTile, tile_nest
+from repro.orio.transforms.tile import tile_nest
 from repro.orio.transforms.unroll import UnrollJam, expand_unroll, expand_all_unrolls
 from repro.orio.transforms.regtile import RegisterTile
 from repro.orio.transforms.scalarrep import ScalarReplacement, replaceable_targets
@@ -25,7 +25,6 @@ __all__ = [
     "find_loop",
     "replace_loop",
     "fresh_name",
-    "CacheTile",
     "tile_nest",
     "UnrollJam",
     "expand_unroll",

@@ -33,9 +33,9 @@ from repro.orio.ast import (
     fold,
     loop_chain,
 )
-from repro.orio.transforms.base import Transform, collect_names, fresh_name
+from repro.orio.transforms.base import collect_names, fresh_name
 
-__all__ = ["CacheTile", "tile_nest", "rectangular_hull"]
+__all__ = ["tile_nest", "rectangular_hull"]
 
 
 def _free_loop_vars(expr: Expr, loop_vars: set[str]) -> set[str]:
@@ -144,16 +144,3 @@ def tile_nest(nest: ForLoop, tiles: Mapping[str, int]) -> ForLoop:
     result = inner[0]
     assert isinstance(result, ForLoop)
     return result
-
-
-class CacheTile(Transform):
-    """Tile one or more loops of a perfect nest (Table I, row 2)."""
-
-    def __init__(self, tiles: Mapping[str, int]) -> None:
-        self.tiles = dict(tiles)
-
-    def apply(self, nest: ForLoop) -> ForLoop:
-        return tile_nest(nest, self.tiles)
-
-    def __repr__(self) -> str:
-        return f"CacheTile({self.tiles!r})"

@@ -39,11 +39,11 @@ def _guarded_pool_proposer(proposer, policy, surrogate, stream, name):
     """
     if policy is None:
         return proposer, None
-    guard = policy.build(surrogate)
-    if stream is None and guard.enabled:
+    if stream is None:
         raise SearchError(
             f"guarded {name} needs stream= as its plain-RS fallback source"
         )
+    guard = policy.build(surrogate)
     return GuardedProposer(proposer, guard, stream=stream), guard
 
 
@@ -73,9 +73,7 @@ def biased_search(
     negative-transfer monitoring; a guarded RSb interleaves the model
     ranking with ``stream`` draws while the model is SUSPECT and
     follows ``stream`` alone — plain RS under common random numbers —
-    once it is REVOKED, so ``stream`` is required when the guard is
-    enabled.  No guard and ``GuardPolicy.disabled()`` are
-    byte-identical to an unguarded run.
+    once it is REVOKED, so ``stream`` is required with a guard.
     """
     spec = resolve_spec(spec)
     if nmax < 1:

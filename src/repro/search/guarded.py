@@ -57,7 +57,10 @@ class GuardedProposer(BaseProposer):
     pass ``None`` and simply keep walking their stream).  Positions
     consumed from the wrapped proposer and from the fallback stream
     are tracked separately and checkpointed, so a resume hands each
-    source back exactly the progress it made.
+    source back exactly the progress it made.  Proposals come in
+    :class:`BaseProposer`'s blocks of one, so each is routed (and
+    counted in ``state()``) under the guard's current verdict and a
+    checkpoint saved after any of them is exact.
     """
 
     def __init__(self, inner, guard, stream: SharedStream | None = None) -> None:
@@ -72,8 +75,8 @@ class GuardedProposer(BaseProposer):
     # -- lifecycle -----------------------------------------------------
     def restore(self, position: int, ctx: EngineContext) -> None:
         extra = ctx.extra
-        saved = extra.get("guard_positions") if self.guard.enabled else None
-        if self.guard.enabled and extra.get("guard") is not None:
+        saved = extra.get("guard_positions")
+        if extra.get("guard") is not None:
             self.guard.load_state(extra["guard"])
         if saved is None:
             self._inner_consumed = position
@@ -103,7 +106,7 @@ class GuardedProposer(BaseProposer):
     # -- proposing -----------------------------------------------------
     def propose(self, ctx: EngineContext) -> Proposal | None:
         guard = self.guard
-        if not guard.enabled or guard.state == _TRUSTED or self.stream is None:
+        if guard.state == _TRUSTED or self.stream is None:
             return self._propose_inner(ctx)
         if guard.state == _REVOKED:
             return self._propose_fallback(ctx)
@@ -131,35 +134,21 @@ class GuardedProposer(BaseProposer):
         self.guard.note_fallback_proposal()
         return Proposal(config)
 
-    def propose_block(self, ctx: EngineContext, count: int) -> list[Proposal]:
-        """Blocks of one while the guard is armed, so every proposal is
-        routed (and counted in ``state()``) with the guard's current
-        verdict, and a checkpoint saved after any of them is exact.
-        Without a guard, delegation is byte-identical."""
-        if self.guard.enabled:
-            return super().propose_block(ctx, count)
-        return self.inner.propose_block(ctx, count)
-
-    def rewind(self, count: int) -> None:
-        self.inner.rewind(count)
-
     # -- feedback / checkpointing --------------------------------------
     def observe(self, ctx: EngineContext, proposal: Proposal, runtime: float,
                 failed: bool, censored: bool) -> None:
-        if self.guard.enabled:
-            self.guard.observe(ctx, proposal, runtime, failed)
+        self.guard.observe(ctx, proposal, runtime, failed)
         self.inner.observe(ctx, proposal, runtime, failed, censored)
 
     def state(self) -> dict:
         state = dict(self.inner.state())
-        if self.guard.enabled:
-            state["guard"] = self.guard.state_dict()
-            state["guard_positions"] = {
-                "inner": self._inner_consumed,
-                "fallback": self._fallback_consumed,
-                "flip": self._flip,
-                "last_origin": self._last_origin,
-            }
+        state["guard"] = self.guard.state_dict()
+        state["guard_positions"] = {
+            "inner": self._inner_consumed,
+            "fallback": self._fallback_consumed,
+            "flip": self._flip,
+            "last_origin": self._last_origin,
+        }
         return state
 
 
@@ -173,7 +162,10 @@ class GuardedGate:
     audit evaluation.  REVOKED admits everything without consulting
     (or charging) the model, completing the fall-back to plain RS.
     Fallback-stream proposals carry no prediction and are always
-    admitted — there is nothing left to prune them with.
+    admitted — there is nothing left to prune them with.  The wrapper
+    offers no ``admit_charge``/``admit_vector``, which keeps the engine
+    on the scalar :meth:`admit` path where state-dependent widening
+    and audit promotion can run per candidate.
     """
 
     def __init__(self, inner, guard) -> None:
@@ -183,28 +175,8 @@ class GuardedGate:
     def setup(self, ctx: EngineContext) -> None:
         self.inner.setup(ctx)
 
-    @property
-    def admit_charge(self):
-        """The inner gate's per-decision charge while the guard is
-        dormant; ``None`` once armed, which keeps the engine on the
-        scalar :meth:`admit` path where state-dependent widening and
-        audit promotion can run per candidate."""
-        if self.guard.enabled:
-            return None
-        return getattr(self.inner, "admit_charge", None)
-
-    def admit_vector(self, predicted):
-        if self.guard.enabled:
-            return None
-        inner_vector = getattr(self.inner, "admit_vector", None)
-        if inner_vector is None:
-            return None
-        return inner_vector(predicted)
-
     def admit(self, ctx: EngineContext, proposal: Proposal) -> bool:
         guard = self.guard
-        if not guard.enabled:
-            return self.inner.admit(ctx, proposal)
         if guard.state == _REVOKED:
             return True
         if proposal.predicted is None:

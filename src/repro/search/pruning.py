@@ -66,8 +66,7 @@ def pruned_search(
     against target observations as they accrue, the pruning quantile
     widens under suspicion (with occasional audits of would-be-pruned
     configurations), and a revoked model degrades the run to plain RS
-    on the same stream.  No guard and ``GuardPolicy.disabled()`` are
-    byte-identical to an unguarded run.
+    on the same stream.
     """
     spec = resolve_spec(spec)
     if nmax < 1:

@@ -36,6 +36,10 @@ __all__ = ["Dispatcher", "job_key", "job_fingerprint"]
 #: Registry experiment name every service job is journaled under.
 EXPERIMENT = "service-jobs"
 
+#: Registry size in bytes past which the dispatcher compacts it after
+#: a batch.
+REGISTRY_MAX_BYTES = 8_000_000
+
 
 def job_key(job_id: str, session_id: str, payload: dict) -> dict:
     """The registry cell key of one job — identity plus payload.
@@ -61,13 +65,11 @@ class Dispatcher:
         registry: RunRegistry,
         admission: AdmissionController,
         batch_size: int = 8,
-        registry_max_bytes: int = 8_000_000,
     ) -> None:
         self.executor = executor
         self.registry = registry
         self.admission = admission
         self.batch_size = batch_size
-        self.registry_max_bytes = registry_max_bytes
 
     # ------------------------------------------------------------------
     def ready_jobs(self, jobs, now: float) -> tuple[list[JobRecord], list[JobRecord]]:
@@ -135,7 +137,7 @@ class Dispatcher:
             )
         finally:
             self.executor.task_timeout = base_timeout
-        self.registry.maybe_compact(self.registry_max_bytes)
+        self.registry.maybe_compact(REGISTRY_MAX_BYTES)
         return {
             job.job_id: result
             for job, result in zip(batch, outcome.results)

@@ -75,6 +75,10 @@ __all__ = ["TuningService"]
 #: payload does not carry an ``nmax``.
 _DEFAULT_COSTS = {"probe": 1, "search": 20, "transfer": 30}
 
+#: Seconds the background pump (and a blocking stream) waits between
+#: polls when no work is ready.
+POLL_INTERVAL = 0.02
+
 
 def _job_cost(payload: dict) -> int:
     nmax = payload.get("nmax")
@@ -102,9 +106,7 @@ class TuningService:
         n_workers: int | None = None,
         executor: SupervisedExecutor | None = None,
         store_max_bytes: int = 1_000_000,
-        registry_max_bytes: int = 8_000_000,
         degraded_cooldown: float = 2.0,
-        poll_interval: float = 0.02,
         min_free_bytes: int = 0,
     ) -> None:
         if executor is not None and n_workers is not None:
@@ -127,11 +129,9 @@ class TuningService:
             self.registry,
             self.admission,
             batch_size=batch_size,
-            registry_max_bytes=registry_max_bytes,
         )
         self.store_max_bytes = store_max_bytes
         self.degraded_cooldown = degraded_cooldown
-        self.poll_interval = poll_interval
         self.min_free_bytes = min_free_bytes
         self._lock = threading.RLock()
         self._degraded_until = 0.0
@@ -447,7 +447,7 @@ class TuningService:
                 if self.pump(max_batches=1) == 0:
                     return
             else:
-                time.sleep(self.poll_interval)
+                time.sleep(POLL_INTERVAL)
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -566,7 +566,7 @@ class TuningService:
     def _run_loop(self) -> None:
         while not self._stop.is_set():
             if self.pump() == 0:
-                self._stop.wait(self.poll_interval)
+                self._stop.wait(POLL_INTERVAL)
 
     def stop(self) -> None:
         thread = self._thread
@@ -581,7 +581,7 @@ class TuningService:
         self.start()
         try:
             while not self._stop.is_set():
-                time.sleep(self.poll_interval)
+                time.sleep(POLL_INTERVAL)
         finally:
             self.stop()
 

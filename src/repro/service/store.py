@@ -60,17 +60,11 @@ DEFAULT_EVENT_BUFFER = 8192
 class SessionStore:
     """Journaled, replayable session/job state at one path."""
 
-    def __init__(
-        self,
-        path,
-        keep_events_per_session: int = DEFAULT_KEEP_EVENTS,
-        event_buffer: int = DEFAULT_EVENT_BUFFER,
-    ) -> None:
+    def __init__(self, path) -> None:
         self._journal = JsonlJournal(path)
-        self.keep_events_per_session = keep_events_per_session
         self.sessions: dict[str, SessionRecord] = {}
         self.jobs: dict[str, JobRecord] = {}
-        self.events: deque[Event] = deque(maxlen=event_buffer)
+        self.events: deque[Event] = deque(maxlen=DEFAULT_EVENT_BUFFER)
         self.next_seq = 1
         self.recovered = False  # True when open() replayed an existing journal
         self.salvage_report: ScrubReport | None = None
@@ -240,7 +234,7 @@ class SessionStore:
 
         Keeps every session and job record (jobs are the durable audit
         of quota spend) but drops the raw event history down to the
-        last ``keep_events_per_session`` events of each live session.
+        last :data:`DEFAULT_KEEP_EVENTS` events of each live session.
         Returns the journal size in bytes afterwards.  Crash-safe: the
         swap is :meth:`JsonlJournal.rewrite` — old journal or new, never
         a mix, and sequence numbers continue where they left off.
@@ -280,7 +274,7 @@ class SessionStore:
             if session is None or not session.live:
                 continue
             keep.setdefault(
-                event.session_id, deque(maxlen=self.keep_events_per_session)
+                event.session_id, deque(maxlen=DEFAULT_KEEP_EVENTS)
             ).append(event)
         merged: list[Event] = [e for tail in keep.values() for e in tail]
         merged.sort(key=lambda e: e.seq)

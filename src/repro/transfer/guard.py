@@ -213,7 +213,6 @@ class GuardPolicy:
     widen_factor: float = 2.0
     audit_every: int = 4
     regret_limit: int = 2
-    enabled: bool = True
 
     def __post_init__(self) -> None:
         if self.min_evidence < 2:
@@ -240,15 +239,6 @@ class GuardPolicy:
             raise PolicyError("z_critical must be positive")
         if self.widen_factor < 1.0:
             raise PolicyError("widen_factor must be >= 1")
-
-    @classmethod
-    def disabled(cls) -> "GuardPolicy":
-        """A policy that never monitors and never intervenes.
-
-        A search whose spec carries it is byte-identical to one whose
-        spec has no guard — enforced by the golden-trace suite.
-        """
-        return cls(enabled=False)
 
     def build(self, surrogate: object | None = None) -> "ModelGuard":
         """A fresh per-run :class:`ModelGuard` under this policy."""
@@ -304,10 +294,6 @@ class ModelGuard:
         self._pending_audit: int | None = None
 
     # -- identity ------------------------------------------------------
-    @property
-    def enabled(self) -> bool:
-        return self.policy.enabled
-
     @property
     def interventions(self) -> int:
         """How often the guard changed what the search would have done."""

@@ -7,7 +7,6 @@ from repro.utils.stats import (
     quantile,
     rank,
     bootstrap_ci,
-    geometric_mean,
     summary,
 )
 
@@ -21,6 +20,5 @@ __all__ = [
     "quantile",
     "rank",
     "bootstrap_ci",
-    "geometric_mean",
     "summary",
 ]

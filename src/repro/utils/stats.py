@@ -20,7 +20,6 @@ __all__ = [
     "rank",
     "quantile",
     "bootstrap_ci",
-    "geometric_mean",
     "summary",
     "Summary",
 ]
@@ -88,16 +87,6 @@ def quantile(values: Sequence[float], q: float) -> float:
     if arr.size == 0:
         raise ValueError("cannot take the quantile of an empty sample")
     return float(np.quantile(arr, q))
-
-
-def geometric_mean(values: Sequence[float]) -> float:
-    """Geometric mean of strictly positive values (speedup aggregation)."""
-    arr = _as1d(values)
-    if arr.size == 0:
-        raise ValueError("cannot average an empty sample")
-    if np.any(arr <= 0):
-        raise ValueError("geometric mean requires strictly positive values")
-    return float(np.exp(np.mean(np.log(arr))))
 
 
 def bootstrap_ci(

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Sequence
 
-__all__ = ["format_table", "format_markdown_table"]
+__all__ = ["format_table"]
 
 
 def _cell(value: Any, floatfmt: str) -> str:
@@ -51,20 +51,4 @@ def format_table(
     for row in str_rows:
         lines.append("|".join(f" {c:>{w}} " for c, w in zip(row, widths)))
     lines.append(sep)
-    return "\n".join(lines)
-
-
-def format_markdown_table(
-    headers: Sequence[str],
-    rows: Iterable[Sequence[Any]],
-    floatfmt: str = ".2f",
-) -> str:
-    """Render a GitHub-flavoured markdown table (used by EXPERIMENTS.md)."""
-    str_rows = [[_cell(v, floatfmt) for v in row] for row in rows]
-    for i, row in enumerate(str_rows):
-        if len(row) != len(headers):
-            raise ValueError(f"row {i} has {len(row)} cells, expected {len(headers)}")
-    lines = ["| " + " | ".join(headers) + " |", "|" + "---|" * len(headers)]
-    for row in str_rows:
-        lines.append("| " + " | ".join(row) + " |")
     return "\n".join(lines)

@@ -123,9 +123,9 @@ class TestChaosRecovery:
                 _square,
                 items,
                 registry=journal,
-                n_workers=3,
-                max_task_retries=10,
-                chaos=chaos,
+                executor=SupervisedExecutor(
+                    n_workers=3, max_task_retries=10, chaos=chaos
+                ),
             )
             assert first.ok and first.executed == 10, chaos
             assert list(first.results) == [x * x for x in items]
@@ -134,8 +134,7 @@ class TestChaosRecovery:
                 _square,
                 items,
                 registry=journal,
-                n_workers=3,
-                chaos=chaos,
+                executor=SupervisedExecutor(n_workers=3, chaos=chaos),
             )
             assert second.cached == 10 and second.executed == 0, chaos
             assert list(second.results) == list(first.results)

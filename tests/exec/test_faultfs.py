@@ -4,7 +4,7 @@ import errno
 
 import pytest
 
-from repro.chaos.faultfs import FailingFS
+from tests.conftest import FailingFS
 from repro.errors import CheckpointError, JournalWriteError
 from repro.exec import RunRegistry
 

@@ -11,7 +11,6 @@ from repro.machines import (
     XEON_PHI,
     XGENE,
     get_machine,
-    machine_names,
 )
 from repro.machines.spec import CacheLevel, MachineSpec
 from repro.machines.response import ResponseVector
@@ -37,7 +36,7 @@ class TestCacheLevel:
 class TestRegistry:
     def test_five_machines(self):
         assert len(MACHINES) == 5
-        assert machine_names() == ["westmere", "sandybridge", "xeonphi", "power7", "xgene"]
+        assert list(MACHINES) == ["westmere", "sandybridge", "xeonphi", "power7", "xgene"]
 
     def test_lookup_by_name_and_alias(self):
         assert get_machine("sandybridge") is SANDYBRIDGE

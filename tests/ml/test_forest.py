@@ -60,34 +60,3 @@ class TestFit:
         rf = RandomForestRegressor(n_estimators=30, min_samples_split=2,
                                    min_samples_leaf=1, seed=0).fit(X, y)
         assert rf.predict([[9.0]])[0] > rf.predict([[0.0]])[0]
-
-
-class TestOob:
-    def test_oob_score_reasonable(self):
-        X, y = friedman_like(n=400)
-        rf = RandomForestRegressor(n_estimators=60, seed=0).fit(X, y)
-        assert 0.5 < rf.oob_score() <= 1.0
-
-    def test_oob_prediction_shape(self):
-        X, y = friedman_like(n=100)
-        rf = RandomForestRegressor(n_estimators=30, seed=0).fit(X, y)
-        assert rf.oob_prediction_.shape == (100,)
-
-    def test_oob_with_one_tree_mostly_nan(self):
-        X, y = friedman_like(n=50)
-        rf = RandomForestRegressor(n_estimators=1, seed=0).fit(X, y)
-        pred = rf.oob_prediction_
-        # Bootstrap leaves ~37% of rows out for a single tree.
-        frac_finite = np.isfinite(pred).mean()
-        assert 0.15 < frac_finite < 0.6
-
-
-class TestImportances:
-    def test_importances_identify_relevant_features(self):
-        rng = np.random.default_rng(0)
-        X = rng.uniform(size=(400, 4))
-        y = 5.0 * X[:, 1] + rng.normal(scale=0.05, size=400)
-        rf = RandomForestRegressor(n_estimators=30, seed=0).fit(X, y)
-        imp = rf.feature_importances_
-        assert np.argmax(imp) == 1
-        assert imp.sum() == pytest.approx(1.0)

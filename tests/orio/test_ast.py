@@ -13,13 +13,10 @@ from repro.orio.ast import (
     MinExpr,
     Var,
     affine_coefficients,
-    count_ops,
     fold,
-    innermost_body,
     loop_chain,
     shift_var,
     substitute,
-    walk_exprs,
 )
 
 
@@ -127,11 +124,6 @@ class TestLoopStructure:
         nest = make_loop("i", body=body)
         assert [l.var for l in loop_chain(nest)] == ["i"]
 
-    def test_innermost_body(self):
-        inner_stmt = Assign(ArrayRef("C", (Var("k"),)), IntLit(2))
-        nest = make_loop("i", body=(make_loop("k", body=(inner_stmt,)),))
-        assert innermost_body(nest) == (inner_stmt,)
-
     def test_trip_count(self):
         assert make_loop(lo=0, hi=10).trip_count() == 10
         assert make_loop(lo=0, hi=10, step=3).trip_count() == 4
@@ -143,15 +135,6 @@ class TestLoopStructure:
         assert loop.trip_count({"N": 7}) == 7
         with pytest.raises(TransformError):
             loop.trip_count()
-
-    def test_walk_exprs_yields_everything(self):
-        nest = make_loop("i")
-        exprs = list(walk_exprs(nest))
-        assert IntLit(0) in exprs and IntLit(10) in exprs
-
-    def test_count_ops(self):
-        e = BinOp("+", BinOp("*", Var("a"), Var("b")), Var("c"))
-        assert count_ops(e) == 2
 
 
 class TestValidation:

@@ -15,7 +15,6 @@ from repro.errors import TransformError
 from repro.orio.ast import ForLoop, loop_chain
 from repro.orio.parser import parse_loop_nest
 from repro.orio.transforms import (
-    CacheTile,
     RegisterTile,
     UnrollJam,
     compose,
@@ -111,10 +110,6 @@ class TestCacheTile:
     def test_partial_tiling_equivalence(self, mm_nest):
         tiled = tile_nest(mm_nest, {"j": 4})
         run_and_compare(mm_nest, tiled, mm_arrays)
-
-    def test_transform_object(self, mm_nest):
-        tiled = CacheTile({"i": 2}).apply(mm_nest)
-        assert loop_chain(tiled)[0].var == "it"
 
 
 class TestUnrollJam:

@@ -1,10 +1,10 @@
 """Fault injection: the service under disk-full and permission-denied.
 
 Write failures are injected into the session-store journal via
-:class:`~repro.chaos.faultfs.FailingFS`; the contract under test is the degraded-mode one:
-structured ``overloaded`` rejections (never silent drops or torn
-state), in-memory state untouched by unacknowledged transitions, and
-full recovery once writes succeed again.
+:class:`~tests.conftest.FailingFS`; the contract under test is the
+degraded-mode one: structured ``overloaded`` rejections (never silent
+drops or torn state), in-memory state untouched by unacknowledged
+transitions, and full recovery once writes succeed again.
 """
 
 import errno
@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from repro.chaos.faultfs import FailingFS
+from tests.conftest import FailingFS
 from repro.service import ServiceOverloadedError, TuningService
 from repro.service.model import JOB_COMPLETED, JOB_QUEUED
 from repro.service.store import SessionStore

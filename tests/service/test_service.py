@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.exec.executor import SupervisedExecutor
+from repro.service import service as service_mod
 from repro.service import (
     QueueFullError,
     QuotaExceededError,
@@ -215,9 +216,9 @@ class TestEventStream:
 
 
 class TestBackgroundPump:
-    def test_start_stop_completes_jobs(self, tmp_path):
-        svc = TuningService(tmp_path / "svc", n_workers=1,
-                            poll_interval=0.01).open()
+    def test_start_stop_completes_jobs(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(service_mod, "POLL_INTERVAL", 0.01)
+        svc = TuningService(tmp_path / "svc", n_workers=1).open()
         try:
             svc.start()
             session = svc.create_session("alice")

@@ -12,6 +12,7 @@ from repro.service.model import (
     JobRecord,
     SessionRecord,
 )
+from repro.service import store as store_mod
 from repro.service.store import SessionStore
 
 
@@ -191,9 +192,10 @@ class TestCompaction:
                                 session=make_session(state=SESSION_CLOSED))
         assert event.seq > cursor
 
-    def test_compaction_drops_dead_session_events_keeps_live_tail(self, tmp_path):
-        store = SessionStore(tmp_path / "s.jsonl",
-                             keep_events_per_session=2).open()
+    def test_compaction_drops_dead_session_events_keeps_live_tail(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setattr(store_mod, "DEFAULT_KEEP_EVENTS", 2)
+        store = SessionStore(tmp_path / "s.jsonl").open()
         store.record("session-created", "dead",
                      session=make_session("dead", state=SESSION_CLOSED))
         store.record("session-created", "live", session=make_session("live"))
@@ -201,8 +203,7 @@ class TestCompaction:
             store.record("job-queued", "live",
                          job=make_job(jid=f"j{i}", sid="live"))
         store.compact()
-        replayed = SessionStore(store.path,
-                                keep_events_per_session=2).open()
+        replayed = SessionStore(store.path).open()
         assert replayed.events_after("dead", after=0) == []
         live = replayed.events_after("live", after=0)
         assert len(live) == 2  # bounded tail, newest retained

@@ -203,6 +203,14 @@ class TestWireFormat:
         with pytest.raises(SpecError, match="unknown guard field"):
             TunerSpec.from_dict({"version": SPEC_VERSION, "guard": {"patience": 3}})
 
+    def test_guard_enabled_field_rejected(self):
+        # An unguarded spec is written ``"guard": null``; there is no
+        # second, switched-off spelling of it.
+        with pytest.raises(SpecError, match="unknown guard field"):
+            TunerSpec.from_dict(
+                {"version": SPEC_VERSION, "guard": {"enabled": False}}
+            )
+
     def test_non_mapping_rejected(self):
         with pytest.raises(SpecError, match="must be a mapping"):
             TunerSpec.from_dict([("version", SPEC_VERSION)])

@@ -136,17 +136,14 @@ class TestDeadCode:
             "src/repro/__init__.py": "",
             "src/repro/search/__init__.py": "",
             "src/repro/search/mod.py": search_module,
-            "src/repro/other.py": "from repro.search.mod import used\n",
+            "src/repro/other.py": (
+                "from repro.search.mod import used\n\nused()\n"
+            ),
         })
         return collect_modules(src), str(tmp_path)
 
     def test_unreferenced_public_def_is_flagged(self, tmp_path):
         modules, root = self._tree(tmp_path, """\
-            __all__ = ["exported"]
-
-            def exported():
-                pass
-
             def used():
                 pass
 
@@ -156,6 +153,40 @@ class TestDeadCode:
         errors = check_dead_code(modules, root)
         assert len(errors) == 1
         assert "'orphan'" in errors[0]
+
+    def test_exports_imports_tests_and_self_use_are_not_uses(self, tmp_path):
+        src = _write_tree(tmp_path, {
+            "src/repro/__init__.py": "",
+            "src/repro/pkg/__init__.py": (
+                "from repro.pkg.mod import exported, imported, make, Table\n"
+                "__all__ = ['exported', 'imported', 'make']\n"
+                "TABLE = {'m': make}\n"
+            ),
+            "src/repro/pkg/mod.py": (
+                "__all__ = ['exported', 'imported', 'tested', 'make',\n"
+                "           'walk', 'Table', 'used']\n"
+                "def exported():\n    pass\n"
+                "def imported():\n    pass\n"
+                "def tested():\n    pass\n"
+                "def make():\n    pass\n"
+                "def walk(node):\n    return [walk(c) for c in node]\n"
+                "class Table:\n"
+                "    def copy(self):\n        return Table()\n"
+                "def used():\n    pass\n"
+                "LOCAL = used()\n"
+            ),
+            "examples/demo.py": "from repro.pkg import imported\n",
+            "tests/test_mod.py": (
+                "from repro.pkg.mod import tested\n\ntested()\n"
+            ),
+        })
+        errors = check_dead_code(collect_modules(src), str(tmp_path))
+        flagged = sorted(e.split("'")[1] for e in errors)
+        # An __all__ entry, a bare import, a test, a recursive call and
+        # a method naming its own class keep nothing alive; a package
+        # __init__ using the name in code and a use elsewhere in the
+        # defining module do.
+        assert flagged == ["Table", "exported", "imported", "tested", "walk"]
 
     def test_unused_private_def_is_flagged(self, tmp_path):
         modules, root = self._tree(tmp_path, """\

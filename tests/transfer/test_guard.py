@@ -114,10 +114,7 @@ class TestMonitor:
 class TestPolicyValidation:
     def test_defaults_are_valid(self):
         policy = GuardPolicy()
-        assert policy.enabled
-
-    def test_disabled_factory(self):
-        assert not GuardPolicy.disabled().enabled
+        assert policy.build().state == TRUSTED
 
     def test_build_returns_fresh_guards(self):
         policy = GuardPolicy()

@@ -155,27 +155,3 @@ class TestGuardedSession:
         assert [r.config.index for r in guarded.rs.records] == [
             r.config.index for r in bare.rs.records
         ]
-
-    def test_disabled_guard_is_inert_for_all_variants(self):
-        kw = dict(
-            kernel=get_kernel("lu", n=256),
-            source=get_machine("westmere"),
-            target=get_machine("sandybridge"),
-            nmax=20,
-            seed="session-guard-off",
-            variants=("RSp", "RSb"),
-        )
-        spec = TunerSpec(pool=PoolSpec(size=800))
-        bare = TransferSession(**kw, spec=spec).run()
-        off = TransferSession(
-            **kw, spec=dataclasses.replace(spec, guard=GuardPolicy.disabled())
-        ).run()
-        for variant in ("RSp", "RSb"):
-            assert (
-                off.report(variant).performance
-                == bare.report(variant).performance
-            )
-            assert (
-                off.report(variant).search_time
-                == bare.report(variant).search_time
-            )

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.utils.asciiplot import Series, scatter_plot, step_plot
-from repro.utils.tables import format_markdown_table, format_table
+from repro.utils.tables import format_table
 
 
 class TestFormatTable:
@@ -34,19 +34,6 @@ class TestFormatTable:
     def test_custom_floatfmt(self):
         out = format_table(["x"], [[3.14159]], floatfmt=".4f")
         assert "3.1416" in out
-
-
-class TestMarkdownTable:
-    def test_structure(self):
-        out = format_markdown_table(["a", "b"], [[1, 2]])
-        lines = out.splitlines()
-        assert lines[0] == "| a | b |"
-        assert lines[1] == "|---|---|"
-        assert lines[2] == "| 1 | 2 |"
-
-    def test_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            format_markdown_table(["a"], [[1, 2]])
 
 
 class TestScatterPlot:

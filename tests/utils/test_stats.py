@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.utils.stats import (
     bootstrap_ci,
-    geometric_mean,
     pearson,
     quantile,
     rank,
@@ -109,19 +108,6 @@ class TestQuantile:
     def test_property_within_range(self, xs, q):
         v = quantile(xs, q)
         assert min(xs) <= v <= max(xs)
-
-
-class TestGeometricMean:
-    def test_known(self):
-        assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            geometric_mean([1.0, 0.0])
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            geometric_mean([])
 
 
 class TestBootstrap:
