@@ -53,9 +53,9 @@ class SourceDataError(ModelError):
 
     Raised by :func:`repro.transfer.sanitize.sanitize_training` (and
     therefore by :meth:`repro.transfer.Surrogate.fit`) when source rows
-    are structurally invalid — NaN/negative runtimes under a log
-    target, configurations from a foreign space, exact duplicate rows —
-    or when sanitization/censoring leaves nothing to fit.  ``report``
+    are structurally invalid — NaN or non-positive runtimes,
+    configurations from a foreign space, exact duplicate rows — or when
+    every runtime is ``+inf``, leaving nothing to fit.  ``report``
     carries the per-category counts of what was found.
     """
 

@@ -14,7 +14,6 @@ from repro.ml.forest import RandomForestRegressor
 from repro.ml.linear import RidgeRegressor
 from repro.ml.knn import KNeighborsRegressor
 from repro.ml.boosting import GradientBoostingRegressor
-from repro.ml.metrics import r2_score
 from repro.ml.export import export_text
 
 __all__ = [
@@ -24,6 +23,5 @@ __all__ = [
     "RidgeRegressor",
     "KNeighborsRegressor",
     "GradientBoostingRegressor",
-    "r2_score",
     "export_text",
 ]

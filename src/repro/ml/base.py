@@ -59,9 +59,3 @@ class Regressor(ABC):
         if self._n_features is None:
             raise NotFittedError(f"{type(self).__name__} has not been fitted")
         return self._n_features
-
-    def score(self, X, y) -> float:
-        """Coefficient of determination R² on a held-out set."""
-        from repro.ml.metrics import r2_score
-
-        return r2_score(np.asarray(y, dtype=float).ravel(), self.predict(X))

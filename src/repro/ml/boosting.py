@@ -86,15 +86,3 @@ class GradientBoostingRegressor(Regressor):
         for t in range(vals.shape[0]):
             pred += self.learning_rate * vals[t]
         return pred
-
-    def staged_predict(self, X) -> np.ndarray:
-        """Predictions after each boosting round, shape (rounds, rows)."""
-        p = self._require_fitted()
-        X = check_X(X, p)
-        vals = self._tree_values(X)
-        pred = np.full(X.shape[0], self._base)
-        stages = np.empty((len(self.trees), X.shape[0]))
-        for t in range(vals.shape[0]):
-            pred = pred + self.learning_rate * vals[t]
-            stages[t] = pred
-        return stages

@@ -39,7 +39,6 @@ from repro.search.protocols import (
     SurrogateModel,
 )
 from repro.search.stream import SharedStream
-from repro.searchspace.encoding import encode_cached, encoding_cache
 from repro.searchspace.space import Configuration, SearchSpace
 from repro.utils.rng import spawn_rng
 
@@ -212,12 +211,6 @@ class PoolRankProposer(BaseProposer):
         self._order = np.empty(0, dtype=np.int64)
         self._order_upto = 0
         ctx.trace.metadata["pool_size"] = n
-
-    @property
-    def pool(self) -> list[Configuration]:
-        """The scored pool, fully materialized (diagnostic use only —
-        the ranking itself never needs every Configuration built)."""
-        return [self._config_for(i) for i in range(len(self._pool_configs))]
 
     def _config_for(self, slot: int) -> Configuration:
         config = self._pool_configs[slot]
@@ -401,7 +394,7 @@ class SMBOProposer(BaseProposer):
                 tgt_med = float(np.median([y for _, y in self._observations]))
                 scale = tgt_med / src_med if src_med > 0 else 1.0
                 training += [(c, y * scale) for c, y in self.source_data]
-            X = encode_cached(self.space, [c for c, _ in training])
+            X = self.space.encode_many([c for c, _ in training])
             y = np.log([v for _, v in training])
             self._model = RandomForestRegressor.from_spec(self.forest)
             self._model.fit(X, y)
@@ -416,7 +409,7 @@ class SMBOProposer(BaseProposer):
         ]
         if not indices:
             return None
-        Xc = encoding_cache(self.space).encode_indices(indices)
+        Xc = self.space.encode_indices(indices)
         mu = self._model.predict(Xc)
         clock.advance(2e-4 * len(Xc))
         if self.acquisition == "mean":

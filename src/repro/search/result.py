@@ -116,22 +116,13 @@ class SearchTrace:
     def configs(self) -> list[Configuration]:
         return [r.config for r in self.records]
 
-    def training_data(
-        self, include_failed: bool = False
-    ) -> list[tuple[Configuration, float]]:
+    def training_data(self) -> list[tuple[Configuration, float]]:
         """The (x_i, y_i) pairs of Section III — surrogate training data.
 
-        Failed evaluations are excluded by default; with
-        ``include_failed=True`` they appear with their penalty/censored
-        runtime so a censoring-aware learner (see
-        :meth:`repro.transfer.surrogate.Surrogate.fit`) can drop or
-        impute them explicitly.
+        Failed evaluations are excluded: their penalty or censored
+        runtimes are not measurements.
         """
-        return [
-            (r.config, r.runtime)
-            for r in self.records
-            if include_failed or not r.failed
-        ]
+        return [(r.config, r.runtime) for r in self.records if not r.failed]
 
     def state_digest(self) -> str:
         """A sha256 digest over the trace's replayable state.

@@ -138,7 +138,6 @@ class TuningService:
         self._recovered_jobs = 0
         self._journal_failures = 0
         self._watermark_rejections = 0
-        self._oracle_report: dict | None = None
         self._thread: threading.Thread | None = None
         self._stop = threading.Event()
 
@@ -588,16 +587,6 @@ class TuningService:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def note_oracle_report(self, report: dict) -> None:
-        """Attach the latest chaos-oracle outcome to the diagnostics.
-
-        Campaigns call this after verifying a service workload so
-        operators see invariant results on the health endpoint without
-        reading journals.
-        """
-        with self._lock:
-            self._oracle_report = dict(report)
-
     def stats(self) -> dict:
         """The health endpoint's body: queues, tenants, executor, disk."""
         with self._lock:
@@ -637,7 +626,6 @@ class TuningService:
                     "min_free_bytes": self.min_free_bytes,
                     "chaos_kills": executor_stats.chaos_kills,
                     "worker_deaths": executor_stats.worker_deaths,
-                    "oracle": self._oracle_report,
                 },
             }
 

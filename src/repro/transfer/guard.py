@@ -359,9 +359,10 @@ class ModelGuard:
             ctx.trace.metadata["guard"] = self.metadata()
 
     def _residual(self, proposal, runtime: float) -> tuple[float, float] | tuple[None, None]:
-        """Model-space ``(observed - predicted, predict_std)`` when the
-        learner exposes an ensemble spread.  Reuses the prediction the
-        gate already paid for — calibration adds no simulated cost."""
+        """Log-space ``(observed - predicted, predict_std)`` when the
+        learner exposes an ensemble spread (the surrogate models log
+        runtime).  Reuses the prediction the gate already paid for —
+        calibration adds no simulated cost."""
         surrogate = self.surrogate
         if surrogate is None or not getattr(surrogate, "supports_std", False):
             return None, None
@@ -369,11 +370,9 @@ class ModelGuard:
         if not math.isfinite(sigma) or sigma <= 0:
             return None, None
         predicted = float(proposal.predicted)
-        if getattr(surrogate, "log_target", False):
-            if predicted <= 0:
-                return None, None
-            return math.log(runtime) - math.log(predicted), sigma
-        return runtime - predicted, sigma
+        if predicted <= 0:
+            return None, None
+        return math.log(runtime) - math.log(predicted), sigma
 
     # -- state machine -------------------------------------------------
     def _update_state(self, ctx) -> None:
@@ -448,16 +447,6 @@ class ModelGuard:
             "widened_admits": self.widened_admits,
             "fallback_proposals": self.fallback_proposals,
         }
-
-    def diagnostics(self) -> dict:
-        """Audit-log view: :meth:`metadata` plus process-local encoding
-        cache statistics.  Never persisted — cache counters depend on
-        process history, which would break bit-identical resume."""
-        out = self.metadata()
-        cache_stats = getattr(self.surrogate, "cache_stats", None)
-        if callable(cache_stats):
-            out["encoding_cache"] = cache_stats()
-        return out
 
     # -- persistence ---------------------------------------------------
     def state_dict(self) -> dict:

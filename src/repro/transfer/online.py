@@ -34,15 +34,21 @@ from repro.utils.rng import spawn_rng
 
 __all__ = ["OnlineRankProposer", "online_biased_search"]
 
+#: Share of the (rescaled) source rows each refit subsamples, so the
+#: target observations gradually dominate the training data.
+SOURCE_WEIGHT = 0.5
+
 
 class OnlineRankProposer(BaseProposer):
     """A surrogate-ranked pool, re-ranked by refits on target data.
 
-    Setup samples the pool, fits the surrogate on the source data, and
-    ranks the pool by prediction (fit and prediction time charged in
-    that order).  After every ``refit_every`` observations the next
-    proposal first refits on a subsample of rescaled source data plus
-    the target observations and re-ranks the rest of the pool.  A failed
+    Setup samples the pool as linear indices, fits the surrogate on the
+    source data, and ranks the pool by prediction (fit and prediction
+    time charged in that order).  After every ``refit_every``
+    observations the next proposal first refits on a
+    :data:`SOURCE_WEIGHT` subsample of rescaled source data plus the
+    target observations and re-ranks the rest of the pool.  Only the
+    proposal handed out becomes a Configuration.  A failed
     evaluation enters the refit data as its :func:`failure_feedback`
     value.  Each proposal depends on the refits before it, so blocks
     are of one.
@@ -56,22 +62,19 @@ class OnlineRankProposer(BaseProposer):
         *,
         pool_size: int,
         refit_every: int,
-        source_weight: float,
-        surrogate_factory,
     ) -> None:
         self.space = space
         self.source_data = source_data
         self.rng = rng
         self.pool_size = pool_size
         self.refit_every = refit_every
-        self.source_weight = source_weight
-        self.surrogate_factory = surrogate_factory
-        self._ranked: list[Configuration] = []
+        self._ranked: list[int] = []
         self._target_obs: list[tuple[Configuration, float]] = []
         self._since_refit = 0
 
-    def _fit_and_rank(self, clock, pool: list[Configuration]) -> list[Configuration]:
-        """Fit on blended data, return ``pool`` sorted by prediction."""
+    def _fit_and_rank(self, clock, pool: list[int]) -> list[int]:
+        """Fit on blended data, return the indices ``pool`` sorted by
+        prediction."""
         source = self.source_data
         if not self._target_obs:
             training = list(source)
@@ -81,19 +84,19 @@ class OnlineRankProposer(BaseProposer):
             src_med = float(np.median([y for _, y in source]))
             tgt_med = float(np.median([y for _, y in self._target_obs]))
             scale = tgt_med / src_med if src_med > 0 else 1.0
-            keep = max(1, int(round(self.source_weight * len(source))))
+            keep = max(1, int(round(SOURCE_WEIGHT * len(source))))
             idx = self.rng.choice(len(source), size=keep, replace=False)
             training = [(source[i][0], source[i][1] * scale) for i in idx]
             training += self._target_obs
-        surrogate = self.surrogate_factory().fit(training)
+        surrogate = Surrogate(self.space).fit(training)
         clock.advance(surrogate.fit_seconds)
-        preds = surrogate.predict(pool)
+        preds = surrogate.predict_indices(pool)
         clock.advance(surrogate.predict_seconds(len(pool)))
         order = np.argsort(preds, kind="stable")
         return [pool[int(i)] for i in order]
 
     def setup(self, ctx: EngineContext) -> None:
-        pool = self.space.sample(
+        pool = self.space.sample_indices(
             self.rng, min(self.pool_size, self.space.cardinality)
         )
         self._ranked = self._fit_and_rank(ctx.clock, pool)
@@ -104,7 +107,7 @@ class OnlineRankProposer(BaseProposer):
             self._ranked = self._fit_and_rank(ctx.clock, self._ranked)
         if not self._ranked:
             return None
-        return Proposal(self._ranked.pop(0))
+        return Proposal(self.space.config_at(self._ranked.pop(0)))
 
     def observe(self, ctx: EngineContext, proposal: Proposal, runtime: float,
                 failed: bool, censored: bool) -> None:
@@ -121,8 +124,6 @@ def online_biased_search(
     source_data: Sequence[tuple[Configuration, float]],
     nmax: int = 100,
     refit_every: int = 20,
-    source_weight: float = 0.5,
-    surrogate_factory=None,
     name: str = "RSb+online",
     spec: TunerSpec | None = None,
 ) -> SearchTrace:
@@ -133,15 +134,10 @@ def online_biased_search(
     source_data:
         The (configuration, runtime) pairs from the source machine, Ta.
     refit_every:
-        Refit and re-rank after this many target evaluations.
-    source_weight:
-        Source runtimes are rescaled toward the target's scale before
-        each refit (sources run at different absolute speeds); this
-        weight further multiplies the source sample count by taking a
-        subsample, so the target data gradually dominates.
-    surrogate_factory:
-        Callable returning a fresh :class:`Surrogate`; defaults to the
-        random-forest surrogate.
+        Refit and re-rank after this many target evaluations.  Source
+        runtimes are rescaled toward the target's scale before each
+        refit (sources run at different absolute speeds), and only a
+        :data:`SOURCE_WEIGHT` share of them is kept.
     spec:
         A :class:`repro.spec.TunerSpec` (default spec when ``None``):
         the pool holds ``spec.pool.size`` configurations, and the
@@ -158,8 +154,6 @@ def online_biased_search(
         raise SearchError(f"refit_every must be >= 1, got {refit_every}")
     if not source_data:
         raise SearchError("online transfer needs source data")
-    if not 0.0 <= source_weight <= 1.0:
-        raise SearchError(f"source_weight must be in [0, 1], got {source_weight}")
 
     proposer = OnlineRankProposer(
         space,
@@ -167,8 +161,6 @@ def online_biased_search(
         spawn_rng("online-rsb", space.name, name),
         pool_size=spec.pool.size,
         refit_every=refit_every,
-        source_weight=source_weight,
-        surrogate_factory=surrogate_factory or (lambda: Surrogate(space)),
     )
     trace = SearchEngine(
         evaluator, proposer, nmax=nmax, name=name, space=space,

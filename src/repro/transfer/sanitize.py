@@ -10,23 +10,20 @@ negative-transfer failure mode the guard layer exists to contain.
 pair *before* the learner sees it and classifies each problem:
 
 * **NaN or -inf runtimes** — never meaningful measurements;
-* **non-positive runtimes** under a log target (``require_positive``)
-  — ``log(y)`` is undefined for them;
+* **non-positive runtimes** — ``log(y)``, the surrogate's target, is
+  undefined for them;
 * **out-of-space configurations** — rows encoded against a different
   :class:`~repro.searchspace.space.SearchSpace` would be scrambled by
   this space's encoding;
 * **exact duplicate rows** — identical ``(config index, runtime)``
   pairs silently re-weight the learner.
 
-``+inf`` runtimes pass through untouched: they are *censored*
-measurements (timeouts, failures) with a documented policy of their
-own in ``Surrogate.fit(censored=...)``.
+``+inf`` runtimes pass through untouched: they mark evaluations that
+never finished, and ``Surrogate.fit`` leaves them out of the fit.
 
-The policy is explicit: ``on_invalid="raise"`` (the default in
-``Surrogate.fit``) raises a structured
-:class:`~repro.errors.SourceDataError` naming every category found,
-while ``on_invalid="drop"`` removes the offending rows and records the
-counts in the returned :class:`SanitizationReport`.
+Any finding rejects the whole set with a structured
+:class:`~repro.errors.SourceDataError` whose :class:`SanitizationReport`
+counts every category found.
 """
 
 from __future__ import annotations
@@ -39,8 +36,6 @@ from repro.errors import SearchSpaceError, SourceDataError
 from repro.searchspace.space import Configuration, SearchSpace
 
 __all__ = ["SanitizationReport", "sanitize_training"]
-
-_POLICIES = ("raise", "drop")
 
 
 def _belongs(space: SearchSpace, config: object) -> bool:
@@ -66,12 +61,10 @@ class SanitizationReport:
     """What :func:`sanitize_training` found in one training set."""
 
     n_input: int = 0
-    n_kept: int = 0
     n_nan: int = 0
     n_nonpositive: int = 0
     n_out_of_space: int = 0
     n_duplicate: int = 0
-    policy: str = "raise"
     #: one human-readable line per offending row, in input order
     findings: list[str] = field(default_factory=list)
 
@@ -101,23 +94,14 @@ class SanitizationReport:
 def sanitize_training(
     space: SearchSpace,
     training: Sequence[tuple[Configuration, float]],
-    require_positive: bool = True,
-    on_invalid: str = "raise",
-) -> tuple[list[tuple[Configuration, float]], SanitizationReport]:
+) -> SanitizationReport:
     """Validate ``(configuration, runtime)`` pairs against ``space``.
 
-    Returns ``(kept_rows, report)``.  Under ``on_invalid="raise"`` any
-    finding raises :class:`~repro.errors.SourceDataError` (with the
-    report attached); under ``"drop"`` offending rows are removed —
-    duplicates keep their first occurrence — and the counts land in
-    the report.
+    Returns the (clean) report; any finding raises
+    :class:`~repro.errors.SourceDataError` with the report attached.
+    A duplicate is every repeat of a row after its first occurrence.
     """
-    if on_invalid not in _POLICIES:
-        raise SourceDataError(
-            f"on_invalid must be one of {_POLICIES}, got {on_invalid!r}"
-        )
-    report = SanitizationReport(n_input=len(training), policy=on_invalid)
-    kept: list[tuple[Configuration, float]] = []
+    report = SanitizationReport(n_input=len(training))
     seen: set[tuple[int, float]] = set()
     for row_no, (config, runtime) in enumerate(training):
         runtime = float(runtime)
@@ -128,7 +112,7 @@ def sanitize_training(
         elif math.isnan(runtime) or runtime == -math.inf:
             problem = "nan"
             report.n_nan += 1
-        elif require_positive and runtime <= 0:
+        elif runtime <= 0:
             problem = "nonpositive"
             report.n_nonpositive += 1
         elif (config.index, runtime) in seen:
@@ -136,14 +120,12 @@ def sanitize_training(
             report.n_duplicate += 1
         if problem is None:
             seen.add((config.index, runtime))
-            kept.append((config, runtime))
         else:
             report.findings.append(
                 f"row {row_no}: {problem} (runtime={runtime!r})"
             )
-    report.n_kept = len(kept)
-    if not report.clean and on_invalid == "raise":
+    if not report.clean:
         raise SourceDataError(
             f"source training data rejected — {report.summary()}", report=report
         )
-    return kept, report
+    return report

@@ -94,7 +94,10 @@ class TransferSession:
     default ``spec``'s pool of ``N = 10000`` and cutoff ``δ = 20%``.
     ``seed`` controls the common-random-numbers stream;
     ``budget_seconds`` optionally bounds each search's simulated time
-    (X-Gene style failures).
+    (X-Gene style failures).  ``evaluator_factory(machine, clock)``
+    replaces the default :class:`~repro.orio.evaluator.OrioEvaluator`,
+    e.g. to wrap it in reliability layers so every search sees the
+    same hazards.
 
     Beyond the paper's four variants, ``variants`` also accepts
     ``"RSpb"`` — the prune-then-bias hybrid
@@ -127,7 +130,6 @@ class TransferSession:
         budget_seconds: float | None = None,
         variants: tuple[str, ...] = ("RSp", "RSb", "RSpf", "RSbf"),
         evaluator_factory: Callable[[MachineSpec, SimClock], object] | None = None,
-        evaluator_wrapper: Callable[[object], object] | None = None,
         spec: TunerSpec | None = None,
     ) -> None:
         self.spec = resolve_spec(spec)
@@ -142,7 +144,6 @@ class TransferSession:
         self.budget_seconds = budget_seconds
         self.variants = variants
         self.evaluator_factory = evaluator_factory
-        self.evaluator_wrapper = evaluator_wrapper
 
     # ------------------------------------------------------------------
     def _threads_for(self, machine: MachineSpec) -> int:
@@ -154,21 +155,15 @@ class TransferSession:
     def _evaluator(self, machine: MachineSpec):
         clock = SimClock(self.budget_seconds)
         if self.evaluator_factory is not None:
-            evaluator = self.evaluator_factory(machine, clock)
-        else:
-            evaluator = OrioEvaluator(
-                self.kernel,
-                machine,
-                compiler=self.compiler,
-                threads=self._threads_for(machine),
-                openmp=self.openmp,
-                clock=clock,
-            )
-        if self.evaluator_wrapper is not None:
-            # Reliability layers (fault injection, retry/backoff, circuit
-            # breaking) wrap here so every search sees the same hazards.
-            evaluator = self.evaluator_wrapper(evaluator)
-        return evaluator
+            return self.evaluator_factory(machine, clock)
+        return OrioEvaluator(
+            self.kernel,
+            machine,
+            compiler=self.compiler,
+            threads=self._threads_for(machine),
+            openmp=self.openmp,
+            clock=clock,
+        )
 
     def _stream(self) -> SharedStream:
         return SharedStream(self.kernel.space, seed=self.seed)

@@ -42,7 +42,8 @@ class TechniqueProposer(BaseProposer):
     ``seed_evaluations > 0`` prepends a surrogate warm-start phase: the
     model's best ``seed_evaluations`` pool picks are proposed first
     (fit and pool-scoring time charged in setup), each result fed to
-    the technique before it takes over.
+    the technique before it takes over.  The pool is scored by linear
+    index; only those picks become Configurations.
     """
 
     def __init__(
@@ -92,12 +93,15 @@ class TechniqueProposer(BaseProposer):
         clock = ctx.clock
         clock.advance(self.surrogate.fit_seconds)
         rng = spawn_rng(self.rng_label, self.space.name, ctx.name)
-        pool = self.space.sample(rng, min(self.pool_size, self.space.cardinality))
-        predictions = self.surrogate.predict(pool)
+        pool = self.space.sample_indices(
+            rng, min(self.pool_size, self.space.cardinality)
+        )
+        predictions = self.surrogate.predict_indices(pool)
         clock.advance(self.surrogate.predict_seconds(len(pool)))
         order = np.argsort(predictions, kind="stable")
         self._seeds = [
-            pool[int(i)] for i in order[: min(self.seed_evaluations, ctx.nmax)]
+            self.space.config_at(pool[int(i)])
+            for i in order[: min(self.seed_evaluations, ctx.nmax)]
         ]
 
     def propose(self, ctx: EngineContext) -> Proposal | None:

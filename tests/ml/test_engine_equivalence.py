@@ -186,9 +186,6 @@ class TestBoostingEquivalence:
             assert_trees_identical(a, b)
         Xq = regression_data(seed=5)[0]
         np.testing.assert_array_equal(legacy.predict(Xq), fast.predict(Xq))
-        np.testing.assert_array_equal(
-            legacy.staged_predict(Xq), fast.staged_predict(Xq)
-        )
 
     def test_packed_predict_matches_tree_loop(self):
         X, y = regression_data()

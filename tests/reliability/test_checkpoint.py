@@ -470,27 +470,17 @@ class TestSessionResume:
     def test_completed_phases_are_skipped(self, tmp_path, kernel):
         calls = {"n": 0}
 
-        class Counting:
-            def __init__(self, inner):
-                self.inner = inner
-
-            @property
-            def clock(self):
-                return self.inner.clock
-
-            def __getattr__(self, name):
-                return getattr(self.inner, name)
-
-            def measure(self, config):
-                return self.inner.measure(config)
-
+        class Counting(OrioEvaluator):
             def evaluate(self, config):
                 calls["n"] += 1
-                return self.inner.evaluate(config)
+                return super().evaluate(config)
 
         session = TransferSession(
             kernel, WESTMERE, SANDYBRIDGE, nmax=12, spec=_pool(200),
-            variants=("RSb",), evaluator_wrapper=Counting,
+            variants=("RSb",),
+            evaluator_factory=lambda machine, clock: Counting(
+                kernel, machine, clock=clock
+            ),
         )
         path = tmp_path / "session.json"
         outcome1 = session.run(checkpoint_path=path)

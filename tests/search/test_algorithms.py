@@ -138,7 +138,7 @@ class TestBiasedSearch:
             spec=_pool(300),
         )
         assert trace.n_evaluations == 15
-        preds = [surrogate.predict_one(c) for c in trace.configs()]
+        preds = list(surrogate.predict(trace.configs()))
         assert preds == sorted(preds)
 
     def test_biased_beats_random_on_correlated_machines(self, kernel, surrogate):

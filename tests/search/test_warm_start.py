@@ -49,7 +49,7 @@ class TestWarmStart:
             evaluator(kernel), kernel.space, GeneticAlgorithm(population_size=8),
             surrogate=surrogate, nmax=20, spec=_pool(500), seed_evaluations=6,
         )
-        seed_preds = [surrogate.predict_one(c) for c in trace.configs()[:6]]
+        seed_preds = list(surrogate.predict(trace.configs()[:6]))
         assert seed_preds == sorted(seed_preds)
 
     def test_cold_mode_is_plain_technique(self, kernel):

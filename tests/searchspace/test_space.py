@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, SearchSpaceError
+from repro.experiments.harness import PROBLEMS, build_problem
 from repro.searchspace import (
     BooleanParameter,
     Configuration,
@@ -197,3 +198,31 @@ class TestSampling:
         for _ in range(800):
             counts[space.sample_one(rng).index] += 1
         assert counts.min() > 120  # roughly uniform (expected 200 each)
+
+
+class TestEncodeIndices:
+    """``encode_indices`` (the bulk pool-scoring path) against its
+    obviously-correct twin, ``encode_many`` over ``config_at``."""
+
+    @pytest.mark.parametrize("problem", PROBLEMS)
+    def test_matches_config_at_encoding(self, problem):
+        space = build_problem(problem)[0].space
+        rng = np.random.default_rng(list(PROBLEMS).index(problem))
+        # Random indices (RT's space exceeds 2**62, so it also covers
+        # the per-row big-integer path), both ends of the range, and a
+        # repeat.
+        indices = space.sample_indices(rng, 300)
+        indices += [0, space.cardinality - 1, indices[0]]
+        np.testing.assert_array_equal(
+            space.encode_indices(indices),
+            space.encode_many([space.config_at(i) for i in indices]),
+        )
+
+    def test_empty_indices(self, small_space):
+        assert small_space.encode_indices([]).shape == (0, small_space.dimension)
+
+    def test_out_of_range_rejected(self, small_space):
+        with pytest.raises(SearchSpaceError):
+            small_space.encode_indices([small_space.cardinality])
+        with pytest.raises(SearchSpaceError):
+            small_space.encode_indices([-1])

@@ -93,15 +93,5 @@ class TestChaosDiagnostics:
             assert chaos["min_free_bytes"] == 512
             assert chaos["chaos_kills"] == 0
             assert chaos["worker_deaths"] == 0
-            assert chaos["oracle"] is None
-        finally:
-            svc.stop()
-
-    def test_oracle_report_is_surfaced(self, tmp_path):
-        svc = TuningService(tmp_path / "svc", n_workers=1).open()
-        try:
-            report = {"plan_seed": "s0", "passed": True, "checks": {}}
-            svc.note_oracle_report(report)
-            assert svc.stats()["chaos"]["oracle"] == report
         finally:
             svc.stop()

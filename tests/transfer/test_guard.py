@@ -12,7 +12,6 @@ from repro.transfer.guard import (
     SUSPECT,
     TRUSTED,
     GuardPolicy,
-    ModelGuard,
     ModelHealthMonitor,
     spearman_rho,
 )
@@ -334,12 +333,3 @@ class TestDiagnostics:
                     "audits", "audit_regrets", "widened_admits",
                     "fallback_proposals"):
             assert key in meta
-
-    def test_diagnostics_include_cache_stats_when_available(self):
-        surrogate = SimpleNamespace(cache_stats=lambda: {"hits": 7})
-        guard = ModelGuard(GuardPolicy(), surrogate)
-        assert guard.diagnostics()["encoding_cache"] == {"hits": 7}
-
-    def test_diagnostics_without_surrogate(self):
-        guard = ModelGuard(GuardPolicy(), None)
-        assert "encoding_cache" not in guard.diagnostics()

@@ -97,10 +97,6 @@ class TestOnlineSearch:
             online_biased_search(
                 evaluator(kernel), kernel.space, source_data, refit_every=0
             )
-        with pytest.raises(SearchError):
-            online_biased_search(
-                evaluator(kernel), kernel.space, source_data, source_weight=2.0
-            )
 
     def test_budget_exhaustion(self, kernel, source_data):
         trace = online_biased_search(

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.errors import ModelError, ReproError, SourceDataError
+from repro.errors import ReproError, SourceDataError
 from repro.kernels import get_kernel
 from repro.transfer.sanitize import SanitizationReport, sanitize_training
 from repro.transfer.surrogate import Surrogate
@@ -22,18 +22,24 @@ def rows(space):
     return [(c, 0.01 * (i + 1)) for i, c in enumerate(configs)]
 
 
+def _rejected(space, rows) -> SanitizationReport:
+    """The report attached to the error that rejects ``rows``."""
+    with pytest.raises(SourceDataError) as exc:
+        sanitize_training(space, rows)
+    return exc.value.report
+
+
 class TestCleanData:
     def test_passes_through_untouched(self, space, rows):
-        kept, report = sanitize_training(space, rows)
-        assert kept == list(rows)
+        report = sanitize_training(space, rows)
         assert report.clean
-        assert report.n_input == report.n_kept == len(rows)
+        assert report.n_input == len(rows)
         assert report.summary().endswith("all valid")
 
     def test_censored_inf_is_not_invalid(self, space, rows):
         censored = rows + [(rows[0][0], math.inf)]
-        kept, report = sanitize_training(space, censored)
-        assert report.clean and len(kept) == len(censored)
+        report = sanitize_training(space, censored)
+        assert report.clean and report.n_input == len(censored)
 
 
 class TestInvalidRows:
@@ -47,18 +53,11 @@ class TestInvalidRows:
 
     def test_negative_inf_counts_as_nan(self, space, rows):
         bad = rows + [(rows[0][0], -math.inf)]
-        _, report = sanitize_training(space, bad, on_invalid="drop")
-        assert report.n_nan == 1
+        assert _rejected(space, bad).n_nan == 1
 
     def test_nonpositive_rejected_when_required(self, space, rows):
         bad = [(rows[0][0], 0.0), (rows[1][0], -2.0)] + rows[2:]
-        _, report = sanitize_training(space, bad, on_invalid="drop")
-        assert report.n_nonpositive == 2
-
-    def test_nonpositive_allowed_when_not_required(self, space, rows):
-        bad = [(rows[0][0], -2.0)] + rows[1:]
-        kept, report = sanitize_training(space, bad, require_positive=False)
-        assert report.clean and len(kept) == len(bad)
+        assert _rejected(space, bad).n_nonpositive == 2
 
     def test_equal_space_built_independently_is_accepted(self, space, rows):
         # Pooled multi-machine training carries configs whose .space is
@@ -66,43 +65,37 @@ class TestInvalidRows:
         sibling = get_kernel("lu", n=128).space
         assert sibling is not space
         remapped = [(sibling.config_at(c.index), y) for c, y in rows]
-        kept, report = sanitize_training(space, remapped)
-        assert report.clean and len(kept) == len(rows)
+        assert sanitize_training(space, remapped).clean
 
     def test_out_of_space_config(self, space, rows):
         other = get_kernel("mm", n=32).space
         foreign = other.sample(spawn_rng("sanitize-foreign"), 1)[0]
         bad = rows + [(foreign, 0.5)]
-        _, report = sanitize_training(space, bad, on_invalid="drop")
-        assert report.n_out_of_space == 1
+        assert _rejected(space, bad).n_out_of_space == 1
 
     def test_non_configuration_object(self, space, rows):
-        _, report = sanitize_training(
-            space, rows + [("not-a-config", 0.5)], on_invalid="drop"
-        )
+        report = _rejected(space, rows + [("not-a-config", 0.5)])
         assert report.n_out_of_space == 1
 
     def test_duplicates_keep_first(self, space, rows):
+        # The first occurrence is the row; the repeat is the finding.
         doubled = rows + [rows[3]]
-        kept, report = sanitize_training(space, doubled, on_invalid="drop")
+        report = _rejected(space, doubled)
         assert report.n_duplicate == 1
-        assert kept == list(rows)
+        assert report.findings == [
+            f"row {len(rows)}: duplicate (runtime={rows[3][1]!r})"
+        ]
 
     def test_same_config_different_runtime_is_not_duplicate(self, space, rows):
         remeasured = rows + [(rows[3][0], rows[3][1] * 1.5)]
-        _, report = sanitize_training(space, remeasured)
-        assert report.clean
+        assert sanitize_training(space, remeasured).clean
 
-    def test_drop_reports_every_finding(self, space, rows):
+    def test_error_reports_every_finding(self, space, rows):
         bad = rows + [(rows[0][0], math.nan), rows[1], (rows[2][0], -1.0)]
-        kept, report = sanitize_training(space, bad, on_invalid="drop")
+        report = _rejected(space, bad)
         assert report.n_invalid == 3
         assert len(report.findings) == 3
-        assert len(kept) == len(rows)
-
-    def test_unknown_policy_rejected(self, space, rows):
-        with pytest.raises(SourceDataError):
-            sanitize_training(space, rows, on_invalid="ignore")
+        assert report.n_input == len(bad)
 
     def test_error_is_a_repro_error(self, space, rows):
         with pytest.raises(ReproError):
@@ -114,36 +107,17 @@ class TestSurrogateIntegration:
         with pytest.raises(SourceDataError):
             Surrogate(space).fit(rows + [(rows[0][0], math.nan)])
 
-    def test_fit_drop_policy_fits_the_rest(self, space, rows):
-        s = Surrogate(space).fit(
-            rows + [(rows[0][0], math.nan)], sanitize="drop"
-        )
-        assert s.is_fitted
-        assert s.sanitization is not None and s.sanitization.n_nan == 1
-
-    def test_fit_sanitize_off_skips_screen(self, space, rows):
-        s = Surrogate(space).fit(rows + [rows[0]], sanitize="off")
-        assert s.is_fitted and s.sanitization is None
-
-    def test_fit_invalid_sanitize_value(self, space, rows):
-        with pytest.raises(ModelError):
-            Surrogate(space).fit(rows, sanitize="maybe")
-
-    def test_all_rows_dropped_is_an_error(self, space, rows):
-        all_bad = [(c, math.nan) for c, _ in rows]
-        with pytest.raises(SourceDataError):
-            Surrogate(space).fit(all_bad, sanitize="drop")
+    def test_inf_rows_are_left_out_of_the_fit(self, space, rows):
+        with_inf = Surrogate(space).fit(rows + [(rows[0][0], math.inf)])
+        clean = Surrogate(space).fit(rows)
+        assert with_inf.fit_seconds == clean.fit_seconds
+        probe = [c for c, _ in rows]
+        assert list(with_inf.predict(probe)) == list(clean.predict(probe))
 
     def test_all_censored_is_an_error(self, space, rows):
         all_censored = [(c, math.inf) for c, _ in rows]
         with pytest.raises(SourceDataError):
             Surrogate(space).fit(all_censored)
-
-    def test_linear_target_does_not_require_positive(self, space, rows):
-        s = Surrogate(space, log_target=False).fit(
-            [(rows[0][0], -1.0)] + rows[1:]
-        )
-        assert s.is_fitted
 
     def test_report_dataclass_defaults(self):
         report = SanitizationReport()

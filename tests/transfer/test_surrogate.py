@@ -6,8 +6,12 @@ import pytest
 from repro.errors import ModelError, NotFittedError
 from repro.kernels import get_kernel
 from repro.machines import SANDYBRIDGE
-from repro.ml import RidgeRegressor
+from repro.ml import RandomForestRegressor, RidgeRegressor
 from repro.orio.evaluator import OrioEvaluator
+from repro.perf.simclock import SimClock
+from repro.reliability import CheckpointManager
+from repro.search.biasing import biased_search
+from repro.spec import PoolSpec, TunerSpec
 from repro.transfer.surrogate import Surrogate
 from repro.utils.rng import spawn_rng
 from repro.utils.stats import spearman
@@ -59,11 +63,6 @@ class TestFitting:
         with pytest.raises(ModelError):
             Surrogate(kernel.space).fit(bad)
 
-    def test_linear_target_allows_any(self, training):
-        kernel, data = training
-        bad = [(data[0][0], -1.0)] + list(data[1:])
-        Surrogate(kernel.space, log_target=False).fit(bad)
-
 
 class TestOverheadModel:
     def test_fit_seconds_grow_with_data(self, training):
@@ -88,24 +87,54 @@ class TestOverheadModel:
         assert s.predict([]).shape == (0,)
 
 
-class TestCacheStats:
-    def test_stats_track_repeated_prediction(self, training):
+class CountingLearner:
+    """A forest that counts its ``predict`` calls."""
+
+    def __init__(self):
+        self.inner = RandomForestRegressor(n_estimators=16, seed=0)
+        self.predict_calls = 0
+
+    def fit(self, X, y):
+        self.inner.fit(X, y)
+        return self
+
+    def predict(self, X):
+        self.predict_calls += 1
+        return self.inner.predict(X)
+
+
+class TestPredictMemo:
+    def test_resumed_biased_search_scores_its_pool_once(self, training, tmp_path):
+        """A cut RSb resumed on the same surrogate and checkpoint
+        re-ranks the same pool: the memo serves it, so the learner
+        scores the pool once across both runs."""
         kernel, data = training
-        s = Surrogate(kernel.space).fit(data)
-        pool_a = [c for c, _ in data[:30]]
-        pool_b = [c for c, _ in data[30:60]]
-        before = s.cache_stats()
-        # Alternate pools so the surrogate's one-slot predict memo cannot
-        # short-circuit the repeat — the hit must come from the cache.
-        s.predict(pool_a)
-        s.predict(pool_b)
-        s.predict(pool_a)
-        after = s.cache_stats()
-        assert after["hits"] >= before["hits"] + 1
-        assert after["rows"] <= after["max_rows"]
-        for key in ("pools", "max_pools", "misses", "row_evictions",
-                    "pool_evictions"):
-            assert key in after
+        learner = CountingLearner()
+        s = Surrogate(kernel.space, learner=learner).fit(data)
+        manager = CheckpointManager(tmp_path / "rsb.json", every=4)
+        spec = TunerSpec(pool=PoolSpec(size=300))
+
+        def run(nmax):
+            return biased_search(
+                OrioEvaluator(kernel, SANDYBRIDGE, clock=SimClock()),
+                kernel.space, s, nmax=nmax, spec=spec, checkpoint=manager,
+            )
+
+        assert run(8).n_evaluations == 8
+        assert learner.predict_calls == 1
+        assert run(16).n_evaluations == 16
+        assert learner.predict_calls == 1
+
+    def test_refit_invalidates_the_memo(self, training):
+        kernel, data = training
+        learner = CountingLearner()
+        s = Surrogate(kernel.space, learner=learner).fit(data)
+        pool = [c for c, _ in data[:30]]
+        first = s.predict(pool)
+        assert s.predict(pool) is first
+        s.fit(data[:60])
+        s.predict(pool)
+        assert learner.predict_calls == 2
 
 
 class TestPredictIndices:
