@@ -22,7 +22,9 @@ test-fast:
 	$(PYTHON) -m pytest tests/ -x -q -m "not slow"
 
 # Import-graph discipline (no runtime cycles, no TYPE_CHECKING-hidden
-# internal imports) and a dead-code sweep over the whole repro package.
+# internal imports) and a dead-code sweep over the whole repro package:
+# modules, top-level definitions and public class members that only
+# tests use.
 lint:
 	$(PYTHON) -m repro.devtools.lint
 

@@ -336,10 +336,6 @@ class FaultFS:
         for rule in self._select(path):
             rule.armed = True
 
-    def disarm(self, path=None) -> None:
-        for rule in self._select(path):
-            rule.armed = False
-
     def _select(self, path):
         if path is None:
             return self.rules

@@ -133,8 +133,8 @@ class ChaosPlan:
     # ------------------------------------------------------------------
     # Per-layer views
     # ------------------------------------------------------------------
-    def fault_spec(self, horizon_seconds: float = 50.0) -> FaultSpec:
-        """The evaluator-fault schedule.
+    def fault_spec(self) -> FaultSpec:
+        """The evaluator-fault schedule (outages last 50 simulated s).
 
         This layer is *simulation input*, not operational chaos: the
         fault-free reference run shares the same spec, so evaluator
@@ -144,7 +144,7 @@ class ChaosPlan:
         return FaultSpec.uniform(
             self.fault_rate,
             seed=("chaos", self.seed),
-            outage_horizon_seconds=horizon_seconds,
+            outage_horizon_seconds=50.0,
         )
 
     def chaos_config(self) -> ChaosConfig | None:

@@ -19,7 +19,13 @@ Seven checks, all AST-based (the checked code is never imported):
    tests do not count at all (a package ``__init__`` that uses the
    name, as ``KERNELS`` uses ``make_mm``, does).  Plus private
    (``_``-prefixed) top-level definitions never referenced inside their
-   own module.  The name-level twin of check 7.
+   own module.  Plus public methods, properties, classmethods and
+   staticmethods of every class whose name those files never mention
+   outside the member's own body, as a name, an attribute or an
+   identifier string (``getattr(obj, "name")`` is a use).  Members match
+   by name alone, with no type inference, so an override is used when
+   its base's name is, and a dead member that shares its name with a
+   live one is missed.  The name-level twin of check 7.
 
 3. **One persistence primitive.**  ``os.replace``, ``os.rename`` and
    ``os.fsync`` are called only in :mod:`repro.exec.journal` (the
@@ -272,20 +278,37 @@ def check_imports(modules: dict[str, str]) -> list[str]:
 # ----------------------------------------------------------------------
 # Check 2: dead code anywhere in the package
 # ----------------------------------------------------------------------
-def _name_uses(tree: ast.Module) -> dict[str, list[int]]:
+def _name_uses(tree: ast.Module, strings: bool = False) -> dict[str, list[int]]:
     """Line numbers of every ``Name`` and attribute reference in
-    ``tree``, by identifier.  Imports, ``__all__`` strings and
-    definitions are not references, so they never appear."""
+    ``tree``, by identifier, and with ``strings`` of every string
+    constant that is an identifier.  Imports and definitions are not
+    references, so they never appear; without ``strings`` neither do
+    ``__all__`` entries."""
     uses: dict[str, list[int]] = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             ident = node.id
         elif isinstance(node, ast.Attribute):
             ident = node.attr
+        elif (strings and isinstance(node, ast.Constant)
+              and isinstance(node.value, str) and node.value.isidentifier()):
+            ident = node.value
         else:
             continue
         uses.setdefault(ident, []).append(node.lineno)
     return uses
+
+
+def _used_outside(uses: dict[str, dict[str, list[int]]], path: str,
+                  node: ast.AST, ident: str) -> bool:
+    """Whether some file references ``ident`` outside ``node``, the
+    definition of that name in ``path``."""
+    own_body = range(node.lineno, node.end_lineno + 1)
+    return any(
+        other != path or line not in own_body
+        for other, found in uses.items()
+        for line in found.get(ident, ())
+    )
 
 
 #: The top-level directories whose code runs the package for real:
@@ -310,20 +333,27 @@ def _read_corpus(repo_root: str, dirs: tuple[str, ...]) -> dict[str, str]:
 
 
 def check_dead_code(modules: dict[str, str], repo_root: str) -> list[str]:
-    """Top-level defs anywhere in the package that nothing uses.
+    """Top-level defs and class members anywhere in the package that
+    nothing uses.
 
     A public name survives only if a file under ``src/``,
     ``benchmarks/``, ``examples/`` or ``perfbench/`` references it in
-    code outside its own definition; private names survive if their
-    own module mentions them anywhere beyond the definition line.
+    code outside its own definition (a public member also if such a
+    file holds it as an identifier string); private top-level names
+    survive if their own module mentions them anywhere beyond the
+    definition line.
     """
     errors: list[str] = []
+    where = ", ".join(f"{d}/" for d in _USE_DIRS)
     corpus = _read_corpus(repo_root, _USE_DIRS)
-    uses = {path: _name_uses(ast.parse(text, filename=path))
-            for path, text in corpus.items()}
+    trees = {path: ast.parse(text, filename=path)
+             for path, text in corpus.items()}
+    uses = {path: _name_uses(tree) for path, tree in trees.items()}
+    member_uses = {path: _name_uses(tree, strings=True)
+                   for path, tree in trees.items()}
     for path in sorted(modules.values()):
         source = corpus[path]
-        for node in ast.parse(source, filename=path).body:
+        for node in trees[path].body:
             if not isinstance(
                 node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
             ):
@@ -341,18 +371,25 @@ def check_dead_code(modules: dict[str, str], repo_root: str) -> list[str]:
                         "used in its module"
                     )
                 continue
-            own_body = range(node.lineno, node.end_lineno + 1)
-            used = any(
-                other != path or line not in own_body
-                for other, found in uses.items()
-                for line in found.get(ident, ())
-            )
-            if not used:
+            if not _used_outside(uses, path, node, ident):
                 errors.append(
                     f"{path}:{node.lineno}: {ident!r} is used by no code under "
-                    + ", ".join(f"{d}/" for d in _USE_DIRS)
-                    + " — delete it, or move it to tests/ if only tests use it"
+                    f"{where} — delete it, or move it to tests/ if only tests "
+                    "use it"
                 )
+        for cls in ast.walk(trees[path]):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not node.name.startswith("_")
+                        and not _used_outside(member_uses, path, node,
+                                              node.name)):
+                    errors.append(
+                        f"{path}:{node.lineno}: member "
+                        f"'{cls.name}.{node.name}' is used by no code under "
+                        f"{where} — delete it"
+                    )
     return errors
 
 
@@ -694,9 +731,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"lint: {len(errors)} finding(s)")
         return 1
     print("lint: clean (import graph acyclic, no hidden internal imports, "
-          f"no function or class in {PACKAGE} that only tests use, "
-          "durable writes only through the "
-          "journal layer, search outcomes handled only by the engine, "
+          f"no function, class or class member in {PACKAGE} that only "
+          "tests use, durable writes only through the journal layer, "
+          "search outcomes handled only by the engine, "
           "tuner knobs set only through the spec, no environment "
           "side-doors, no module that only tests import)")
     return 0

@@ -90,8 +90,8 @@ except ValueError:  # pragma: no cover - platforms without fork
 _TWO64 = float(1 << 64)
 
 
-def default_workers(cap: int = 8) -> int:
-    """A sensible worker count: physical-ish cores, capped.
+def default_workers() -> int:
+    """A sensible worker count: physical-ish cores, at most 8.
 
     The ``REPRO_WORKERS`` environment variable overrides the heuristic
     (useful on shared CI machines and for forcing serial runs).
@@ -107,7 +107,7 @@ def default_workers(cap: int = 8) -> int:
                 f"REPRO_WORKERS must be an integer, got {env!r}"
             ) from None
     cpus = os.cpu_count() or 1
-    return max(1, min(cap, cpus - 1 if cpus > 1 else 1))
+    return max(1, min(8, cpus - 1 if cpus > 1 else 1))
 
 
 @dataclass(frozen=True)

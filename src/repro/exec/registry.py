@@ -199,10 +199,6 @@ class CompactionStats:
     bytes_before: int
     bytes_after: int
 
-    @property
-    def dropped(self) -> int:
-        return self.records_before - self.records_after
-
 
 class RunRegistry:
     """Append-only JSONL journal of grid-cell outcomes at one path."""
@@ -300,9 +296,6 @@ class RunRegistry:
         state.salvage = scrub_journal(self.path, self._decode_line,
                                       apply=state.add, label="run registry")
         return state
-
-    def completed_fingerprints(self) -> set[str]:
-        return set(self.load().completed)
 
     def clear(self) -> None:
         """Delete the journal (a fresh grid starts from nothing)."""

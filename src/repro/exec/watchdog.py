@@ -95,13 +95,6 @@ class Watchdog:
     def clear(self, slot: int) -> None:
         self._assignments.pop(slot, None)
 
-    def task_for(self, slot: int) -> int | None:
-        assignment = self._assignments.get(slot)
-        return None if assignment is None else assignment.task_id
-
-    def busy_slots(self) -> list[int]:
-        return sorted(self._assignments)
-
     # ------------------------------------------------------------------
     def overdue(self, now: float) -> list[Overdue]:
         """Workers that should be killed at time ``now`` (slot order)."""

@@ -95,9 +95,6 @@ class AblationResult:
     rows: tuple[AblationRow, ...]
     note: str = ""
 
-    def best_row(self) -> AblationRow:
-        return max(self.rows, key=lambda r: (r.performance, r.search_time))
-
     def render(self) -> str:
         table = format_table(
             ["setting", "Prf.Imp", "Srh.Imp"],

@@ -31,9 +31,6 @@ class Figure1Result:
     pearson: float
     spearman: float
 
-    def paper_expectation(self) -> str:
-        return "rho_p > 0.8 and rho_s > 0.8 between Westmere and Sandybridge"
-
     def reproduced(self) -> bool:
         return self.pearson > 0.8 and self.spearman > 0.8
 

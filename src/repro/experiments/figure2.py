@@ -32,12 +32,6 @@ class Figure2Result:
     depth: int
     n_leaves: int
 
-    def paper_expectation(self) -> str:
-        return (
-            "splits over the unroll (U_*) and register-tiling (RT_*) "
-            "parameters, leaves predicting mean run times"
-        )
-
     def reproduced(self) -> bool:
         interesting = {"U_I", "U_J", "U_K", "RT_I", "RT_J", "RT_K"}
         return bool(interesting & set(self.split_features))

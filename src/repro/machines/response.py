@@ -57,11 +57,6 @@ class ResponseVector:
         vals = [getattr(self, f.name) for f in fields(self) if f.name not in skip]
         return np.array(vals, dtype=float)
 
-    @staticmethod
-    def dimension_names() -> list[str]:
-        skip = ("noise_sigma", "quirk_sigma")
-        return [f.name for f in fields(ResponseVector) if f.name not in skip]
-
 
 def response_distance(a: ResponseVector, b: ResponseVector) -> float:
     """Log-space Euclidean distance between two response vectors.

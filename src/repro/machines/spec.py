@@ -109,15 +109,6 @@ class MachineSpec:
                 return level
         raise MachineError(f"{self.name} has no cache level {name!r}")
 
-    @property
-    def has_l3(self) -> bool:
-        return any(c.name == "L3" for c in self.caches)
-
-    def machine_balance(self) -> float:
-        """Flops per DRAM byte at peak — the roofline ridge point."""
-        chip_flops = self.peak_gflops * 1e9
-        return chip_flops / (self.dram_bandwidth_gbs * 1e9)
-
     def summary_row(self) -> list:
         """The machine's Table II row (name, processor, cores, ...)."""
         by_name = {c.name: c for c in self.caches}

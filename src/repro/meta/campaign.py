@@ -57,12 +57,11 @@ def candidate_specs(
     n_candidates: int,
     axes=None,
     base: TunerSpec | None = None,
-    salt: object = "meta-campaign",
 ) -> list[tuple[str, TunerSpec]]:
     """``[("default", base), ("c1-<fp>", spec1), ...]``, deterministically.
 
     Candidates are sampled without replacement from the meta-space over
-    ``axes`` with an RNG keyed by ``salt`` — re-invocations of the same
+    ``axes`` with an RNG keyed by the space — re-invocations of the same
     campaign produce the same candidates, which is what lets their grid
     cells resume from the journal.
     """
@@ -73,7 +72,8 @@ def candidate_specs(
     if n_candidates == 0:
         return out
     space = meta_space(axes)
-    rng = spawn_rng("meta-campaign", salt, space.name)
+    # Another key draws other candidates, and so other journaled cells.
+    rng = spawn_rng("meta-campaign", "meta-campaign", space.name)
     n = min(n_candidates, space.cardinality - 1)
     # exclude nothing explicitly: a sampled point may equal the default
     # spec on the chosen axes, and that collision is itself informative.

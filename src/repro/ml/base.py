@@ -51,10 +51,6 @@ class Regressor(ABC):
     def predict(self, X) -> np.ndarray:
         """Predicted targets for rows of ``X``."""
 
-    @property
-    def is_fitted(self) -> bool:
-        return self._n_features is not None
-
     def _require_fitted(self) -> int:
         if self._n_features is None:
             raise NotFittedError(f"{type(self).__name__} has not been fitted")

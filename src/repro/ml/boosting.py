@@ -17,29 +17,24 @@ from repro.utils.rng import RngFactory
 
 __all__ = ["GradientBoostingRegressor"]
 
+#: Shrinkage applied to every stage's tree.
+LEARNING_RATE = 0.05
+
 
 class GradientBoostingRegressor(Regressor):
-    """L2 gradient boosting with optional row subsampling."""
+    """L2 gradient boosting over every training row."""
 
     def __init__(
         self,
         n_estimators: int = 200,
-        learning_rate: float = 0.05,
         max_depth: int = 3,
-        subsample: float = 1.0,
         min_samples_leaf: int = 2,
         seed: int = 0,
     ) -> None:
         if n_estimators < 1:
             raise ModelError(f"n_estimators must be >= 1, got {n_estimators}")
-        if not 0.0 < learning_rate <= 1.0:
-            raise ModelError(f"learning_rate must be in (0, 1], got {learning_rate}")
-        if not 0.0 < subsample <= 1.0:
-            raise ModelError(f"subsample must be in (0, 1], got {subsample}")
         self.n_estimators = n_estimators
-        self.learning_rate = learning_rate
         self.max_depth = max_depth
-        self.subsample = subsample
         self.min_samples_leaf = min_samples_leaf
         self.seed = seed
         self.trees: list[DecisionTreeRegressor] = []
@@ -53,19 +48,16 @@ class GradientBoostingRegressor(Regressor):
         self._base = float(y.mean())
         pred = np.full(n, self._base)
         self.trees = []
-        m = max(1, int(round(self.subsample * n)))
         for t in range(self.n_estimators):
             residual = y - pred
-            rng = factory.child("round", t)
-            rows = rng.choice(n, size=m, replace=False) if m < n else np.arange(n)
             tree = DecisionTreeRegressor(
                 max_depth=self.max_depth,
                 min_samples_leaf=self.min_samples_leaf,
                 rng=factory.child("split", t),
             )
-            tree._fit_arrays(X[rows] if m < n else X, residual[rows] if m < n else residual)
+            tree._fit_arrays(X, residual)
             self.trees.append(tree)
-            pred += self.learning_rate * tree.predict(X)
+            pred += LEARNING_RATE * tree.predict(X)
         self._n_features = p
         self._packed = PackedTrees(self.trees)
         return self
@@ -84,5 +76,5 @@ class GradientBoostingRegressor(Regressor):
         # stays bit-identical.
         pred = np.full(X.shape[0], self._base)
         for t in range(vals.shape[0]):
-            pred += self.learning_rate * vals[t]
+            pred += LEARNING_RATE * vals[t]
         return pred

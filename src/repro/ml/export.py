@@ -32,7 +32,6 @@ def _names(tree: DecisionTreeRegressor, feature_names: Sequence[str] | None) -> 
 def export_text(
     tree: DecisionTreeRegressor,
     feature_names: Sequence[str] | None = None,
-    value_fmt: str = ".4g",
     max_depth: int | None = None,
 ) -> str:
     """Indented if/else rendering of a fitted tree (Figure 2 style)."""
@@ -44,7 +43,7 @@ def export_text(
     def walk(i: int, depth: int) -> None:
         pad = "|   " * depth
         if nodes.feature[i] == -1 or (max_depth is not None and depth >= max_depth):
-            mean = format(nodes.value[i], value_fmt)
+            mean = format(nodes.value[i], ".4g")
             lines.append(f"{pad}|-- value: {mean}  (n={nodes.n_samples[i]})")
             return
         name = names[nodes.feature[i]]

@@ -55,10 +55,3 @@ class RidgeRegressor(Regressor):
         X = check_X(X, p)
         Z = (X - self._mean) / self._scale
         return Z @ self._coef + self._intercept
-
-    @property
-    def coef_(self) -> np.ndarray:
-        """Coefficients in standardized feature units."""
-        self._require_fitted()
-        assert self._coef is not None
-        return self._coef

@@ -77,9 +77,6 @@ class TreeNodes:
     def n_nodes(self) -> int:
         return len(self.feature)
 
-    def is_leaf(self, i: int) -> bool:
-        return self.feature[i] == -1
-
 
 class DecisionTreeRegressor(Regressor):
     """CART regression tree with a vectorized split search.

@@ -154,14 +154,14 @@ class ForLoop:
     def with_body(self, body: Sequence["Stmt"]) -> "ForLoop":
         return replace(self, body=tuple(body))
 
-    def trip_count(self, bindings: Mapping[str, int] | None = None) -> int:
+    def trip_count(self) -> int:
         """Number of iterations of the *original* (pre-unroll) loop.
 
         Requires constant-foldable bounds; tile loops with ``min()``
         upper bounds report the full-tile trip count.
         """
-        lo = fold(self.lower, bindings)
-        hi = fold(self.upper, bindings)
+        lo = fold(self.lower)
+        hi = fold(self.upper)
         if not isinstance(lo, IntLit) or not isinstance(hi, IntLit):
             raise TransformError(
                 f"loop {self.var}: bounds are not constant ({self.lower} .. {self.upper})"

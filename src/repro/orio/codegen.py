@@ -82,20 +82,13 @@ def generate_c(
     nest: Stmt,
     declare: dict[str, str] | None = None,
     max_statements: int = 100_000,
-    expand_unrolls: bool = True,
 ) -> str:
     """Generate the C text for a (possibly unrolled) nest.
 
     ``declare`` optionally maps loop-variable names to C types for an
-    ``int i, j, ...;`` declaration line.  ``expand_unrolls=False``
-    keeps unroll factors implicit (annotated with a comment) for
-    human-readable summaries of very large variants.
+    ``int i, j, ...;`` declaration line.
     """
-    stmts: list[Stmt]
-    if expand_unrolls:
-        stmts = expand_all_unrolls(nest, max_statements=max_statements)
-    else:
-        stmts = [nest]
+    stmts = expand_all_unrolls(nest, max_statements=max_statements)
     lines = [_PRELUDE]
     if declare:
         by_type: dict[str, list[str]] = {}

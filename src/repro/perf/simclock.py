@@ -48,13 +48,6 @@ class SimClock:
         self._now += seconds
         return self._now
 
-    def can_afford(self, seconds: float) -> bool:
-        """Whether an advance of ``seconds`` fits the remaining budget."""
-        return seconds <= self.remaining
-
-    def reset(self) -> None:
-        self._now = 0.0
-
     # ------------------------------------------------------------------
     # Checkpoint support (repro.reliability.checkpoint)
     # ------------------------------------------------------------------
@@ -66,12 +59,6 @@ class SimClock:
         """Restore a snapshot taken with :meth:`state_dict`."""
         self._now = float(state["now"])
         self.budget_seconds = state["budget_seconds"]
-
-    @classmethod
-    def from_state(cls, state: dict) -> "SimClock":
-        clock = cls(state["budget_seconds"])
-        clock._now = float(state["now"])
-        return clock
 
     def __repr__(self) -> str:
         budget = "unbounded" if self.budget_seconds is None else f"{self.budget_seconds:g}s"

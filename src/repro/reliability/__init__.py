@@ -9,12 +9,12 @@ class of hazard:
 * :mod:`~repro.reliability.faults` — seeded, deterministic fault
   injection (glitches, compile crashes, timeouts, outages) that never
   perturbs the common-random-numbers streams;
-* :mod:`~repro.reliability.policy` — retry/backoff schedules and a
-  per-machine circuit breaker, all in simulated seconds;
+* :mod:`~repro.reliability.policy` — retry/backoff schedules in
+  simulated seconds;
 * :mod:`~repro.reliability.resilient` — the
   :class:`ResilientEvaluator` wrapper: retries with clock-charged
   exponential backoff, waits out outages, degrades gracefully to
-  censored/penalty measurements instead of raising;
+  censored or failed measurements instead of raising;
 * :mod:`~repro.reliability.checkpoint` — checkpoint/resume for
   searches, tuning runs and transfer sessions, preserving CRN
   alignment bit-for-bit across the interruption; every checkpoint is
@@ -33,7 +33,7 @@ from repro.reliability.checkpoint import (
     trace_to_dict,
 )
 from repro.reliability.faults import FAULT_MODES, FaultInjector, FaultSpec, FaultyEvaluator
-from repro.reliability.policy import CircuitBreaker, RetryPolicy
+from repro.reliability.policy import RetryPolicy
 from repro.reliability.resilient import FailedMeasurement, ResilientEvaluator
 from repro.reliability.stats import ReliabilityStats
 
@@ -43,7 +43,6 @@ __all__ = [
     "FaultInjector",
     "FaultyEvaluator",
     "RetryPolicy",
-    "CircuitBreaker",
     "FailedMeasurement",
     "ResilientEvaluator",
     "ReliabilityStats",

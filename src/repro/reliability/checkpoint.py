@@ -12,8 +12,8 @@ checkpoint records:
   :class:`~repro.search.stream.SharedStream` position for RS/RSp, a
   pool rank for RSb), so the resumed search continues at the exact
   point it stopped;
-* the reliability state (fault-injector outage window, circuit breaker,
-  stats) when the evaluator exposes ``reliability_state()``.
+* the reliability state (fault-injector outage window, stats) when
+  the evaluator exposes ``reliability_state()``.
 
 Configurations serialize as linear indices — the space itself is code,
 not data, so a checkpoint is small and the resumed process rebuilds

@@ -160,9 +160,9 @@ class FaultyEvaluator:
     unreliability honestly degrades search-time speedups.
     """
 
-    def __init__(self, evaluator, spec: FaultSpec, injector: FaultInjector | None = None) -> None:
+    def __init__(self, evaluator, spec: FaultSpec) -> None:
         self.evaluator = evaluator
-        self.injector = injector if injector is not None else FaultInjector(spec)
+        self.injector = FaultInjector(spec)
         self._attempts: dict[int, int] = {}  # config index -> attempts so far
 
     # Pass-through surface of the evaluator protocol -------------------

@@ -1,10 +1,10 @@
-"""Retry and circuit-breaking policies for resilient evaluation.
+"""The retry policy for resilient evaluation.
 
-Both policies are *simulated-time* citizens: backoff intervals and
-cooldown windows are expressed in the same simulated seconds the
-:class:`repro.perf.simclock.SimClock` accounts, so choosing an
-aggressive retry policy visibly costs search time — exactly how the
-paper's search-time speedup metric would see it on real hardware.
+It is a *simulated-time* citizen: backoff intervals are expressed in
+the same simulated seconds the :class:`repro.perf.simclock.SimClock`
+accounts, so choosing an aggressive retry policy visibly costs search
+time — exactly how the paper's search-time speedup metric would see it
+on real hardware.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from repro.errors import SearchError
 
-__all__ = ["RetryPolicy", "CircuitBreaker"]
+__all__ = ["RetryPolicy"]
 
 
 @dataclass(frozen=True)
@@ -42,71 +42,7 @@ class RetryPolicy:
             self.max_backoff_seconds,
         )
 
-    def schedule(self) -> list[float]:
-        """The full backoff schedule, one entry per allowed retry."""
-        return [self.backoff(k) for k in range(self.max_retries)]
-
-    def total_backoff(self, retries: int | None = None) -> float:
-        """Total wait charged by ``retries`` consecutive backoffs."""
-        n = self.max_retries if retries is None else min(retries, self.max_retries)
-        return sum(self.backoff(k) for k in range(n))
-
     @classmethod
     def none(cls) -> "RetryPolicy":
         """The no-retry policy (fail fast, degrade immediately)."""
         return cls(max_retries=0, backoff_seconds=0.0)
-
-
-class CircuitBreaker:
-    """Per-machine breaker: trip after consecutive failures, cool down.
-
-    While open (``now < open_until``) the evaluator short-circuits:
-    configurations are recorded as failed without touching the machine,
-    sparing the budget from hammering a host that is clearly down.
-    """
-
-    def __init__(self, threshold: int = 5, cooldown_seconds: float = 900.0) -> None:
-        if threshold < 1:
-            raise SearchError(f"threshold must be >= 1, got {threshold}")
-        if cooldown_seconds < 0:
-            raise SearchError(f"cooldown_seconds must be >= 0, got {cooldown_seconds}")
-        self.threshold = threshold
-        self.cooldown_seconds = cooldown_seconds
-        self.consecutive_failures = 0
-        self.open_until = 0.0
-        self.n_trips = 0
-
-    def allow(self, now: float) -> bool:
-        """Whether an evaluation may proceed at simulated time ``now``."""
-        return now >= self.open_until
-
-    def record_success(self) -> None:
-        self.consecutive_failures = 0
-
-    def record_failure(self, now: float) -> None:
-        self.consecutive_failures += 1
-        if self.consecutive_failures >= self.threshold:
-            self.open_until = now + self.cooldown_seconds
-            self.n_trips += 1
-            self.consecutive_failures = 0
-
-    # ------------------------------------------------------------------
-    # Checkpoint support
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        return {
-            "consecutive_failures": self.consecutive_failures,
-            "open_until": self.open_until,
-            "n_trips": self.n_trips,
-        }
-
-    def load_state(self, state: dict) -> None:
-        self.consecutive_failures = int(state["consecutive_failures"])
-        self.open_until = float(state["open_until"])
-        self.n_trips = int(state["n_trips"])
-
-    def __repr__(self) -> str:
-        return (
-            f"CircuitBreaker(threshold={self.threshold}, "
-            f"cooldown={self.cooldown_seconds:g}s, open_until={self.open_until:g}s)"
-        )

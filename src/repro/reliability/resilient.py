@@ -1,4 +1,4 @@
-"""Resilient evaluation: retry, back off, trip breakers, degrade.
+"""Resilient evaluation: retry, back off, degrade.
 
 A :class:`ResilientEvaluator` wraps any evaluator following the
 :class:`repro.orio.evaluator.OrioEvaluator` protocol and turns the
@@ -13,9 +13,7 @@ policy-driven behavior:
 * **timeouts** yield a *censored* result — the runtime cap is a lower
   bound on the true runtime — and are not retried;
 * **compile crashes** are deterministic per configuration and are not
-  retried;
-* a per-machine :class:`~repro.reliability.policy.CircuitBreaker` stops
-  hammering a host after repeated consecutive failures.
+  retried.
 
 When recovery fails, the evaluator *degrades gracefully*: instead of
 raising, it returns a :class:`FailedMeasurement` so the search records
@@ -37,7 +35,7 @@ from repro.errors import (
     MachineOutageError,
     TransientEvaluationError,
 )
-from repro.reliability.policy import CircuitBreaker, RetryPolicy
+from repro.reliability.policy import RetryPolicy
 from repro.reliability.stats import ReliabilityStats
 from repro.searchspace.space import Configuration
 
@@ -51,7 +49,8 @@ class FailedMeasurement:
     Mirrors :class:`repro.orio.evaluator.Measurement` closely enough for
     the search layer (``runtime_seconds``, ``evaluation_cost``) while
     flagging itself via ``failed=True``.  ``runtime_seconds`` is the
-    censored bound for timeouts and the penalty value otherwise; the
+    censored bound for timeouts and ``inf`` otherwise (a failed
+    configuration can never look attractive); the
     cost of the failed attempts was already charged to the clock when
     they happened, so ``evaluation_cost`` is zero.
     """
@@ -71,7 +70,7 @@ class FailedMeasurement:
 
 
 class ResilientEvaluator:
-    """Wrap an evaluator with retry, circuit-breaking, and degradation.
+    """Wrap an evaluator with retry and degradation.
 
     Parameters
     ----------
@@ -83,31 +82,12 @@ class ResilientEvaluator:
         Backoff policy for transient failures and outage waits; defaults
         to 3 retries at 1 s doubling.  Use :meth:`RetryPolicy.none` to
         fail fast.
-    circuit:
-        Optional per-machine breaker; ``None`` disables breaking.
-    penalty_runtime:
-        Objective value recorded for unrecovered, uncensored failures
-        (``inf`` by default — failed configs can never look attractive).
-    wait_for_outage:
-        Whether outages are waited out (clock-charged) or degrade
-        immediately.
     """
 
-    def __init__(
-        self,
-        evaluator,
-        retry: RetryPolicy | None = None,
-        circuit: CircuitBreaker | None = None,
-        penalty_runtime: float = float("inf"),
-        wait_for_outage: bool = True,
-        stats: ReliabilityStats | None = None,
-    ) -> None:
+    def __init__(self, evaluator, retry: RetryPolicy | None = None) -> None:
         self.evaluator = evaluator
         self.retry = retry if retry is not None else RetryPolicy()
-        self.circuit = circuit
-        self.penalty_runtime = penalty_runtime
-        self.wait_for_outage = wait_for_outage
-        self.stats = stats if stats is not None else ReliabilityStats()
+        self.stats = ReliabilityStats()
 
     # Pass-through surface of the evaluator protocol -------------------
     @property
@@ -121,10 +101,6 @@ class ResilientEvaluator:
         return self.evaluator.measure(config)
 
     # ------------------------------------------------------------------
-    def _record_failure(self) -> None:
-        if self.circuit is not None:
-            self.circuit.record_failure(self.clock.now)
-
     def _degrade(
         self, config, fault: str, attempts: int, censored_at: float | None = None
     ) -> FailedMeasurement:
@@ -134,7 +110,7 @@ class ResilientEvaluator:
             self.stats.censored += 1
         return FailedMeasurement(
             config=config,
-            runtime_seconds=self.penalty_runtime if censored_at is None else censored_at,
+            runtime_seconds=float("inf") if censored_at is None else censored_at,
             fault=fault,
             attempts=attempts,
             censored=censored_at is not None,
@@ -144,9 +120,6 @@ class ResilientEvaluator:
         """Evaluate with recovery; returns a measurement, never raises a
         recoverable failure (only :class:`BudgetExhaustedError` and
         genuine programming errors propagate)."""
-        if self.circuit is not None and not self.circuit.allow(self.clock.now):
-            self.stats.short_circuited += 1
-            return self._degrade(config, "circuit-open", attempts=0)
         retries_used = 0
         attempts = 0
         while True:
@@ -157,16 +130,13 @@ class ResilientEvaluator:
             except BudgetExhaustedError:
                 raise
             except EvaluationTimeout as exc:
-                self._record_failure()
                 return self._degrade(
                     config, "timeout", attempts, censored_at=exc.censored_at
                 )
             except CompileCrashError:
-                self._record_failure()
                 return self._degrade(config, "compile-crash", attempts)
             except MachineOutageError as exc:
-                self._record_failure()
-                if not self.wait_for_outage or retries_used >= self.retry.max_retries:
+                if retries_used >= self.retry.max_retries:
                     return self._degrade(config, "outage", attempts)
                 # Wait out the recovery horizon on the simulated clock;
                 # an unaffordable wait exhausts the budget for real.
@@ -175,7 +145,6 @@ class ResilientEvaluator:
                 self.stats.retries += 1
                 retries_used += 1
             except TransientEvaluationError:
-                self._record_failure()
                 if retries_used >= self.retry.max_retries:
                     return self._degrade(config, "transient", attempts)
                 backoff = self.retry.backoff(retries_used)
@@ -184,8 +153,6 @@ class ResilientEvaluator:
                 self.stats.retries += 1
                 retries_used += 1
             else:
-                if self.circuit is not None:
-                    self.circuit.record_success()
                 self.stats.successes += 1
                 return measurement
 
@@ -197,8 +164,6 @@ class ResilientEvaluator:
     # ------------------------------------------------------------------
     def reliability_state(self) -> dict:
         state: dict = {"stats": self.stats.as_dict()}
-        if self.circuit is not None:
-            state["circuit"] = self.circuit.state_dict()
         inner = getattr(self.evaluator, "reliability_state", None)
         if callable(inner):
             state["inner"] = inner()
@@ -206,8 +171,6 @@ class ResilientEvaluator:
 
     def load_reliability_state(self, state: dict) -> None:
         self.stats.load_state(state["stats"])
-        if self.circuit is not None and "circuit" in state:
-            self.circuit.load_state(state["circuit"])
         inner = getattr(self.evaluator, "load_reliability_state", None)
         if callable(inner) and "inner" in state:
             inner(state["inner"])

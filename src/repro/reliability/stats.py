@@ -16,17 +16,12 @@ class ReliabilityStats:
     retries: int = 0  # re-attempts after a recoverable failure
     degraded: int = 0  # configs recorded as failed instead of raising
     censored: int = 0  # degraded configs carrying a censored bound
-    short_circuited: int = 0  # skipped because the circuit was open
     backoff_seconds: float = 0.0  # simulated wait charged by retries
     outage_wait_seconds: float = 0.0  # simulated wait for machine recovery
     failures_by_mode: dict = field(default_factory=dict)
 
     def record_failure_mode(self, mode: str) -> None:
         self.failures_by_mode[mode] = self.failures_by_mode.get(mode, 0) + 1
-
-    @property
-    def failures(self) -> int:
-        return sum(self.failures_by_mode.values())
 
     def as_dict(self) -> dict:
         return {
@@ -35,7 +30,6 @@ class ReliabilityStats:
             "retries": self.retries,
             "degraded": self.degraded,
             "censored": self.censored,
-            "short_circuited": self.short_circuited,
             "backoff_seconds": self.backoff_seconds,
             "outage_wait_seconds": self.outage_wait_seconds,
             "failures_by_mode": dict(self.failures_by_mode),
@@ -47,19 +41,6 @@ class ReliabilityStats:
         self.retries = int(state["retries"])
         self.degraded = int(state["degraded"])
         self.censored = int(state["censored"])
-        self.short_circuited = int(state["short_circuited"])
         self.backoff_seconds = float(state["backoff_seconds"])
         self.outage_wait_seconds = float(state["outage_wait_seconds"])
         self.failures_by_mode = {k: int(v) for k, v in state["failures_by_mode"].items()}
-
-    def render(self) -> str:
-        modes = ", ".join(
-            f"{mode}={count}" for mode, count in sorted(self.failures_by_mode.items())
-        ) or "none"
-        return (
-            f"attempts={self.attempts} ok={self.successes} retries={self.retries} "
-            f"degraded={self.degraded} (censored={self.censored}) "
-            f"short-circuited={self.short_circuited} "
-            f"backoff={self.backoff_seconds:g}s outage-wait={self.outage_wait_seconds:g}s "
-            f"failures: {modes}"
-        )

@@ -11,7 +11,7 @@ loop, written once.  It owns every shared concern:
 * **clock charging** — evaluation costs and the model-query costs
   raised by gates;
 * **budgets** — the ``nmax`` evaluation budget, the optional proposal
-  cap (RSp's ``max_stream_positions``), and
+  cap (RSp walks at most ``50 * nmax`` stream positions), and
   :class:`~repro.errors.BudgetExhaustedError` from the simulated clock;
 * **failure recording** — degraded measurements and recoverable
   :class:`~repro.errors.EvaluationFailure`\\ s become failed/censored
@@ -84,7 +84,7 @@ class SearchEngine:
         The :class:`~repro.search.stream.SharedStream` to re-materialize
         on resume, when the proposer walks one.
     position_cap:
-        Hard cap on proposals consumed (RSp's ``max_stream_positions``);
+        Hard cap on proposals consumed (RSp's ``50 * nmax``);
         ``None`` leaves the proposer to exhaust itself.  When set, the
         proposals consumed are recorded as
         ``trace.metadata["stream_positions"]``.

@@ -33,7 +33,6 @@ def pruned_search(
     stream: SharedStream,
     surrogate: SurrogateModel,
     nmax: int = 100,
-    max_stream_positions: int | None = None,
     name: str = "RSp",
     checkpoint=None,
     spec: TunerSpec | None = None,
@@ -42,10 +41,9 @@ def pruned_search(
 
     ``surrogate`` must already be fitted on the source machine's data
     (its fit time is charged here, since the fit happens as part of the
-    target-machine tuning session).  ``max_stream_positions`` bounds
-    how far past the budget the stream may be walked when almost
-    everything is pruned (default: ``50 * nmax``); the positions walked
-    are ``trace.metadata["stream_positions"]``.  A budget wall during a
+    target-machine tuning session).  The stream is walked at most
+    ``50 * nmax`` positions, however much is pruned; the positions
+    walked are ``trace.metadata["stream_positions"]``.  A budget wall during a
     model query or an evaluation hands that position back, so it is not
     counted.
 
@@ -71,8 +69,6 @@ def pruned_search(
     spec = resolve_spec(spec)
     if nmax < 1:
         raise SearchError(f"nmax must be >= 1, got {nmax}")
-    if max_stream_positions is None:
-        max_stream_positions = 50 * nmax
 
     space = stream.space
     proposer = StreamProposer(stream, surrogate=surrogate)
@@ -92,7 +88,7 @@ def pruned_search(
         name=name,
         space=space,
         stream=stream,
-        position_cap=max_stream_positions,
+        position_cap=50 * nmax,
         checkpoint=checkpoint,
         batch_size=spec.engine.batch_size,
     )

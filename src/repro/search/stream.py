@@ -18,24 +18,20 @@ from repro.utils.rng import spawn_rng
 
 __all__ = ["SharedStream"]
 
+#: Configurations drawn per extension of a stream.  Part of the stream's
+#: definition: another size draws another sequence.
+BATCH = 64
+
 
 class SharedStream:
     """A reproducible, duplicate-free configuration sequence."""
 
-    def __init__(self, space: SearchSpace, seed: object = 0, batch: int = 64) -> None:
-        if batch < 1:
-            raise SearchError(f"batch must be >= 1, got {batch}")
+    def __init__(self, space: SearchSpace, seed: object = 0) -> None:
         self.space = space
         self.seed = seed
         self._rng: np.random.Generator = spawn_rng("shared-stream", space.name, str(seed))
-        self._batch = batch
         self._configs: list[Configuration] = []
         self._seen: set[int] = set()
-
-    @property
-    def materialized(self) -> int:
-        """How many stream positions have been generated so far."""
-        return len(self._configs)
 
     def _extend(self, upto: int) -> None:
         while len(self._configs) < upto:
@@ -49,7 +45,7 @@ class SharedStream:
             # the access pattern, so prefix(n), random access, and a
             # stream rebuilt after a checkpoint/resume all materialize
             # bit-identical sequences.
-            want = min(self._batch, remaining)
+            want = min(BATCH, remaining)
             for i in self.space.sample_indices(self._rng, want, self._seen):
                 self._seen.add(i)
                 self._configs.append(self.space.config_at(i))

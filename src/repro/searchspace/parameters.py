@@ -71,13 +71,6 @@ class Parameter(ABC):
         """All values in index order (domains here are small per axis)."""
         return [self.value_at(i) for i in range(self.cardinality)]
 
-    def contains(self, value: Any) -> bool:
-        try:
-            self.index_of(value)
-        except SearchSpaceError:
-            return False
-        return True
-
     def sample(self, rng: np.random.Generator) -> Any:
         """A uniformly random value."""
         return self.value_at(int(rng.integers(0, self.cardinality)))

@@ -157,12 +157,6 @@ class SearchSpace:
         """Number of tunable parameters (``ni`` in Table III)."""
         return len(self.parameters)
 
-    def parameter(self, name: str) -> Parameter:
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise SearchSpaceError(f"no parameter named {name!r} in space {self.name!r}") from None
-
     def __contains__(self, name: str) -> bool:
         return name in self._by_name
 
@@ -302,14 +296,6 @@ class SearchSpace:
         """``n`` distinct uniform configurations (without replacement)."""
         indices = self.sample_indices(rng, n, (c.index for c in exclude))
         return [self.config_at(i) for i in indices]
-
-    def sample_one(
-        self,
-        rng: np.random.Generator,
-        exclude: Iterable[Configuration] = (),
-    ) -> Configuration:
-        """One uniform configuration not in ``exclude``."""
-        return self.sample(rng, 1, exclude)[0]
 
     # ------------------------------------------------------------------
     # ML encoding

@@ -38,6 +38,10 @@ from repro.service.store import SessionStore
 
 __all__ = ["AdmissionController"]
 
+#: Seconds a rejected client is told to wait when the service is idle;
+#: the hint grows with load from there.
+BASE_RETRY_AFTER = 0.5
+
 #: Job states whose cost is refunded to the tenant's eval budget: the
 #: work never ran (or was evicted by the service, which must not charge
 #: the victim for its own load shedding).
@@ -52,12 +56,10 @@ class AdmissionController:
         quotas: dict[str, TenantQuota] | None = None,
         default_quota: TenantQuota | None = None,
         max_total_queued: int = 64,
-        base_retry_after: float = 0.5,
     ) -> None:
         self.quotas = dict(quotas or {})
         self.default_quota = default_quota or TenantQuota()
         self.max_total_queued = max_total_queued
-        self.base_retry_after = base_retry_after
 
     def quota_for(self, tenant: str) -> TenantQuota:
         return self.quotas.get(tenant, self.default_quota)
@@ -92,7 +94,7 @@ class AdmissionController:
 
     def _retry_after(self, pressure: float) -> float:
         """Backoff hint growing with load (bounded, never zero)."""
-        return round(self.base_retry_after * (1.0 + max(0.0, pressure)), 3)
+        return round(BASE_RETRY_AFTER * (1.0 + max(0.0, pressure)), 3)
 
     # ------------------------------------------------------------------
     # Decisions

@@ -575,15 +575,6 @@ class TuningService:
         thread.join(timeout=10.0)
         self._thread = None
 
-    def serve_forever(self) -> None:  # pragma: no cover - process entry
-        """Blocking pump loop for a dedicated service process."""
-        self.start()
-        try:
-            while not self._stop.is_set():
-                time.sleep(POLL_INTERVAL)
-        finally:
-            self.stop()
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------

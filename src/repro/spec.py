@@ -271,14 +271,6 @@ class TunerSpec:
         """Canonical (sorted-key) JSON encoding."""
         return json.dumps(self.to_dict(), sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "TunerSpec":
-        try:
-            data = json.loads(text)
-        except (TypeError, json.JSONDecodeError) as exc:
-            raise SpecError(f"spec payload is not valid JSON: {exc}") from exc
-        return cls.from_dict(data)
-
     def fingerprint(self) -> str:
         """Short stable digest of the canonical encoding — names
         journaled meta-grid cells and service results."""

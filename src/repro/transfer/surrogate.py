@@ -169,7 +169,3 @@ class Surrogate:
         if n < 0:
             raise ModelError(f"cannot predict a negative count: {n}")
         return _PREDICT_BASE_S + _PREDICT_PER_ROW_S * n
-
-    @property
-    def is_fitted(self) -> bool:
-        return self._fitted

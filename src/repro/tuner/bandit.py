@@ -22,12 +22,17 @@ from repro.tuner.technique import SearchTechnique
 
 __all__ = ["AUCBanditMetaTechnique"]
 
+#: Events each technique's AUC looks back over, and the weight of the
+#: upper-confidence exploration bonus.
+WINDOW = 50
+EXPLORATION = 0.3
+
 
 class _History:
     """Sliding window of (was-new-best) flags for one technique."""
 
-    def __init__(self, window: int) -> None:
-        self.events: deque[bool] = deque(maxlen=window)
+    def __init__(self) -> None:
+        self.events: deque[bool] = deque(maxlen=WINDOW)
         self.uses = 0
 
     def auc(self) -> float:
@@ -50,8 +55,6 @@ class AUCBanditMetaTechnique(SearchTechnique):
     def __init__(
         self,
         techniques: Sequence[SearchTechnique],
-        window: int = 50,
-        exploration: float = 0.3,
         seed: object = 0,
     ) -> None:
         super().__init__(seed=seed)
@@ -61,9 +64,7 @@ class AUCBanditMetaTechnique(SearchTechnique):
         if len(set(names)) != len(names):
             raise SearchError(f"duplicate technique names: {names}")
         self.techniques = list(techniques)
-        self.window = window
-        self.exploration = exploration
-        self._history = {t.name: _History(window) for t in techniques}
+        self._history = {t.name: _History() for t in techniques}
         self._last: SearchTechnique | None = None
         self._best = float("inf")
 
@@ -79,7 +80,7 @@ class AUCBanditMetaTechnique(SearchTechnique):
         h = self._history[technique.name]
         if h.uses == 0:
             return float("inf")  # try everything once
-        bonus = self.exploration * math.sqrt(
+        bonus = EXPLORATION * math.sqrt(
             2.0 * math.log(max(2, total_uses)) / h.uses
         )
         return h.auc() + bonus

@@ -41,10 +41,6 @@ class ResultsDatabase:
         return self._by_config.get(config.index)
 
     @property
-    def n_results(self) -> int:
-        return len(self._results)
-
-    @property
     def n_distinct(self) -> int:
         return len(self._by_config)
 
@@ -55,11 +51,6 @@ class ResultsDatabase:
         if not self._results:
             raise SearchError("no results recorded")
         return min(self._results, key=lambda r: r.value)
-
-    def best_k(self, k: int) -> list[Result]:
-        """The ``k`` best *distinct* configurations."""
-        distinct = sorted(self._by_config.values(), key=lambda r: r.value)
-        return distinct[:k]
 
     def has(self, config: Configuration) -> bool:
         return config.index in self._by_config

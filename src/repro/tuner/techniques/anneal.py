@@ -4,11 +4,16 @@ from __future__ import annotations
 
 import math
 
-from repro.errors import SearchError
 from repro.searchspace.space import Configuration
 from repro.tuner.technique import SearchTechnique
 
 __all__ = ["SimulatedAnnealing"]
+
+#: Starting acceptance temperature, its geometric cooling factor per
+#: feedback, and the floor it cools to.
+INITIAL_TEMPERATURE = 0.3
+COOLING = 0.97
+MIN_TEMPERATURE = 1e-3
 
 
 class SimulatedAnnealing(SearchTechnique):
@@ -20,21 +25,9 @@ class SimulatedAnnealing(SearchTechnique):
 
     name = "anneal"
 
-    def __init__(
-        self,
-        initial_temperature: float = 0.3,
-        cooling: float = 0.97,
-        min_temperature: float = 1e-3,
-        seed: object = 0,
-    ) -> None:
+    def __init__(self, seed: object = 0) -> None:
         super().__init__(seed=seed)
-        if not 0.0 < cooling < 1.0:
-            raise SearchError(f"cooling must be in (0, 1), got {cooling}")
-        if initial_temperature <= 0:
-            raise SearchError("initial_temperature must be positive")
-        self.temperature = initial_temperature
-        self.cooling = cooling
-        self.min_temperature = min_temperature
+        self.temperature = INITIAL_TEMPERATURE
         self._current: tuple[Configuration, float] | None = None
         self._pending: Configuration | None = None
 
@@ -61,7 +54,7 @@ class SimulatedAnnealing(SearchTechnique):
             accept = self.rng.random() < math.exp(-rel / max(self.temperature, 1e-12))
         if accept:
             self._current = (config, value)
-        self.temperature = max(self.min_temperature, self.temperature * self.cooling)
+        self.temperature = max(MIN_TEMPERATURE, self.temperature * COOLING)
 
     @property
     def current(self) -> tuple[Configuration, float] | None:

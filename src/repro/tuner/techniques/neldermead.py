@@ -10,31 +10,23 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import SearchError
 from repro.searchspace.space import Configuration
 from repro.tuner.technique import SearchTechnique
 
 __all__ = ["NelderMead"]
 
+#: The classic simplex coefficients.
+ALPHA = 1.0  # reflection
+GAMMA = 2.0  # expansion
+RHO = 0.5  # contraction
+SIGMA = 0.5  # shrink
+
 
 class NelderMead(SearchTechnique):
     name = "nelder-mead"
 
-    def __init__(
-        self,
-        alpha: float = 1.0,  # reflection
-        gamma: float = 2.0,  # expansion
-        rho: float = 0.5,  # contraction
-        sigma: float = 0.5,  # shrink
-        seed: object = 0,
-    ) -> None:
+    def __init__(self, seed: object = 0) -> None:
         super().__init__(seed=seed)
-        if alpha <= 0 or gamma <= 1 or not 0 < rho < 1 or not 0 < sigma < 1:
-            raise SearchError("invalid Nelder-Mead coefficients")
-        self.alpha = alpha
-        self.gamma = gamma
-        self.rho = rho
-        self.sigma = sigma
         self._vertices: list[np.ndarray] = []  # simplex points (index coords)
         self._values: list[float] = []
         self._phase = "init"  # init | reflect | expand | contract | shrink
@@ -102,16 +94,16 @@ class NelderMead(SearchTechnique):
         centroid = self._centroid()
         worst = self._vertices[-1]
         if self._phase == "reflect":
-            self._pending_point = self._clip(centroid + self.alpha * (centroid - worst))
+            self._pending_point = self._clip(centroid + ALPHA * (centroid - worst))
         elif self._phase == "expand":
-            reflected = centroid + self.alpha * (centroid - worst)
-            self._pending_point = self._clip(centroid + self.gamma * (reflected - centroid))
+            reflected = centroid + ALPHA * (centroid - worst)
+            self._pending_point = self._clip(centroid + GAMMA * (reflected - centroid))
         elif self._phase == "contract":
-            self._pending_point = self._clip(centroid + self.rho * (worst - centroid))
+            self._pending_point = self._clip(centroid + RHO * (worst - centroid))
         elif self._phase == "shrink":
             i = self._shrink_queue[0]
             best = self._vertices[0]
-            self._pending_point = self._clip(best + self.sigma * (self._vertices[i] - best))
+            self._pending_point = self._clip(best + SIGMA * (self._vertices[i] - best))
         else:  # pragma: no cover - defensive
             self._phase = "reflect"
             return self.propose()
@@ -166,7 +158,3 @@ class NelderMead(SearchTechnique):
             if not self._shrink_queue:
                 self._phase = "reflect"
         self._pending_point = None
-
-    @property
-    def simplex_size(self) -> int:
-        return len(self._vertices)

@@ -11,23 +11,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import SearchError
 from repro.searchspace.space import Configuration
 from repro.tuner.technique import SearchTechnique
 
 __all__ = ["OrthogonalSearch"]
 
+#: Values swept along one axis; a wider axis is sampled evenly.
+MAX_VALUES_PER_AXIS = 8
+
 
 class OrthogonalSearch(SearchTechnique):
     name = "orthogonal"
 
-    def __init__(self, max_values_per_axis: int = 8, seed: object = 0) -> None:
+    def __init__(self, seed: object = 0) -> None:
         super().__init__(seed=seed)
-        if max_values_per_axis < 2:
-            raise SearchError(
-                f"max_values_per_axis must be >= 2, got {max_values_per_axis}"
-            )
-        self.max_values_per_axis = max_values_per_axis
         self._center: tuple[Configuration, float] | None = None
         self._axis = 0
         self._sweep: list[Configuration] = []
@@ -41,11 +38,11 @@ class OrthogonalSearch(SearchTechnique):
         param = space.parameters[self._axis]
         base = self._center[0]
         n = param.cardinality
-        if n <= self.max_values_per_axis:
+        if n <= MAX_VALUES_PER_AXIS:
             indices = range(n)
         else:
             indices = sorted(
-                {int(round(i)) for i in np.linspace(0, n - 1, self.max_values_per_axis)}
+                {int(round(i)) for i in np.linspace(0, n - 1, MAX_VALUES_PER_AXIS)}
             )
         current = param.index_of(base[param.name])
         return [

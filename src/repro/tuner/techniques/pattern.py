@@ -12,17 +12,17 @@ from repro.tuner.technique import SearchTechnique
 
 __all__ = ["PatternSearch"]
 
+#: Index step a walk starts (and restarts) with.
+INITIAL_STEP = 4
+
 
 class PatternSearch(SearchTechnique):
     name = "pattern"
 
-    def __init__(self, initial_step: int = 4, seed: object = 0) -> None:
+    def __init__(self, seed: object = 0) -> None:
         super().__init__(seed=seed)
-        if initial_step < 1:
-            raise ValueError(f"initial_step must be >= 1, got {initial_step}")
-        self.initial_step = initial_step
         self._incumbent: tuple[Configuration, float] | None = None
-        self._step = initial_step
+        self._step = INITIAL_STEP
         self._axis = 0
         self._direction = +1
         self._pending: Configuration | None = None
@@ -56,7 +56,7 @@ class PatternSearch(SearchTechnique):
         self.n_proposals += 1
         if self._incumbent is None or self._step == 0:
             # (Re)start: random point, full step.
-            self._step = self.initial_step
+            self._step = INITIAL_STEP
             self._axis = 0
             self._direction = +1
             self._incumbent = None
@@ -71,14 +71,10 @@ class PatternSearch(SearchTechnique):
             if self._step == 0:
                 break
         # Pattern exhausted without a valid poll: restart.
-        self._step = self.initial_step
+        self._step = INITIAL_STEP
         self._pending = self.manipulator.random(self.rng)
         return self._pending
 
     def feedback(self, config: Configuration, value: float) -> None:
         if self._incumbent is None or value < self._incumbent[1]:
             self._incumbent = (config, value)
-
-    @property
-    def incumbent(self) -> tuple[Configuration, float] | None:
-        return self._incumbent

@@ -8,31 +8,24 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import SearchError
 from repro.searchspace.space import Configuration
 from repro.tuner.technique import SearchTechnique
 
 __all__ = ["ParticleSwarm"]
 
+#: Swarm size, and the velocity update's inertia, pull toward a
+#: particle's own best and pull toward the swarm's best.
+N_PARTICLES = 12
+INERTIA = 0.7
+COGNITIVE = 1.4
+SOCIAL = 1.4
+
 
 class ParticleSwarm(SearchTechnique):
     name = "pso"
 
-    def __init__(
-        self,
-        n_particles: int = 12,
-        inertia: float = 0.7,
-        cognitive: float = 1.4,
-        social: float = 1.4,
-        seed: object = 0,
-    ) -> None:
+    def __init__(self, seed: object = 0) -> None:
         super().__init__(seed=seed)
-        if n_particles < 2:
-            raise SearchError(f"n_particles must be >= 2, got {n_particles}")
-        self.n_particles = n_particles
-        self.inertia = inertia
-        self.cognitive = cognitive
-        self.social = social
         self._pos: np.ndarray | None = None  # (n, d) continuous index coords
         self._vel: np.ndarray | None = None
         self._pbest: np.ndarray | None = None
@@ -51,10 +44,10 @@ class ParticleSwarm(SearchTechnique):
         assert self.rng is not None
         hi = self._bounds()
         d = len(hi)
-        self._pos = self.rng.uniform(0, 1, size=(self.n_particles, d)) * hi
-        self._vel = self.rng.uniform(-0.25, 0.25, size=(self.n_particles, d)) * np.maximum(hi, 1.0)
+        self._pos = self.rng.uniform(0, 1, size=(N_PARTICLES, d)) * hi
+        self._vel = self.rng.uniform(-0.25, 0.25, size=(N_PARTICLES, d)) * np.maximum(hi, 1.0)
         self._pbest = self._pos.copy()
-        self._pbest_val = np.full(self.n_particles, np.inf)
+        self._pbest_val = np.full(N_PARTICLES, np.inf)
 
     def _decode(self, coords: np.ndarray) -> Configuration:
         assert self.manipulator is not None
@@ -78,9 +71,9 @@ class ParticleSwarm(SearchTechnique):
             r1 = self.rng.uniform(size=self._pos.shape[1])
             r2 = self.rng.uniform(size=self._pos.shape[1])
             self._vel[i] = (
-                self.inertia * self._vel[i]
-                + self.cognitive * r1 * (self._pbest[i] - self._pos[i])
-                + self.social * r2 * (self._gbest - self._pos[i])
+                INERTIA * self._vel[i]
+                + COGNITIVE * r1 * (self._pbest[i] - self._pos[i])
+                + SOCIAL * r2 * (self._gbest - self._pos[i])
             )
             np.clip(self._vel[i], -hi, hi, out=self._vel[i])
             self._pos[i] = np.clip(self._pos[i] + self._vel[i], 0, hi)
@@ -96,8 +89,4 @@ class ParticleSwarm(SearchTechnique):
         if value < self._gbest_val:
             self._gbest_val = value
             self._gbest = self._pos[i].copy()
-        self._next = (self._next + 1) % self.n_particles
-
-    @property
-    def global_best_value(self) -> float:
-        return self._gbest_val
+        self._next = (self._next + 1) % N_PARTICLES

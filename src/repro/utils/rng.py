@@ -129,11 +129,5 @@ class RngFactory:
         """Return the child generator for a sub-key."""
         return spawn_rng(*self._parts, *parts)
 
-    def subfactory(self, *parts: Any) -> "RngFactory":
-        """Return a factory rooted at a sub-key of this one."""
-        sub = RngFactory.__new__(RngFactory)
-        sub._parts = self._parts + tuple(parts)
-        return sub
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RngFactory(key={self._parts!r})"

@@ -93,10 +93,10 @@ def bootstrap_ci(
     values: Sequence[float],
     statistic=np.mean,
     confidence: float = 0.95,
-    n_resamples: int = 2000,
     rng: np.random.Generator | None = None,
 ) -> tuple[float, float]:
-    """Percentile-bootstrap confidence interval for a statistic."""
+    """Percentile-bootstrap confidence interval for a statistic, over
+    2000 resamples."""
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
     arr = _as1d(values)
@@ -104,7 +104,7 @@ def bootstrap_ci(
         raise ValueError("cannot bootstrap an empty sample")
     if rng is None:
         rng = np.random.default_rng(0)
-    idx = rng.integers(0, arr.size, size=(n_resamples, arr.size))
+    idx = rng.integers(0, arr.size, size=(2000, arr.size))
     stats = np.apply_along_axis(statistic, 1, arr[idx])
     alpha = (1.0 - confidence) / 2.0
     return (float(np.quantile(stats, alpha)), float(np.quantile(stats, 1.0 - alpha)))

@@ -12,28 +12,27 @@ from typing import Any, Iterable, Sequence
 __all__ = ["format_table"]
 
 
-def _cell(value: Any, floatfmt: str) -> str:
+def _cell(value: Any) -> str:
     if value is None:
         return "-"
     if isinstance(value, bool):
         return "yes" if value else "no"
     if isinstance(value, float):
-        return format(value, floatfmt)
+        return format(value, ".2f")
     return str(value)
 
 
 def format_table(
     headers: Sequence[str],
     rows: Iterable[Sequence[Any]],
-    floatfmt: str = ".2f",
     title: str | None = None,
 ) -> str:
     """Render an aligned ASCII table.
 
     ``rows`` may contain strings, numbers, booleans or ``None`` (shown
-    as ``-``).  Floats are formatted with ``floatfmt``.
+    as ``-``).  Floats are shown with two decimals.
     """
-    str_rows = [[_cell(v, floatfmt) for v in row] for row in rows]
+    str_rows = [[_cell(v) for v in row] for row in rows]
     for i, row in enumerate(str_rows):
         if len(row) != len(headers):
             raise ValueError(f"row {i} has {len(row)} cells, expected {len(headers)}")

@@ -30,7 +30,6 @@ class TestTimeouts:
         wd.assign(0, 7, now=0.0)
         wd.clear(0)
         assert wd.overdue(now=100.0) == []
-        assert wd.task_for(0) is None
 
 
 class TestHeartbeats:

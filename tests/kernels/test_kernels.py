@@ -125,7 +125,7 @@ class TestVariantsAndMetrics:
     def test_transformed_variant_metrics_differ(self):
         k = get_kernel("mm", n=64)
         rng = spawn_rng("test-kernel", 1)
-        cfg = k.space.sample_one(rng)
+        cfg = k.space.sample(rng, 1)[0]
         default_m = k.metrics_for(k.space.default())[0]
         cfg_m = k.metrics_for(cfg)[0]
         # Same work, different structure.

@@ -1,5 +1,7 @@
 """Tests for machine specifications and the registry."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import MachineError
@@ -64,7 +66,7 @@ class TestRegistry:
     def test_table2_xeonphi(self):
         assert XEON_PHI.cores == 61
         assert XEON_PHI.clock_ghz == 1.24
-        assert not XEON_PHI.has_l3
+        assert all(c.name != "L3" for c in XEON_PHI.caches)
         assert XEON_PHI.cache("L2").size_kb == 512
 
     def test_table2_power7(self):
@@ -83,10 +85,6 @@ class TestDerivedQuantities:
     def test_peak_gflops(self):
         assert SANDYBRIDGE.peak_gflops_core == pytest.approx(8.0 * 3.4)
         assert SANDYBRIDGE.peak_gflops == pytest.approx(8.0 * 3.4 * 8)
-
-    def test_machine_balance_positive(self):
-        for spec in MACHINES.values():
-            assert spec.machine_balance() > 0
 
     def test_dram_bytes_per_cycle(self):
         expected = 51.2e9 / (3.4e9)
@@ -157,7 +155,6 @@ class TestResponseVectors:
             response_distance(bad, WESTMERE.response)
 
     def test_as_array_excludes_noise_dims(self):
-        names = ResponseVector.dimension_names()
-        assert "noise_sigma" not in names
-        assert "quirk_sigma" not in names
-        assert len(WESTMERE.response.as_array()) == len(names)
+        names = [f.name for f in dataclasses.fields(ResponseVector)]
+        assert "noise_sigma" in names and "quirk_sigma" in names
+        assert len(WESTMERE.response.as_array()) == len(names) - 2

@@ -1,5 +1,6 @@
 """The meta-space: TunerSpec knobs as an ordinary SearchSpace."""
 
+import json
 import math
 
 import pytest
@@ -63,7 +64,7 @@ class TestMetaSpace:
 class TestSpecAt:
     def test_maps_configuration_to_spec(self):
         space = meta_space(("gate.delta_percent", "pool.size"))
-        config = space.sample_one(spawn_rng("meta-space-test"))
+        config = space.sample(spawn_rng("meta-space-test"), 1)[0]
         spec = spec_at(config)
         assert spec.gate.delta_percent == config["gate.delta_percent"]
         assert spec.pool.size == config["pool.size"]
@@ -85,4 +86,4 @@ class TestSpecAt:
                 for part in rest:
                     value = getattr(value, part)
                 assert value == config[path]
-            assert TunerSpec.from_json(spec.to_json()) == spec
+            assert TunerSpec.from_dict(json.loads(spec.to_json())) == spec

@@ -28,7 +28,8 @@ class TestHplSpace:
             assert name in space
 
     def test_six_broadcast_variants(self):
-        assert make_hpl().space.parameter("BCAST").cardinality == 6
+        (bcast,) = [p for p in make_hpl().space.parameters if p.name == "BCAST"]
+        assert bcast.cardinality == 6
 
 
 class TestHplModel:

@@ -138,7 +138,7 @@ class TestSplitQuality:
         X, y = stepwise_data()
         tree = DecisionTreeRegressor(max_features=1, rng=np.random.default_rng(0))
         tree.fit(X, y)
-        assert tree.is_fitted  # smoke: restricted candidate sets still split
+        assert tree.nodes.n_nodes > 1  # restricted candidate sets still split
 
     def test_max_features_specs(self):
         X, y = stepwise_data()

@@ -129,10 +129,9 @@ class TestLoopStructure:
         assert make_loop(lo=0, hi=10, step=3).trip_count() == 4
         assert make_loop(lo=5, hi=5).trip_count() == 0
 
-    def test_trip_count_with_bindings(self):
+    def test_trip_count_needs_constant_bounds(self):
         loop = ForLoop("i", IntLit(0), Var("N"), 1,
                        (Assign(Var("t"), IntLit(0)),))
-        assert loop.trip_count({"N": 7}) == 7
         with pytest.raises(TransformError):
             loop.trip_count()
 

@@ -95,12 +95,6 @@ class TestGenerateC:
         with pytest.raises(TransformError):
             generate_c(big, max_statements=5)
 
-    def test_no_expansion_mode(self):
-        nest = parse_loop_nest(MM_SRC, consts={"N": 4})
-        unrolled = UnrollJam("j", 4).apply(nest)
-        code = generate_c(unrolled, expand_unrolls=False)
-        assert "j + 3" not in code  # kept symbolic
-
 
 class TestInterpreter:
     def test_expression_evaluation(self):

@@ -58,7 +58,8 @@ def _tile_edges(kernel, config):
         hull = rectangular_hull(chain)
         for var, param in nest.spec.tile:
             lo, hi = hull[var]
-            values = kernel.space.parameter(param).values()
+            values = next(p for p in kernel.space.parameters
+                          if p.name == param).values()
             tiling = [v for v in values if v * steps[var] < hi - lo]
             covering = [v for v in values if v * steps[var] >= hi - lo]
             picks = {1, max(tiling), values[-1]}
@@ -108,7 +109,7 @@ def test_shape_plans_are_reused_across_sizes():
 
 def test_kernels_share_no_shape_plans():
     first, second = get_kernel("mm", n=64), get_kernel("mm", n=64)
-    first.metrics_for(first.space.sample_one(np.random.default_rng(0)))
+    first.metrics_for(first.space.sample(np.random.default_rng(0), 1)[0])
     assert first._shape_plans and not second._shape_plans
 
 
@@ -122,7 +123,7 @@ def test_metrics_for_calls_the_analysis_hook_once_per_nest(monkeypatch):
 
     monkeypatch.setattr(kernels_base, "analyze_variant", counting)
     kernel = get_kernel("atax", n=64)  # two annotated nests
-    config = kernel.space.sample_one(np.random.default_rng(1))
+    config = kernel.space.sample(np.random.default_rng(1), 1)[0]
     kernel.metrics_for(config)
     assert len(calls) == 2
     kernel.metrics_for(config)  # cached per configuration index

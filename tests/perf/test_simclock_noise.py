@@ -34,8 +34,6 @@ class TestSimClock:
         clock = SimClock(budget_seconds=10.0)
         clock.advance(4.0)
         assert clock.remaining == pytest.approx(6.0)
-        assert clock.can_afford(6.0)
-        assert not clock.can_afford(6.1)
 
     def test_unbudgeted_remaining_infinite(self):
         assert SimClock().remaining == float("inf")
@@ -43,12 +41,6 @@ class TestSimClock:
     def test_invalid_budget(self):
         with pytest.raises(ValueError):
             SimClock(budget_seconds=0.0)
-
-    def test_reset(self):
-        clock = SimClock()
-        clock.advance(5.0)
-        clock.reset()
-        assert clock.now == 0.0
 
 
 class TestNoise:

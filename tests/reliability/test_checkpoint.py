@@ -79,7 +79,8 @@ class TestTraceSerialization:
     def test_clock_state_roundtrip(self):
         clock = SimClock(budget_seconds=50.0)
         clock.advance(12.5)
-        fresh = SimClock.from_state(clock.state_dict())
+        fresh = SimClock()
+        fresh.load_state(clock.state_dict())
         assert fresh.now == 12.5
         assert fresh.remaining == 37.5
 

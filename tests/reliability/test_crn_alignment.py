@@ -139,6 +139,5 @@ class TestResumePreservesAlignment:
         full = SharedStream(kernel.space, seed="s").prefix(50)
         rebuilt = SharedStream(kernel.space, seed="s")
         rebuilt.prefix(17)  # checkpoint position
-        assert rebuilt.materialized >= 17
         resumed = rebuilt.prefix(50)
         assert [c.index for c in resumed] == [c.index for c in full]

@@ -5,9 +5,10 @@ known-good — see tests/search/golden_scenarios.py):
 
     PYTHONPATH=src:tests/search python tests/search/golden/generate.py
 
-Writes ``traces.json`` (every scenario's trace) and ``checkpoints.json``
+Writes ``traces.json`` (every scenario's trace), ``checkpoints.json``
 (the SHA-256 digest of the checkpoint file each digested scenario leaves
-when it is killed at its third periodic save).
+when it is killed at its third periodic save) and ``sessions.json``
+(the trace digests of one small transfer session per problem).
 """
 
 from __future__ import annotations
@@ -22,8 +23,10 @@ sys.path.insert(0, os.path.dirname(HERE))  # tests/search, for golden_scenarios
 
 from golden_scenarios import (  # noqa: E402
     CHECKPOINT_DIGESTED,
+    PROBLEMS,
     SCENARIOS,
     killed_checkpoint_digest,
+    session_digests,
 )
 
 from repro.reliability.checkpoint import trace_to_dict  # noqa: E402
@@ -33,7 +36,7 @@ def _write(name: str, payload: dict) -> None:
     path = os.path.join(HERE, name)
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
-    print(f"wrote {path} ({len(payload)} scenarios)")
+    print(f"wrote {path} ({len(payload)} entries)")
 
 
 def main() -> None:
@@ -49,6 +52,7 @@ def main() -> None:
             for name in CHECKPOINT_DIGESTED
         }
     _write("checkpoints.json", digests)
+    _write("sessions.json", {p: session_digests(p) for p in PROBLEMS})
 
 
 if __name__ == "__main__":

@@ -13,6 +13,10 @@ the killed-checkpoint digests in ``golden/checkpoints.json``, came later:
 they were recorded by the engine's serial loop before the block loop
 became its only loop.  The online RSb scenarios (``online_rsb*``) were
 recorded from its hand-rolled loop before it became an engine proposer.
+The whole-session digests in ``golden/sessions.json``
+(``session_digests``: one small transfer session per problem of the
+evaluation) came later still; they pin the SPAPT, HPL and RT
+evaluators, not only LU.
 
 Regenerate with ``PYTHONPATH=src python tests/search/golden/generate.py``
 — but only from a commit whose implementations are already known-good,
@@ -25,6 +29,7 @@ import dataclasses
 import hashlib
 import os
 
+from repro.experiments.harness import PROBLEMS, build_session
 from repro.kernels import get_kernel
 from repro.machines import SANDYBRIDGE, WESTMERE
 from repro.orio.evaluator import OrioEvaluator
@@ -45,6 +50,7 @@ from repro.search.pruning import pruned_search
 from repro.search.random_search import random_search
 from repro.search.stream import SharedStream
 from repro.search.warm_start import warm_started_search
+from repro.service import trace_digest
 from repro.spec import resolve_spec
 from repro.transfer.guard import GuardPolicy
 from repro.transfer.online import online_biased_search
@@ -58,6 +64,11 @@ POOL = 240
 # Spec knobs the model-guided scenarios set (dotted spec paths).
 POOL_KNOBS = {"pool.size": POOL}
 SMBO_KNOBS = {"smbo.n_initial": 5, "smbo.pool_size": 200}
+
+# Whole-session goldens: small enough that RT's big-integer pool encode
+# stays cheap, large enough that every variant fits and ranks a pool.
+SESSION_NMAX = 20
+SESSION_POOL = 500
 
 # Mid-run budget walls, chosen so the budgeted scenarios exhaust after
 # at least one but fewer than nmax evaluations (asserted by the tests).
@@ -368,6 +379,20 @@ SCENARIOS = {
     "online_rsb": online_rsb,
     "online_rsb_refit": online_rsb_refit,
 }
+
+
+def session_digests(problem):
+    """``trace_digest`` of the source trace and of every variant of one
+    small westmere -> sandybridge transfer session on ``problem``."""
+    outcome = build_session(
+        problem, "westmere", "sandybridge", seed=0,
+        nmax=SESSION_NMAX, pool_size=SESSION_POOL,
+    ).run()
+    return {
+        "RS(source)": trace_digest(outcome.source_trace),
+        **{name: trace_digest(t) for name, t in outcome.traces.items()},
+    }
+
 
 # Scenarios that accept a ``checkpoint=CheckpointManager`` keyword; the
 # resume tests kill these at half budget and replay to completion.

@@ -12,6 +12,10 @@ failure/censoring flags, metadata, and budget-exhaustion state.
 The resume tests additionally kill each checkpointable scenario at a
 mid-run save (simulating a crash) and replay it to completion from the
 checkpoint; the stitched trace must still equal the golden fixture.
+
+The session tests run one small whole transfer session per problem of
+the evaluation and compare the trace digest of its source search and
+of every variant with ``golden/sessions.json``.
 """
 
 import json
@@ -24,15 +28,23 @@ from repro.reliability import CheckpointManager, trace_to_dict
 from tests.search.golden_scenarios import (
     CHECKPOINTABLE,
     NMAX,
+    PROBLEMS,
     SCENARIOS,
     _Killed,
     _KillingManager,
+    session_digests,
 )
 
 FIXTURE_PATH = os.path.join(os.path.dirname(__file__), "golden", "traces.json")
 
+SESSIONS_PATH = os.path.join(
+    os.path.dirname(__file__), "golden", "sessions.json"
+)
+
 with open(FIXTURE_PATH) as _fh:
     FIXTURES = json.load(_fh)
+with open(SESSIONS_PATH) as _fh:
+    SESSION_FIXTURES = json.load(_fh)
 
 
 def test_fixture_covers_every_scenario():
@@ -63,3 +75,12 @@ def test_killed_and_resumed_matches_golden(name, tmp_path):
     assert killed is not None and killed.position > 0  # died mid-run
     resumed = SCENARIOS[name](checkpoint=CheckpointManager(path, every=2))
     assert trace_to_dict(resumed) == FIXTURES[name]
+
+
+def test_session_fixture_covers_every_problem():
+    assert sorted(SESSION_FIXTURES) == sorted(PROBLEMS)
+
+
+@pytest.mark.parametrize("problem", PROBLEMS)
+def test_session_matches_golden(problem):
+    assert session_digests(problem) == SESSION_FIXTURES[problem]

@@ -121,7 +121,7 @@ class TestSharedStream:
 
     def test_no_oversampling_near_exhaustion(self):
         tiny = SearchSpace([IntegerParameter("a", 0, 4)], name="tiny")
-        stream = SharedStream(tiny, seed=0, batch=64)
+        stream = SharedStream(tiny, seed=0)
         configs = stream.prefix(tiny.cardinality)
         assert len(set(configs)) == tiny.cardinality
-        assert stream.materialized == tiny.cardinality
+        assert len(stream._configs) == tiny.cardinality

@@ -44,11 +44,6 @@ class TestSpaceBasics:
         with pytest.raises(SearchSpaceError):
             SearchSpace([])
 
-    def test_parameter_lookup(self, small_space):
-        assert small_space.parameter("u").cardinality == 4
-        with pytest.raises(SearchSpaceError):
-            small_space.parameter("nope")
-
     def test_contains(self, small_space):
         assert "u" in small_space
         assert "v" not in small_space
@@ -182,13 +177,13 @@ class TestSampling:
         assert len(set(configs)) == 500
 
     def test_sample_one(self, small_space):
-        cfg = small_space.sample_one(np.random.default_rng(3))
+        cfg = small_space.sample(np.random.default_rng(3), 1)[0]
         assert isinstance(cfg, Configuration)
 
     def test_sample_one_with_exclusions(self, small_space):
         rng = np.random.default_rng(4)
         all_but_one = small_space.sample(rng, small_space.cardinality - 1)
-        last = small_space.sample_one(rng, exclude=all_but_one)
+        (last,) = small_space.sample(rng, 1, exclude=all_but_one)
         assert last not in set(all_but_one)
 
     def test_uniformity_rough(self):
@@ -196,7 +191,7 @@ class TestSampling:
         rng = np.random.default_rng(5)
         counts = np.zeros(4)
         for _ in range(800):
-            counts[space.sample_one(rng).index] += 1
+            counts[space.sample(rng, 1)[0].index] += 1
         assert counts.min() > 120  # roughly uniform (expected 200 each)
 
 

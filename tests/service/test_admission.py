@@ -13,7 +13,7 @@ from repro.service.model import (
     SessionRecord,
     TenantQuota,
 )
-from repro.service.quota import AdmissionController
+from repro.service.quota import BASE_RETRY_AFTER, AdmissionController
 from repro.service.store import SessionStore
 
 
@@ -137,6 +137,6 @@ class TestSheddingAndBackpressure:
         assert victim.job_id == "j1"
 
     def test_retry_after_scales_with_pressure(self):
-        ctrl = AdmissionController(base_retry_after=0.5)
-        assert ctrl._retry_after(0.0) == 0.5
+        ctrl = AdmissionController()
+        assert ctrl._retry_after(0.0) == BASE_RETRY_AFTER
         assert ctrl._retry_after(1.0) > ctrl._retry_after(0.5) > 0

@@ -185,8 +185,10 @@ class TestDeadCode:
         # An __all__ entry, a bare import, a test, a recursive call and
         # a method naming its own class keep nothing alive; a package
         # __init__ using the name in code and a use elsewhere in the
-        # defining module do.
-        assert flagged == ["Table", "exported", "imported", "tested", "walk"]
+        # defining module do.  ``Table.copy`` is a member nothing calls.
+        assert flagged == [
+            "Table", "Table.copy", "exported", "imported", "tested", "walk",
+        ]
 
     def test_unused_private_def_is_flagged(self, tmp_path):
         modules, root = self._tree(tmp_path, """\
@@ -202,6 +204,61 @@ class TestDeadCode:
         errors = check_dead_code(modules, root)
         assert len(errors) == 1
         assert "'_stale'" in errors[0]
+
+
+    def _members(self, tmp_path, files):
+        src = _write_tree(tmp_path, {
+            "src/repro/__init__.py": "",
+            "src/repro/box.py": (
+                "class Box:\n"
+                "    def dead(self):\n        return self.dead()\n"
+                + files.pop("box", "")
+            ),
+            "src/repro/other.py": "from repro.box import Box\n\nBox()\n",
+            **files,
+        })
+        errors = check_dead_code(collect_modules(src), str(tmp_path))
+        return sorted(e.split("'")[1] for e in errors)
+
+    def test_member_only_tests_call_is_flagged(self, tmp_path):
+        # ``dead`` calls itself, which is no use; ``tested`` is called
+        # only from tests/.
+        flagged = self._members(tmp_path, {
+            "box": "    def tested(self):\n        pass\n",
+            "tests/test_box.py": (
+                "from repro.box import Box\n\nBox().tested()\n"
+            ),
+        })
+        assert flagged == ["Box.dead", "Box.tested"]
+
+    def test_attribute_getattr_string_and_override_are_uses(self, tmp_path):
+        flagged = self._members(tmp_path, {
+            "box": (
+                "    def run(self):\n        pass\n"
+                "    @property\n    def size(self):\n        return 1\n"
+                "    def state(self):\n        return {}\n"
+                "    @classmethod\n    def make(cls):\n        return cls()\n"
+                "class Crate(Box):\n"
+                "    def run(self):\n        pass\n"
+            ),
+            "examples/demo.py": (
+                "from repro.box import Box, Crate\n\n"
+                "b = Box.make()\nprint(b.size)\n"
+                "getattr(b, 'state')()\n"
+                "for c in (b, Crate()):\n    c.run()\n"
+            ),
+        })
+        assert flagged == ["Box.dead"]
+
+    def test_dunder_and_private_members_are_skipped(self, tmp_path):
+        flagged = self._members(tmp_path, {
+            "box": (
+                "    def __len__(self):\n        return 0\n"
+                "    def _helper(self):\n        pass\n"
+                "    @staticmethod\n    def _build():\n        pass\n"
+            ),
+        })
+        assert flagged == ["Box.dead"]
 
 
 class TestPersistence:

@@ -97,16 +97,9 @@ class TestDatabase:
         db = ResultsDatabase()
         db.add(self._result(space, 0, 5.0))
         db.add(self._result(space, 0, 6.0))  # re-measured
-        assert db.n_results == 2
+        assert len(db.results()) == 2
         assert db.n_distinct == 1
         assert db.lookup(space.config_at(0)).value == 5.0  # first kept
-
-    def test_best_k_distinct(self, space):
-        db = ResultsDatabase()
-        for idx, v in [(0, 5.0), (1, 2.0), (1, 2.5), (2, 3.0)]:
-            db.add(self._result(space, idx, v))
-        top2 = db.best_k(2)
-        assert [r.value for r in top2] == [2.0, 3.0]
 
     def test_empty_best_raises(self):
         with pytest.raises(SearchError):

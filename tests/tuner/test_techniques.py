@@ -14,6 +14,7 @@ from repro.tuner import (
     SimulatedAnnealing,
 )
 from repro.tuner.database import Result, ResultsDatabase
+from repro.tuner.techniques.anneal import INITIAL_TEMPERATURE
 from repro.tuner.manipulator import ConfigurationManipulator
 
 
@@ -53,7 +54,7 @@ class TestTechniqueBasics:
             lambda: GeneticAlgorithm(population_size=8),
             SimulatedAnnealing,
             PatternSearch,
-            lambda: ParticleSwarm(n_particles=6),
+            lambda: ParticleSwarm(),
         ],
     )
     def test_all_techniques_make_progress(self, factory, space):
@@ -83,19 +84,17 @@ class TestGeneticAlgorithm:
     def test_population_capped(self, space):
         ga = GeneticAlgorithm(population_size=5)
         drive(ga, space, budget=40)
-        assert len(ga.population) <= 5
+        assert len(ga._population) <= 5
 
     def test_population_keeps_best(self, space):
         ga = GeneticAlgorithm(population_size=4)
         drive(ga, space, budget=80)
-        values = [v for _, v in ga.population]
+        values = [v for _, v in ga._population]
         assert min(values) <= 10.0
 
     def test_invalid_parameters(self):
         with pytest.raises(SearchError):
             GeneticAlgorithm(population_size=1)
-        with pytest.raises(SearchError):
-            GeneticAlgorithm(tournament=0)
 
 
 class TestSimulatedAnnealing:
@@ -110,13 +109,9 @@ class TestSimulatedAnnealing:
         assert sa.current[1] == 1.0
 
     def test_temperature_cools(self, space):
-        sa = SimulatedAnnealing(initial_temperature=0.5, cooling=0.9)
+        sa = SimulatedAnnealing()
         drive(sa, space, budget=30)
-        assert sa.temperature < 0.5
-
-    def test_invalid_cooling(self):
-        with pytest.raises(SearchError):
-            SimulatedAnnealing(cooling=1.5)
+        assert sa.temperature < INITIAL_TEMPERATURE
 
 
 class TestPatternSearch:
@@ -126,18 +121,14 @@ class TestPatternSearch:
         assert best <= 10.0
         # Restarts may leave the *current* incumbent on a fresh walk,
         # but an incumbent always exists after feedback.
-        assert ps.incumbent is not None
+        assert ps._incumbent is not None
 
 
 class TestParticleSwarm:
     def test_global_best_tracked(self, space):
-        pso = ParticleSwarm(n_particles=5)
+        pso = ParticleSwarm()
         drive(pso, space, budget=100)
-        assert pso.global_best_value < float("inf")
-
-    def test_invalid_particles(self):
-        with pytest.raises(SearchError):
-            ParticleSwarm(n_particles=1)
+        assert pso._gbest_val < float("inf")
 
 
 class TestAUCBandit:
@@ -147,8 +138,7 @@ class TestAUCBandit:
                 RandomTechnique(),
                 GeneticAlgorithm(population_size=6),
                 SimulatedAnnealing(),
-            ],
-            window=30,
+            ]
         )
 
     def test_tries_every_subtechnique(self, space):

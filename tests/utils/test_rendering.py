@@ -31,10 +31,6 @@ class TestFormatTable:
         with pytest.raises(ValueError):
             format_table(["a", "b"], [["only-one"]])
 
-    def test_custom_floatfmt(self):
-        out = format_table(["x"], [[3.14159]], floatfmt=".4f")
-        assert "3.1416" in out
-
 
 class TestScatterPlot:
     def test_renders_points(self):

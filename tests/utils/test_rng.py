@@ -93,12 +93,5 @@ class TestRngFactory:
         b = RngFactory("root", seed=2).child("a").random(5)
         assert not np.array_equal(a, b)
 
-    def test_subfactory_equivalent_to_flat_key(self):
-        f = RngFactory("root", seed=0)
-        sub = f.subfactory("stage")
-        np.testing.assert_array_equal(
-            sub.child("x").random(4), f.child("stage", "x").random(4)
-        )
-
     def test_key_exposed(self):
         assert RngFactory("r", seed=7).key == ("r", 7)
