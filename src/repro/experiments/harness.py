@@ -15,11 +15,12 @@ the hybrid ablation, the variance study, the meta campaign) scores
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import product
 from typing import Callable, Sequence
 
 from repro.errors import ExperimentError
-from repro.kernels import get_kernel
+from repro.kernels import SpaptKernel, get_kernel
 from repro.machines import get_compiler, get_machine
 from repro.miniapps import MiniappEvaluator, make_hpl, make_raytracer
 from repro.spec import TunerSpec, resolve_spec
@@ -78,11 +79,27 @@ def grid_map(
     return list(outcome.results)
 
 
+@cache
+def _spapt_kernel(name: str) -> SpaptKernel:
+    """The one kernel of a SPAPT problem in this process."""
+    return get_kernel(name)
+
+
 def build_problem(name: str):
-    """(problem, evaluator_factory-or-None) for a problem name."""
+    """(problem, evaluator_factory-or-None) for a problem name.
+
+    Every session of a SPAPT problem (MM, ATAX, LU, COR) gets the same
+    kernel for the life of the process, so each configuration is
+    analysed once, not once per machine pair, seed, spec and variant:
+    a kernel's metrics are machine-independent, and the sessions of
+    one seed draw the same configurations on every pair.  Forked grid
+    workers inherit the kernels built so far.  HPL and RT get a fresh
+    model each call; :func:`repro.kernels.get_kernel` still builds a
+    fresh kernel for callers that want one of their own.
+    """
     key = name.strip().upper()
     if key in ("MM", "ATAX", "LU", "COR"):
-        return get_kernel(key.lower()), None
+        return _spapt_kernel(key.lower()), None
     if key == "HPL":
         model = make_hpl()
     elif key == "RT":

@@ -8,11 +8,23 @@ the same variant is measured on several machines during a transfer
 experiment, and the metrics are machine-independent.  The cache is a
 bounded LRU: once full, each miss evicts the least recently used entry.
 
+:func:`repro.experiments.harness.build_problem` hands every session of
+a problem in one process the same kernel, so the cache and the shape
+plans outlive a session and serve every machine pair, seed, spec and
+variant after it.  Because of that the cache holds at most 4,096
+entries (``_METRICS_CACHE_LIMIT`` gives their size): 3.5 times the
+most one kernel held after the first 52 sessions of perfbench's
+``transfer_spapt`` (1,156).  Two threads may share a kernel (two
+services' transfer jobs in one process); the cache takes no lock, since
+grid workers start by ``fork`` and a lock held by another thread at
+that moment would never be released in the child.
+
 A miss does not compose the configuration's transformed AST: each nest
 keeps one :class:`~repro.orio.analysis.ShapePlan` per transform shape
 it has met (which loops are tiled, register-tiled or unrolled), and the
 configuration's sizes are bound into it.  A session's misses fall into
-a few dozen shapes per nest, so the shape plans are built that often.
+a few dozen shapes per nest, and a shared kernel builds each shape's
+plan once per process.
 """
 
 from __future__ import annotations
@@ -35,7 +47,11 @@ from repro.searchspace.space import Configuration, SearchSpace
 
 __all__ = ["KernelInfo", "SpaptKernel"]
 
-_METRICS_CACHE_LIMIT = 250_000
+#: Entries of a kernel's metrics LRU.  Bytes per entry, shape plans
+#: included, measured with ``tracemalloc`` after six ``nmax=100``
+#: sessions per problem: LU 7.0 KB, MM 6.6, ATAX 8.7, COR 6.6, so a
+#: full cache holds 27-36 MB.
+_METRICS_CACHE_LIMIT = 4_096
 
 
 @dataclass(frozen=True)
@@ -121,14 +137,20 @@ class SpaptKernel:
         cache = self._metrics_cache
         cached = cache.get(config.index)
         if cached is not None:
-            cache.move_to_end(config.index)
+            try:
+                cache.move_to_end(config.index)
+            except KeyError:  # another thread evicted it since the get
+                pass
             return cached
         plans = [TransformPlan.from_spec(nest.spec, config) for nest in self.nests]
         metrics = tuple(
             analyze_variant(self._shape_plan(idx, plan), plan) for idx, plan in enumerate(plans)
         )
         if len(cache) >= _METRICS_CACHE_LIMIT:
-            cache.popitem(last=False)
+            try:
+                cache.popitem(last=False)
+            except KeyError:  # another thread emptied it since the check
+                pass
         cache[config.index] = metrics
         return metrics
 

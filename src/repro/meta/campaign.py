@@ -56,9 +56,9 @@ DEFAULT_PAIRS: tuple[tuple[str, str], ...] = (
 def candidate_specs(
     n_candidates: int,
     axes=None,
-    base: TunerSpec | None = None,
 ) -> list[tuple[str, TunerSpec]]:
-    """``[("default", base), ("c1-<fp>", spec1), ...]``, deterministically.
+    """``[("default", default spec), ("c1-<fp>", spec1), ...]``,
+    deterministically.
 
     Candidates are sampled without replacement from the meta-space over
     ``axes`` with an RNG keyed by the space — re-invocations of the same
@@ -67,7 +67,7 @@ def candidate_specs(
     """
     if n_candidates < 0:
         raise SpecError(f"n_candidates must be >= 0, got {n_candidates}")
-    base = resolve_spec(base)
+    base = resolve_spec(None)
     out: list[tuple[str, TunerSpec]] = [("default", base)]
     if n_candidates == 0:
         return out

@@ -32,7 +32,6 @@ def _names(tree: DecisionTreeRegressor, feature_names: Sequence[str] | None) -> 
 def export_text(
     tree: DecisionTreeRegressor,
     feature_names: Sequence[str] | None = None,
-    max_depth: int | None = None,
 ) -> str:
     """Indented if/else rendering of a fitted tree (Figure 2 style)."""
     names = _names(tree, feature_names)
@@ -42,7 +41,7 @@ def export_text(
 
     def walk(i: int, depth: int) -> None:
         pad = "|   " * depth
-        if nodes.feature[i] == -1 or (max_depth is not None and depth >= max_depth):
+        if nodes.feature[i] == -1:
             mean = format(nodes.value[i], ".4g")
             lines.append(f"{pad}|-- value: {mean}  (n={nodes.n_samples[i]})")
             return

@@ -1,5 +1,10 @@
 """Tests for the SPAPT kernel definitions."""
 
+import random
+import threading
+import time
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 
@@ -70,6 +75,16 @@ class TestKernelStructure:
             assert get_kernel(name).boundedness == "memory"
 
 
+class _YieldingLRU(OrderedDict):
+    """An LRU whose lookups hand the GIL to another thread before they
+    return, so that thread can evict the key just found."""
+
+    def get(self, key, default=None):
+        value = super().get(key, default)
+        time.sleep(0)
+        return value
+
+
 class TestVariantsAndMetrics:
     def test_default_config_is_untransformed(self):
         k = get_kernel("mm", n=32)
@@ -99,6 +114,40 @@ class TestVariantsAndMetrics:
         # Entries 1 and 2 were least recently used, so they went first.
         assert list(k._metrics_cache) == [0, 3, 4]
         assert k.metrics_for(configs[0]) is first
+
+    def test_metrics_cache_is_safe_under_two_threads(self, monkeypatch):
+        # With 3 entries for 8 configurations most calls evict, and the
+        # yielding lookup lets one thread evict what the other just found.
+        monkeypatch.setattr(kernel_base, "_METRICS_CACHE_LIMIT", 3)
+        k = get_kernel("mm", n=32)
+        k._metrics_cache = _YieldingLRU()
+        configs = [k.space.config_at(i) for i in range(8)]
+        fresh = get_kernel("mm", n=32)
+        want = [fresh.metrics_for(fresh.space.config_at(i)) for i in range(len(configs))]
+        start = threading.Barrier(2)
+        errors: list[BaseException] = []
+        seen: list[list] = [[], []]
+
+        def hammer(slot: int) -> None:
+            try:
+                start.wait()
+                draw = random.Random(slot)
+                for call in range(2000):
+                    i = draw.randrange(len(configs))
+                    seen[slot].append((i, k.metrics_for(configs[i])))
+            except BaseException as exc:  # re-raised by the main thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=hammer, args=(s,)) for s in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert not errors, errors
+        assert [len(s) for s in seen] == [2000, 2000]
+        for i, metrics in seen[0] + seen[1]:
+            assert metrics == want[i]
+        assert len(k._metrics_cache) <= 4  # both may insert after one check
 
     def test_metrics_per_nest(self):
         k = get_kernel("atax", n=32)

@@ -34,11 +34,6 @@ class TestExportText:
         assert "value:" in text
         assert "(n=" in text
 
-    def test_max_depth_truncation(self, fitted_tree):
-        full = export_text(fitted_tree, feature_names=FEATURES)
-        short = export_text(fitted_tree, feature_names=FEATURES, max_depth=1)
-        assert len(short.splitlines()) < len(full.splitlines())
-
     def test_wrong_name_count_rejected(self, fitted_tree):
         with pytest.raises(ValueError):
             export_text(fitted_tree, feature_names=["a", "b"])

@@ -117,11 +117,9 @@ class TestBootstrap:
         assert lo <= float(np.mean(vals)) <= hi
         assert hi - lo < 0.1
 
-    def test_deterministic_with_rng(self):
+    def test_deterministic(self):
         vals = np.random.default_rng(6).normal(size=30)
-        a = bootstrap_ci(vals, rng=np.random.default_rng(1))
-        b = bootstrap_ci(vals, rng=np.random.default_rng(1))
-        assert a == b
+        assert bootstrap_ci(vals) == bootstrap_ci(vals)
 
     def test_invalid_confidence(self):
         with pytest.raises(ValueError):
