@@ -18,7 +18,7 @@ from repro.tuner import (
     GeneticAlgorithm,
     RandomTechnique,
     SimulatedAnnealing,
-    TuningRun,
+    warm_started_search,
 )
 
 
@@ -33,8 +33,9 @@ def tune_locally() -> None:
             SimulatedAnnealing(),
         ]
     )
-    run = TuningRun(evaluator, bandit, nmax=60)
-    trace = run.run()
+    trace = warm_started_search(
+        evaluator, model.space, bandit, nmax=60, seed_evaluations=0
+    )
     best = trace.best()
     print(f"  best render time  : {best.runtime:.2f} s")
     print(f"  baseline (median) : {sorted(trace.runtimes())[len(trace.records) // 2]:.2f} s")

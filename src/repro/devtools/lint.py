@@ -1,6 +1,6 @@
 """Static hygiene checks for the ``repro`` source tree.
 
-Seven checks, all AST-based (the checked code is never imported):
+Eight checks, all AST-based (the checked code is never imported):
 
 1. **Import cycles.**  Builds the module-level import graph of
    ``repro`` — every ``import``/``from ... import`` executed at module
@@ -65,6 +65,15 @@ Seven checks, all AST-based (the checked code is never imported):
    lives under ``tests/``.  Entry points come from the Makefile, so
    there is no allow-list.
 
+8. **Layering.**  No module of :mod:`repro.search` imports
+   :mod:`repro.tuner`, :mod:`repro.transfer` or
+   :mod:`repro.experiments`, at module level or lazily inside a
+   function: those layers are built on the searches, so the searches
+   reach them only through structural protocols
+   (:mod:`repro.search.protocols`) and duck-typed arguments.  A lazy
+   import hides no cycle from check 1, but it still couples the
+   package to what sits above it.
+
 Run as ``python -m repro.devtools.lint`` (or ``make lint``).  Exit
 status 0 means clean; 1 means findings (one per line on stdout).
 """
@@ -87,6 +96,7 @@ __all__ = [
     "check_spec_knobs",
     "check_env_reads",
     "check_unreached_modules",
+    "check_layering",
     "run_lint",
     "main",
 ]
@@ -703,6 +713,46 @@ def check_unreached_modules(modules: dict[str, str], repo_root: str) -> list[str
 
 
 # ----------------------------------------------------------------------
+# Check 8: the search layer imports nothing built on top of it
+# ----------------------------------------------------------------------
+#: Package -> the packages none of its modules may import.
+_LAYERS = {
+    f"{PACKAGE}.search": (f"{PACKAGE}.tuner", f"{PACKAGE}.transfer",
+                          f"{PACKAGE}.experiments"),
+}
+
+
+def check_layering(modules: dict[str, str]) -> list[str]:
+    """Imports, at any depth, of a layer above the importing package."""
+    errors: list[str] = []
+    for name, path in sorted(modules.items()):
+        banned = [upper for layer, uppers in _LAYERS.items()
+                  if (name + ".").startswith(layer + ".") for upper in uppers]
+        if not banned:
+            continue
+        with open(path, "rb") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        is_package = _is_package(path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                targets = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = _resolve_from(name, is_package, node)
+                targets = [f"{base}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            for target in targets:
+                for upper in banned:
+                    if (target + ".").startswith(upper + "."):
+                        errors.append(
+                            f"{path}:{node.lineno}: {name} imports {upper} "
+                            "— the search layer must not depend on a layer "
+                            "built on it; take a protocol instead"
+                        )
+    return errors
+
+
+# ----------------------------------------------------------------------
 def _default_roots() -> tuple[str, str]:
     src_root = os.path.dirname(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__)
@@ -720,7 +770,8 @@ def run_lint(src_root: str | None = None, repo_root: str | None = None) -> list[
     return (check_imports(modules) + check_dead_code(modules, repo_root)
             + check_persistence(modules) + check_outcome_handlers(modules)
             + check_spec_knobs(modules) + check_env_reads(modules)
-            + check_unreached_modules(modules, repo_root))
+            + check_unreached_modules(modules, repo_root)
+            + check_layering(modules))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -735,7 +786,8 @@ def main(argv: list[str] | None = None) -> int:
           "tests use, durable writes only through the journal layer, "
           "search outcomes handled only by the engine, "
           "tuner knobs set only through the spec, no environment "
-          "side-doors, no module that only tests import)")
+          "side-doors, no module that only tests import, no search "
+          "module importing the layers built on it)")
     return 0
 
 

@@ -38,7 +38,7 @@ from repro.exec.executor import (
 )
 from repro.exec.fingerprint import canonical, canonical_json, cell_fingerprint, code_version
 from repro.exec.journal import JsonlJournal
-from repro.exec.registry import CompactionStats, RunRecord, RunRegistry, resume_enabled
+from repro.exec.registry import RunRecord, RunRegistry, resume_enabled
 from repro.exec.watchdog import Overdue, Watchdog
 
 __all__ = [
@@ -51,7 +51,6 @@ __all__ = [
     "JsonlJournal",
     "RunRegistry",
     "RunRecord",
-    "CompactionStats",
     "resume_enabled",
     "cell_fingerprint",
     "canonical",

@@ -52,7 +52,6 @@ from repro.exec.scrub import ScrubReport, scrub_journal
 
 __all__ = [
     "RECORD_VERSION",
-    "CompactionStats",
     "RunRecord",
     "RunRegistry",
     "resume_enabled",
@@ -190,16 +189,6 @@ class RegistryState:
         return self.completed.get(fingerprint) or self.failed.get(fingerprint)
 
 
-@dataclass(frozen=True)
-class CompactionStats:
-    """What one :meth:`RunRegistry.compact` call did."""
-
-    records_before: int
-    records_after: int
-    bytes_before: int
-    bytes_after: int
-
-
 class RunRegistry:
     """Append-only JSONL journal of grid-cell outcomes at one path."""
 
@@ -304,7 +293,7 @@ class RunRegistry:
     # ------------------------------------------------------------------
     # Compaction / rotation
     # ------------------------------------------------------------------
-    def compact(self) -> CompactionStats:
+    def compact(self) -> None:
         """Rewrite the journal down to the latest record per fingerprint.
 
         Long-lived journals accumulate superseded records (failures
@@ -318,7 +307,6 @@ class RunRegistry:
         temporary from an interrupted compaction is discarded on the
         next append or compaction and never read.
         """
-        bytes_before = self.size_bytes()
         state = self.load()
         records = [
             state.completed[fp] for fp in sorted(state.completed)
@@ -326,20 +314,13 @@ class RunRegistry:
             state.failed[fp] for fp in sorted(state.failed)
         ]
         self._journal.rewrite(frame_obj(_record_to_wire(r)) for r in records)
-        return CompactionStats(
-            records_before=state.n_records,
-            records_after=len(records),
-            bytes_before=bytes_before,
-            bytes_after=self.size_bytes(),
-        )
 
-    def maybe_compact(self, max_bytes: int) -> CompactionStats | None:
-        """Compact when the journal exceeds ``max_bytes`` (rotation).
+    def maybe_compact(self, max_bytes: int) -> None:
+        """Compact when the journal exceeds ``max_bytes`` (rotation;
+        ``max_bytes <= 0`` never compacts).
 
         The size check is one ``stat`` call, so callers can invoke this
-        after every append; returns the stats when a compaction ran,
-        ``None`` otherwise.
+        after every append.
         """
-        if max_bytes <= 0 or self.size_bytes() <= max_bytes:
-            return None
-        return self.compact()
+        if max_bytes > 0 and self.size_bytes() > max_bytes:
+            self.compact()

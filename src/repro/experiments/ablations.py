@@ -306,12 +306,12 @@ def run_warm_start(
     pool_size: int = 10_000,
 ) -> AblationResult:
     """Warm-started GA / annealing / bandit vs. their cold runs and RSb."""
-    from repro.search.warm_start import warm_started_search
     from repro.tuner import (
         AUCBanditMetaTechnique,
         GeneticAlgorithm,
         RandomTechnique,
         SimulatedAnnealing,
+        warm_started_search,
     )
 
     kernel, _training, surrogate, rs = _source_surrogate_and_rs(
@@ -655,7 +655,6 @@ def run_search_comparison(
     plus the transfer-assisted versions where applicable.  Speedups are
     against the RS baseline under common random numbers.
     """
-    from repro.search.warm_start import warm_started_search
     from repro.transfer.smbo import smbo_search
     from repro.tuner import (
         GeneticAlgorithm,
@@ -664,6 +663,7 @@ def run_search_comparison(
         ParticleSwarm,
         PatternSearch,
         SimulatedAnnealing,
+        warm_started_search,
     )
 
     kernel, training, surrogate, rs = _source_surrogate_and_rs(

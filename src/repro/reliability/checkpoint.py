@@ -213,10 +213,10 @@ class CheckpointManager:
     :func:`~repro.search.random_search.random_search`,
     :func:`~repro.search.pruning.pruned_search`,
     :func:`~repro.search.biasing.biased_search`, or
-    :meth:`~repro.tuner.runner.TuningRun.run`.  The search saves every
-    ``every`` completed proposal steps and once at the end; calling the
-    search again with the same manager resumes from the last snapshot
-    without re-evaluating anything.
+    :func:`~repro.tuner.runner.warm_started_search`.  The search saves
+    every ``every`` completed proposal steps and once at the end;
+    calling the search again with the same manager resumes from the
+    last snapshot without re-evaluating anything.
     """
 
     def __init__(self, path, every: int = 10) -> None:

@@ -76,8 +76,6 @@ def biased_search(
     once it is REVOKED, so ``stream`` is required with a guard.
     """
     spec = resolve_spec(spec)
-    if nmax < 1:
-        raise SearchError(f"nmax must be >= 1, got {nmax}")
     proposer, _ = _guarded_pool_proposer(
         PoolRankProposer(space, surrogate, pool_size=spec.pool.size),
         spec.guard, surrogate, stream, name,
@@ -128,8 +126,6 @@ def hybrid_search(
     :func:`~repro.search.pruning.pruned_search`).
     """
     spec = resolve_spec(spec)
-    if nmax < 1:
-        raise SearchError(f"nmax must be >= 1, got {nmax}")
     proposer = PoolRankProposer(space, surrogate, pool_size=spec.pool.size)
     gate = PredictionCutoffGate(proposer, delta_percent=spec.gate.delta_percent)
     proposer, guard = _guarded_pool_proposer(

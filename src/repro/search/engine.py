@@ -1,9 +1,9 @@
 """The single search-evaluation loop behind every variant.
 
 The paper's five algorithms (RS, RSp, RSb, RSpf, RSbf), the SMBO
-model-based search, the warm-started techniques, online RSb, and the
-OpenTuner-style :class:`~repro.tuner.runner.TuningRun` are all one
-loop — walk a candidate source, optionally gate each candidate by a
+model-based search, online RSb, and the OpenTuner-style technique runs
+(:func:`~repro.tuner.runner.warm_started_search`, cold or warm) are all
+one loop — walk a candidate source, optionally gate each candidate by a
 predicted-runtime threshold, pay for what you evaluate — that the repo
 used to implement eight separate times.  :class:`SearchEngine` is that
 loop, written once.  It owns every shared concern:
@@ -50,8 +50,6 @@ replaced (``tests/search/test_golden_equivalence.py``).
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.errors import BudgetExhaustedError, EvaluationFailure, SearchError
 from repro.search.protocols import EngineContext, Gate, Proposer
@@ -191,12 +189,12 @@ class SearchEngine:
         """The search loop: propose a block, then account per candidate.
 
         Proposals come up to ``batch_size`` at a time from
-        ``propose_block``; gate verdicts are computed as one vector when
-        the gate exposes ``admit_charge``/``admit_vector``, with each
-        candidate's model-query charge still applied per element in
-        stream order.  Every early exit (budget wall, nmax) hands
-        strictly unconsumed proposals back via ``rewind``, so position
-        accounting and checkpoint bytes do not depend on the block size.
+        ``propose_block``; each is then admitted by one ``gate.admit``
+        call, in stream order, so a gate's model-query charge lands on
+        the clock exactly where a block of one would put it.  Every
+        early exit (budget wall, nmax) hands strictly unconsumed
+        proposals back via ``rewind``, so position accounting and
+        checkpoint bytes do not depend on the block size.
         """
         proposer = self.proposer
         gate = self.gate
@@ -204,8 +202,6 @@ class SearchEngine:
         checkpoint = self.checkpoint
         batch = self.batch_size
         stop = False
-        gate_charge = getattr(gate, "admit_charge", None) if gate is not None else None
-        admit_vector = getattr(gate, "admit_vector", None) if gate is not None else None
         while not stop and trace.n_evaluations < self.nmax and (
             self.position_cap is None or position < self.position_cap
         ):
@@ -225,33 +221,16 @@ class SearchEngine:
                 break
             if not block:
                 break  # source exhausted
-            verdicts = None
-            if (
-                admit_vector is not None
-                and gate_charge is not None
-                and all(p.predicted is not None for p in block)
-            ):
-                preds = np.fromiter(
-                    (p.predicted for p in block), dtype=float, count=len(block)
-                )
-                verdicts = admit_vector(preds)
             consumed = 0
-            for i, proposal in enumerate(block):
+            for proposal in block:
                 if trace.n_evaluations >= self.nmax:
                     break
                 position += 1
                 consumed += 1
                 try:
-                    if gate is not None:
-                        if verdicts is not None:
-                            if gate_charge:
-                                clock.advance(gate_charge)
-                            admitted = bool(verdicts[i])
-                        else:
-                            admitted = gate.admit(ctx, proposal)
-                        if not admitted:
-                            skipped += 1
-                            continue
+                    if gate is not None and not gate.admit(ctx, proposal):
+                        skipped += 1
+                        continue
                     measurement = evaluator.evaluate(proposal.config)
                 except BudgetExhaustedError:
                     # The proposal in flight is handed back: its position

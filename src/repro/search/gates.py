@@ -24,10 +24,8 @@ holds byte-for-byte.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.search.protocols import EngineContext, Proposal, SurrogateModel
-from repro.search.proposers import PoolRankProposer
+from repro.search.proposers import PoolRankProposer, score_pool
 from repro.searchspace.space import SearchSpace
 from repro.utils.rng import spawn_rng
 from repro.utils.stats import quantile
@@ -42,11 +40,12 @@ __all__ = [
 class QuantileGate:
     """RSp's pruning test (Algorithm 1).
 
-    Setup charges the surrogate fit, samples a pool of ``pool_size``
-    configurations from a deterministic RNG key, predicts their
-    runtimes (charged as one batch), and sets the cutoff ``∆`` to the
-    ``δ``-quantile of those predictions.  Each admission decision
-    charges one model query and admits predictions below ``∆``.  On a
+    Setup scores a pool of ``pool_size`` configurations drawn from a
+    deterministic RNG key (:func:`~repro.search.proposers.score_pool`
+    charges the fit and the batch prediction) and sets the cutoff
+    ``∆`` to the ``δ``-quantile of those predictions.  Each admission
+    decision charges one model query and admits predictions below
+    ``∆``.  On a
     resumed run the restored clock already paid the setup charges; the
     recomputation itself is deterministic and free.
     """
@@ -87,39 +86,17 @@ class QuantileGate:
         )
 
     def setup(self, ctx: EngineContext) -> None:
-        clock = ctx.clock
-        if not ctx.resumed:
-            clock.advance(self.surrogate.fit_seconds)
-        pool_rng = spawn_rng(self.rng_label, self.space.name, ctx.name)
-        # The pool stays as linear indices: the same RNG draws and the
-        # same prediction memo key as sampling Configurations, none built.
-        pool = self.space.sample_indices(
-            pool_rng, min(self.pool_size, self.space.cardinality)
+        _, self._scored = score_pool(
+            self.space, self.surrogate,
+            spawn_rng(self.rng_label, self.space.name, ctx.name),
+            self.pool_size, None if ctx.resumed else ctx.clock,
         )
-        predictions = self.surrogate.predict_indices(pool)
-        if not ctx.resumed:
-            clock.advance(self.surrogate.predict_seconds(len(pool)))
-        self._scored = predictions
-        self.cutoff = quantile(predictions, self.delta_percent / 100.0)
+        self.cutoff = quantile(self._scored, self.delta_percent / 100.0)
         ctx.trace.metadata["cutoff"] = self.cutoff
 
     def admit(self, ctx: EngineContext, proposal: Proposal) -> bool:
         ctx.clock.advance(self.surrogate.predict_seconds(1))
         return not (proposal.predicted >= self.cutoff)
-
-    @property
-    def admit_charge(self) -> float:
-        """Simulated seconds one admission decision charges — the one
-        model query :meth:`admit` pays.  The batched engine applies it
-        per element, in stream order, so clock bytes match serial."""
-        return self.surrogate.predict_seconds(1)
-
-    def admit_vector(self, predicted: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`admit` over a block of predictions.
-
-        Same skip test, same NaN semantics: ``not (p >= cutoff)``
-        admits NaN predictions, so the complement form is used."""
-        return ~(predicted >= self.cutoff)
 
     @property
     def delta_fraction(self) -> float:
@@ -149,19 +126,12 @@ class ReplayThresholdGate:
         self.delta_percent = delta_percent
         self.cutoff: float | None = None
 
-    #: Admission is a comparison against a carried source runtime: free.
-    admit_charge = 0.0
-
     def setup(self, ctx: EngineContext) -> None:
         self.cutoff = quantile(self.source_runtimes, self.delta_percent / 100.0)
         ctx.trace.metadata["cutoff"] = self.cutoff
 
     def admit(self, ctx: EngineContext, proposal: Proposal) -> bool:
         return not (proposal.predicted >= self.cutoff)
-
-    def admit_vector(self, predicted: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`admit` (NaN admits, as in the scalar form)."""
-        return ~(predicted >= self.cutoff)
 
 
 class PredictionCutoffGate:
@@ -184,9 +154,6 @@ class PredictionCutoffGate:
         self.delta_percent = delta_percent
         self.cutoff: float | None = None
 
-    #: The pool predictions were paid for in the proposer's setup: free.
-    admit_charge = 0.0
-
     def setup(self, ctx: EngineContext) -> None:
         # Runs after the proposer's setup, so its pool is scored.
         self.cutoff = quantile(self.proposer.predictions, self.delta_percent / 100.0)
@@ -194,10 +161,6 @@ class PredictionCutoffGate:
 
     def admit(self, ctx: EngineContext, proposal: Proposal) -> bool:
         return not (proposal.predicted >= self.cutoff)
-
-    def admit_vector(self, predicted: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`admit` (NaN admits, as in the scalar form)."""
-        return ~(predicted >= self.cutoff)
 
     @property
     def delta_fraction(self) -> float:

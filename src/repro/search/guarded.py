@@ -121,11 +121,12 @@ class GuardedProposer(BaseProposer):
         return proposal
 
     def _propose_inner(self, ctx: EngineContext) -> Proposal | None:
-        proposal = self.inner.propose(ctx)
-        if proposal is not None:
-            self._inner_consumed += 1
-            self._last_origin = "inner"
-        return proposal
+        block = self.inner.propose_block(ctx, 1)
+        if not block:
+            return None
+        self._inner_consumed += 1
+        self._last_origin = "inner"
+        return block[0]
 
     def _propose_fallback(self, ctx: EngineContext) -> Proposal:
         config = self.stream[self._fallback_consumed]
@@ -157,15 +158,17 @@ class GuardedGate:
 
     TRUSTED delegates untouched (same charges, same verdicts).
     SUSPECT widens the inner gate's quantile via its ``cutoff_at``
-    hook — reusing the pool predictions already paid for — and
+    and ``delta_fraction`` (both quantile gates a guard wraps,
+    :class:`~repro.search.gates.QuantileGate` and
+    :class:`~repro.search.gates.PredictionCutoffGate`, have them) —
+    reusing the pool predictions already paid for — and
     promotes every ``audit_every``-th still-rejected proposal to an
     audit evaluation.  REVOKED admits everything without consulting
     (or charging) the model, completing the fall-back to plain RS.
     Fallback-stream proposals carry no prediction and are always
-    admitted — there is nothing left to prune them with.  The wrapper
-    offers no ``admit_charge``/``admit_vector``, which keeps the engine
-    on the scalar :meth:`admit` path where state-dependent widening
-    and audit promotion can run per candidate.
+    admitted — there is nothing left to prune them with.  The engine
+    calls :meth:`admit` once per proposal, as for any gate, so
+    state-dependent widening and audit promotion run per candidate.
     """
 
     def __init__(self, inner, guard) -> None:
@@ -184,19 +187,13 @@ class GuardedGate:
         admitted = self.inner.admit(ctx, proposal)
         if admitted or guard.state != _SUSPECT:
             return admitted
-        widened = self._widened_cutoff()
-        if widened is not None and not (proposal.predicted >= widened):
+        widened = self.inner.cutoff_at(
+            min(self.inner.delta_fraction * guard.policy.widen_factor, 0.95)
+        )
+        if not (proposal.predicted >= widened):
             guard.note_widened_admit()
             return True
         if guard.audit_due():
             guard.begin_audit(proposal)
             return True
         return False
-
-    def _widened_cutoff(self) -> float | None:
-        cutoff_at = getattr(self.inner, "cutoff_at", None)
-        fraction = getattr(self.inner, "delta_fraction", None)
-        if cutoff_at is None or fraction is None:
-            return None
-        widened = min(fraction * self.guard.policy.widen_factor, 0.95)
-        return cutoff_at(widened)

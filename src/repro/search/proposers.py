@@ -20,8 +20,10 @@ The manipulator-technique adapter (GA, annealing, PSO, the AUC bandit,
 search layer, never the reverse.
 
 Simulated model costs are charged exactly where the pre-engine loops
-charged them; the golden-trace suite holds every proposer to
-bit-identical behavior.
+charged them; every surrogate-scored pool (RSb's and RSpb's ranking,
+RSp's cutoff pool, SMBO's seeded design, the warm-start seed phase) is
+drawn and charged by one :func:`score_pool`.  The golden-trace suite
+holds every proposer to bit-identical behavior.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from repro.utils.rng import spawn_rng
 __all__ = [
     "FAILURE_FEEDBACK_FACTOR",
     "failure_feedback",
+    "score_pool",
     "BaseProposer",
     "StreamProposer",
     "PoolRankProposer",
@@ -73,6 +76,27 @@ def failure_feedback(runtime: float, failed: bool, censored: bool,
     if not failed or censored:
         return runtime
     return FAILURE_FEEDBACK_FACTOR * max(fed_back, default=1.0)
+
+
+def score_pool(space: SearchSpace, surrogate: SurrogateModel, rng,
+               pool_size: int, clock) -> tuple[list[int], np.ndarray]:
+    """Draw and score a surrogate pool: ``(indices, predictions)``.
+
+    Charges ``clock`` the surrogate fit, draws ``min(pool_size,
+    space.cardinality)`` linear indices from ``rng``, predicts them,
+    and charges the scoring, in that order.  A resumed run passes
+    ``clock=None``: its restored clock already paid, and the redraw
+    from the same stateless RNG key is free.  The pool stays as
+    indices (the same draws and prediction memo key as sampling
+    Configurations); callers materialize only what they propose.
+    """
+    if clock is not None:
+        clock.advance(surrogate.fit_seconds)
+    indices = space.sample_indices(rng, min(pool_size, space.cardinality))
+    predictions = surrogate.predict_indices(indices)
+    if clock is not None:
+        clock.advance(surrogate.predict_seconds(len(indices)))
+    return indices, predictions
 
 
 def _normal_cdf(z: np.ndarray) -> np.ndarray:
@@ -138,9 +162,6 @@ class StreamProposer(BaseProposer):
     def restore(self, position: int, ctx: EngineContext) -> None:
         self._position = position
 
-    def propose(self, ctx: EngineContext) -> Proposal | None:
-        return self.propose_block(ctx, 1)[0]
-
     def propose_block(self, ctx: EngineContext, count: int) -> list[Proposal]:
         """The next ``count`` stream positions (the stream is unbounded,
         so the block is always full)."""
@@ -192,22 +213,16 @@ class PoolRankProposer(BaseProposer):
         self._rank = position
 
     def setup(self, ctx: EngineContext) -> None:
-        clock = ctx.clock
-        if not ctx.resumed:
-            clock.advance(self.surrogate.fit_seconds)
-        pool_rng = spawn_rng(self.rng_label, self.space.name, ctx.name)
-        n = min(self.pool_size, self.space.cardinality)
-        # The pool stays as linear indices — the same RNG draws, the
-        # same prediction memo key, the same bytes as sampling
-        # Configurations — and Configuration objects materialize lazily,
-        # only for the pool slots the ranking actually reaches.
-        indices = self.space.sample_indices(pool_rng, n)
-        predictions = self.surrogate.predict_indices(indices)
+        # Configuration objects materialize lazily, only for the pool
+        # slots the ranking actually reaches.
+        indices, self.predictions = score_pool(
+            self.space, self.surrogate,
+            spawn_rng(self.rng_label, self.space.name, ctx.name),
+            self.pool_size, None if ctx.resumed else ctx.clock,
+        )
+        n = len(indices)
         self._pool_indices = [int(i) for i in indices]
         self._pool_configs = [None] * n
-        if not ctx.resumed:
-            clock.advance(self.surrogate.predict_seconds(n))
-        self.predictions = predictions
         self._order = np.empty(0, dtype=np.int64)
         self._order_upto = 0
         ctx.trace.metadata["pool_size"] = n
@@ -241,10 +256,6 @@ class PoolRankProposer(BaseProposer):
                 return
         self._order = np.argsort(self.predictions, kind="stable")
         self._order_upto = n
-
-    def propose(self, ctx: EngineContext) -> Proposal | None:
-        block = self.propose_block(ctx, 1)
-        return block[0] if block else None
 
     def propose_block(self, ctx: EngineContext, count: int) -> list[Proposal]:
         """The next ``count`` pool entries in predicted order (may be
@@ -288,10 +299,6 @@ class ReplayProposer(BaseProposer):
 
     def restore(self, position: int, ctx: EngineContext) -> None:
         self._index = position
-
-    def propose(self, ctx: EngineContext) -> Proposal | None:
-        block = self.propose_block(ctx, 1)
-        return block[0] if block else None
 
     def propose_block(self, ctx: EngineContext, count: int) -> list[Proposal]:
         """The next ``count`` replayed pairs (empty when exhausted)."""
@@ -356,19 +363,15 @@ class SMBOProposer(BaseProposer):
         self._last_was_design = False
 
     def setup(self, ctx: EngineContext) -> None:
-        clock = ctx.clock
         if self.source_surrogate is not None:
-            clock.advance(self.source_surrogate.fit_seconds)
-            n = min(self.pool_size, self.space.cardinality)
-            # Identical RNG draws and predictions to scoring sampled
-            # Configurations (the memo key is the same index tuple), but
-            # only the n_initial design picks are materialized.  The
+            # Only the n_initial design picks are materialized.  The
             # design selection keeps the historical *unstable* argsort —
             # its result is reproducible because the prediction array is
             # bit-identical.
-            indices = self.space.sample_indices(self.rng, n)
-            preds = self.source_surrogate.predict_indices(indices)
-            clock.advance(self.source_surrogate.predict_seconds(n))
+            indices, preds = score_pool(
+                self.space, self.source_surrogate, self.rng,
+                self.pool_size, ctx.clock,
+            )
             design = [
                 self.space.config_at(indices[int(i)])
                 for i in np.argsort(preds)[: self.n_initial]

@@ -140,17 +140,15 @@ class Proposer(Protocol):
     only when ``ctx.resumed`` is false, since a restored clock already
     paid) → ``propose_block`` per engine iteration, ``observe`` per
     evaluated proposal → ``state`` whenever a checkpoint is written.
+    ``propose_block`` is the only way the engine asks for candidates;
     :class:`~repro.search.proposers.BaseProposer` derives blocks of one
-    from ``propose``.
+    from a subclass's ``propose`` (the next candidate, or ``None`` when
+    the source is exhausted).
     """
 
     def restore(self, position: int, ctx: EngineContext) -> None: ...
 
     def setup(self, ctx: EngineContext) -> None: ...
-
-    def propose(self, ctx: EngineContext) -> Proposal | None:
-        """The next candidate, or ``None`` when the source is exhausted."""
-        ...
 
     def propose_block(self, ctx: EngineContext, count: int) -> list[Proposal]:
         """Up to ``count`` next candidates; ``[]`` when exhausted."""

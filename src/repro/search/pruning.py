@@ -15,7 +15,6 @@ a :class:`QuantileGate` under the shared
 
 from __future__ import annotations
 
-from repro.errors import SearchError
 from repro.search.engine import SearchEngine
 from repro.search.gates import QuantileGate
 from repro.search.guarded import GuardedGate, GuardedProposer
@@ -67,8 +66,6 @@ def pruned_search(
     on the same stream.
     """
     spec = resolve_spec(spec)
-    if nmax < 1:
-        raise SearchError(f"nmax must be >= 1, got {nmax}")
 
     space = stream.space
     proposer = StreamProposer(stream, surrogate=surrogate)

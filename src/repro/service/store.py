@@ -229,15 +229,15 @@ class SessionStore:
     # ------------------------------------------------------------------
     # Compaction / rotation
     # ------------------------------------------------------------------
-    def compact(self) -> int:
+    def compact(self) -> None:
         """Atomically rewrite the journal as snapshot + retained events.
 
         Keeps every session and job record (jobs are the durable audit
         of quota spend) but drops the raw event history down to the
         last :data:`DEFAULT_KEEP_EVENTS` events of each live session.
-        Returns the journal size in bytes afterwards.  Crash-safe: the
-        swap is :meth:`JsonlJournal.rewrite` — old journal or new, never
-        a mix, and sequence numbers continue where they left off.
+        Crash-safe: the swap is :meth:`JsonlJournal.rewrite` — old
+        journal or new, never a mix, and sequence numbers continue
+        where they left off.
         """
         snapshot: dict = {
             "v": STORE_VERSION,
@@ -265,7 +265,6 @@ class SessionStore:
             lines.append(frame_obj(rec))
         self._journal.rewrite(lines)
         self.events = deque(retained, maxlen=self.events.maxlen)
-        return self.size_bytes()
 
     def _retained_events(self) -> list[Event]:
         keep: dict[str, deque[Event]] = {}
@@ -280,12 +279,11 @@ class SessionStore:
         merged.sort(key=lambda e: e.seq)
         return merged
 
-    def maybe_compact(self, max_bytes: int) -> bool:
-        """Compact when the journal has grown past ``max_bytes``."""
-        if max_bytes <= 0 or self.size_bytes() <= max_bytes:
-            return False
-        self.compact()
-        return True
+    def maybe_compact(self, max_bytes: int) -> None:
+        """Compact when the journal has grown past ``max_bytes``
+        (``max_bytes <= 0`` never compacts)."""
+        if max_bytes > 0 and self.size_bytes() > max_bytes:
+            self.compact()
 
     def clear(self) -> None:
         self._journal.clear()

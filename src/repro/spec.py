@@ -216,8 +216,8 @@ class TunerSpec:
 
     ``TunerSpec()`` is the status quo (golden-trace proven); pass a
     modified spec to any search factory, :class:`TransferSession`,
-    :class:`TuningRun`, or a service job payload to change the tuner's
-    behavior.  The spec is the only way to set these knobs: no factory
+    :func:`~repro.tuner.runner.warm_started_search`, or a service job
+    payload to change the tuner's behavior.  The spec is the only way to set these knobs: no factory
     takes a per-knob keyword argument alongside ``spec=``.
     """
 

@@ -34,12 +34,12 @@ internals.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from repro.errors import ModelError, PolicyError
+from repro.utils.stats import rank
 
 __all__ = [
     "TRUSTED",
@@ -62,40 +62,14 @@ REVOKED = "revoked"
 GUARD_STATES = (TRUSTED, SUSPECT, REVOKED)
 
 
-def _median(values: Sequence[float]) -> float:
-    ordered = sorted(values)
-    n = len(ordered)
-    mid = n // 2
-    if n % 2:
-        return ordered[mid]
-    return 0.5 * (ordered[mid - 1] + ordered[mid])
-
-
-def _average_ranks(values: Sequence[float]) -> list[float]:
-    """1-based ranks with ties sharing their average rank."""
-    n = len(values)
-    order = sorted(range(n), key=values.__getitem__)
-    ranks = [0.0] * n
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        avg = (i + j) / 2.0 + 1.0
-        for k in range(i, j + 1):
-            ranks[order[k]] = avg
-        i = j + 1
-    return ranks
-
-
 def spearman_rho(a: Sequence[float], b: Sequence[float]) -> float | None:
     """Spearman rank correlation; ``None`` when undefined (constant side)."""
     if len(a) != len(b):
         raise ModelError("spearman_rho: length mismatch")
     if len(a) < 2:
         return None
-    ra = np.asarray(_average_ranks(a))
-    rb = np.asarray(_average_ranks(b))
+    ra = rank(a)
+    rb = rank(b)
     sa = ra - ra.mean()
     sb = rb - rb.mean()
     denom = math.sqrt(float(sa @ sa) * float(sb @ sb))
@@ -157,7 +131,7 @@ class ModelHealthMonitor:
         ``predict_std`` evidence."""
         if not self.residuals:
             return None
-        center = _median(self.residuals)
+        center = statistics.median(self.residuals)
         inside = sum(
             1
             for r, s in zip(self.residuals, self.sigmas)

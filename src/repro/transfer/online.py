@@ -148,8 +148,6 @@ def online_biased_search(
     makes.
     """
     spec = resolve_spec(spec)
-    if nmax < 1:
-        raise SearchError(f"nmax must be >= 1, got {nmax}")
     if refit_every < 1:
         raise SearchError(f"refit_every must be >= 1, got {refit_every}")
     if not source_data:

@@ -5,8 +5,10 @@ tunable parameters, a set of *search techniques* proposing
 configurations, a *meta-technique* (multi-armed bandit over sliding-
 window area-under-curve credit) that allocates the evaluation budget to
 whichever techniques are currently performing, and a results database
-shared by all techniques.  The paper drives its HPL and raytracer
-mini-application experiments through this stack.
+shared by all techniques.  :func:`warm_started_search` runs any of
+them against an evaluator, cold or seeded from a surrogate.  The paper
+drives its HPL and raytracer mini-application experiments through this
+stack.
 """
 
 from repro.tuner.manipulator import ConfigurationManipulator
@@ -20,7 +22,7 @@ from repro.tuner.techniques.pso import ParticleSwarm
 from repro.tuner.techniques.neldermead import NelderMead
 from repro.tuner.techniques.orthogonal import OrthogonalSearch
 from repro.tuner.bandit import AUCBanditMetaTechnique
-from repro.tuner.runner import TuningRun
+from repro.tuner.runner import warm_started_search
 
 __all__ = [
     "ConfigurationManipulator",
@@ -35,5 +37,5 @@ __all__ = [
     "NelderMead",
     "OrthogonalSearch",
     "AUCBanditMetaTechnique",
-    "TuningRun",
+    "warm_started_search",
 ]

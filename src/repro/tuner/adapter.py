@@ -13,7 +13,8 @@ budgets, failure recording, and trace recording.
 
 This module lives in ``tuner/`` rather than next to the other proposers
 because the dependency points one way: the tuner layer imports the
-search layer (``runner`` → ``engine``), never the reverse.
+search layer (``runner`` → ``engine``), never the reverse; ``make
+lint`` enforces it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.search.protocols import EngineContext, Proposal, SurrogateModel
-from repro.search.proposers import BaseProposer, failure_feedback
+from repro.search.proposers import BaseProposer, failure_feedback, score_pool
 from repro.searchspace.space import SearchSpace
 from repro.tuner.database import Result, ResultsDatabase
 from repro.tuner.technique import SearchTechnique
@@ -41,8 +42,9 @@ class TechniqueProposer(BaseProposer):
 
     ``seed_evaluations > 0`` prepends a surrogate warm-start phase: the
     model's best ``seed_evaluations`` pool picks are proposed first
-    (fit and pool-scoring time charged in setup), each result fed to
-    the technique before it takes over.  The pool is scored by linear
+    (fit and pool-scoring time charged in setup, except on a resumed
+    run, whose restored clock already paid), each result fed to the
+    technique before it takes over.  The pool is scored by linear
     index; only those picks become Configurations.
     """
 
@@ -90,14 +92,11 @@ class TechniqueProposer(BaseProposer):
     def setup(self, ctx: EngineContext) -> None:
         if self.seed_evaluations <= 0:
             return
-        clock = ctx.clock
-        clock.advance(self.surrogate.fit_seconds)
-        rng = spawn_rng(self.rng_label, self.space.name, ctx.name)
-        pool = self.space.sample_indices(
-            rng, min(self.pool_size, self.space.cardinality)
+        pool, predictions = score_pool(
+            self.space, self.surrogate,
+            spawn_rng(self.rng_label, self.space.name, ctx.name),
+            self.pool_size, None if ctx.resumed else ctx.clock,
         )
-        predictions = self.surrogate.predict_indices(pool)
-        clock.advance(self.surrogate.predict_seconds(len(pool)))
         order = np.argsort(predictions, kind="stable")
         self._seeds = [
             self.space.config_at(pool[int(i)])
@@ -107,13 +106,11 @@ class TechniqueProposer(BaseProposer):
     def propose(self, ctx: EngineContext) -> Proposal | None:
         while self._seeds:
             config = self._seeds.pop(0)
-            cached = self.database.lookup(config)
-            if cached is not None:
-                # A duplicate pool pick: feed the remembered value back
-                # and consume the seed without re-measuring.
-                self.technique.feedback(config, cached.value)
-                continue
-            return Proposal(config)
+            # Pool picks are distinct, so a seed is in the database only
+            # when a resumed run measured it before the cut; restore()
+            # already fed its value back.
+            if not self.database.has(config):
+                return Proposal(config)
         while True:
             config = self.technique.propose()
             cached = self.database.lookup(config)

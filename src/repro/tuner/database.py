@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import SearchError
 from repro.searchspace.space import Configuration
 
 __all__ = ["Result", "ResultsDatabase"]
@@ -23,9 +22,9 @@ class Result:
 class ResultsDatabase:
     """Deduplicating store of all results in one tuning run.
 
-    Techniques query it for the best configurations; the runner uses it
-    to avoid re-measuring configurations (OpenTuner equally caches by
-    configuration hash).
+    Techniques ask it which configurations were measured; the runner
+    uses it to avoid re-measuring configurations (OpenTuner equally
+    caches by configuration hash).
     """
 
     def __init__(self) -> None:
@@ -46,11 +45,6 @@ class ResultsDatabase:
 
     def results(self) -> list[Result]:
         return list(self._results)
-
-    def best(self) -> Result:
-        if not self._results:
-            raise SearchError("no results recorded")
-        return min(self._results, key=lambda r: r.value)
 
     def has(self, config: Configuration) -> bool:
         return config.index in self._by_config

@@ -1,84 +1,97 @@
-"""The tuning driver: technique(s) vs. an evaluator, on a clock."""
+"""The one technique-search entry point: a technique vs. an evaluator.
+
+Any :class:`~repro.tuner.technique.SearchTechnique` (random search,
+GA, annealing, PSO, pattern search, or the AUC bandit over several of
+them — the OpenTuner-style stack of Section IV-A) runs through
+:func:`warm_started_search`.  With ``seed_evaluations=0`` that is the
+plain (cold) technique; with ``seed_evaluations > 0`` it is the §VII
+future-work variant: the technique is *warm-started* from the
+surrogate — the model's top pool picks are evaluated first and fed to
+the technique as its initial population/incumbent — and then continues
+the search on the target machine.  Warm and cold runs share one
+accounting, so comparisons between them are exact.
+
+Composition: a :class:`~repro.tuner.adapter.TechniqueProposer`,
+ungated, under the shared :class:`~repro.search.engine.SearchEngine`
+accounting: a budget wall anywhere (the seed phase included) returns
+the partial trace, and failed evaluations are recorded as failed
+entries while the technique is fed their
+:func:`~repro.search.proposers.failure_feedback` value.
+"""
 
 from __future__ import annotations
 
 from repro.errors import SearchError
 from repro.search.engine import SearchEngine
+from repro.search.protocols import SurrogateModel
 from repro.search.result import SearchTrace
+from repro.searchspace.space import SearchSpace
 from repro.spec import TunerSpec, resolve_spec
 from repro.tuner.adapter import TechniqueProposer
 from repro.tuner.database import ResultsDatabase
 from repro.tuner.manipulator import ConfigurationManipulator
 from repro.tuner.technique import SearchTechnique
 
-__all__ = ["TuningRun"]
+__all__ = ["warm_started_search"]
 
 
-class TuningRun:
-    """Drive one technique (or meta-technique) against an evaluator.
+def warm_started_search(
+    evaluator,
+    space: SearchSpace,
+    technique: SearchTechnique,
+    surrogate: SurrogateModel | None = None,
+    nmax: int = 100,
+    seed_evaluations: int = 10,
+    name: str | None = None,
+    spec: TunerSpec | None = None,
+    checkpoint=None,
+) -> SearchTrace:
+    """Run a technique for ``nmax`` measurements, optionally
+    warm-started from a surrogate.
 
-    ``evaluator`` follows the :class:`~repro.orio.evaluator
-    .OrioEvaluator` protocol: ``evaluate(config)`` returns a measurement
-    with ``runtime_seconds``/``evaluation_cost`` and charges ``clock``.
-    Results are cached by configuration — re-proposals of measured
-    configurations cost nothing, as in OpenTuner.
+    The first ``seed_evaluations`` measurements (counted against
+    ``nmax``) are the surrogate's best picks from a pool of
+    ``spec.pool.size`` configurations (``spec`` is a
+    :class:`repro.spec.TunerSpec`, default spec when ``None``); each
+    result is fed to the technique before it takes over.  Results are
+    cached by configuration: re-proposals of measured configurations
+    cost nothing and do not count, as in OpenTuner.
 
-    Failed evaluations (recoverable
-    :class:`~repro.errors.EvaluationFailure`, or degraded measurements
-    from a :class:`~repro.reliability.resilient.ResilientEvaluator`)
-    are recorded as failed trace entries; the technique receives the
-    :func:`~repro.search.proposers.failure_feedback` value so it steers
-    away from the failing region, and the result is cached so the
-    configuration is never re-measured.  A budget wall ends the run
-    with the partial trace; the evaluation that hit it is not charged.
+    ``checkpoint`` is an optional
+    :class:`~repro.reliability.checkpoint.CheckpointManager`.  On
+    resume the measured-results database and the trace are restored,
+    and every past result is replayed as feedback so the technique
+    regains its knowledge; no configuration is re-measured.  A
+    stateful technique's internal RNG is *not* restored, so the
+    continuation explores from rebuilt knowledge rather than replaying
+    the interrupted run bit-for-bit.
     """
+    spec = resolve_spec(spec)
+    if seed_evaluations < 0:
+        raise SearchError(f"seed_evaluations must be >= 0, got {seed_evaluations}")
+    if seed_evaluations > 0 and surrogate is None:
+        raise SearchError("warm start requires a fitted surrogate")
 
-    def __init__(
-        self,
+    label = name or (
+        f"{technique.name}+warm" if seed_evaluations else technique.name
+    )
+    database = ResultsDatabase()
+    technique.bind(ConfigurationManipulator(space), database)
+    engine = SearchEngine(
         evaluator,
-        technique: SearchTechnique,
-        nmax: int = 100,
-        name: str | None = None,
-        spec: TunerSpec | None = None,
-    ) -> None:
-        if nmax < 1:
-            raise SearchError(f"nmax must be >= 1, got {nmax}")
-        self.evaluator = evaluator
-        self.technique = technique
-        self.spec = resolve_spec(spec)
-        self.nmax = nmax
-        self.name = name or technique.name
-        self.database = ResultsDatabase()
-        space = evaluator.kernel.space if hasattr(evaluator, "kernel") else evaluator.space
-        self.manipulator = ConfigurationManipulator(space)
-        self.space = space
-        technique.bind(self.manipulator, self.database)
-
-    def run(self, checkpoint=None) -> SearchTrace:
-        """Run until ``nmax`` measurements (cache hits don't count).
-
-        ``checkpoint`` is an optional
-        :class:`~repro.reliability.checkpoint.CheckpointManager`.  On
-        resume the measured-results database and the trace are restored,
-        and every past result is replayed as feedback so the technique
-        regains its knowledge; no configuration is re-measured (the
-        cache makes re-proposals free).  Unlike the stream-driven
-        searches, a stateful technique's internal RNG is *not* restored,
-        so the continuation explores from rebuilt knowledge rather than
-        replaying the interrupted run bit-for-bit.
-        """
-        engine = SearchEngine(
-            self.evaluator,
-            TechniqueProposer(
-                self.technique,
-                self.database,
-                self.space,
-                result_label=self.technique.name,
-            ),
-            nmax=self.nmax,
-            name=self.name,
-            space=self.space,
-            checkpoint=checkpoint,
-            batch_size=self.spec.engine.batch_size,
-        )
-        return engine.run()
+        TechniqueProposer(
+            technique,
+            database,
+            space,
+            result_label=label,
+            surrogate=surrogate,
+            pool_size=spec.pool.size,
+            seed_evaluations=seed_evaluations,
+        ),
+        nmax=nmax,
+        name=label,
+        space=space,
+        checkpoint=checkpoint,
+        batch_size=spec.engine.batch_size,
+    )
+    return engine.run()

@@ -2,7 +2,7 @@
 
 A technique proposes configurations one at a time and receives feedback
 (the measured objective) for each.  Techniques never measure anything
-themselves — the :class:`~repro.tuner.runner.TuningRun` owns the
+themselves — :func:`~repro.tuner.runner.warm_started_search` owns the
 evaluator and the clock, exactly like OpenTuner's driver.
 """
 

@@ -5,7 +5,7 @@ import os
 import pytest
 
 from repro.errors import JournalWriteError
-from repro.exec import CompactionStats, RunRegistry
+from repro.exec import RunRegistry
 
 
 @pytest.fixture
@@ -27,28 +27,27 @@ class TestCompact:
         fill(registry, n=8, retries=2)
         registry.mark_failed("ff" * 16, "exp", error="X", message="gone")
         before = registry.load()
-        stats = registry.compact()
+        registry.compact()
         after = registry.load()
         assert set(after.completed) == set(before.completed)
         for fp in before.completed:
             assert after.completed[fp].result() == before.completed[fp].result()
             assert after.completed[fp].attempts == before.completed[fp].attempts
         assert set(after.failed) == set(before.failed)
-        assert isinstance(stats, CompactionStats)
+        assert after.n_records == len(after.completed) + len(after.failed)
 
     def test_compact_drops_superseded_records(self, registry):
         fill(registry, n=6, retries=3)  # 24 records, 6 survivors
+        assert registry.load().n_records == 24
         size_before = registry.size_bytes()
-        stats = registry.compact()
-        assert stats.records_before == 24
-        assert stats.records_after == 6
-        assert stats.records_before - stats.records_after == 18
-        assert stats.bytes_after < stats.bytes_before == size_before
-        assert registry.size_bytes() == stats.bytes_after
+        registry.compact()
+        assert registry.load().n_records == 6
+        assert registry.size_bytes() < size_before
 
     def test_compact_empty_registry_is_a_noop(self, registry):
-        stats = registry.compact()
-        assert stats.records_before == stats.records_after == 0
+        registry.compact()
+        assert registry.load().n_records == 0
+        assert registry.size_bytes() == 0
 
     def test_append_after_compact_keeps_working(self, registry):
         fill(registry, n=3, retries=1)
@@ -59,12 +58,18 @@ class TestCompact:
         assert len(state.completed) == 4
 
     def test_maybe_compact_thresholds(self, registry):
-        fill(registry, n=5, retries=2)
-        assert registry.maybe_compact(max_bytes=10 ** 9) is None
-        stats = registry.maybe_compact(max_bytes=64)
-        assert stats is not None
-        assert stats.records_before > stats.records_after
-        assert registry.maybe_compact(max_bytes=0) is None  # disabled
+        fill(registry, n=5, retries=2)  # 15 records, 5 survivors
+        size = registry.size_bytes()
+        registry.maybe_compact(max_bytes=10 ** 9)
+        assert registry.size_bytes() == size
+        assert registry.load().n_records == 15
+        registry.maybe_compact(max_bytes=64)
+        assert registry.size_bytes() < size
+        assert registry.load().n_records == 5
+        registry.mark_failed("ee" * 16, "exp", error="X", message="late")
+        registry.mark_failed("ee" * 16, "exp", error="X", message="again")
+        registry.maybe_compact(max_bytes=0)  # disabled
+        assert registry.load().n_records == 7
 
 
 class TestTornSnapshot:

@@ -34,7 +34,7 @@ from repro.search.result import EvaluationRecord, SearchTrace
 from repro.search.stream import SharedStream
 from repro.spec import PoolSpec, TunerSpec
 from repro.transfer.session import TransferSession
-from repro.tuner import RandomTechnique, TuningRun
+from repro.tuner import RandomTechnique, warm_started_search
 
 
 def _pool(size):
@@ -440,28 +440,34 @@ class TestSearchResume:
         assert resumed.total_elapsed == pytest.approx(reference.total_elapsed)
 
 
+def _tuning_run(evaluator, nmax, checkpoint):
+    return warm_started_search(
+        evaluator, evaluator.kernel.space, RandomTechnique(), nmax=nmax,
+        seed_evaluations=0, checkpoint=checkpoint,
+    )
+
+
 class TestTuningRunResume:
     def test_resume_continues_without_remeasuring(self, tmp_path):
         manager = CheckpointManager(tmp_path / "run.json", every=2)
         first = MiniappEvaluator(make_hpl(), SANDYBRIDGE, clock=SimClock())
-        trace1 = TuningRun(first, RandomTechnique(), nmax=5).run(checkpoint=manager)
+        trace1 = _tuning_run(first, 5, manager)
         assert first.n_evaluations == 5
         second = MiniappEvaluator(make_hpl(), SANDYBRIDGE, clock=SimClock())
-        run2 = TuningRun(second, RandomTechnique(), nmax=10)
-        trace2 = run2.run(checkpoint=manager)
+        trace2 = _tuning_run(second, 10, manager)
         # Only the 5 new measurements hit the evaluator; the restored
         # database replays the old ones as cache hits + feedback.
         assert second.n_evaluations == 5
         assert trace2.n_evaluations == 10
         assert _trace_signature(trace2)[:5] == _trace_signature(trace1)
-        assert run2.database.n_distinct == 10
+        assert len({r.config.index for r in trace2.records}) == 10
 
     def test_completed_run_restores_verbatim(self, tmp_path):
         manager = CheckpointManager(tmp_path / "run.json")
         first = MiniappEvaluator(make_hpl(), SANDYBRIDGE, clock=SimClock())
-        trace1 = TuningRun(first, RandomTechnique(), nmax=8).run(checkpoint=manager)
+        trace1 = _tuning_run(first, 8, manager)
         second = MiniappEvaluator(make_hpl(), SANDYBRIDGE, clock=SimClock())
-        trace2 = TuningRun(second, RandomTechnique(), nmax=8).run(checkpoint=manager)
+        trace2 = _tuning_run(second, 8, manager)
         assert second.n_evaluations == 0  # nothing re-measured
         assert _trace_signature(trace2) == _trace_signature(trace1)
         assert second.clock.now == pytest.approx(first.clock.now)

@@ -5,7 +5,9 @@ fresh streams, fresh evaluators) and runs exactly one search, so a
 scenario is a pure function of the code under test.  The fixtures in
 ``tests/search/golden/traces.json`` were generated by running these
 scenarios against the pre-engine implementations (the five hand-rolled
-loops plus ``smbo_search``/``TuningRun``/``warm_started_search``);
+loops plus ``smbo_search``, the technique runner and
+``warm_started_search``; the ``tuner_*`` scenarios now run through
+``warm_started_search(seed_evaluations=0)``);
 ``test_golden_equivalence.py`` replays them against the engine-backed
 implementations and requires byte-identical traces.  The hybrid
 (``rspb_clean``) and guarded (``guarded_*_inverted``) scenarios, and
@@ -49,14 +51,13 @@ from repro.search.model_free import (
 from repro.search.pruning import pruned_search
 from repro.search.random_search import random_search
 from repro.search.stream import SharedStream
-from repro.search.warm_start import warm_started_search
 from repro.service import trace_digest
 from repro.spec import resolve_spec
 from repro.transfer.guard import GuardPolicy
 from repro.transfer.online import online_biased_search
 from repro.transfer.smbo import smbo_search
 from repro.transfer.surrogate import Surrogate
-from repro.tuner import GeneticAlgorithm, RandomTechnique, TuningRun
+from repro.tuner import GeneticAlgorithm, RandomTechnique, warm_started_search
 
 STREAM_SEED = "golden"
 NMAX = 24
@@ -267,25 +268,26 @@ def smbo_faulted(spec=None, **kw):
 
 def tuner_random_clean(spec=None, **kw):
     k = _kernel()
-    return TuningRun(
-        _target(k), RandomTechnique(seed=3), nmax=15, spec=spec
-    ).run(**kw)
+    return warm_started_search(
+        _target(k), k.space, RandomTechnique(seed=3), nmax=15,
+        seed_evaluations=0, spec=spec, **kw
+    )
 
 
 def tuner_ga_clean(spec=None, **kw):
     k = _kernel()
-    return TuningRun(
-        _target(k), GeneticAlgorithm(population_size=8, seed=3), nmax=15,
-        spec=spec,
-    ).run(**kw)
+    return warm_started_search(
+        _target(k), k.space, GeneticAlgorithm(population_size=8, seed=3),
+        nmax=15, seed_evaluations=0, spec=spec, **kw
+    )
 
 
 def tuner_ga_faulted(spec=None, **kw):
     k = _kernel()
-    return TuningRun(
-        _faulty_target(k), GeneticAlgorithm(population_size=8, seed=3),
-        nmax=15, spec=spec,
-    ).run(**kw)
+    return warm_started_search(
+        _faulty_target(k), k.space, GeneticAlgorithm(population_size=8, seed=3),
+        nmax=15, seed_evaluations=0, spec=spec, **kw
+    )
 
 
 def warm_ga_cold(spec=None, **kw):

@@ -27,11 +27,10 @@ from repro.search.model_free import (
 )
 from repro.search.pruning import pruned_search
 from repro.search.random_search import random_search
-from repro.search.warm_start import warm_started_search
 from repro.spec import PoolSpec, SMBOSpec, TunerSpec
 from repro.transfer.online import online_biased_search
 from repro.transfer.smbo import smbo_search
-from repro.tuner import GeneticAlgorithm, RandomTechnique, TuningRun
+from repro.tuner import GeneticAlgorithm, RandomTechnique, warm_started_search
 
 from tests.search.golden_scenarios import (
     POOL,
@@ -88,9 +87,10 @@ SEARCHES = {
         ev, k.space, GeneticAlgorithm(population_size=8, seed=3),
         surrogate=src[1], nmax=12, spec=POOL_SPEC, seed_evaluations=4,
     ),
-    "TuningRun": lambda ev, k, src: TuningRun(
-        ev, RandomTechnique(seed=3), nmax=12
-    ).run(),
+    # A cold technique run; its test ids keep the name "TuningRun".
+    "TuningRun": lambda ev, k, src: warm_started_search(
+        ev, k.space, RandomTechnique(seed=3), nmax=12, seed_evaluations=0
+    ),
     "online RSb": lambda ev, k, src: online_biased_search(
         ev, k.space, src[0], nmax=12, spec=POOL_SPEC, refit_every=4
     ),

@@ -7,11 +7,11 @@ from repro.kernels import get_kernel
 from repro.machines import SANDYBRIDGE, WESTMERE
 from repro.orio.evaluator import OrioEvaluator
 from repro.perf.simclock import SimClock
+from repro.reliability import CheckpointManager
 from repro.search import SharedStream, random_search
-from repro.search.warm_start import warm_started_search
 from repro.spec import PoolSpec, TunerSpec
 from repro.transfer.surrogate import Surrogate
-from repro.tuner import GeneticAlgorithm, SimulatedAnnealing
+from repro.tuner import GeneticAlgorithm, SimulatedAnnealing, warm_started_search
 
 
 def _pool(size):
@@ -77,6 +77,57 @@ class TestWarmStart:
         warm_early = min(r.runtime for r in warm.records[:10])
         cold_early = min(r.runtime for r in cold.records[:10])
         assert warm_early <= cold_early
+
+    def test_completed_warm_run_restores_verbatim(self, kernel, surrogate,
+                                                  tmp_path):
+        """A resumed run re-draws its seed pool without charging the
+        fit or the scoring again: the restored clock already paid."""
+        manager = CheckpointManager(tmp_path / "warm.ckpt")
+
+        def run(ev):
+            return warm_started_search(
+                ev, kernel.space, GeneticAlgorithm(population_size=8, seed=1),
+                surrogate=surrogate, nmax=8, spec=_pool(500),
+                seed_evaluations=4, checkpoint=manager,
+            )
+
+        first, second = evaluator(kernel), evaluator(kernel)
+        trace1 = run(first)
+        trace2 = run(second)
+        assert second.n_evaluations == 0  # nothing re-measured
+        assert [r.config.index for r in trace2.records] == [
+            r.config.index for r in trace1.records
+        ]
+        assert second.clock.now == first.clock.now
+
+    def test_resume_feeds_each_measured_seed_back_once(self, kernel, surrogate,
+                                                       tmp_path):
+        manager = CheckpointManager(tmp_path / "warm.ckpt", every=1)
+
+        fed = []
+
+        class Counting(GeneticAlgorithm):
+            def feedback(self, config, value):
+                fed.append(config.index)
+                super().feedback(config, value)
+
+        def run(nmax):
+            fed.clear()
+            warm_started_search(
+                evaluator(kernel), kernel.space,
+                Counting(population_size=8, seed=1), surrogate=surrogate,
+                nmax=nmax, spec=_pool(500), seed_evaluations=4,
+                checkpoint=manager,
+            )
+            return list(fed)
+
+        seeds = run(4)
+        resumed = run(6)
+        # The restored database replays the seeds; the seed phase then
+        # skips them instead of feeding them back a second time.
+        assert resumed[:4] == seeds
+        assert resumed[4:8] != seeds
+        assert len(resumed) >= 6
 
     def test_warm_without_surrogate_rejected(self, kernel):
         with pytest.raises(SearchError):

@@ -229,9 +229,18 @@ class TestCompaction:
 
     def test_maybe_compact_thresholds(self, store):
         self._grow(store, n_jobs=10)
-        assert not store.maybe_compact(max_bytes=10 ** 9)
-        assert store.maybe_compact(max_bytes=64)
-        assert not store.maybe_compact(max_bytes=0)  # disabled
+        size = store.size_bytes()
+        store.maybe_compact(max_bytes=10 ** 9)
+        assert store.size_bytes() == size
+        store.maybe_compact(max_bytes=64)
+        compacted = store.size_bytes()
+        assert compacted < size
+        store.record("session-closed", "s1",
+                     session=make_session(state=SESSION_CLOSED))
+        grown = store.size_bytes()
+        assert grown > compacted
+        store.maybe_compact(max_bytes=0)  # disabled
+        assert store.size_bytes() == grown
 
     def test_journal_lines_are_canonical_json(self, store):
         store.record("session-created", "s1", session=make_session())

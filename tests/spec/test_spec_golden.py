@@ -9,10 +9,9 @@ non-default knob changes the trace, so the spec is not ignored.
 """
 
 from repro.reliability import trace_to_dict
-from repro.search.warm_start import warm_started_search
 from repro.spec import TunerSpec
 from repro.transfer.online import online_biased_search
-from repro.tuner import GeneticAlgorithm
+from repro.tuner import GeneticAlgorithm, warm_started_search
 
 from tests.search.golden_scenarios import (
     SCENARIOS,

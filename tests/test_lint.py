@@ -8,6 +8,7 @@ from repro.devtools.lint import (
     check_dead_code,
     check_env_reads,
     check_imports,
+    check_layering,
     check_outcome_handlers,
     check_persistence,
     check_spec_knobs,
@@ -292,6 +293,50 @@ class TestPersistence:
         assert [e.split(": ")[1].split()[0] for e in errors] == [
             "os.fsync", "os.replace", "os.rename"
         ]
+
+
+class TestLayering:
+    def test_search_importing_an_upper_layer_is_flagged(self, tmp_path):
+        src = _write_tree(tmp_path, {
+            "src/repro/__init__.py": "",
+            "src/repro/search/__init__.py": "",
+            "src/repro/search/engine.py": """\
+                from repro.tuner.runner import drive
+                import repro.transfer.guard
+
+                def run():
+                    from repro.experiments import harness
+                    from repro import tuner
+                    return harness, tuner
+            """,
+            "src/repro/search/stream.py": """\
+                from repro.searchspace import space
+                from repro.search.engine import run
+                from .engine import run as again
+            """,
+            "src/repro/searchspace/__init__.py": "",
+            "src/repro/searchspace/space.py": "",
+            "src/repro/tuner/__init__.py": "",
+            "src/repro/tuner/runner.py": (
+                "from repro.search.engine import run\n"
+                "from repro.transfer import guard\n"
+            ),
+            "src/repro/transfer/__init__.py": "",
+            "src/repro/transfer/guard.py": "",
+            "src/repro/experiments/__init__.py": "",
+            "src/repro/experiments/harness.py": "",
+        })
+        errors = check_layering(collect_modules(src))
+        # Module-level and lazy imports alike, and only from the search
+        # package: the tuner may import the searches and the transfer
+        # layer.
+        assert len(errors) == 4
+        assert all("search/engine.py" in e for e in errors)
+        found = sorted(
+            (int(e.split(":")[1]), e.split(": ")[1].split()[2]) for e in errors
+        )
+        assert found == [(1, "repro.tuner"), (2, "repro.transfer"),
+                         (5, "repro.experiments"), (6, "repro.tuner")]
 
 
 class TestOutcomeHandlers:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import SearchError, SearchSpaceError
+from repro.errors import SearchSpaceError
 from repro.miniapps import make_raytracer
 from repro.searchspace import BooleanParameter, EnumParameter, IntegerParameter, SearchSpace
 from repro.tuner.database import Result, ResultsDatabase
@@ -86,13 +86,6 @@ class TestDatabase:
     def _result(self, space, idx, value, technique="t"):
         return Result(space.config_at(idx), value, technique, elapsed=1.0)
 
-    def test_best_tracking(self, space):
-        db = ResultsDatabase()
-        db.add(self._result(space, 0, 5.0))
-        db.add(self._result(space, 1, 2.0))
-        db.add(self._result(space, 2, 7.0))
-        assert db.best().value == 2.0
-
     def test_dedup_lookup(self, space):
         db = ResultsDatabase()
         db.add(self._result(space, 0, 5.0))
@@ -100,10 +93,6 @@ class TestDatabase:
         assert len(db.results()) == 2
         assert db.n_distinct == 1
         assert db.lookup(space.config_at(0)).value == 5.0  # first kept
-
-    def test_empty_best_raises(self):
-        with pytest.raises(SearchError):
-            ResultsDatabase().best()
 
     def test_has(self, space):
         db = ResultsDatabase()

@@ -1,4 +1,9 @@
-"""Tests for the tuning driver against the mini-app evaluators."""
+"""Tests for the technique runner against the mini-app evaluators.
+
+A tuning run is :func:`~repro.tuner.runner.warm_started_search` with
+``seed_evaluations=0``: the technique alone, under the shared engine
+accounting.
+"""
 
 import pytest
 
@@ -11,7 +16,7 @@ from repro.tuner import (
     GeneticAlgorithm,
     RandomTechnique,
     SimulatedAnnealing,
-    TuningRun,
+    warm_started_search,
 )
 
 
@@ -19,29 +24,32 @@ def hpl_evaluator(budget=None):
     return MiniappEvaluator(make_hpl(), SANDYBRIDGE, clock=SimClock(budget))
 
 
+def tune(evaluator, technique, **kw):
+    return warm_started_search(
+        evaluator, evaluator.kernel.space, technique, seed_evaluations=0, **kw
+    )
+
+
 class TestTuningRun:
     def test_runs_to_budget(self):
-        run = TuningRun(hpl_evaluator(), RandomTechnique(), nmax=25)
-        trace = run.run()
+        trace = tune(hpl_evaluator(), RandomTechnique(), nmax=25)
         assert trace.n_evaluations == 25
-        assert run.database.n_distinct == 25
+        assert len({r.config.index for r in trace.records}) == 25
 
     def test_clock_charged(self):
         ev = hpl_evaluator()
-        TuningRun(ev, RandomTechnique(), nmax=10).run()
+        tune(ev, RandomTechnique(), nmax=10)
         assert ev.clock.now > 0
 
     def test_cache_prevents_remeasurement(self):
         ev = hpl_evaluator()
-        run = TuningRun(ev, SimulatedAnnealing(), nmax=30)
-        trace = run.run()
+        trace = tune(ev, SimulatedAnnealing(), nmax=30)
         # Annealing revisits configurations; measurements stay distinct.
         assert trace.n_evaluations == 30
         assert ev.n_evaluations == 30
 
     def test_budget_exhaustion_marks_trace(self):
-        run = TuningRun(hpl_evaluator(budget=700.0), RandomTechnique(), nmax=100)
-        trace = run.run()
+        trace = tune(hpl_evaluator(budget=700.0), RandomTechnique(), nmax=100)
         assert trace.exhausted_budget
         assert trace.n_evaluations < 100
 
@@ -49,15 +57,14 @@ class TestTuningRun:
         bandit = AUCBanditMetaTechnique(
             [RandomTechnique(), GeneticAlgorithm(population_size=6), SimulatedAnnealing()]
         )
-        run = TuningRun(hpl_evaluator(), bandit, nmax=40)
-        trace = run.run()
+        trace = tune(hpl_evaluator(), bandit, nmax=40)
         assert trace.n_evaluations == 40
         assert trace.best_runtime < trace.runtimes().mean()
 
     def test_invalid_nmax(self):
         with pytest.raises(SearchError):
-            TuningRun(hpl_evaluator(), RandomTechnique(), nmax=0)
+            tune(hpl_evaluator(), RandomTechnique(), nmax=0)
 
     def test_trace_name(self):
-        run = TuningRun(hpl_evaluator(), RandomTechnique(), nmax=5, name="custom")
-        assert run.run().algorithm == "custom"
+        trace = tune(hpl_evaluator(), RandomTechnique(), nmax=5, name="custom")
+        assert trace.algorithm == "custom"
