@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast lint bench perfbench perfbench-trace faults guard chaos chaos-smoke corruption-smoke scrub meta meta-smoke service report examples clean
+.PHONY: install test test-fast test-numpy lint bench perfbench perfbench-trace faults guard chaos chaos-smoke corruption-smoke scrub meta meta-smoke service report examples clean
 
 # Meta-campaign knobs for `make meta` (override on the command line).
 META_SEEDS ?= 2
@@ -20,6 +20,13 @@ test:
 
 test-fast:
 	$(PYTHON) -m pytest tests/ -x -q -m "not slow"
+
+# Tier-1 with the compiled kernels switched off: the whole suite, golden
+# traces and checkpoint digests included, against the NumPy paths.  The
+# one end-to-end comparison of the two programs (perfbench refuses the
+# fallback).
+test-numpy:
+	REPRO_NATIVE=0 $(PYTHON) -m pytest tests/
 
 # Import-graph discipline (no runtime cycles, no TYPE_CHECKING-hidden
 # internal imports) and a dead-code sweep over the whole repro package:

@@ -1,16 +1,15 @@
-"""Optional compiled kernels for the ML and search hot paths.
+"""Optional compiled kernels for the random forest's two hot loops.
 
-Pure-NumPy tree traversal pays a few nanoseconds of fancy-indexing
-overhead per (tree, row, level) step — across 64 trees and a
-10,000-configuration pool that is the dominant cost of surrogate
-prediction.  The traversal itself is only comparisons and pointer
-chasing, so a small C kernel compiled on the fly with the system
-compiler removes that overhead while performing the exact same
-``x[feature] <= threshold`` double comparisons — results are
-bit-identical to the NumPy path.
+The object exports exactly two kernels, each the twin of a NumPy path
+that is both its fallback and its test oracle:
 
-The same argument extends to the other kernels here:
-
+* ``tree_values`` — the packed traversal.  Pure-NumPy traversal pays a
+  few nanoseconds of fancy-indexing overhead per (tree, row, level)
+  step — across 64 trees and a 10,000-configuration pool that is the
+  dominant cost of surrogate prediction.  The traversal itself is only
+  comparisons and pointer chasing, so the kernel performs the exact
+  same ``x[feature] <= threshold`` double comparisons and copies the
+  same leaf values — results are bit-identical to the NumPy path;
 * ``fit_node`` — one tree-fit split per call, behind a two-pointer
   param-block calling convention (ctypes argument conversion at 13-16
   arguments costs more than the kernels themselves).  It runs two
@@ -21,14 +20,12 @@ The same argument extends to the other kernels here:
   ``partition_node``, the stable node partition that routes the node's
   rows (``x[f] <= thr``), splits every presorted feature row, and
   computes both children's mean and purity in the NumPy path's exact
-  arithmetic order;
-* ``ensemble_mean`` / ``ensemble_std`` — column mean/std of the
-  per-tree value matrix in NumPy's exact sequential axis-0 reduction
-  order;
-* ``gate_topk`` — fused threshold filter + stable partial top-k over
-  predicted scores: the first ``k`` entries of
-  ``np.argsort(scores, kind="stable")`` (ties by index, NaNs last)
-  plus each entry's ``not (score >= cutoff)`` admission verdict.
+  arithmetic order.
+
+Reductions over the per-tree values (the forest's mean and std) and
+the pool ranking stay in NumPy: they are not where the time goes, and
+a C replay of a NumPy reduction must also replay its summation order
+(pairwise along a contiguous axis), which is easy to get wrong.
 
 Floating-point contraction is disabled at compile time
 (``-ffp-contract=off``): a fused multiply-add would round differently
@@ -81,9 +78,6 @@ __all__ = [
     "diagnostics",
     "handle",
     "tree_values",
-    "ensemble_std",
-    "ensemble_mean",
-    "gate_topk",
 ]
 
 #: ``fit_node`` param-block slot indices — must match the FN_* / FD_*
@@ -122,45 +116,6 @@ void tree_values(
             row_out[i] = value[cur];
         }
     }
-}
-
-/* Column std of a C-order (n_trees, n) matrix, replaying NumPy's
- * axis-0 reduction exactly: a strict t = 0..T-1 accumulation per
- * column for both the mean and the squared deviations (NumPy reduces
- * the outer axis row by row, so its summation order is sequential,
- * not pairwise).  Division and sqrt are correctly rounded in IEEE
- * double, so the result is bit-identical to vals.std(axis=0). */
-void ensemble_std(
-    const double *vals, int64_t n_trees, int64_t n,
-    double *mean, double *out)
-{
-    for (int64_t i = 0; i < n; ++i) mean[i] = 0.0;
-    for (int64_t t = 0; t < n_trees; ++t) {
-        const double *row = vals + t * n;
-        for (int64_t i = 0; i < n; ++i) mean[i] += row[i];
-    }
-    for (int64_t i = 0; i < n; ++i) { mean[i] /= (double) n_trees; out[i] = 0.0; }
-    for (int64_t t = 0; t < n_trees; ++t) {
-        const double *row = vals + t * n;
-        for (int64_t i = 0; i < n; ++i) {
-            double d = row[i] - mean[i];
-            out[i] += d * d;
-        }
-    }
-    for (int64_t i = 0; i < n; ++i) out[i] = sqrt(out[i] / (double) n_trees);
-}
-
-/* Column mean in the forest's historical accumulation order: one
- * zeroed accumulator, rows added t = 0..T-1, then one division. */
-void ensemble_mean(
-    const double *vals, int64_t n_trees, int64_t n, double *out)
-{
-    for (int64_t i = 0; i < n; ++i) out[i] = 0.0;
-    for (int64_t t = 0; t < n_trees; ++t) {
-        const double *row = vals + t * n;
-        for (int64_t i = 0; i < n; ++i) out[i] += row[i];
-    }
-    for (int64_t i = 0; i < n; ++i) out[i] /= (double) n_trees;
 }
 
 /* Fused best-split scan over a node's presorted candidate rows.
@@ -349,85 +304,11 @@ int64_t fit_node(int64_t *ip, double *dp)
         (const int64_t *) ip[FN_T], ip[FN_DEPTH_OK], ip[FN_MSS],
         (int64_t *) ip[FN_OUT_T], ip[FN_SCALAR_MAX], dp + FD_STATS);
 }
-
-/* Does (av, ai) sort strictly after (bv, bi) in a stable ascending
- * float sort?  NaNs last (in index order), ties by index — exactly
- * np.argsort(kind="stable") on doubles. */
-static int topk_after(double av, int64_t ai, double bv, int64_t bi)
-{
-    int an = isnan(av), bn = isnan(bv);
-    if (an != bn) return an;
-    if (!an && av != bv) return av > bv;
-    return ai > bi;
-}
-
-static void topk_sift_down(double *vals, int64_t *idx, int64_t size)
-{
-    int64_t c = 0;
-    for (;;) {
-        int64_t l = 2 * c + 1, r = l + 1, largest = c;
-        if (l < size && topk_after(vals[l], idx[l], vals[largest], idx[largest]))
-            largest = l;
-        if (r < size && topk_after(vals[r], idx[r], vals[largest], idx[largest]))
-            largest = r;
-        if (largest == c) return;
-        double tv = vals[c]; vals[c] = vals[largest]; vals[largest] = tv;
-        int64_t ti = idx[c]; idx[c] = idx[largest]; idx[largest] = ti;
-        c = largest;
-    }
-}
-
-/* Fused threshold gate + stable partial top-k: fills out_idx with the
- * first min(k, n) entries of the stable ascending argsort of scores
- * and out_admit with each entry's `!(score >= cutoff)` verdict
- * (cutoff = +inf admits everything).  Returns the count filled. */
-int64_t gate_topk(
-    const double *scores, int64_t n, int64_t k, double cutoff,
-    int64_t *out_idx, unsigned char *out_admit,
-    double *heap_vals, int64_t *heap_idx)
-{
-    if (k > n) k = n;
-    if (k <= 0) return 0;
-    int64_t size = 0;
-    for (int64_t i = 0; i < n; ++i) {
-        double v = scores[i];
-        if (size < k) {
-            int64_t c = size++;
-            heap_vals[c] = v;
-            heap_idx[c] = i;
-            while (c > 0) {
-                int64_t parent = (c - 1) / 2;
-                if (!topk_after(heap_vals[c], heap_idx[c],
-                                heap_vals[parent], heap_idx[parent]))
-                    break;
-                double tv = heap_vals[c];
-                heap_vals[c] = heap_vals[parent]; heap_vals[parent] = tv;
-                int64_t ti = heap_idx[c];
-                heap_idx[c] = heap_idx[parent]; heap_idx[parent] = ti;
-                c = parent;
-            }
-        } else if (topk_after(heap_vals[0], heap_idx[0], v, i)) {
-            heap_vals[0] = v;
-            heap_idx[0] = i;
-            topk_sift_down(heap_vals, heap_idx, size);
-        }
-    }
-    for (int64_t s = size; s > 0; --s) {
-        double v = heap_vals[0];
-        out_idx[s - 1] = heap_idx[0];
-        out_admit[s - 1] = !(v >= cutoff);
-        heap_vals[0] = heap_vals[s - 1];
-        heap_idx[0] = heap_idx[s - 1];
-        topk_sift_down(heap_vals, heap_idx, s - 1);
-    }
-    return size;
-}
 """
 
-#: Compile flags and libraries of the kernel object, both part of its
-#: cache key.
+#: Compile flags of the kernel object, part of its cache key.  No
+#: library is linked: ``isnan`` and ``INFINITY`` are macros.
 _FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
-_LIBS = ("-lm",)
 
 #: Where compiled objects are cached: this module's ``__pycache__``,
 #: which has the same trust as the ``.py`` beside it.
@@ -499,7 +380,7 @@ def _compile(cc: str) -> str | None:
     with open(src, "w") as fh:
         fh.write(_SOURCE)
     proc = subprocess.run(
-        [cc, *_FLAGS, "-o", so, src, *_LIBS],
+        [cc, *_FLAGS, "-o", so, src],
         capture_output=True,
         timeout=120,
     )
@@ -519,17 +400,11 @@ def _load(path: str) -> ctypes.CDLL:
     lib = ctypes.CDLL(path)
     i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
     f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-    u8 = np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS")
     c_i64 = ctypes.c_int64
-    c_f64 = ctypes.c_double
     lib.tree_values.argtypes = [
         i64, f64, i64, i64, f64, i64, c_i64, f64, c_i64, c_i64, f64,
     ]
     lib.tree_values.restype = None
-    lib.ensemble_std.argtypes = [f64, c_i64, c_i64, f64, f64]
-    lib.ensemble_std.restype = None
-    lib.ensemble_mean.argtypes = [f64, c_i64, c_i64, f64]
-    lib.ensemble_mean.restype = None
     # The per-node tree-fit kernel is called thousands of times per
     # forest; raw pointers skip ndpointer's per-call flag validation
     # (callers construct the param blocks, so dtype/contiguity hold by
@@ -537,8 +412,6 @@ def _load(path: str) -> ctypes.CDLL:
     ptr = ctypes.c_void_p
     lib.fit_node.argtypes = [ptr, ptr]
     lib.fit_node.restype = c_i64
-    lib.gate_topk.argtypes = [f64, c_i64, c_i64, c_f64, i64, u8, f64, i64]
-    lib.gate_topk.restype = c_i64
     return lib
 
 
@@ -565,7 +438,7 @@ def _build() -> ctypes.CDLL | None:
     version = subprocess.run(
         [cc, "--version"], capture_output=True, timeout=120
     ).stdout
-    key = _cache_key(_SOURCE, _FLAGS + _LIBS, cc, version, platform.machine())
+    key = _cache_key(_SOURCE, _FLAGS, cc, version, platform.machine())
     path = os.path.join(CACHE_DIR, f"_native.{key}.so")
     lib = _load_cached(path)
     if lib is not None:
@@ -680,22 +553,15 @@ def tree_values(
     value: np.ndarray,
     roots: np.ndarray,
     X: np.ndarray,
-    out: np.ndarray | None = None,
 ) -> np.ndarray | None:
-    """Packed traversal via the compiled kernel; ``None`` if unavailable.
-
-    When ``out`` (a C-order ``(n_trees, n)`` float64 array) is given,
-    results are written into it and it is returned — callers that score
-    many pools can reuse one buffer and skip the page-fault cost of a
-    fresh multi-megabyte allocation per call.
-    """
+    """Packed traversal via the compiled kernel, a fresh C-order
+    ``(n_trees, n)`` array; ``None`` if unavailable."""
     if not available():
         return None
     assert _lib is not None
     n, p = X.shape
     n_trees = len(roots)
-    if out is None:
-        out = np.empty((n_trees, n))
+    out = np.empty((n_trees, n))
     _lib.tree_values(
         np.ascontiguousarray(feature, dtype=np.int64),
         np.ascontiguousarray(threshold, dtype=np.float64),
@@ -710,62 +576,3 @@ def tree_values(
         out,
     )
     return out
-
-
-def ensemble_std(vals: np.ndarray) -> np.ndarray | None:
-    """Column std of a C-order ``(n_trees, n)`` value matrix, replaying
-    NumPy's sequential axis-0 reduction order exactly (bit-identical to
-    ``vals.std(axis=0)``); ``None`` if the kernel is unavailable."""
-    if not available():
-        return None
-    assert _lib is not None
-    n_trees, n = vals.shape
-    mean = np.empty(n)
-    out = np.empty(n)
-    _lib.ensemble_std(
-        np.ascontiguousarray(vals, dtype=np.float64), n_trees, n, mean, out
-    )
-    return out
-
-
-def ensemble_mean(vals: np.ndarray) -> np.ndarray | None:
-    """Column mean of a C-order ``(n_trees, n)`` value matrix in the
-    forest's historical sequential accumulation order (bit-identical to
-    ``acc += vals[t]; acc / n_trees``); ``None`` if unavailable."""
-    if not available():
-        return None
-    assert _lib is not None
-    n_trees, n = vals.shape
-    out = np.empty(n)
-    _lib.ensemble_mean(
-        np.ascontiguousarray(vals, dtype=np.float64), n_trees, n, out
-    )
-    return out
-
-
-def gate_topk(
-    scores: np.ndarray, k: int, cutoff: float = np.inf
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Fused threshold filter + stable partial top-k over scores.
-
-    Returns ``(order, admit)`` where ``order`` is the first
-    ``min(k, len(scores))`` entries of
-    ``np.argsort(scores, kind="stable")`` (ascending, ties by index,
-    NaNs last) and ``admit[i]`` is the gate verdict
-    ``not (scores[order[i]] >= cutoff)`` (NaN admits, matching the
-    pruning gates).  ``None`` if the kernel is unavailable.
-    """
-    if not available():
-        return None
-    assert _lib is not None
-    scores = np.ascontiguousarray(scores, dtype=np.float64)
-    n = len(scores)
-    k = min(int(k), n)
-    out_idx = np.empty(k, dtype=np.int64)
-    out_admit = np.empty(k, dtype=np.uint8)
-    heap_vals = np.empty(k if k else 1, dtype=np.float64)
-    heap_idx = np.empty(k if k else 1, dtype=np.int64)
-    filled = _lib.gate_topk(
-        scores, n, k, float(cutoff), out_idx, out_admit, heap_vals, heap_idx
-    )
-    return out_idx[:filled], out_admit[:filled].astype(bool)

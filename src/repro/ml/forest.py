@@ -12,7 +12,10 @@ scoring the 10k-configuration pool is a single vectorized traversal of
 all trees at once instead of a Python loop of ``n_estimators``
 ``tree.predict`` calls.  The packed path routes each row through
 exactly the same comparisons as the per-tree path, so its outputs are
-bit-identical.
+bit-identical.  The traversal is the only compiled step (see
+:mod:`repro.ml._native`); the mean and std over the per-tree values are
+NumPy reductions, so a prediction does not depend on whether the kernel
+compiled.
 """
 
 from __future__ import annotations
@@ -39,9 +42,7 @@ class PackedTrees:
     bit-identical to ``tree.predict``.
     """
 
-    __slots__ = (
-        "feature", "threshold", "left", "right", "value", "roots", "_scratch",
-    )
+    __slots__ = ("feature", "threshold", "left", "right", "value", "roots")
 
     def __init__(self, trees: list[DecisionTreeRegressor]) -> None:
         if not trees:
@@ -59,24 +60,12 @@ class PackedTrees:
             [t.nodes.right + off for t, off in zip(trees, offsets)]
         )
         self.roots = offsets
-        self._scratch: np.ndarray | None = None
 
     @property
     def n_trees(self) -> int:
         return len(self.roots)
 
-    def _values_scratch(self, n: int) -> np.ndarray:
-        """Reusable ``(n_trees, n)`` output buffer.  Scoring a 10k pool
-        materializes a multi-megabyte matrix; a fresh allocation per
-        call pays mmap page faults, so internal hot paths (predict,
-        predict_std) reuse one buffer.  Only for callers that
-        fully consume the values before the next call — the public
-        ``tree_values`` default stays a fresh allocation."""
-        if self._scratch is None or self._scratch.shape[1] != n:
-            self._scratch = np.empty((self.n_trees, n))
-        return self._scratch
-
-    def tree_values(self, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def tree_values(self, X: np.ndarray) -> np.ndarray:
         """Per-tree predictions, shape ``(n_trees, n_rows)``.
 
         Uses the compiled traversal kernel when the host has a C
@@ -84,13 +73,10 @@ class PackedTrees:
         otherwise a NumPy traversal with a shrinking active set: each
         step advances every (tree, row) cursor still at an internal
         node, dropping cursors as they reach leaves.
-
-        ``out`` is an optional preallocated result buffer; the returned
-        array is authoritative (the NumPy fallback may ignore ``out``).
         """
         native = _native.tree_values(
             self.feature, self.threshold, self.left, self.right,
-            self.value, self.roots, X, out,
+            self.value, self.roots, X,
         )
         if native is not None:
             return native
@@ -102,8 +88,7 @@ class PackedTrees:
         # (the leaf values are copied, not computed).
         n_trees = len(self.roots)
         n = X.shape[0]
-        if out is None or out.shape != (n_trees, n):
-            out = np.empty((n_trees, n))
+        out = np.empty((n_trees, n))
         feature, threshold = self.feature, self.threshold
         left, right, value = self.left, self.right, self.value
         # Column-major copy of the pool: each node compares one feature
@@ -126,16 +111,6 @@ class PackedTrees:
                 stack.append((int(left[node]), rows[go_left]))
                 stack.append((int(right[node]), rows[~go_left]))
         return out
-
-    def values_std(self, X: np.ndarray) -> np.ndarray:
-        """Column std of the per-tree predictions, bit-identical to
-        ``tree_values(X).std(axis=0)``.  The fused kernel skips the two
-        extra ``(n_trees, n)`` temporaries NumPy's ``std`` allocates."""
-        vals = self.tree_values(X, out=self._values_scratch(X.shape[0]))
-        std = _native.ensemble_std(vals)
-        if std is not None:
-            return std
-        return vals.std(axis=0)
 
 
 class RandomForestRegressor(Regressor):
@@ -238,11 +213,7 @@ class RandomForestRegressor(Regressor):
         vals = self._tree_values(X)
         # Accumulate tree-by-tree in index order: the exact addition
         # sequence of the historical per-tree loop, so results stay
-        # bit-identical to pre-packed forests.  The fused kernel replays
-        # that order in C.
-        mean = _native.ensemble_mean(vals)
-        if mean is not None:
-            return mean
+        # bit-identical to pre-packed forests.
         acc = np.zeros(X.shape[0])
         for t in range(vals.shape[0]):
             acc += vals[t]
@@ -256,15 +227,10 @@ class RandomForestRegressor(Regressor):
         """
         p = self._require_fitted()
         X = check_X(X, p)
-        if self._packed is None:
-            self._packed = PackedTrees(self.trees)
-        return self._packed.values_std(X)
+        return self._tree_values(X).std(axis=0)
 
     def _tree_values(self, X: np.ndarray) -> np.ndarray:
-        """Per-tree predictions via the packed traversal (scratch
-        buffer reused — consume before the next prediction call)."""
+        """Per-tree predictions via the packed traversal."""
         if self._packed is None:
             self._packed = PackedTrees(self.trees)
-        return self._packed.tree_values(
-            X, out=self._packed._values_scratch(X.shape[0])
-        )
+        return self._packed.tree_values(X)

@@ -36,6 +36,9 @@ __all__ = [
     "PredictionCutoffGate",
 ]
 
+#: RNG key label of RSp's cutoff pool draw.
+_RSP_POOL_RNG_LABEL = "rsp-pool"
+
 
 class QuantileGate:
     """RSp's pruning test (Algorithm 1).
@@ -56,13 +59,11 @@ class QuantileGate:
         surrogate: SurrogateModel,
         delta_percent: float,
         pool_size: int,
-        rng_label: str = "rsp-pool",
     ) -> None:
         self.space = space
         self.surrogate = surrogate
         self.delta_percent = delta_percent
         self.pool_size = pool_size
-        self.rng_label = rng_label
         self.cutoff: float | None = None
         self._scored = None  # pool predictions, kept for cutoff_at()
 
@@ -72,7 +73,6 @@ class QuantileGate:
         space: SearchSpace,
         surrogate: SurrogateModel,
         spec,
-        rng_label: str = "rsp-pool",
     ) -> "QuantileGate":
         """Build the gate from a :class:`repro.spec.TunerSpec` — δ from
         its :class:`~repro.spec.GateSpec`, the pool size from its
@@ -82,13 +82,12 @@ class QuantileGate:
             surrogate,
             delta_percent=spec.gate.delta_percent,
             pool_size=spec.pool.size,
-            rng_label=rng_label,
         )
 
     def setup(self, ctx: EngineContext) -> None:
         _, self._scored = score_pool(
             self.space, self.surrogate,
-            spawn_rng(self.rng_label, self.space.name, ctx.name),
+            spawn_rng(_RSP_POOL_RNG_LABEL, self.space.name, ctx.name),
             self.pool_size, None if ctx.resumed else ctx.clock,
         )
         self.cutoff = quantile(self._scored, self.delta_percent / 100.0)

@@ -33,7 +33,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.ml import _native
 from repro.ml.forest import RandomForestRegressor
 from repro.search.protocols import (
     EngineContext,
@@ -56,6 +55,9 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
+
+#: RNG key label of RSb's pool draw (RSpb's too).
+_RSB_POOL_RNG_LABEL = "rsb-pool"
 
 #: Multiple of the worst value fed back so far that an unbounded
 #: failure feeds back: learners need a finite number to rank against.
@@ -185,10 +187,13 @@ class PoolRankProposer(BaseProposer):
 
     RSb's candidate source (Algorithm 2's argmin-with-removal is
     equivalent to a stable presort).  Setup charges the model fit and
-    the pool-scoring time; a resumed run's restored clock already paid,
-    and the pool redraws deterministically from its stateless RNG key.
-    Proposals carry their prediction so a cutoff gate (the RSpb hybrid)
-    can prune the tail of the ranking without extra model queries.
+    the pool-scoring time, then ranks the whole pool once with a stable
+    argsort (ties by index, NaNs last); a resumed run's restored clock
+    already paid, and the pool redraws deterministically from its
+    stateless RNG key.  Only the configurations a proposal reaches are
+    materialized.  Proposals carry their prediction so a cutoff gate
+    (the RSpb hybrid) can prune the tail of the ranking without extra
+    model queries.
     """
 
     def __init__(
@@ -196,79 +201,39 @@ class PoolRankProposer(BaseProposer):
         space: SearchSpace,
         surrogate: SurrogateModel,
         pool_size: int,
-        rng_label: str = "rsb-pool",
     ) -> None:
         self.space = space
         self.surrogate = surrogate
         self.pool_size = pool_size
-        self.rng_label = rng_label
         self.predictions: np.ndarray = np.empty(0)
         self._pool_indices: list[int] = []
-        self._pool_configs: list[Configuration | None] = []
         self._order: np.ndarray = np.empty(0, dtype=np.int64)
-        self._order_upto = 0
         self._rank = 0
 
     def restore(self, position: int, ctx: EngineContext) -> None:
         self._rank = position
 
     def setup(self, ctx: EngineContext) -> None:
-        # Configuration objects materialize lazily, only for the pool
-        # slots the ranking actually reaches.
         indices, self.predictions = score_pool(
             self.space, self.surrogate,
-            spawn_rng(self.rng_label, self.space.name, ctx.name),
+            spawn_rng(_RSB_POOL_RNG_LABEL, self.space.name, ctx.name),
             self.pool_size, None if ctx.resumed else ctx.clock,
         )
-        n = len(indices)
-        self._pool_indices = [int(i) for i in indices]
-        self._pool_configs = [None] * n
-        self._order = np.empty(0, dtype=np.int64)
-        self._order_upto = 0
-        ctx.trace.metadata["pool_size"] = n
-
-    def _config_for(self, slot: int) -> Configuration:
-        config = self._pool_configs[slot]
-        if config is None:
-            config = self.space.config_at(self._pool_indices[slot])
-            self._pool_configs[slot] = config
-        return config
-
-    def _ensure_order(self, upto: int) -> None:
-        """Extend the ranking to cover at least ``upto`` positions.
-
-        A search evaluates ``nmax`` of a 10k pool, so a partial stable
-        top-k (the native kernel) replaces the full argsort; growth is
-        geometric, and the NumPy fallback or a near-full request sorts
-        the whole pool once.  The prefix is identical to the stable
-        full argsort by construction, so traces do not depend on which
-        path ran.
-        """
-        n = len(self.predictions)
-        if upto <= self._order_upto or self._order_upto >= n:
-            return
-        k = max(64, 2 * upto)
-        if k * 2 < n:
-            topk = _native.gate_topk(self.predictions, k)
-            if topk is not None:
-                self._order = topk[0]
-                self._order_upto = k
-                return
+        self._pool_indices = indices
         self._order = np.argsort(self.predictions, kind="stable")
-        self._order_upto = n
+        ctx.trace.metadata["pool_size"] = len(indices)
 
     def propose_block(self, ctx: EngineContext, count: int) -> list[Proposal]:
         """The next ``count`` pool entries in predicted order (may be
         short, or empty when the pool is exhausted)."""
-        n = len(self.predictions)
-        end = min(self._rank + count, n)
-        self._ensure_order(end)
+        end = min(self._rank + count, len(self._order))
         block = []
         for rank in range(self._rank, end):
-            idx = int(self._order[rank])
-            block.append(
-                Proposal(self._config_for(idx), float(self.predictions[idx]))
-            )
+            slot = int(self._order[rank])
+            block.append(Proposal(
+                self.space.config_at(self._pool_indices[slot]),
+                float(self.predictions[slot]),
+            ))
         self._rank = end
         return block
 

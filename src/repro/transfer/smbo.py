@@ -69,11 +69,6 @@ def smbo_search(
     """
     spec = resolve_spec(spec)
     smbo = spec.smbo
-    if nmax < 1:
-        raise SearchError(f"nmax must be >= 1, got {nmax}")
-    if not 1 <= smbo.n_initial <= nmax:
-        raise SearchError(f"n_initial must be in [1, nmax], got {smbo.n_initial}")
-
     label = name or (
         f"SMBO-{smbo.acquisition}+transfer" if source_surrogate or source_data
         else f"SMBO-{smbo.acquisition}"
@@ -97,4 +92,7 @@ def smbo_search(
         space=space,
         batch_size=spec.engine.batch_size,
     )
+    # The engine has rejected nmax < 1; the design must fit in nmax.
+    if not 1 <= smbo.n_initial <= nmax:
+        raise SearchError(f"n_initial must be in [1, nmax], got {smbo.n_initial}")
     return engine.run()

@@ -30,6 +30,9 @@ from repro.utils.rng import spawn_rng
 
 __all__ = ["TechniqueProposer"]
 
+#: RNG key label of the warm-start seed phase's pool draw.
+_WARM_START_POOL_RNG_LABEL = "warm-start-pool"
+
 
 class TechniqueProposer(BaseProposer):
     """Drive a bound search technique as the engine's candidate source.
@@ -55,10 +58,9 @@ class TechniqueProposer(BaseProposer):
         space: SearchSpace,
         *,
         result_label: str,
-        surrogate: SurrogateModel | None = None,
-        pool_size: int = 10_000,
-        seed_evaluations: int = 0,
-        rng_label: str = "warm-start-pool",
+        surrogate: SurrogateModel | None,
+        pool_size: int,
+        seed_evaluations: int,
     ) -> None:
         self.technique = technique
         self.database = database
@@ -67,7 +69,6 @@ class TechniqueProposer(BaseProposer):
         self.surrogate = surrogate
         self.pool_size = pool_size
         self.seed_evaluations = seed_evaluations
-        self.rng_label = rng_label
         self._stall = 0
         self._seeds: list = []
 
@@ -94,7 +95,7 @@ class TechniqueProposer(BaseProposer):
             return
         pool, predictions = score_pool(
             self.space, self.surrogate,
-            spawn_rng(self.rng_label, self.space.name, ctx.name),
+            spawn_rng(_WARM_START_POOL_RNG_LABEL, self.space.name, ctx.name),
             self.pool_size, None if ctx.resumed else ctx.clock,
         )
         order = np.argsort(predictions, kind="stable")

@@ -95,7 +95,7 @@ class TestSmbo:
         assert trace.n_evaluations == 10
 
     def test_validation(self, kernel):
-        with pytest.raises(SearchError):
+        with pytest.raises(SearchError, match="nmax must be >= 1"):
             smbo_search(evaluator(kernel), kernel.space, nmax=0)
         with pytest.raises(SearchError):
             smbo_search(evaluator(kernel), kernel.space, nmax=10,
